@@ -59,7 +59,7 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _add_io_flags(p, out_default_stdout=False):
+def _add_io_flags(p):
     p.add_argument("--ref", required=True, metavar="PATH", help="reference embeddings file")
     p.add_argument("--target", required=True, metavar="PATH", help="target embeddings file")
     p.add_argument("--format", choices=("auto", "csv", "binary"), default="auto",
@@ -130,6 +130,17 @@ def _table_csv(config: dict, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warn_if_unflaggable(bootstraps: int, alpha: float, what: str) -> None:
+    # the smallest p-value is 1/(k + 1); above alpha nothing can reach the threshold
+    if bootstraps >= 1 and 1.0 / (bootstraps + 1) > alpha:
+        print(
+            f"warning: with --bootstraps {bootstraps} no p-value falls below "
+            f"1/{bootstraps + 1} > --alpha {alpha}, so no {what} can be flagged; "
+            f"use --bootstraps >= {math.ceil(1.0 / alpha) - 1}",
+            file=sys.stderr,
+        )
+
+
 def _json_safe(value: float):
     # undefined statistics serialize as null rather than the non-JSON NaN literal
     return None if isinstance(value, float) and math.isnan(value) else value
@@ -167,7 +178,9 @@ def cmd_scan(args) -> int:
                                            seed=derive_seed(args.seed, "batch-ref")))
         target = batch_means(target, BatchConfig(args.batch_size, shuffle=True,
                                                  seed=derive_seed(args.seed, "batch-target")))
-    report = drift_scan(DatasetPair(ref, target), _scan_config(args))
+    config = _scan_config(args)
+    _warn_if_unflaggable(config.bootstraps, config.alpha, "window")
+    report = drift_scan(DatasetPair(ref, target), config)
     payload = report_to_dict(report)
     payload["config"]["cli"] = {
         "command": "scan",
@@ -297,6 +310,7 @@ def cmd_simulate_mixture(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
     result = null_calibration(
         trials=args.trials,
         n=args.n,

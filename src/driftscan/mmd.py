@@ -66,11 +66,13 @@ def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> N
 def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimator: str) -> float:
     """Reduce precomputed Gram blocks to MMD^2.
 
-    Shared by :func:`mmd` and the bootstrap machinery, which indexes one
-    pooled Gram matrix instead of recomputing kernels per draw. The cross
-    term sums the block in both orientations (the transpose materialized so
-    the summation order is its own row-major order, which numpy would
-    otherwise bypass) so that swapping the two samples is bit-exact.
+    Shared by :func:`mmd` and the scan, which passes contiguous blocks of a
+    window's pool Gram matrix and so gets the same bits as :func:`mmd`. The
+    bootstrap evaluates the same sums as quadratic forms over count vectors
+    (:func:`~driftscan.resample.null_stats_from_gram`). The cross term sums
+    the block in both orientations (the transpose materialized so the
+    summation order is its own row-major order, which numpy would otherwise
+    bypass) so that swapping the two samples is bit-exact.
     """
     n = kxx.shape[0]
     m = kyy.shape[0]

@@ -5,6 +5,12 @@ draws (sampling rows with replacement) from the pool are split into two
 blocks whose MMD^2 forms the null distribution. The observed statistic's
 p-value is its add-one-smoothed rank within that distribution.
 
+All k draws of a window come from one stream, as one (k, 2 * block) index
+matrix. Each block of a draw is a count vector over the pooled rows, so its
+MMD^2 is a quadratic form in the pool's Gram matrix (Gretton et al. 2012,
+*A Kernel Two-Sample Test*, JMLR, sections 2-3), and all k statistics come
+from one product of the count matrix with the Gram matrix.
+
 Two split policies:
 
 * ``paired_halves`` (default): the two blocks each have ``half_size`` rows,
@@ -23,14 +29,18 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
-from .mmd import ESTIMATORS, mmd_sq_from_gram
+from .mmd import ESTIMATORS
 from .rng import RngPolicy
 
 SPLIT_POLICIES = ("paired_halves", "literal_quarter")
 
-#: purpose tag for bootstrap streams; iteration i of window w draws from
-#: (base_seed, BOOTSTRAP_TAG, w, i)
+#: purpose tag for bootstrap streams; window w draws its whole (k, 2 * block)
+#: index matrix from the one stream (base_seed, BOOTSTRAP_TAG, w)
 BOOTSTRAP_TAG = "bootstrap"
+
+#: names that draw scheme in the report's config echo. Reports without the
+#: entry drew iteration i of window w from (base_seed, BOOTSTRAP_TAG, w, i).
+RNG_SCHEME = "window-stream"
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +82,35 @@ def _block_size(half_size: int, split_policy: str) -> int:
     return half_size if split_policy == "paired_halves" else half_size // 2
 
 
+def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimator: str) -> np.ndarray:
+    """MMD^2 of each bootstrap draw, from the pool Gram and the draws' row indices.
+
+    Row i of ``idx`` is draw i: its first ``block`` entries pick the first
+    block's pooled rows, the next ``block`` the second's. With c1 and c2 the
+    blocks' count vectors, the biased statistic is d'Gd / block^2 for
+    d = c1 - c2, clamped at 0 (exact for a kernel, and it keeps p = 1 on
+    identical inputs). The unbiased one subtracts from each within-block sum
+    c'Gc its gathered diagonal c . diag(G). Products use einsum, not BLAS, so
+    the bytes do not depend on the thread count.
+    """
+    k = idx.shape[0]
+    n = gram.shape[0]
+    # draw i's first block counts into row i, its second into row k + i
+    slot = np.arange(k)[:, None] + np.repeat([0, k], block)
+    counts = np.bincount((idx + slot * n).ravel(), minlength=2 * k * n).reshape(2, k, n)
+    if estimator == "biased":
+        d = (counts[0] - counts[1]).astype(np.float64)
+        dg = np.einsum("in,nm->im", d, gram, optimize=False)
+        return np.maximum(np.einsum("im,im->i", dg, d) / (block * block), 0.0)
+    c = counts.astype(np.float64)
+    cg = np.einsum("jin,nm->jim", c, gram, optimize=False)
+    quad = np.einsum("jim,jim->ji", cg, c)
+    trace = np.einsum("jin,n->ji", c, np.diagonal(gram))
+    within = (quad - trace) / (block * (block - 1))
+    cross = np.einsum("im,im->i", cg[0], c[1]) / (block * block)
+    return within[0] + within[1] - 2.0 * cross
+
+
 def bootstrap_null(
     spec: KernelSpec,
     t: EmbeddingMatrix,
@@ -83,14 +122,16 @@ def bootstrap_null(
     estimator: str = "biased",
     bandwidth: float | None = None,
     window_index: int = 0,
+    *,
+    gram: np.ndarray | None = None,
 ) -> BootstrapResult:
     """Bootstrap the null distribution of MMD^2 over the pooled rows ``t``.
 
-    Each of the k iterations draws ``t.rows`` row indices with replacement
-    using its own stream derived from (rng.base_seed, "bootstrap",
-    window_index, iteration), so the stats list is identical however the
-    iterations are scheduled. The kernel Gram matrix of the pool is computed
-    once; iterations index into it.
+    The k draws (rows with replacement) are one (k, 2 * block) index matrix
+    from the stream (rng.base_seed, "bootstrap", window_index), so reruns are
+    byte-identical however windows are scheduled. ``gram`` is the kernel
+    Gram matrix of the pool, when the caller already has it; otherwise it is
+    built here from ``bandwidth`` (resolved over the pool when None).
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
@@ -107,21 +148,16 @@ def bootstrap_null(
             f"pool has {n} rows but split {split_policy!r} with half_size {half_size} needs >= {2 * block}"
         )
 
-    pool = t.as_float64()
-    if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, pool)
-    gram = kernel_matrix(spec, bandwidth, pool, pool)
+    if gram is None:
+        pool = t.as_float64()
+        if bandwidth is None:
+            bandwidth = resolve_bandwidth(spec, pool)
+        gram = kernel_matrix(spec, bandwidth, pool, pool)
+    elif gram.shape != (n, n):
+        raise ValueError(f"gram must be ({n}, {n}) for a pool of {n} rows, got {gram.shape}")
 
-    stats = np.empty(k, dtype=np.float64)
-    for i in range(k):
-        stream = rng.stream(BOOTSTRAP_TAG, window_index, i)
-        idx = stream.integers(0, n, size=n)
-        b1 = idx[:block]
-        b2 = idx[block : 2 * block]
-        stats[i] = mmd_sq_from_gram(
-            gram[np.ix_(b1, b1)], gram[np.ix_(b2, b2)], gram[np.ix_(b1, b2)], estimator
-        )
-
+    idx = rng.stream(BOOTSTRAP_TAG, window_index).integers(0, n, size=(k, 2 * block))
+    stats = null_stats_from_gram(gram, idx, block, estimator)
     median = float(np.median(stats))
     p_value = (1.0 + float(np.count_nonzero(stats >= observed))) / (k + 1.0)
     return BootstrapResult(stats=stats, median=median, p_value=p_value)

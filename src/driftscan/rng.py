@@ -52,6 +52,3 @@ class RngPolicy:
 
     def stream(self, tag: str, *indices: int) -> np.random.Generator:
         return derive_rng(self.base_seed, tag, *indices)
-
-    def subseed(self, tag: str, *indices: int) -> int:
-        return derive_seed(self.base_seed, tag, *indices)

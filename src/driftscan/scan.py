@@ -25,9 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
-from .kernels import KernelSpec, median_heuristic_bandwidth, resolve_bandwidth
-from .mmd import ESTIMATORS, mmd
-from .resample import SPLIT_POLICIES, BootstrapResult, RngPolicy, bootstrap_null, combine_under_null
+from .kernels import KernelSpec, kernel_matrix, median_heuristic_bandwidth, resolve_bandwidth
+from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
+from .resample import (
+    RNG_SCHEME,
+    SPLIT_POLICIES,
+    BootstrapResult,
+    RngPolicy,
+    bootstrap_null,
+    combine_under_null,
+)
 
 
 @dataclass(frozen=True)
@@ -128,10 +135,12 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     Scans t = window, window + stride, ... up to M = min(rows); both sides
     are truncated to M when their lengths differ (recorded in the report).
     The bandwidth is resolved once over the concatenation of both full
-    inputs unless the kernel's policy is per-window. Deterministic: the
-    bootstrap for window t draws from streams derived from (seed,
-    "bootstrap", t, iteration), so reports are byte-identical across runs
-    and any window-level parallelization.
+    inputs unless the kernel's policy is per-window. Each window's pool Gram
+    matrix is built once and serves both the observed statistic (from its
+    contiguous blocks, bit-identical to kernels built per block) and the
+    bootstrap null. Deterministic: the bootstrap for window t draws from the
+    one stream (seed, "bootstrap", t), so reports are byte-identical across
+    runs and any window-level parallelization.
     """
     ref, targ = pair.reference, pair.target
     m_scan = min(ref.rows, targ.rows)
@@ -147,29 +156,33 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         global_bw = resolve_bandwidth(spec, np.vstack([ref.as_float64(), targ.as_float64()]))
 
     policy = RngPolicy(config.seed)
+    width = config.window
     windows: list[WindowResult] = []
-    for t in range(config.window, m_scan + 1, config.stride):
-        q1 = ref.take_rows(t - config.window, t)
-        q2 = targ.take_rows(t - config.window, t)
-        pooled = combine_under_null(q1, q2)
+    for t in range(width, m_scan + 1, config.stride):
+        pooled = combine_under_null(ref.take_rows(t - width, t), targ.take_rows(t - width, t))
         bw = median_heuristic_bandwidth(pooled) if spec.per_window_bandwidth else global_bw
-        est = mmd(spec, q1, q2, config.estimator, bandwidth=bw)
+        pool = pooled.as_float64()
+        gram = kernel_matrix(spec, bw, pool, pool)
+        kxx, kyy, kxy = (
+            np.ascontiguousarray(b) for b in (gram[:width, :width], gram[width:, width:], gram[:width, width:])
+        )
+        est = MmdEstimate.from_squared(mmd_sq_from_gram(kxx, kyy, kxy, config.estimator), config.estimator, bw)
         boot = bootstrap_null(
             spec,
             pooled,
-            half_size=config.window,
+            half_size=width,
             k=config.bootstraps,
             rng=policy,
             split_policy=config.split_policy,
             observed=est.squared,
             estimator=config.estimator,
-            bandwidth=bw,
             window_index=t,
+            gram=gram,
         )
         windows.append(
             WindowResult(
                 t_index=t,
-                start_index=t - config.window + 1,
+                start_index=t - width + 1,
                 observed_sq=est.squared,
                 observed=est.value,
                 bootstrap=boot,
@@ -229,7 +242,7 @@ def extract_cause_samples(
 
 def report_to_dict(report: DriftReport) -> dict:
     return {
-        "config": report.config.to_dict(),
+        "config": {**report.config.to_dict(), "rng_scheme": RNG_SCHEME},
         "bandwidth_used": report.bandwidth_used,
         "reference_rows": report.reference_rows,
         "target_rows": report.target_rows,

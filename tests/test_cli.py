@@ -154,6 +154,29 @@ def test_calibrate_prints_rate(capsys):
     assert payload["config"]["bootstraps"] == 19
 
 
+@pytest.mark.parametrize("bootstraps, warns", [(5, True), (18, True), (19, False), (50, False)])
+def test_scan_warns_when_no_window_can_flag(pair_files, tmp_path, capsys, bootstraps, warns):
+    ref, target = pair_files
+    out = tmp_path / "report.json"
+    argv = ["scan", "--ref", ref, "--target", target, "--window", "8",
+            "--bootstraps", str(bootstraps), "--seed", "1", "--alpha", "0.05"]
+    assert main(argv + ["--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("no window can be flagged" in err) is warns
+    # the warning goes to stderr only: the report on stdout is the file's bytes
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+
+
+def test_calibrate_warns_when_no_trial_can_reject(capsys):
+    assert main(["calibrate", "--trials", "4", "--n", "24", "--dims", "2",
+                 "--window", "8", "--bootstraps", "9", "--alpha", "0.05"]) == 0
+    captured = capsys.readouterr()
+    assert "no trial can be flagged" in captured.err
+    assert json.loads(captured.out)["rejections"] == 0
+
+
 def test_correlate_writes_table_and_correlations(tmp_path, capsys):
     out = tmp_path / "buckets.csv"
     code = main([

@@ -1,0 +1,73 @@
+"""Golden-output guard: byte-level pins for one small fixed ``scan`` command.
+
+A refactor that keeps the scan's outputs must keep these hashes. Two pins:
+
+* ``SCAN_JSON_SHA256`` and ``SCAN_CSV_SHA256`` hash the whole report and
+  window series. They move with any deliberate change to the outputs,
+  including the bootstrap's index-draw scheme; update them in the same
+  change and say why.
+* ``OBSERVED_SHA256`` hashes only the observed side of the report: the
+  statistic series, the drift score and the cause. Those fields do not
+  depend on the bootstrap at all, and this pin dates from before the
+  per-window bootstrap stream, so it shows that changing the null left the
+  drift score and cause untouched.
+
+The hashes hold for the float64 results of this numpy/scipy stack; a
+platform whose ``exp`` rounds differently in the last bit moves them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from driftscan.cli import main
+
+SCAN_JSON_SHA256 = "9d830df1abd08419509517c26ac9e9a964fa05166d5f8319bc26a48e6278f6ff"
+SCAN_CSV_SHA256 = "2c4aed7ad00edcd12b1cd8c2b48980e74c92a7fbb810b7554d70011bba41f862"
+OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
+
+OBSERVED_FIELDS = (
+    "summary_score",
+    "summary_median",
+    "argmax_index",
+    "cause_reference",
+    "cause_target",
+    "bandwidth_used",
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def observed_projection(report: dict) -> bytes:
+    """The report's fields that do not depend on the bootstrap, as canonical JSON."""
+    projection = {name: report[name] for name in OBSERVED_FIELDS}
+    projection["windows"] = [[w["t_index"], w["observed_sq"], w["observed"]] for w in report["windows"]]
+    return json.dumps(projection, sort_keys=True).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)  # the report echoes the input paths; keep them relative
+        for fraction, seed, name in ((0.5, 1, "ref.csv"), (0.8, 2, "target.csv")):
+            assert main(["simulate", "mixture", "--n", "160", "--dims", "4", "--fraction", str(fraction),
+                         "--seed", str(seed), "--out", name]) == 0
+        assert main(["scan", "--ref", "ref.csv", "--target", "target.csv", "--window", "16",
+                     "--bootstraps", "19", "--stride", "4", "--seed", "5",
+                     "--out", "report.json", "--csv-out", "series.csv"]) == 0
+    return (work / "report.json").read_bytes(), (work / "series.csv").read_bytes()
+
+
+def test_scan_outputs_match_golden_hashes(golden_run):
+    report, series = golden_run
+    assert _sha256(report) == SCAN_JSON_SHA256
+    assert _sha256(series) == SCAN_CSV_SHA256
+
+
+def test_observed_fields_match_golden_hash(golden_run):
+    report, _ = golden_run
+    assert _sha256(observed_projection(json.loads(report))) == OBSERVED_SHA256

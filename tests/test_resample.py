@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
-from driftscan.kernels import KernelSpec
-from driftscan.resample import RngPolicy, bootstrap_null, combine_under_null
+from driftscan.kernels import KernelSpec, kernel_matrix
+from driftscan.mmd import mmd_sq_from_gram
+from driftscan.resample import RngPolicy, bootstrap_null, combine_under_null, null_stats_from_gram
 from driftscan.rng import derive_rng, derive_seed
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
@@ -46,6 +47,68 @@ def test_degenerate_pool_gives_zero_stats_and_p_one():
     assert np.all(result.stats == 0.0)
     assert result.median == 0.0
     assert result.p_value == 1.0
+
+
+def gathered_null_stats(gram, idx, block, estimator):
+    """Reference: gather each draw's Gram blocks and reduce them one draw at a time."""
+    stats = []
+    for row in idx:
+        b1, b2 = row[:block], row[block:]
+        stats.append(mmd_sq_from_gram(
+            gram[np.ix_(b1, b1)], gram[np.ix_(b2, b2)], gram[np.ix_(b1, b2)], estimator
+        ))
+    return np.array(stats)
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+@pytest.mark.parametrize("split", ["paired_halves", "literal_quarter"])
+def test_quadratic_form_matches_gathered_blocks(family, estimator, split):
+    half = 12
+    block = half if split == "paired_halves" else half // 2
+    rng = np.random.default_rng(11)
+    pool = rng.standard_normal((2 * half, 4))
+    gram = kernel_matrix(KernelSpec(family), 1.5, pool, pool)
+    idx = rng.integers(0, 2 * half, size=(60, 2 * block))
+    fast = null_stats_from_gram(gram, idx, block, estimator)
+    slow = gathered_null_stats(gram, idx, block, estimator)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+_TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3)))
+_FAR = ([9.658225059509277, 53.671287536621094, 26.380176544189453],
+        [11.147784233093262, 44.63081359863281, 21.859966278076172])
+_FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
+
+#: name -> (kernel, pool, seed). Identical windows pool into each row twice,
+#: so the observed statistic is 0. The two far rows (far in bandwidth units)
+#: are each repeated; without the clamp some of their draws round to about
+#: -1e-40 and p drops below 1.
+DUPLICATED_POOLS = {
+    "identical-windows-rbf": (RBF_FIXED, combine_under_null(_TWIN, _TWIN), 4),
+    "identical-windows-linear": (KernelSpec("linear"), combine_under_null(_TWIN, _TWIN), 4),
+    "two-far-rows": (RBF_FIXED, EmbeddingMatrix.from_array([_FAR[i] for i in _FAR_PICK]), 56),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATED_POOLS))
+def test_biased_null_on_duplicated_rows_is_nonnegative_with_p_one(name):
+    spec, pool, seed = DUPLICATED_POOLS[name]
+    result = bootstrap_null(spec, pool, half_size=8, k=200, rng=RngPolicy(seed), observed=0.0)
+    assert np.all(result.stats >= 0.0)
+    assert result.p_value == 1.0
+
+
+def test_shared_gram_gives_the_same_null():
+    rng = np.random.default_rng(13)
+    t = EmbeddingMatrix.from_array(rng.standard_normal((16, 3)))
+    pool = t.as_float64()
+    own = bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), bandwidth=1.0)
+    shared = bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), bandwidth=1.0,
+                            gram=kernel_matrix(RBF_FIXED, 1.0, pool, pool))
+    np.testing.assert_array_equal(own.stats, shared.stats)
+    with pytest.raises(ValueError, match="gram"):
+        bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), gram=np.eye(15))
 
 
 def test_fixed_seed_reproduces_stats_bitwise():

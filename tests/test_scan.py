@@ -5,6 +5,8 @@ import pytest
 
 from driftscan.embeddings import DatasetPair, EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec
+from driftscan.mmd import mmd
+from driftscan.resample import RNG_SCHEME
 from driftscan.scan import (
     ScanConfig,
     drift_scan,
@@ -140,6 +142,31 @@ def test_report_json_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     save_report(report, path)
     assert report_to_dict(load_report(path)) == d
+
+
+def test_report_without_rng_scheme_still_loads():
+    # reports written before the entry existed lack it
+    d = report_to_dict(drift_scan(gaussian_pair(seed=11), FAST))
+    assert d["config"]["rng_scheme"] == RNG_SCHEME
+    del d["config"]["rng_scheme"]
+    rebuilt = report_from_dict(json.loads(json.dumps(d)))
+    assert rebuilt.config == FAST
+    assert report_to_dict(rebuilt)["config"]["rng_scheme"] == RNG_SCHEME
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_observed_from_pool_gram_matches_mmd_bitwise(family, estimator):
+    # at this width numpy sums a strided Gram block in another order than a
+    # contiguous one, so the blocks must be copied out to keep the bits
+    pair = gaussian_pair(seed=16, n=130, shift=0.5)
+    config = ScanConfig(window=120, bootstraps=5, stride=5, estimator=estimator, kernel=KernelSpec(family))
+    report = drift_scan(pair, config)
+    for w in report.windows:
+        rows = (w.t_index - config.window, w.t_index)
+        est = mmd(config.kernel, pair.reference.take_rows(*rows), pair.target.take_rows(*rows),
+                  estimator, bandwidth=report.bandwidth_used)
+        assert (w.observed_sq, w.observed) == (est.squared, est.value)
 
 
 def test_report_schema_fields():
