@@ -19,7 +19,7 @@ from .embeddings import (
 from .kernels import KernelSpec, kernel_value, median_heuristic_bandwidth
 from .mmd import MmdEstimate, mmd, mmd_oracle
 from .prep import BatchConfig, batch_means, shuffle_rows
-from .resample import BootstrapResult, RngPolicy, bootstrap_null, combine_under_null
+from .resample import BootstrapResult, RngPolicy, window_test
 from .scan import (
     DriftReport,
     ScanConfig,
@@ -65,8 +65,6 @@ __all__ = [
     "auc",
     "batch_means",
     "bce",
-    "bootstrap_null",
-    "combine_under_null",
     "correlation_study",
     "drift_scan",
     "extract_cause_samples",
@@ -85,4 +83,5 @@ __all__ = [
     "save_embeddings",
     "save_report",
     "shuffle_rows",
+    "window_test",
 ]

@@ -86,8 +86,6 @@ def _add_scan_flags(p, bootstraps_default=50):
 
 def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="internal parallelism cap, 0 = auto; never affects results (default: 0)")
 
 
 def _kernel_spec(args) -> KernelSpec:

@@ -66,9 +66,10 @@ def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> N
 def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimator: str) -> float:
     """Reduce precomputed Gram blocks to MMD^2.
 
-    Shared by :func:`mmd` and the scan, which passes contiguous blocks of a
-    window's pool Gram matrix and so gets the same bits as :func:`mmd`. The
-    bootstrap evaluates the same sums as quadratic forms over count vectors
+    Shared by :func:`mmd` and :func:`~driftscan.resample.window_test`, which
+    passes contiguous blocks of a window's pool Gram matrix and so gets the
+    same bits as :func:`mmd`. The bootstrap evaluates the same sums as
+    quadratic forms over count vectors
     (:func:`~driftscan.resample.null_stats_from_gram`). The cross term sums
     the block in both orientations (the transpose materialized so the
     summation order is its own row-major order, which numpy would otherwise

@@ -1,9 +1,11 @@
-"""Bootstrap null distribution for the two-sample drift statistic.
+"""The window test: MMD^2 between two windows and its bootstrap null.
 
 Under the no-drift hypothesis the two windows are pooled, and bootstrap
 draws (sampling rows with replacement) from the pool are split into two
 blocks whose MMD^2 forms the null distribution. The observed statistic's
 p-value is its add-one-smoothed rank within that distribution.
+:func:`window_test` builds the pool's Gram matrix once and takes both the
+observed statistic and the null from it.
 
 All k draws of a window come from one stream, as one (k, 2 * block) index
 matrix. Each block of a draw is a count vector over the pooled rows, so its
@@ -13,12 +15,12 @@ from one product of the count matrix with the Gram matrix.
 
 Two split policies:
 
-* ``paired_halves`` (default): the two blocks each have ``half_size`` rows,
-  the same size as the observed windows, so the null is computed at the same
-  sample size as the statistic it calibrates.
-* ``literal_quarter``: blocks of ``half_size // 2`` rows each, i.e. the
-  first and second half of the leading ``half_size`` rows of the draw.
-  Kept selectable because the smaller blocks widen the null.
+* ``paired_halves`` (default): the two blocks each have as many rows as a
+  window, so the null is computed at the same sample size as the statistic
+  it calibrates.
+* ``literal_quarter``: blocks of half a window each, i.e. the first and
+  second half of the leading window-sized part of the draw. Kept
+  selectable because the smaller blocks widen the null.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, ValidationError
+from .embeddings import ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
-from .mmd import ESTIMATORS
+from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
 from .rng import RngPolicy
 
 SPLIT_POLICIES = ("paired_halves", "literal_quarter")
@@ -61,27 +63,6 @@ class BootstrapResult:
         self.stats.flags.writeable = False
 
 
-def combine_under_null(q1: EmbeddingMatrix, q2: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Pool two samples: row-wise concatenation, q1 rows first."""
-    if q1.dims != q2.dims:
-        raise ValidationError(f"dimension mismatch: {q1.dims} vs {q2.dims}")
-    if q1.rows == 0:
-        return q2
-    if q2.rows == 0:
-        return q1
-    out = np.vstack([q1.values, q2.values])
-    out.flags.writeable = False
-    return EmbeddingMatrix(out)
-
-
-def _block_size(half_size: int, split_policy: str) -> int:
-    if split_policy not in SPLIT_POLICIES:
-        raise ValueError(f"unknown split policy {split_policy!r}, expected one of {SPLIT_POLICIES}")
-    if half_size < 1:
-        raise ValidationError(f"half_size must be >= 1, got {half_size}")
-    return half_size if split_policy == "paired_halves" else half_size // 2
-
-
 def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimator: str) -> np.ndarray:
     """MMD^2 of each bootstrap draw, from the pool Gram and the draws' row indices.
 
@@ -111,53 +92,52 @@ def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimato
     return within[0] + within[1] - 2.0 * cross
 
 
-def bootstrap_null(
+def window_test(
     spec: KernelSpec,
-    t: EmbeddingMatrix,
-    half_size: int,
+    x: np.ndarray,
+    y: np.ndarray,
     k: int,
     rng: RngPolicy,
-    split_policy: str = "paired_halves",
-    observed: float = 0.0,
-    estimator: str = "biased",
+    split_policy: str,
+    estimator: str,
     bandwidth: float | None = None,
     window_index: int = 0,
-    *,
-    gram: np.ndarray | None = None,
-) -> BootstrapResult:
-    """Bootstrap the null distribution of MMD^2 over the pooled rows ``t``.
+) -> tuple[MmdEstimate, BootstrapResult]:
+    """MMD^2 between windows ``x`` and ``y`` and its bootstrap null.
 
-    The k draws (rows with replacement) are one (k, 2 * block) index matrix
-    from the stream (rng.base_seed, "bootstrap", window_index), so reruns are
-    byte-identical however windows are scheduled. ``gram`` is the kernel
-    Gram matrix of the pool, when the caller already has it; otherwise it is
-    built here from ``bandwidth`` (resolved over the pool when None).
+    ``x`` and ``y`` are (rows, dims) arrays, pooled and computed in float64.
+    The pool's Gram matrix is built once: the observed statistic comes from
+    its contiguous blocks (bit-identical to :func:`~driftscan.mmd.mmd`), the
+    k null statistics from :func:`null_stats_from_gram` over one
+    (k, 2 * block) index matrix drawn from the stream
+    (rng.base_seed, "bootstrap", window_index), so reruns are byte-identical
+    however windows are scheduled. ``bandwidth`` is resolved over the pool
+    when None.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
+    if split_policy not in SPLIT_POLICIES:
+        raise ValueError(f"unknown split policy {split_policy!r}, expected one of {SPLIT_POLICIES}")
     if k < 1:
         raise ValidationError(f"bootstrap count must be >= 1, got {k}")
-    block = _block_size(half_size, split_policy)
+    half = x.shape[0]
+    block = half if split_policy == "paired_halves" else half // 2
     if block < 1:
-        raise ValidationError(f"split {split_policy!r} with half_size {half_size} leaves empty blocks")
+        raise ValidationError(f"split {split_policy!r} with windows of {half} rows leaves empty blocks")
     if estimator == "unbiased" and block < 2:
         raise ValidationError("unbiased estimator needs blocks of >= 2 rows")
-    n = t.rows
-    if n < 2 * block:
-        raise ValidationError(
-            f"pool has {n} rows but split {split_policy!r} with half_size {half_size} needs >= {2 * block}"
-        )
 
-    if gram is None:
-        pool = t.as_float64()
-        if bandwidth is None:
-            bandwidth = resolve_bandwidth(spec, pool)
-        gram = kernel_matrix(spec, bandwidth, pool, pool)
-    elif gram.shape != (n, n):
-        raise ValueError(f"gram must be ({n}, {n}) for a pool of {n} rows, got {gram.shape}")
+    pool = np.concatenate([x, y], dtype=np.float64)
+    if bandwidth is None:
+        bandwidth = resolve_bandwidth(spec, pool)
+    gram = kernel_matrix(spec, bandwidth, pool, pool)
+    kxx, kyy, kxy = (np.ascontiguousarray(b) for b in (gram[:half, :half], gram[half:, half:], gram[:half, half:]))
+    observed = MmdEstimate.from_squared(mmd_sq_from_gram(kxx, kyy, kxy, estimator), estimator, bandwidth)
 
-    idx = rng.stream(BOOTSTRAP_TAG, window_index).integers(0, n, size=(k, 2 * block))
+    idx = rng.stream(BOOTSTRAP_TAG, window_index).integers(0, 2 * half, size=(k, 2 * block))
     stats = null_stats_from_gram(gram, idx, block, estimator)
     median = float(np.median(stats))
-    p_value = (1.0 + float(np.count_nonzero(stats >= observed))) / (k + 1.0)
-    return BootstrapResult(stats=stats, median=median, p_value=p_value)
+    p_value = (1.0 + float(np.count_nonzero(stats >= observed.squared))) / (k + 1.0)
+    return observed, BootstrapResult(stats=stats, median=median, p_value=p_value)

@@ -25,16 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
-from .kernels import KernelSpec, kernel_matrix, median_heuristic_bandwidth, resolve_bandwidth
-from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
-from .resample import (
-    RNG_SCHEME,
-    SPLIT_POLICIES,
-    BootstrapResult,
-    RngPolicy,
-    bootstrap_null,
-    combine_under_null,
-)
+from .kernels import KernelSpec, resolve_bandwidth
+from .mmd import ESTIMATORS
+from .resample import RNG_SCHEME, SPLIT_POLICIES, BootstrapResult, RngPolicy, window_test
 
 
 @dataclass(frozen=True)
@@ -135,12 +128,12 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     Scans t = window, window + stride, ... up to M = min(rows); both sides
     are truncated to M when their lengths differ (recorded in the report).
     The bandwidth is resolved once over the concatenation of both full
-    inputs unless the kernel's policy is per-window. Each window's pool Gram
-    matrix is built once and serves both the observed statistic (from its
-    contiguous blocks, bit-identical to kernels built per block) and the
-    bootstrap null. Deterministic: the bootstrap for window t draws from the
-    one stream (seed, "bootstrap", t), so reports are byte-identical across
-    runs and any window-level parallelization.
+    inputs unless the kernel's policy is per-window. Each window is one
+    :func:`~driftscan.resample.window_test` on the two sides' rows: one pool
+    Gram matrix serves both the observed statistic and the bootstrap null.
+    Deterministic: the bootstrap for window t draws from the one stream
+    (seed, "bootstrap", t), so reports are byte-identical across runs and any
+    window-level parallelization.
     """
     ref, targ = pair.reference, pair.target
     m_scan = min(ref.rows, targ.rows)
@@ -159,26 +152,9 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     width = config.window
     windows: list[WindowResult] = []
     for t in range(width, m_scan + 1, config.stride):
-        pooled = combine_under_null(ref.take_rows(t - width, t), targ.take_rows(t - width, t))
-        bw = median_heuristic_bandwidth(pooled) if spec.per_window_bandwidth else global_bw
-        pool = pooled.as_float64()
-        gram = kernel_matrix(spec, bw, pool, pool)
-        kxx, kyy, kxy = (
-            np.ascontiguousarray(b) for b in (gram[:width, :width], gram[width:, width:], gram[:width, width:])
-        )
-        est = MmdEstimate.from_squared(mmd_sq_from_gram(kxx, kyy, kxy, config.estimator), config.estimator, bw)
-        boot = bootstrap_null(
-            spec,
-            pooled,
-            half_size=width,
-            k=config.bootstraps,
-            rng=policy,
-            split_policy=config.split_policy,
-            observed=est.squared,
-            estimator=config.estimator,
-            window_index=t,
-            gram=gram,
-        )
+        rows = slice(t - width, t)
+        est, boot = window_test(spec, ref.values[rows], targ.values[rows], config.bootstraps, policy,
+                                config.split_policy, config.estimator, global_bw, window_index=t)
         windows.append(
             WindowResult(
                 t_index=t,

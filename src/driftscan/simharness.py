@@ -21,13 +21,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .embeddings import DatasetPair, EmbeddingMatrix
 from .kernels import KernelSpec, resolve_bandwidth
-from .mmd import mmd
 from .prep import BatchConfig, batch_means
-from .resample import RngPolicy, bootstrap_null, combine_under_null
+from .resample import RngPolicy, window_test
 from .rng import derive_rng, derive_seed
 from .scan import ScanConfig, drift_scan
 
@@ -115,6 +113,8 @@ def generate_mixture(spec: ClassMixtureSpec) -> EmbeddingMatrix:
 
 def auc(scores, labels) -> float:
     """Area under the ROC curve via the rank statistic, midranks on ties."""
+    from scipy.stats import rankdata  # deferred: slow to import, and only correlate needs it
+
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -324,20 +324,9 @@ def null_calibration(
         ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         bandwidth = resolve_bandwidth(kernel, np.vstack([ref.as_float64(), target.as_float64()]))
-        q1 = ref.take_rows(0, window)
-        q2 = target.take_rows(0, window)
-        observed = mmd(kernel, q1, q2, estimator, bandwidth=bandwidth)
-        boot = bootstrap_null(
-            kernel,
-            combine_under_null(q1, q2),
-            half_size=window,
-            k=bootstraps,
-            rng=RngPolicy(derive_seed(seed, "calibration-boot", i)),
-            split_policy=split_policy,
-            observed=observed.squared,
-            estimator=estimator,
-            bandwidth=bandwidth,
-        )
+        _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
+                              RngPolicy(derive_seed(seed, "calibration-boot", i)), split_policy, estimator,
+                              bandwidth)
         p_values[i] = boot.p_value
     rejections = int(np.count_nonzero(p_values <= alpha))
     return CalibrationResult(

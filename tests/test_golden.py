@@ -1,6 +1,6 @@
-"""Golden-output guard: byte-level pins for one small fixed ``scan`` command.
+"""Golden-output guard: byte-level pins for small fixed ``scan`` and ``calibrate`` commands.
 
-A refactor that keeps the scan's outputs must keep these hashes. Two pins:
+A refactor that keeps the outputs must keep these hashes. For the scan, two pins:
 
 * ``SCAN_JSON_SHA256`` and ``SCAN_CSV_SHA256`` hash the whole report and
   window series. They move with any deliberate change to the outputs,
@@ -12,6 +12,11 @@ A refactor that keeps the scan's outputs must keep these hashes. Two pins:
   per-window bootstrap stream, so it shows that changing the null left the
   drift score and cause untouched.
 
+For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
+the trials' p-values from :func:`null_calibration` with the same arguments,
+since the JSON carries only the rejection count. Both were taken before the
+observed statistic and the null of a trial moved onto one pool Gram matrix.
+
 The hashes hold for the float64 results of this numpy/scipy stack; a
 platform whose ``exp`` rounds differently in the last bit moves them.
 """
@@ -22,10 +27,27 @@ import json
 import pytest
 
 from driftscan.cli import main
+from driftscan.kernels import KernelSpec
+from driftscan.simharness import null_calibration
 
 SCAN_JSON_SHA256 = "9d830df1abd08419509517c26ac9e9a964fa05166d5f8319bc26a48e6278f6ff"
 SCAN_CSV_SHA256 = "2c4aed7ad00edcd12b1cd8c2b48980e74c92a7fbb810b7554d70011bba41f862"
 OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
+
+#: (kernel, estimator, split) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
+CALIBRATE_PINS = {
+    ("rbf", "biased", "paired"): (
+        "d2ffc8b57a9619bf16074dd6161c784193e2d5f7343d1cb3055cf58f3561de54",
+        "009dcebe74eaa041235ed588b6fb456fa0aca11f86417d2a14fab2f82dda85d7",
+    ),
+    ("linear", "unbiased", "literal"): (
+        "33779d442e5847bc111baf7172e4848682934c38e6dca28a9da515d19a25bd55",
+        "90e9433e9b2d8d9297982fed35ccc695262daaa2c45a3b7a47c05630ea664756",
+    ),
+}
+#: alpha 0.5 makes the rejection count move with the p-values
+CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
+SPLIT_POLICIES = {"paired": "paired_halves", "literal": "literal_quarter"}
 
 OBSERVED_FIELDS = (
     "summary_score",
@@ -71,3 +93,16 @@ def test_scan_outputs_match_golden_hashes(golden_run):
 def test_observed_fields_match_golden_hash(golden_run):
     report, _ = golden_run
     assert _sha256(observed_projection(json.loads(report))) == OBSERVED_SHA256
+
+
+@pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))
+def test_calibrate_outputs_match_golden_hashes(tmp_path, kernel, estimator, split):
+    json_sha, p_values_sha = CALIBRATE_PINS[kernel, estimator, split]
+    out = tmp_path / "calibrate.json"
+    flags = [f"--{name}={value}" for name, value in CALIBRATE_ARGS.items()]
+    assert main(["calibrate", *flags, "--kernel", kernel, "--estimator", estimator, "--split", split,
+                 "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == json_sha
+    result = null_calibration(**CALIBRATE_ARGS, kernel=KernelSpec(kernel), estimator=estimator,
+                              split_policy=SPLIT_POLICIES[split])
+    assert _sha256(result.p_values.tobytes()) == p_values_sha

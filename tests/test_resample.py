@@ -2,48 +2,26 @@ import numpy as np
 import pytest
 
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
-from driftscan.kernels import KernelSpec, kernel_matrix
-from driftscan.mmd import mmd_sq_from_gram
-from driftscan.resample import RngPolicy, bootstrap_null, combine_under_null, null_stats_from_gram
+from driftscan.kernels import KernelSpec, kernel_matrix, resolve_bandwidth
+from driftscan.mmd import mmd, mmd_sq_from_gram
+from driftscan.resample import BOOTSTRAP_TAG, RngPolicy, null_stats_from_gram, window_test
 from driftscan.rng import derive_rng, derive_seed
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
 
 
-def test_combine_concatenates_in_order():
-    q1 = EmbeddingMatrix.from_array([[1.0, 1.0], [2.0, 2.0]])
-    q2 = EmbeddingMatrix.from_array([[3.0, 3.0], [4.0, 4.0], [5.0, 5.0]])
-    t = combine_under_null(q1, q2)
-    assert t.rows == 5
-    np.testing.assert_array_equal(t.values[:2], q1.values)
-    np.testing.assert_array_equal(t.values[2:], q2.values)
-
-
-def test_combine_empty_left_is_identity():
-    q2 = EmbeddingMatrix.from_array([[1.0], [2.0]])
-    assert combine_under_null(EmbeddingMatrix.empty(1), q2) is q2
-
-
-def test_combine_then_split_recovers_inputs():
-    rng = np.random.default_rng(0)
-    q1 = EmbeddingMatrix.from_array(rng.standard_normal((4, 3)))
-    q2 = EmbeddingMatrix.from_array(rng.standard_normal((7, 3)))
-    t = combine_under_null(q1, q2)
-    np.testing.assert_array_equal(t.take_rows(0, q1.rows).values, q1.values)
-    np.testing.assert_array_equal(t.take_rows(q1.rows, t.rows).values, q2.values)
-
-
-def test_combine_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        combine_under_null(EmbeddingMatrix.from_array([[1.0]]), EmbeddingMatrix.from_array([[1.0, 2.0]]))
+def test_window_test_rejects_mismatched_windows():
+    x = np.zeros((4, 2))
+    with pytest.raises(ValidationError, match="same rows and dims"):
+        window_test(RBF_FIXED, x, np.zeros((4, 3)), 5, RngPolicy(0), "paired_halves", "biased")
+    with pytest.raises(ValidationError, match="same rows and dims"):
+        window_test(RBF_FIXED, x, np.zeros((5, 2)), 5, RngPolicy(0), "paired_halves", "biased")
 
 
 def test_degenerate_pool_gives_zero_stats_and_p_one():
-    beta = 4
-    t = EmbeddingMatrix.from_array([[2.0, -1.0]] * (2 * beta))
-    result = bootstrap_null(
-        RBF_FIXED, t, half_size=beta, k=25, rng=RngPolicy(9), observed=0.0
-    )
+    window = np.array([[2.0, -1.0]] * 4)
+    est, result = window_test(RBF_FIXED, window, window, 25, RngPolicy(9), "paired_halves", "biased")
+    assert est.squared == 0.0
     assert np.all(result.stats == 0.0)
     assert result.median == 0.0
     assert result.p_value == 1.0
@@ -75,7 +53,7 @@ def test_quadratic_form_matches_gathered_blocks(family, estimator, split):
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-_TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3)))
+_TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3))).as_float64()
 _FAR = ([9.658225059509277, 53.671287536621094, 26.380176544189453],
         [11.147784233093262, 44.63081359863281, 21.859966278076172])
 _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
@@ -83,116 +61,121 @@ _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
 #: name -> (kernel, pool, seed). Identical windows pool into each row twice,
 #: so the observed statistic is 0. The two far rows (far in bandwidth units)
 #: are each repeated; without the clamp some of their draws round to about
-#: -1e-40 and p drops below 1.
+#: -1e-40, and an observed 0 would get p < 1.
 DUPLICATED_POOLS = {
-    "identical-windows-rbf": (RBF_FIXED, combine_under_null(_TWIN, _TWIN), 4),
-    "identical-windows-linear": (KernelSpec("linear"), combine_under_null(_TWIN, _TWIN), 4),
-    "two-far-rows": (RBF_FIXED, EmbeddingMatrix.from_array([_FAR[i] for i in _FAR_PICK]), 56),
+    "identical-windows-rbf": (RBF_FIXED, np.vstack([_TWIN, _TWIN]), 4),
+    "identical-windows-linear": (KernelSpec("linear"), np.vstack([_TWIN, _TWIN]), 4),
+    "two-far-rows": (RBF_FIXED, EmbeddingMatrix.from_array([_FAR[i] for i in _FAR_PICK]).as_float64(), 56),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DUPLICATED_POOLS))
 def test_biased_null_on_duplicated_rows_is_nonnegative_with_p_one(name):
     spec, pool, seed = DUPLICATED_POOLS[name]
-    result = bootstrap_null(spec, pool, half_size=8, k=200, rng=RngPolicy(seed), observed=0.0)
-    assert np.all(result.stats >= 0.0)
-    assert result.p_value == 1.0
+    gram = kernel_matrix(spec, resolve_bandwidth(spec, pool), pool, pool)
+    idx = RngPolicy(seed).stream(BOOTSTRAP_TAG, 0).integers(0, 16, size=(200, 16))
+    # p = (1 + #{stats >= 0}) / (k + 1) is 1 for an observed 0 exactly when no stat is negative
+    assert np.all(null_stats_from_gram(gram, idx, 8, "biased") >= 0.0)
 
 
 def test_shared_gram_gives_the_same_null():
     rng = np.random.default_rng(13)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((16, 3)))
-    pool = t.as_float64()
-    own = bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), bandwidth=1.0)
-    shared = bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), bandwidth=1.0,
-                            gram=kernel_matrix(RBF_FIXED, 1.0, pool, pool))
-    np.testing.assert_array_equal(own.stats, shared.stats)
-    with pytest.raises(ValueError, match="gram"):
-        bootstrap_null(RBF_FIXED, t, half_size=8, k=30, rng=RngPolicy(6), gram=np.eye(15))
+    x, y = (EmbeddingMatrix.from_array(rng.standard_normal((8, 3))) for _ in range(2))
+    est, result = window_test(RBF_FIXED, x.values, y.values, 30, RngPolicy(6), "paired_halves", "biased")
+    pool = np.vstack([x.as_float64(), y.as_float64()])
+    idx = RngPolicy(6).stream(BOOTSTRAP_TAG, 0).integers(0, 16, size=(30, 16))
+    own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), idx, 8, "biased")
+    np.testing.assert_array_equal(result.stats, own)
+    assert est == mmd(RBF_FIXED, x, y, "biased")
+
+
+def _windows(seed, rows, dims):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, dims)), rng.standard_normal((rows, dims))
 
 
 def test_fixed_seed_reproduces_stats_bitwise():
-    rng = np.random.default_rng(1)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((16, 3)))
-    a = bootstrap_null(RBF_FIXED, t, half_size=8, k=50, rng=RngPolicy(7), observed=0.1)
-    b = bootstrap_null(RBF_FIXED, t, half_size=8, k=50, rng=RngPolicy(7), observed=0.1)
+    x, y = _windows(1, 8, 3)
+    _, a = window_test(RBF_FIXED, x, y, 50, RngPolicy(7), "paired_halves", "biased")
+    _, b = window_test(RBF_FIXED, x, y, 50, RngPolicy(7), "paired_halves", "biased")
     np.testing.assert_array_equal(a.stats, b.stats)
     assert a.median == b.median and a.p_value == b.p_value
-    c = bootstrap_null(RBF_FIXED, t, half_size=8, k=50, rng=RngPolicy(8), observed=0.1)
+    _, c = window_test(RBF_FIXED, x, y, 50, RngPolicy(8), "paired_halves", "biased")
     assert not np.array_equal(a.stats, c.stats)
 
 
 def test_p_value_bounds_and_monotonicity():
-    rng = np.random.default_rng(2)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((12, 2)))
+    # one window against shifted copies of itself: the observed statistic grows
+    # with the shift, and the draws (same seed, same sizes) stay the same
+    x, _ = _windows(2, 6, 2)
     k = 40
-    observeds = [-1.0, 0.0, 0.01, 0.05, 1e9]
-    ps = [
-        bootstrap_null(RBF_FIXED, t, half_size=6, k=k, rng=RngPolicy(3), observed=o).p_value
-        for o in observeds
-    ]
-    for p in ps:
-        assert 1.0 / (k + 1) <= p <= 1.0
+    ps = []
+    for shift in (0.0, 0.1, 0.3, 1.0, 100.0):
+        est, result = window_test(RBF_FIXED, x, x + shift, k, RngPolicy(3), "paired_halves", "biased")
+        assert result.p_value == (1 + np.count_nonzero(result.stats >= est.squared)) / (k + 1)
+        assert 1.0 / (k + 1) <= result.p_value <= 1.0
+        ps.append(result.p_value)
     assert all(a >= b for a, b in zip(ps, ps[1:]))
-    assert ps[0] == 1.0  # every stat beats an impossible observation
+    assert ps[0] == 1.0  # identical windows: every stat reaches the observed 0
     assert ps[-1] == 1.0 / (k + 1)  # add-one smoothing floor
 
 
 def test_label_swap_invariance_on_canonicalized_pool():
-    # combination precedes resampling, so with the pool rows canonicalized
+    # the null depends on the pool alone, so with the pool rows canonicalized
     # (sorted lexicographically) the stats do not depend on which sample was
-    # called reference
-    rng = np.random.default_rng(4)
-    q1 = EmbeddingMatrix.from_array(rng.standard_normal((6, 2)))
-    q2 = EmbeddingMatrix.from_array(rng.standard_normal((6, 2)) + 1.0)
+    # called reference; the observed statistic is symmetric bit for bit
+    q1, q2 = _windows(4, 6, 2)
+    q2 = q2 + 1.0
 
     def canonical(a, b):
-        t = combine_under_null(a, b)
-        order = np.lexsort(t.values.T[::-1])
-        return EmbeddingMatrix(t.values[order])
+        t = np.vstack([a, b])
+        t = t[np.lexsort(t.T[::-1])]
+        return window_test(RBF_FIXED, t[:6], t[6:], 30, RngPolicy(5), "paired_halves", "biased")[1]
 
-    r12 = bootstrap_null(RBF_FIXED, canonical(q1, q2), half_size=6, k=30, rng=RngPolicy(5))
-    r21 = bootstrap_null(RBF_FIXED, canonical(q2, q1), half_size=6, k=30, rng=RngPolicy(5))
-    np.testing.assert_array_equal(np.sort(r12.stats), np.sort(r21.stats))
+    np.testing.assert_array_equal(np.sort(canonical(q1, q2).stats), np.sort(canonical(q2, q1).stats))
+    e12, _ = window_test(RBF_FIXED, q1, q2, 30, RngPolicy(5), "paired_halves", "biased")
+    e21, _ = window_test(RBF_FIXED, q2, q1, 30, RngPolicy(5), "paired_halves", "biased")
+    assert e12.squared == e21.squared
 
 
 def test_split_policy_preconditions():
-    rng = np.random.default_rng(6)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((6, 2)))
-    # paired needs 2*half rows
-    with pytest.raises(ValidationError, match="needs >="):
-        bootstrap_null(RBF_FIXED, t, half_size=6, k=5, rng=RngPolicy(0), split_policy="paired_halves")
-    # literal compares blocks of half//2, so 6 rows suffice for half_size 6
-    result = bootstrap_null(RBF_FIXED, t, half_size=6, k=5, rng=RngPolicy(0), split_policy="literal_quarter")
+    # paired compares blocks as large as a window, so one row per window suffices
+    x, y = _windows(6, 1, 2)
+    _, result = window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "paired_halves", "biased")
+    assert result.stats.shape == (5,)
+    # literal compares blocks of half a window, which one row leaves empty
+    with pytest.raises(ValidationError, match="empty blocks"):
+        window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "literal_quarter", "biased")
+    x, y = _windows(6, 3, 2)
+    _, result = window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "literal_quarter", "biased")
     assert result.stats.shape == (5,)
 
 
 def test_literal_and_paired_differ():
-    rng = np.random.default_rng(7)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((16, 2)))
-    a = bootstrap_null(RBF_FIXED, t, half_size=8, k=20, rng=RngPolicy(1), split_policy="paired_halves")
-    b = bootstrap_null(RBF_FIXED, t, half_size=8, k=20, rng=RngPolicy(1), split_policy="literal_quarter")
+    x, y = _windows(7, 8, 2)
+    _, a = window_test(RBF_FIXED, x, y, 20, RngPolicy(1), "paired_halves", "biased")
+    _, b = window_test(RBF_FIXED, x, y, 20, RngPolicy(1), "literal_quarter", "biased")
     assert not np.array_equal(a.stats, b.stats)
 
 
 def test_parameter_validation():
-    t = EmbeddingMatrix.from_array([[1.0], [2.0], [3.0], [4.0]])
+    x = np.array([[1.0], [2.0]])
+    y = np.array([[3.0], [4.0]])
     with pytest.raises(ValidationError):
-        bootstrap_null(RBF_FIXED, t, half_size=0, k=5, rng=RngPolicy(0))
+        window_test(RBF_FIXED, x[:0], y[:0], 5, RngPolicy(0), "paired_halves", "biased")
     with pytest.raises(ValidationError):
-        bootstrap_null(RBF_FIXED, t, half_size=2, k=0, rng=RngPolicy(0))
+        window_test(RBF_FIXED, x, y, 0, RngPolicy(0), "paired_halves", "biased")
     with pytest.raises(ValueError, match="split"):
-        bootstrap_null(RBF_FIXED, t, half_size=2, k=5, rng=RngPolicy(0), split_policy="thirds")
+        window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "thirds", "biased")
+    with pytest.raises(ValueError, match="estimator"):
+        window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "paired_halves", "plain")
     with pytest.raises(ValidationError, match="unbiased"):
-        bootstrap_null(RBF_FIXED, t, half_size=2, k=5, rng=RngPolicy(0),
-                       split_policy="literal_quarter", estimator="unbiased")
+        window_test(RBF_FIXED, x, y, 5, RngPolicy(0), "literal_quarter", "unbiased")
 
 
 def test_even_k_median_averages_middles():
-    beta = 3
-    rng = np.random.default_rng(8)
-    t = EmbeddingMatrix.from_array(rng.standard_normal((2 * beta, 2)))
-    result = bootstrap_null(RBF_FIXED, t, half_size=beta, k=10, rng=RngPolicy(2))
+    x, y = _windows(8, 3, 2)
+    _, result = window_test(RBF_FIXED, x, y, 10, RngPolicy(2), "paired_halves", "biased")
     s = np.sort(result.stats)
     assert result.median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
 
