@@ -17,9 +17,11 @@ Two file formats are supported:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -132,7 +134,25 @@ def _format_value(v: np.float32) -> str:
     return np.format_float_positional(v, unique=True, trim="-")
 
 
+def _raise_field_error(fields: list[str], path: str, lineno: int, row: int) -> NoReturn:
+    # the first bad field of a row, in column order: text that is not a
+    # number is a FormatError, a non-finite number a ValidationError
+    for col, field in enumerate(fields):
+        try:
+            value = float(field)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: column {col}: cannot parse {field.strip()!r} as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: non-finite value at row {row}, column {col}")
+    raise AssertionError(f"{path}: line {lineno} has no bad field")
+
+
 def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
+    # Each row is parsed with one map(float) and checked with one
+    # map(math.isfinite); only a row that fails either is walked field by
+    # field, to name its first bad column.
     declared_dims = None
     rows: list[list[float]] = []
     width = None
@@ -161,19 +181,12 @@ def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
             raise FormatError(
                 f"{path}: line {lineno}: ragged row, has {len(fields)} values, expected {width}"
             )
-        parsed = []
-        for col, field in enumerate(fields):
-            try:
-                value = float(field)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: column {col}: cannot parse {field.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise ValidationError(
-                    f"{path}: non-finite value at row {len(rows)}, column {col}"
-                )
-            parsed.append(value)
+        try:
+            parsed = list(map(float, fields))
+        except ValueError:
+            parsed = None
+        if parsed is None or not all(map(math.isfinite, parsed)):
+            _raise_field_error(fields, path, lineno, len(rows))
         rows.append(parsed)
     if not rows:
         if declared_dims is None:

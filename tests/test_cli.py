@@ -251,11 +251,39 @@ def test_bad_bandwidth_value_exits_one():
     assert exc.value.code == 1
 
 
+def _child_env():
+    # children import the same driftscan as this process, whatever the cwd
+    return {**os.environ, "PYTHONPATH": str(Path(driftscan.__file__).resolve().parents[1])}
+
+
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is slow to import and only correlate needs it, so the
-    # other commands must not pay for it at start-up
-    env = {**os.environ, "PYTHONPATH": str(Path(driftscan.__file__).resolve().parents[1])}
-    code = "import sys, driftscan.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    # scipy.stats and scipy.spatial are slow to import; only correlate needs
+    # the one and only the commands that compute distances the other, so
+    # start-up (--help included) must pay for neither
+    code = "import sys, driftscan.cli; print('scipy.stats' in sys.modules, 'scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+#: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows
+#: (128M distances: 1 GB as one pdist vector, about 2 GB with its partition)
+SCAN_RSS_BOUND_MB = 512
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's own peak RSS")
+def test_scan_memory_stays_bounded_on_a_large_pool(tmp_path):
+    rng = np.random.default_rng(31)
+    for side in ("ref", "target"):
+        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((8000, 8))), tmp_path / f"{side}.emb")
+    argv = [sys.executable, "-m", "driftscan", "scan", "--ref", "ref.emb", "--target", "target.emb",
+            "--window", "32", "--bootstraps", "19", "--stride", "512", "--out", "report.json"]
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert peak_mb < SCAN_RSS_BOUND_MB, f"peak RSS {peak_mb:.0f} MB"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["windows"]) == len(range(32, 8001, 512))

@@ -77,6 +77,46 @@ def test_non_finite_csv_names_row_and_column(tmp_path):
         load_embeddings(p, "csv")
 
 
+@pytest.mark.parametrize(
+    "row, error, where",
+    [
+        ("1,nan,abc", ValidationError, "row 0, column 1"),  # nan comes first in the row
+        ("1,abc,nan", FormatError, "line 1: column 1"),
+        ("inf,2,3", ValidationError, "row 0, column 0"),
+        ("1,2,", FormatError, "line 1: column 2: cannot parse ''"),
+    ],
+)
+def test_first_bad_field_of_a_row_sets_the_error(tmp_path, row, error, where):
+    p = tmp_path / "f.csv"
+    p.write_text(row + "\n")
+    with pytest.raises(error, match=where):
+        load_embeddings(p, "csv")
+
+
+def test_csv_values_follow_python_float(tmp_path):
+    # surrounding spaces, digit-group underscores and a negative zero
+    p = tmp_path / "f.csv"
+    p.write_text(" 2.5 ,1_0,-0\n")
+    v = load_embeddings(p, "csv").values
+    assert v.tolist() == [[2.5, 10.0, 0.0]]
+    assert np.signbit(v[0, 2])
+
+
+def test_non_finite_after_good_rows_names_its_data_row(tmp_path):
+    # comments and blank lines count as lines but not as rows
+    p = tmp_path / "n.csv"
+    p.write_text("# note\n1,2\n\n3,4\n5,-inf\n")
+    with pytest.raises(ValidationError, match="row 2, column 1"):
+        load_embeddings(p, "csv")
+
+
+def test_earlier_non_finite_row_wins_over_later_bad_text(tmp_path):
+    p = tmp_path / "n.csv"
+    p.write_text("1,2\n3,nan\nx,4\n")
+    with pytest.raises(ValidationError, match="row 1, column 1"):
+        load_embeddings(p, "csv")
+
+
 def test_unparsable_token_names_position(tmp_path):
     p = tmp_path / "b.csv"
     p.write_text("1,2\nx,4\n")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
-from driftscan.embeddings import DegenerateInputError, EmbeddingMatrix
+from driftscan import kernels
+from driftscan.embeddings import DegenerateInputError, EmbeddingMatrix, ValidationError
 from driftscan.kernels import (
     KernelSpec,
     kernel_matrix,
@@ -133,3 +135,127 @@ def test_resolve_bandwidth_policies():
     assert resolve_bandwidth(KernelSpec("rbf", "median"), m) == 2.0
     assert resolve_bandwidth(KernelSpec("rbf", 0.5), m) == 0.5
     assert resolve_bandwidth(LINEAR, m) is None
+
+
+# --- the blockwise median of large inputs ----------------------------------
+
+
+def _pdist_lower_median(x) -> float:
+    d = pdist(np.asarray(x, dtype=np.float64), "euclidean")
+    k = (d.size - 1) // 2
+    return float(np.partition(d, k)[k])
+
+
+def _count_passes(monkeypatch) -> list:
+    passes = []
+    real = kernels._count_and_keep
+
+    def counted(*args):
+        passes.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_count_and_keep", counted)
+    return passes
+
+
+def _rows_for_pairs(pairs: int) -> int:
+    # the most rows whose n(n-1)/2 pairs fit in ``pairs``
+    n = math.isqrt(2 * pairs) + 1
+    while n * (n - 1) // 2 > pairs:
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("side", ["one-pdist", "blockwise"])
+def test_median_either_side_of_the_block_threshold_matches_pdist(side, monkeypatch):
+    n = _rows_for_pairs(kernels.BLOCK_DISTANCES) + (side == "blockwise")
+    x = np.random.default_rng(21).standard_normal((n, 4))
+    passes = _count_passes(monkeypatch)
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert len(passes) == (0 if side == "one-pdist" else 1)
+
+
+def _tied_rows(n, rng):
+    # rows on three points of a line: every distance is 0, 1, 2 or 3
+    return rng.choice([0.0, 1.0, 3.0], size=(n, 1))
+
+
+def _drift_rows(n, rng):
+    half = n // 2
+    return np.vstack([rng.standard_normal((half, 3)), rng.standard_normal((n - half, 3)) + 3.0])
+
+
+def _float32_rows(n, rng):
+    return EmbeddingMatrix.from_array(rng.standard_normal((n, 5)) * 1e3)
+
+
+@pytest.mark.parametrize("make", [_tied_rows, _drift_rows, _float32_rows])
+def test_blockwise_median_is_exact(make, monkeypatch):
+    # small blocks, so that many block offsets and a partial last block occur
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
+    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
+    x = make(301, np.random.default_rng(22))
+    ref = _pdist_lower_median(x.values if isinstance(x, EmbeddingMatrix) else x)
+    if make is _tied_rows:  # the target rank sits inside a run of equal distances
+        d = np.sort(pdist(x))
+        k = (d.size - 1) // 2
+        assert d[k - 1] == d[k] == d[k + 1]
+    passes = _count_passes(monkeypatch)
+    assert median_heuristic_bandwidth(x) == ref
+    assert len(passes) >= 1
+
+
+def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
+    # 210 of 301 rows are the origin, so 48.6% of the distances are 0 and the
+    # median lies just above them: the first bracket misses high of it and
+    # the second starts at 0, where the masked pairs j <= i must not count
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
+    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((301, 3)) + 5.0
+    x[rng.permutation(301)[:210]] = 0.0
+    passes = _count_passes(monkeypatch)
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert passes[-1][0] == 0.0
+
+
+def test_blockwise_median_after_a_bracket_miss(monkeypatch):
+    # every other row is the origin, so the strided sample of rows is one
+    # point, its distances are all 0, and the first bracket [0, 0] misses
+    x = np.random.default_rng(23).standard_normal((4096, 3))
+    x[::2] = 0.0
+    passes = _count_passes(monkeypatch)
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert passes[0] == (0.0, 0.0)
+    assert len(passes) >= 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
+    # a zero margin makes the first bracket one or two adjacent sampled
+    # values, which miss unless the median is among them
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", int(rng.integers(60, 600)))
+    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", int(rng.integers(3, 30)))
+    monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0 if seed % 2 else 0.03)
+    x = rng.standard_normal((int(rng.integers(40, 160)), int(rng.integers(1, 4))))
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+
+
+def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 500)
+    x = np.zeros((120, 2))
+    x[-1] = 1.0
+    with pytest.raises(DegenerateInputError):
+        median_heuristic_bandwidth(x)
+
+
+@pytest.mark.parametrize("block", [10**6, 500])
+def test_median_heuristic_rejects_non_finite_values(block, monkeypatch):
+    # one pdist, or blocks; a NaN distance lies in no bracket, so without
+    # the check the blockwise search would never end
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", block)
+    x = np.random.default_rng(24).standard_normal((120, 2))
+    x[7, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        median_heuristic_bandwidth(x)
