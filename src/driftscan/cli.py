@@ -335,7 +335,7 @@ def cmd_calibrate(args) -> int:
                 "kernel": {"family": args.kernel, "bandwidth": args.bandwidth},
                 "estimator": args.estimator,
                 "split": args.split,
-                    },
+            },
             "trials": result.trials,
             "rejections": result.rejections,
             "rate": result.rate,

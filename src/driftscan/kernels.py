@@ -6,8 +6,8 @@ the median heuristic: the median of all pairwise Euclidean distances over the
 pooled samples, computed once before a scan so that per-window statistics are
 comparable. It is exact for any number of rows without holding every
 distance: beyond ``BLOCK_DISTANCES`` pairs the distances are made one row
-block at a time, and only those inside a bracket around the median (about
-``2 * BRACKET_MARGIN`` of them) are kept.
+block at a time, on every CPU the process may use, and only those inside a
+bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
 
 ``scipy.spatial`` is imported inside the functions that use it, so that
 importing the package (and every CLI call) does not pay for it.
@@ -16,6 +16,7 @@ importing the package (and every CLI call) does not pay for it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,29 +174,48 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
 
 
 def _count_and_keep(x: np.ndarray, lo: float, hi: float, stride: int):
-    """One pass over the pairs i < j of ``x``'s rows, ``BLOCK_DISTANCES`` at a time.
+    """One pass over the pairs i < j of ``x``'s rows, in row blocks shared by threads.
 
-    Returns the count of distances below ``lo``, the distances in
-    [lo, hi], and every ``stride``-th distance of each block.
+    The blocks run on one thread per usable CPU, since ``cdist`` and numpy's
+    large element-wise ops release the GIL. Each holds at most
+    ``BLOCK_DISTANCES // workers`` distances (unless one row has more), so
+    the pass holds no more than ``BLOCK_DISTANCES`` at once on any machine.
+    Returns the count of distances below ``lo``, the distances in [lo, hi],
+    and every ``stride``-th distance of each block, merged in row order.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.spatial.distance import cdist
 
     n = x.shape[0]
-    below = 0
-    kept, seen = [], []
+    workers = _usable_cpus()
+    spans = []
     a = 0
     while a < n - 1:
         # at most an eighth of the remaining rows, so that little of the
         # block is spent on the masked triangle
-        b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // (n - a), (n - a) // 8)))
+        b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // workers // (n - a), (n - a) // 8)))
+        spans.append((a, b))
+        a = b
+
+    def block(span):
+        a, b = span
         d = cdist(x[a:b], x[a:], "euclidean")  # the same bits as pdist
         d[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
-        below += np.count_nonzero(d < lo)
-        kept.append(d[(d >= lo) & (d <= hi)])
-        seen.append(d.ravel()[::stride].copy())  # a copy, so that d is freed
-        a = b
+        # the sample is a copy, so that d is freed
+        return np.count_nonzero(d < lo), d[(d >= lo) & (d <= hi)], d.ravel()[::stride].copy()
+
+    with ThreadPoolExecutor(workers) as pool:
+        below, kept, seen = zip(*pool.map(block, spans))
     seen = np.concatenate(seen)
-    return below, np.concatenate(kept), seen[~np.isnan(seen)]
+    return sum(below), np.concatenate(kept), seen[~np.isnan(seen)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _quantile_bracket(sample: np.ndarray, share: float, margin: float) -> tuple[float, float]:

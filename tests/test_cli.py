@@ -270,20 +270,30 @@ def test_cli_import_leaves_scipy_stats_out():
 #: (128M distances: 1 GB as one pdist vector, about 2 GB with its partition)
 SCAN_RSS_BOUND_MB = 512
 
+#: runs the CLI on its arguments, then prints the process's own peak RSS
+#: (VmHWM, in kB) as the last line of stdout. The rusage of a reaped child
+#: is no use here: on Linux its ru_maxrss starts from the parent's RSS at
+#: the fork, so a large test process inflates it.
+PEAK_RSS_WRAPPER = """
+import sys
+from driftscan.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's own peak RSS")
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for the child's own peak RSS")
 def test_scan_memory_stays_bounded_on_a_large_pool(tmp_path):
     rng = np.random.default_rng(31)
     for side in ("ref", "target"):
         save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((8000, 8))), tmp_path / f"{side}.emb")
-    argv = [sys.executable, "-m", "driftscan", "scan", "--ref", "ref.emb", "--target", "target.emb",
+    argv = [sys.executable, "-c", PEAK_RSS_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
             "--window", "32", "--bootstraps", "19", "--stride", "512", "--out", "report.json"]
-    with open(tmp_path / "stderr.txt", "wb") as err:
-        proc = subprocess.Popen(argv, cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb < SCAN_RSS_BOUND_MB, f"peak RSS {peak_mb:.0f} MB"
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["windows"]) == len(range(32, 8001, 512))

@@ -12,6 +12,12 @@ A refactor that keeps the outputs must keep these hashes. For the scan, two pins
   per-window bootstrap stream, so it shows that changing the null left the
   drift score and cause untouched.
 
+``VARIANT_PINS`` hashes the JSON and CSV of the same scan under each
+other kernel, estimator, split and bandwidth policy. ``BLOCKWISE_PINS``
+hashes a scan whose pool is large enough for the median bandwidth to be
+taken one row block at a time, so ``bandwidth_used`` from that pass is
+pinned to the byte. Both were taken before that pass ran on threads.
+
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments,
 since the JSON carries only the rejection count. Both were taken before the
@@ -26,6 +32,7 @@ import json
 
 import pytest
 
+from driftscan import kernels
 from driftscan.cli import main
 from driftscan.kernels import KernelSpec
 from driftscan.simharness import null_calibration
@@ -33,6 +40,32 @@ from driftscan.simharness import null_calibration
 SCAN_JSON_SHA256 = "9d830df1abd08419509517c26ac9e9a964fa05166d5f8319bc26a48e6278f6ff"
 SCAN_CSV_SHA256 = "2c4aed7ad00edcd12b1cd8c2b48980e74c92a7fbb810b7554d70011bba41f862"
 OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
+
+#: extra scan flags -> (sha256 of the JSON, sha256 of the CSV)
+VARIANT_PINS = {
+    ("--kernel", "linear"): (
+        "652fefaddd332198e45a19132905ce86b8219fc6970b8da866166597136b1bf9",
+        "0dc59777d060b093619dc91dade3d32ae6847325925a851e62a960ea3120a26f",
+    ),
+    ("--estimator", "unbiased"): (
+        "6ce65e7a2d426b8a3be321eebd30293ae1041cd4f1526fac2a33e72cf083a972",
+        "babf2ac15e5d10ba9c779e7caee0a31238f32e937038624558a5a540cfd23fa7",
+    ),
+    ("--split", "literal"): (
+        "7368b55f7663d8334757b2d2d4dbcdfead1037ad0cec759f316d7848fc206c72",
+        "bbc04e61e1f1dd5a96fe68a4495ce4e91e1b5a6a35a5828721e629bc073b1c9e",
+    ),
+    ("--bandwidth", "median-window"): (
+        "5ea81eb836500b97c7b441701ae66c0f4a8fee4f88b50fc9426e94dfa0c40243",
+        "7b301866a1224f7bf9a5745a56c35f20f0edd28243c5039efed0d0d15d0b18cc",
+    ),
+}
+#: 2 x 1100 pooled rows make 2418450 pairs, over BLOCK_DISTANCES (2**21)
+BLOCKWISE_ROWS = 1100
+BLOCKWISE_PINS = (
+    "d61174ee2d6073c8e2bf8db915cf3932be8c98df7749684ecc38d6eb7c10a9ad",
+    "38993397c6f4f5300fd321975281f7df2afcb29e9aff54f23c0bebfbb2cdf796",
+)
 
 #: (kernel, estimator, split) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
 CALIBRATE_PINS = {
@@ -70,18 +103,31 @@ def observed_projection(report: dict) -> bytes:
     return json.dumps(projection, sort_keys=True).encode("utf-8")
 
 
-@pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden")
+def _simulate_pair(work, n: int) -> None:
+    for fraction, seed, side in ((0.5, 1, "ref"), (0.8, 2, "target")):
+        assert main(["simulate", "mixture", "--n", str(n), "--dims", "4", "--fraction", str(fraction),
+                     "--seed", str(seed), "--out", str(work / f"{side}.csv")]) == 0
+
+
+def _scan(work, *flags: str, stride: int = 4) -> tuple[bytes, bytes]:
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(work)  # the report echoes the input paths; keep them relative
-        for fraction, seed, name in ((0.5, 1, "ref.csv"), (0.8, 2, "target.csv")):
-            assert main(["simulate", "mixture", "--n", "160", "--dims", "4", "--fraction", str(fraction),
-                         "--seed", str(seed), "--out", name]) == 0
         assert main(["scan", "--ref", "ref.csv", "--target", "target.csv", "--window", "16",
-                     "--bootstraps", "19", "--stride", "4", "--seed", "5",
+                     "--bootstraps", "19", "--stride", str(stride), "--seed", "5", *flags,
                      "--out", "report.json", "--csv-out", "series.csv"]) == 0
     return (work / "report.json").read_bytes(), (work / "series.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    _simulate_pair(work, 160)
+    return work
+
+
+@pytest.fixture(scope="module")
+def golden_run(golden_inputs):
+    return _scan(golden_inputs)
 
 
 def test_scan_outputs_match_golden_hashes(golden_run):
@@ -93,6 +139,22 @@ def test_scan_outputs_match_golden_hashes(golden_run):
 def test_observed_fields_match_golden_hash(golden_run):
     report, _ = golden_run
     assert _sha256(observed_projection(json.loads(report))) == OBSERVED_SHA256
+
+
+@pytest.mark.parametrize("flags", sorted(VARIANT_PINS), ids=lambda flags: "=".join(flags).lstrip("-"))
+def test_scan_variants_match_golden_hashes(golden_inputs, flags):
+    report, series = _scan(golden_inputs, *flags)
+    assert (_sha256(report), _sha256(series)) == VARIANT_PINS[flags]
+
+
+def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
+    _simulate_pair(tmp_path, BLOCKWISE_ROWS)
+    calls = []
+    real = kernels._blockwise_order_statistic
+    monkeypatch.setattr(kernels, "_blockwise_order_statistic", lambda x, k: calls.append(k) or real(x, k))
+    report, series = _scan(tmp_path, stride=512)
+    assert len(calls) == 1  # the pooled median went through the row blocks
+    assert (_sha256(report), _sha256(series)) == BLOCKWISE_PINS
 
 
 @pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))

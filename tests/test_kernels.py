@@ -158,6 +158,16 @@ def _count_passes(monkeypatch) -> list:
     return passes
 
 
+def _medians_by_workers(x, monkeypatch) -> list:
+    # the pass with 1, 2 and 3 worker threads; each layout of its blocks
+    # must give the same bits
+    medians = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        medians.append(median_heuristic_bandwidth(x))
+    return medians
+
+
 def _rows_for_pairs(pairs: int) -> int:
     # the most rows whose n(n-1)/2 pairs fit in ``pairs``
     n = math.isqrt(2 * pairs) + 1
@@ -201,8 +211,8 @@ def test_blockwise_median_is_exact(make, monkeypatch):
         k = (d.size - 1) // 2
         assert d[k - 1] == d[k] == d[k + 1]
     passes = _count_passes(monkeypatch)
-    assert median_heuristic_bandwidth(x) == ref
-    assert len(passes) >= 1
+    assert _medians_by_workers(x, monkeypatch) == [ref] * 3
+    assert len(passes) >= 3
 
 
 def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
@@ -215,7 +225,7 @@ def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
     x = rng.standard_normal((301, 3)) + 5.0
     x[rng.permutation(301)[:210]] = 0.0
     passes = _count_passes(monkeypatch)
-    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     assert passes[-1][0] == 0.0
 
 
@@ -225,9 +235,9 @@ def test_blockwise_median_after_a_bracket_miss(monkeypatch):
     x = np.random.default_rng(23).standard_normal((4096, 3))
     x[::2] = 0.0
     passes = _count_passes(monkeypatch)
-    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     assert passes[0] == (0.0, 0.0)
-    assert len(passes) >= 2
+    assert len(passes) >= 6
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -239,7 +249,23 @@ def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
     monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", int(rng.integers(3, 30)))
     monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0 if seed % 2 else 0.03)
     x = rng.standard_normal((int(rng.integers(40, 160)), int(rng.integers(1, 4))))
+    assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blockwise_workers_share_the_distance_budget(workers, monkeypatch):
+    # each worker's block holds at most BLOCK_DISTANCES // workers distances,
+    # so the blocks in flight together hold at most BLOCK_DISTANCES
+    from scipy.spatial import distance
+
+    sizes = []
+    real = distance.cdist
+    monkeypatch.setattr(distance, "cdist", lambda a, b, metric: sizes.append(len(a) * len(b)) or real(a, b, metric))
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 6000)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    x = np.random.default_rng(25).standard_normal((400, 3))
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert 6000 // workers - 400 < max(sizes) <= 6000 // workers
 
 
 def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
