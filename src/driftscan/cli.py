@@ -20,7 +20,8 @@ from .kernels import KernelSpec
 from .mmd import mmd
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
-from .scan import ScanConfig, drift_scan, extract_cause_samples, load_report, report_to_dict, windows_to_csv
+from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_dict,
+                   windows_to_csv)
 from .simharness import axis_mixture_spec, correlation_study, generate_mixture, null_calibration, ratio_drift_study
 
 _SPLIT_NAMES = {"paired": "paired_halves", "literal": "literal_quarter"}
@@ -308,6 +309,7 @@ def cmd_simulate_mixture(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    check_alpha(args.alpha)  # before the warning, which divides by it
     _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
     result = null_calibration(
         trials=args.trials,

@@ -131,7 +131,9 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     if pairs <= BLOCK_DISTANCES:
         from scipy.spatial.distance import pdist
 
-        med = float(np.partition(pdist(x, "euclidean"), k)[k])
+        d = pdist(x, "euclidean")
+        d.partition(k)  # in place: a copy would double the memory and page faults
+        med = float(d[k])
     else:
         med = _blockwise_order_statistic(x, k)
     if med <= 0.0:
@@ -219,13 +221,16 @@ def _usable_cpus() -> int:
 
 
 def _quantile_bracket(sample: np.ndarray, share: float, margin: float) -> tuple[float, float]:
-    """Values of ``sample`` at quantiles ``share -/+ margin``, or -inf/inf past its ends."""
+    """Values of ``sample`` at quantiles ``share -/+ margin``, or -inf/inf past its ends.
+
+    ``sample`` is partitioned in place; callers pass vectors they no longer need.
+    """
     last = sample.size - 1
     r_lo = math.floor((share - margin) * last)
     r_hi = math.ceil((share + margin) * last)
-    part = np.partition(sample, [max(r_lo, 0), min(r_hi, last)])
-    lo = float(part[r_lo]) if r_lo >= 0 else -np.inf
-    hi = float(part[r_hi]) if r_hi <= last else np.inf
+    sample.partition([max(r_lo, 0), min(r_hi, last)])
+    lo = float(sample[r_lo]) if r_lo >= 0 else -np.inf
+    hi = float(sample[r_hi]) if r_hi <= last else np.inf
     return lo, hi
 
 

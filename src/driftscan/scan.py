@@ -30,6 +30,12 @@ from .mmd import ESTIMATORS
 from .resample import RNG_SCHEME, SPLIT_POLICIES, BootstrapResult, RngPolicy, window_test
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 0 < alpha < 1; NaN fails too."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Resolved scan parameters; every field lands in the report's config echo."""
@@ -54,8 +60,7 @@ class ScanConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.split_policy not in SPLIT_POLICIES:
             raise ValueError(f"unknown split policy {self.split_policy!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         RngPolicy(self.seed)  # validates the seed range
 
     def to_dict(self) -> dict:

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .embeddings import DatasetPair, EmbeddingMatrix
 from .kernels import KernelSpec, resolve_bandwidth
 from .prep import BatchConfig, batch_means
 from .resample import RngPolicy, window_test
 from .rng import derive_rng, derive_seed
-from .scan import ScanConfig, drift_scan
+from .scan import ScanConfig, check_alpha, drift_scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +311,10 @@ def null_calibration(
     Each trial draws fresh n-row reference and target sets from one standard
     Gaussian, resolves the bandwidth over their concatenation (as a scan
     would), tests the first ``window`` rows of each side against the
-    bootstrap null, and counts p_value <= alpha.
+    bootstrap null, and counts p_value <= alpha. The trials run on a thread
+    pool (``pdist``, the partition and the data draws release the GIL); each
+    draws from its own streams, so the p-values are the same bits for any
+    number of CPUs.
     """
     if kernel is None:
         kernel = KernelSpec()
@@ -318,8 +322,10 @@ def null_calibration(
         raise ValueError(f"n ({n}) must be >= window ({window})")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_values = np.empty(trials)
-    for i in range(trials):
+    check_alpha(alpha)
+    from concurrent.futures import ThreadPoolExecutor
+
+    def trial(i: int) -> float:
         data_rng = derive_rng(seed, "calibration-data", i)
         ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
@@ -327,7 +333,14 @@ def null_calibration(
         _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
                               RngPolicy(derive_seed(seed, "calibration-boot", i)), split_policy, estimator,
                               bandwidth)
-        p_values[i] = boot.p_value
+        return boot.p_value
+
+    # trials in flight hold at most BLOCK_DISTANCES distances, as one
+    # blockwise pass does; a trial that needs that pass runs alone
+    pairs = n * (2 * n - 1)
+    workers = min(kernels._usable_cpus(), trials, max(1, kernels.BLOCK_DISTANCES // pairs))
+    with ThreadPoolExecutor(workers) as pool:
+        p_values = np.fromiter(pool.map(trial, range(trials)), dtype=np.float64, count=trials)
     rejections = int(np.count_nonzero(p_values <= alpha))
     return CalibrationResult(
         trials=trials,

@@ -182,6 +182,15 @@ def test_calibrate_warns_when_no_trial_can_reject(capsys):
     assert json.loads(captured.out)["rejections"] == 0
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+def test_calibrate_rejects_alpha_outside_zero_one(capsys, alpha):
+    assert main(["calibrate", "--trials", "2", "--n", "16", "--window", "8", "--bootstraps", "9",
+                 "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+    assert captured.out == ""
+
+
 def test_correlate_writes_table_and_correlations(tmp_path, capsys):
     out = tmp_path / "buckets.csv"
     code = main([
@@ -259,11 +268,13 @@ def _child_env():
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats and scipy.spatial are slow to import; only correlate needs
     # the one and only the commands that compute distances the other, so
-    # start-up (--help included) must pay for neither
-    code = "import sys, driftscan.cli; print('scipy.stats' in sys.modules, 'scipy.spatial' in sys.modules)"
+    # start-up (--help included) must pay for neither; nor for
+    # concurrent.futures, which only the distance passes and calibrate use
+    modules = ("scipy.stats", "scipy.spatial", "concurrent.futures")
+    code = f"import sys, driftscan.cli; print(*(m in sys.modules for m in {modules!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
 
 
 #: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows

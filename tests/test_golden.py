@@ -22,6 +22,7 @@ For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments,
 since the JSON carries only the rejection count. Both were taken before the
 observed statistic and the null of a trial moved onto one pool Gram matrix.
+The p-value pins must also hold with the trials on 1, 2 and 3 threads.
 
 The hashes hold for the float64 results of this numpy/scipy stack; a
 platform whose ``exp`` rounds differently in the last bit moves them.
@@ -168,3 +169,19 @@ def test_calibrate_outputs_match_golden_hashes(tmp_path, kernel, estimator, spli
     result = null_calibration(**CALIBRATE_ARGS, kernel=KernelSpec(kernel), estimator=estimator,
                               split_policy=SPLIT_POLICIES[split])
     assert _sha256(result.p_values.tobytes()) == p_values_sha
+
+
+def _p_values_by_workers(monkeypatch, **kwargs) -> list:
+    # the trials on 1, 2 and 3 worker threads; each schedule must give the same bits
+    hashes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        hashes.append(_sha256(null_calibration(**CALIBRATE_ARGS, **kwargs).p_values.tobytes()))
+    return hashes
+
+
+@pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))
+def test_calibrate_p_values_do_not_depend_on_the_worker_count(monkeypatch, kernel, estimator, split):
+    hashes = _p_values_by_workers(monkeypatch, kernel=KernelSpec(kernel), estimator=estimator,
+                                  split_policy=SPLIT_POLICIES[split])
+    assert hashes == [CALIBRATE_PINS[kernel, estimator, split][1]] * 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftscan import kernels
 from driftscan.kernels import KernelSpec
 from driftscan.scan import ScanConfig
 from driftscan.simharness import (
@@ -211,3 +212,39 @@ def test_null_calibration_validation():
         null_calibration(trials=0, n=64, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
     with pytest.raises(ValueError):
         null_calibration(trials=1, n=4, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0"):
+        null_calibration(trials=1, n=64, dims=2, window=8, bootstraps=9, alpha=0, seed=0)
+
+
+def _pool_sizes(monkeypatch) -> list:
+    # the max_workers of every thread pool started, in order; each pool
+    # really runs at most 2 threads, which cannot move the bits
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(min(max_workers, 2))
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n, block, workers", [(512, None, 4), (24, 1000, 1)])
+def test_calibration_trials_share_the_distance_budget(n, block, workers, monkeypatch):
+    # trials in flight hold at most BLOCK_DISTANCES distances between them:
+    # 4 trials of 1024 pooled rows (523776 pairs each) fit in 2**21; a trial
+    # over the budget takes the blockwise pass and runs alone
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_DISTANCES", block)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+    sizes = _pool_sizes(monkeypatch)
+    null_calibration(trials=6, n=n, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
+    assert sizes[0] == workers
+    if block is None:
+        assert sizes == [workers]
+    else:  # then each trial's bandwidth takes at least one blockwise pass
+        assert len(sizes) >= 1 + 6
