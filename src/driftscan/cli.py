@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings
 from .kernels import KernelSpec
@@ -21,10 +22,24 @@ from .mmd import mmd
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
 from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_dict,
-                   windows_to_csv)
-from .simharness import axis_mixture_spec, correlation_study, generate_mixture, null_calibration, ratio_drift_study
+                   table_csv, windows_to_csv)
+from .simharness import (MetricSeries, axis_mixture_spec, correlation_study, generate_mixture, null_calibration,
+                         ratio_drift_study)
 
 _SPLIT_NAMES = {"paired": "paired_halves", "literal": "literal_quarter"}
+
+#: each subcommand's config echo after its "command" key, in order; a key
+#: names an ``args`` attribute unless the command passes a resolved value
+_ECHO_KEYS = {
+    "mmd": ("ref", "target", "format", "kernel", "estimator"),
+    "scan": ("ref", "target", "format", "batch_size"),
+    "batch": ("input", "format", "batch_size", "shuffle", "seed", "tail_policy", "out", "out_format"),
+    "extract": ("ref", "target", "report", "which", "out", "out_ref", "out_target", "out_format"),
+    "simulate ratio-drift": ("n", "dims", "fractions", "scale", "separation", "batch_size", "scan"),
+    "simulate mixture": ("n", "dims", "fraction", "scale", "separation", "seed", "out", "out_format"),
+    "calibrate": ("trials", "n", "dims", "window", "bootstraps", "alpha", "seed", "kernel", "estimator", "split"),
+    "correlate": ("profile", "n", "dims", "batch_size", "scale", "separation", "scan"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,17 +108,19 @@ def _kernel_spec(args) -> KernelSpec:
     return KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
 
 
+def _from_args(keys, args, resolved: dict) -> dict:
+    """Each key's value from ``resolved`` if it is there, else from ``args``, in order."""
+    return {key: resolved[key] if key in resolved else getattr(args, key) for key in keys}
+
+
 def _scan_config(args) -> ScanConfig:
-    return ScanConfig(
-        window=args.window,
-        bootstraps=args.bootstraps,
-        stride=args.stride,
-        estimator=args.estimator,
-        kernel=_kernel_spec(args),
-        split_policy=_SPLIT_NAMES[args.split],
-        seed=args.seed,
-        alpha=args.alpha,
-    )
+    resolved = {"kernel": _kernel_spec(args), "split_policy": _SPLIT_NAMES[args.split]}
+    return ScanConfig(**_from_args([f.name for f in fields(ScanConfig)], args, resolved))
+
+
+def _echo(command: str, args, **resolved) -> dict:
+    """The config echo of ``command``, keyed as in ``_ECHO_KEYS``."""
+    return {"command": command, **_from_args(_ECHO_KEYS[command], args, resolved)}
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -120,13 +137,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _table_csv(config: dict, header: list[str], rows: list[list]) -> str:
-    lines = [f"# config: {json.dumps(config)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _warn_if_unflaggable(bootstraps: int, alpha: float, what: str) -> None:
@@ -149,17 +159,11 @@ def cmd_mmd(args) -> int:
     ref = load_embeddings(args.ref, args.format)
     target = load_embeddings(args.target, args.format)
     pair = DatasetPair(ref, target)
-    est = mmd(_kernel_spec(args), pair.reference, pair.target, args.estimator)
+    spec = _kernel_spec(args)
+    est = mmd(spec, pair.reference, pair.target, args.estimator)
     _emit_json(
         {
-            "config": {
-                "command": "mmd",
-                "ref": args.ref,
-                "target": args.target,
-                "format": args.format,
-                "kernel": {"family": args.kernel, "bandwidth": args.bandwidth},
-                "estimator": args.estimator,
-            },
+            "config": _echo("mmd", args, kernel=asdict(spec)),
             "squared": est.squared,
             "value": est.value,
             "bandwidth_used": est.bandwidth_used,
@@ -181,13 +185,7 @@ def cmd_scan(args) -> int:
     _warn_if_unflaggable(config.bootstraps, config.alpha, "window")
     report = drift_scan(DatasetPair(ref, target), config)
     payload = report_to_dict(report)
-    payload["config"]["cli"] = {
-        "command": "scan",
-        "ref": args.ref,
-        "target": args.target,
-        "format": args.format,
-        "batch_size": args.batch_size,
-    }
+    payload["config"]["cli"] = _echo("scan", args)
     _emit_json(payload, args.out)
     if args.csv_out:
         _write_text(args.csv_out, windows_to_csv(report))
@@ -206,17 +204,7 @@ def cmd_batch(args) -> int:
     save_embeddings(reduced, args.out, args.out_format)
     _emit_json(
         {
-            "config": {
-                "command": "batch",
-                "input": args.input,
-                "format": args.format,
-                "batch_size": config.batch_size,
-                "shuffle": config.shuffle,
-                "seed": config.seed,
-                "tail_policy": config.tail_policy,
-                "out": args.out,
-                "out_format": args.out_format,
-            },
+            "config": _echo("batch", args, shuffle=config.shuffle, tail_policy=config.tail_policy),
             "input_rows": matrix.rows,
             "output_rows": reduced.rows,
             "dims": reduced.dims,
@@ -243,17 +231,7 @@ def cmd_extract(args) -> int:
         save_embeddings(extract_cause_samples(pair, report, args.which), args.out, args.out_format)
     _emit_json(
         {
-            "config": {
-                "command": "extract",
-                "ref": args.ref,
-                "target": args.target,
-                "report": args.report,
-                "which": args.which,
-                "out": args.out,
-                "out_ref": args.out_ref,
-                "out_target": args.out_target,
-                "out_format": args.out_format,
-            },
+            "config": _echo("extract", args),
             "cause_reference": list(report.cause_reference),
             "cause_target": list(report.cause_target),
             "rows": report.cause_target[1] - report.cause_target[0] + 1,
@@ -266,18 +244,9 @@ def cmd_extract(args) -> int:
 def cmd_simulate_ratio(args) -> int:
     base = axis_mixture_spec(args.dims, args.n, 0.5, args.seed,
                              scale=args.scale, separation=args.separation)
-    rows = ratio_drift_study(base, args.fractions, _scan_config(args), batch_size=args.batch_size)
-    config = {
-        "command": "simulate ratio-drift",
-        "n": args.n,
-        "dims": args.dims,
-        "fractions": args.fractions,
-        "scale": args.scale,
-        "separation": args.separation,
-        "batch_size": args.batch_size,
-        "scan": _scan_config(args).to_dict(),
-    }
-    text = _table_csv(config, ["fraction", "summary_score"], [list(r) for r in rows])
+    scan = _scan_config(args)
+    rows = ratio_drift_study(base, args.fractions, scan, batch_size=args.batch_size)
+    text = table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()), ["fraction", "summary_score"], rows)
     if args.out:
         _write_text(args.out, text)
     else:
@@ -289,28 +258,14 @@ def cmd_simulate_mixture(args) -> int:
     spec = axis_mixture_spec(args.dims, args.n, args.fraction, args.seed,
                              scale=args.scale, separation=args.separation)
     save_embeddings(generate_mixture(spec), args.out, args.out_format)
-    _emit_json(
-        {
-            "config": {
-                "command": "simulate mixture",
-                "n": args.n,
-                "dims": args.dims,
-                "fraction": args.fraction,
-                "scale": args.scale,
-                "separation": args.separation,
-                "seed": args.seed,
-                "out": args.out,
-                "out_format": args.out_format,
-            }
-        },
-        None,
-    )
+    _emit_json({"config": _echo("simulate mixture", args)}, None)
     return 0
 
 
 def cmd_calibrate(args) -> int:
     check_alpha(args.alpha)  # before the warning, which divides by it
     _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
+    spec = _kernel_spec(args)
     result = null_calibration(
         trials=args.trials,
         n=args.n,
@@ -319,25 +274,13 @@ def cmd_calibrate(args) -> int:
         bootstraps=args.bootstraps,
         alpha=args.alpha,
         seed=args.seed,
-        kernel=_kernel_spec(args),
+        kernel=spec,
         estimator=args.estimator,
         split_policy=_SPLIT_NAMES[args.split],
     )
     _emit_json(
         {
-            "config": {
-                "command": "calibrate",
-                "trials": args.trials,
-                "n": args.n,
-                "dims": args.dims,
-                "window": args.window,
-                "bootstraps": args.bootstraps,
-                "alpha": args.alpha,
-                "seed": args.seed,
-                "kernel": {"family": args.kernel, "bandwidth": args.bandwidth},
-                "estimator": args.estimator,
-                "split": args.split,
-            },
+            "config": _echo("calibrate", args, kernel=asdict(spec)),
             "trials": result.trials,
             "rejections": result.rejections,
             "rate": result.rate,
@@ -348,11 +291,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    profile = args.profile
+    scan = _scan_config(args)
     series, corr_bce, corr_auc = correlation_study(
-        buckets=len(profile),
-        drift_profile=profile,
-        scan=_scan_config(args),
+        buckets=len(args.profile),
+        drift_profile=args.profile,
+        scan=scan,
         seed=args.seed,
         dims=args.dims,
         n=args.n,
@@ -360,19 +303,9 @@ def cmd_correlate(args) -> int:
         scale=args.scale,
         separation=args.separation,
     )
-    config = {
-        "command": "correlate",
-        "profile": profile,
-        "n": args.n,
-        "dims": args.dims,
-        "batch_size": args.batch_size,
-        "scale": args.scale,
-        "separation": args.separation,
-        "scan": _scan_config(args).to_dict(),
-    }
+    config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:
-        rows = [[m.bucket_id, m.drift, m.bce, m.auc] for m in series]
-        _write_text(args.out, _table_csv(config, ["bucket_id", "drift", "bce", "auc"], rows))
+        _write_text(args.out, table_csv(config, [f.name for f in fields(MetricSeries)], map(astuple, series)))
     _emit_json(
         {
             "config": config,

@@ -16,10 +16,8 @@ same 1-based inclusive convention.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +25,18 @@ import numpy as np
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
 from .kernels import KernelSpec, resolve_bandwidth
 from .mmd import ESTIMATORS
-from .resample import RNG_SCHEME, SPLIT_POLICIES, BootstrapResult, RngPolicy, window_test
+from .resample import RNG_SCHEME, SPLIT_POLICIES, RngPolicy, window_test
 
 
 def check_alpha(alpha: float) -> None:
     """Raise ValueError unless 0 < alpha < 1; NaN fails too."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _field_values(cls, d: dict) -> dict:
+    """The entries of ``d`` named by the dataclass ``cls``'s fields; KeyError if one is missing."""
+    return {f.name: d[f.name] for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -64,47 +67,32 @@ class ScanConfig:
         RngPolicy(self.seed)  # validates the seed range
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "bootstraps": self.bootstraps,
-            "stride": self.stride,
-            "estimator": self.estimator,
-            "kernel": {"family": self.kernel.family, "bandwidth": self.kernel.bandwidth},
-            "split_policy": self.split_policy,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanConfig":
-        kernel = KernelSpec(family=d["kernel"]["family"], bandwidth=d["kernel"]["bandwidth"])
-        return cls(
-            window=d["window"],
-            bootstraps=d["bootstraps"],
-            stride=d["stride"],
-            estimator=d["estimator"],
-            kernel=kernel,
-            split_policy=d["split_policy"],
-            seed=d["seed"],
-            alpha=d["alpha"],
-        )
+        return cls(**{**_field_values(cls, d), "kernel": KernelSpec(**_field_values(KernelSpec, d["kernel"]))})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WindowResult:
-    """One window position: observed statistic plus its bootstrap null."""
+    """One window position: the observed statistic and its bootstrap null's median and p-value.
+
+    The fields are the report's window keys, in order.
+    """
 
     t_index: int
     start_index: int
     observed_sq: float
     observed: float
-    bootstrap: BootstrapResult
+    boot_median: float
+    p_value: float
     flagged: bool
 
 
 @dataclass(frozen=True, eq=False)
 class DriftReport:
-    """Full scan output.
+    """Full scan output; the fields are the report's keys, in order.
 
     ``summary_score`` and ``summary_median`` are the mean and median of the
     observed MMD^2 series, the scan's drift estimate. ``boot_median_mean``
@@ -114,6 +102,10 @@ class DriftReport:
 
     config: ScanConfig
     bandwidth_used: float | None
+    reference_rows: int
+    target_rows: int
+    scanned_rows: int
+    truncated: bool
     windows: list[WindowResult]
     summary_score: float
     summary_median: float
@@ -121,10 +113,6 @@ class DriftReport:
     argmax_index: int
     cause_reference: tuple[int, int]
     cause_target: tuple[int, int]
-    reference_rows: int
-    target_rows: int
-    scanned_rows: int
-    truncated: bool
 
 
 def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
@@ -166,19 +154,24 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
                 start_index=t - width + 1,
                 observed_sq=est.squared,
                 observed=est.value,
-                bootstrap=boot,
+                boot_median=boot.median,
+                p_value=boot.p_value,
                 flagged=boot.p_value <= config.alpha,
             )
         )
 
     observed_series = np.array([w.observed_sq for w in windows])
-    boot_medians = np.array([w.bootstrap.median for w in windows])
+    boot_medians = np.array([w.boot_median for w in windows])
     argmax_pos = int(np.argmax(observed_series))  # first occurrence on ties
     peak = windows[argmax_pos]
     cause = (peak.start_index, peak.t_index)
     return DriftReport(
         config=config,
         bandwidth_used=global_bw,
+        reference_rows=ref.rows,
+        target_rows=targ.rows,
+        scanned_rows=m_scan,
+        truncated=ref.rows != targ.rows,
         windows=windows,
         summary_score=float(np.mean(observed_series)),
         summary_median=float(np.median(observed_series)),
@@ -186,10 +179,6 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         argmax_index=peak.t_index,
         cause_reference=cause,
         cause_target=cause,
-        reference_rows=ref.rows,
-        target_rows=targ.rows,
-        scanned_rows=m_scan,
-        truncated=ref.rows != targ.rows,
     )
 
 
@@ -221,69 +210,28 @@ def extract_cause_samples(
     return cut(pair.reference, report.cause_reference), cut(pair.target, report.cause_target)
 
 
+def _config_echo(config: ScanConfig) -> dict:
+    return {**config.to_dict(), "rng_scheme": RNG_SCHEME}
+
+
 def report_to_dict(report: DriftReport) -> dict:
     return {
-        "config": {**report.config.to_dict(), "rng_scheme": RNG_SCHEME},
-        "bandwidth_used": report.bandwidth_used,
-        "reference_rows": report.reference_rows,
-        "target_rows": report.target_rows,
-        "scanned_rows": report.scanned_rows,
-        "truncated": report.truncated,
-        "windows": [
-            {
-                "t_index": w.t_index,
-                "start_index": w.start_index,
-                "observed_sq": w.observed_sq,
-                "observed": w.observed,
-                "boot_median": w.bootstrap.median,
-                "p_value": w.bootstrap.p_value,
-                "flagged": w.flagged,
-            }
-            for w in report.windows
-        ],
-        "summary_score": report.summary_score,
-        "summary_median": report.summary_median,
-        "boot_median_mean": report.boot_median_mean,
-        "argmax_index": report.argmax_index,
+        **asdict(report),
+        "config": _config_echo(report.config),
         "cause_reference": list(report.cause_reference),
         "cause_target": list(report.cause_target),
     }
 
 
 def report_from_dict(d: dict) -> DriftReport:
-    """Rebuild a report parsed from JSON.
-
-    Bootstrap stats lists are not serialized; reconstructed windows carry
-    empty stats arrays with the recorded median and p-value.
-    """
-    windows = [
-        WindowResult(
-            t_index=w["t_index"],
-            start_index=w["start_index"],
-            observed_sq=w["observed_sq"],
-            observed=w["observed"],
-            bootstrap=BootstrapResult(
-                stats=np.empty(0), median=w["boot_median"], p_value=w["p_value"]
-            ),
-            flagged=w["flagged"],
-        )
-        for w in d["windows"]
-    ]
-    return DriftReport(
-        config=ScanConfig.from_dict(d["config"]),
-        bandwidth_used=d["bandwidth_used"],
-        windows=windows,
-        summary_score=d["summary_score"],
-        summary_median=d["summary_median"],
-        boot_median_mean=d["boot_median_mean"],
-        argmax_index=d["argmax_index"],
-        cause_reference=tuple(d["cause_reference"]),
-        cause_target=tuple(d["cause_target"]),
-        reference_rows=d["reference_rows"],
-        target_rows=d["target_rows"],
-        scanned_rows=d["scanned_rows"],
-        truncated=d["truncated"],
-    )
+    """Rebuild a report parsed from JSON; keys that name no field are ignored."""
+    return DriftReport(**{
+        **_field_values(DriftReport, d),
+        "config": ScanConfig.from_dict(d["config"]),
+        "windows": [WindowResult(**_field_values(WindowResult, w)) for w in d["windows"]],
+        "cause_reference": tuple(d["cause_reference"]),
+        "cause_target": tuple(d["cause_target"]),
+    })
 
 
 def report_to_json(report: DriftReport) -> str:
@@ -308,12 +256,16 @@ def load_report(path) -> DriftReport:
         raise DataError(f"{path}: not a valid drift report: {exc}") from exc
 
 
+def table_csv(config: dict, header: list[str], rows) -> str:
+    """A ``# config:`` comment line, a header and one line per row; floats as their repr."""
+    lines = [f"# config: {json.dumps(config)}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def windows_to_csv(report: DriftReport) -> str:
     """Flat window series for plotting, with the config echoed as a comment."""
-    buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(report_to_dict(report)['config'])}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_index", "observed_sq", "boot_median", "p_value"])
-    for w in report.windows:
-        writer.writerow([w.t_index, repr(w.observed_sq), repr(w.bootstrap.median), repr(w.bootstrap.p_value)])
-    return buf.getvalue()
+    header = ["t_index", "observed_sq", "boot_median", "p_value"]
+    rows = ([getattr(w, name) for name in header] for w in report.windows)
+    return table_csv(_config_echo(report.config), header, rows)

@@ -28,7 +28,7 @@ from .kernels import KernelSpec, resolve_bandwidth
 from .prep import BatchConfig, batch_means
 from .resample import RngPolicy, window_test
 from .rng import derive_rng, derive_seed
-from .scan import ScanConfig, check_alpha, drift_scan
+from .scan import ScanConfig, drift_scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +76,8 @@ def axis_mixture_spec(
     separation: float = 4.0,
 ) -> ClassMixtureSpec:
     """Mixture with class means +-(separation * scale / 2) along the first axis."""
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
     mu = np.zeros(dims)
     mu[0] = separation * scale / 2.0
     return ClassMixtureSpec(
@@ -318,11 +320,14 @@ def null_calibration(
     """
     if kernel is None:
         kernel = KernelSpec()
+    # the scan's checks of the parameters a trial shares with it; a window may be 1 row here
+    ScanConfig(bootstraps=bootstraps, estimator=estimator, kernel=kernel, split_policy=split_policy, seed=seed,
+               alpha=alpha)
+    for name, value in (("window", window), ("dims", dims), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_alpha(alpha)
     from concurrent.futures import ThreadPoolExecutor
 
     def trial(i: int) -> float:

@@ -191,6 +191,28 @@ def test_calibrate_rejects_alpha_outside_zero_one(capsys, alpha):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--bootstraps", "0"), ("--window", "0"), ("--dims", "0")])
+def test_calibrate_usage_errors_exit_one(capsys, flag, value):
+    assert main(["calibrate", "--trials", "2", "--n", "16", "--window", "8", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag[2:]} must be >= 1, got {value}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "mixture", "--n", "10", "--out", "mix.csv"],
+    ["simulate", "ratio-drift", "--n", "64"],
+    ["correlate", "--profile", "0,1", "--n", "64"],
+], ids=lambda argv: argv[-3] if argv[0] == "simulate" else argv[0])
+def test_zero_dims_exits_one_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--dims", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: dims must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert not (tmp_path / "mix.csv").exists()
+
+
 def test_correlate_writes_table_and_correlations(tmp_path, capsys):
     out = tmp_path / "buckets.csv"
     code = main([

@@ -1,4 +1,4 @@
-"""Golden-output guard: byte-level pins for small fixed ``scan`` and ``calibrate`` commands.
+"""Golden-output guard: byte-level pins for small fixed commands of every subcommand.
 
 A refactor that keeps the outputs must keep these hashes. For the scan, two pins:
 
@@ -23,6 +23,11 @@ the trials' p-values from :func:`null_calibration` with the same arguments,
 since the JSON carries only the rejection count. Both were taken before the
 observed statistic and the null of a trial moved onto one pool Gram matrix.
 The p-value pins must also hold with the trials on 1, 2 and 3 threads.
+
+``COMMAND_PINS`` hashes the stdout and every written file of one command of
+each other subcommand: ``mmd``, ``batch``, ``extract`` (one side and both),
+``simulate mixture``, ``simulate ratio-drift`` and ``correlate``. They were
+taken before the configuration echoes came from one table of keys.
 
 The hashes hold for the float64 results of this numpy/scipy stack; a
 platform whose ``exp`` rounds differently in the last bit moves them.
@@ -82,6 +87,66 @@ CALIBRATE_PINS = {
 #: alpha 0.5 makes the rejection count move with the p-values
 CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
 SPLIT_POLICIES = {"paired": "paired_halves", "literal": "literal_quarter"}
+
+#: name -> (argv run in the golden inputs' directory, files it writes,
+#: sha256 of its stdout and then of each file). ``golden.json`` is the
+#: report of the pinned scan.
+COMMAND_PINS = {
+    "mmd": (
+        ["mmd", "--ref", "ref.csv", "--target", "target.csv"],
+        (),
+        ("91785042a44cdcf2ddda7cb40a6ceb7d5c57d2aa526f43a6096f3ba0506b80ed",),
+    ),
+    "batch": (
+        ["batch", "--input", "ref.csv", "--batch-size", "16", "--seed", "4", "--out", "batch.csv"],
+        ("batch.csv",),
+        (
+            "96ffc056c8cf463144a92382713518bd5a4caf80564887ed4dfa861729d0687c",
+            "1edced15dca3db5fe73327b39bf0669386b09761a7f77f0b86366d89aa2a4b9c",
+        ),
+    ),
+    "extract-target": (
+        ["extract", "--ref", "ref.csv", "--target", "target.csv", "--report", "golden.json", "--out", "cause.csv"],
+        ("cause.csv",),
+        (
+            "14714de61e5cf28b6f75957a3d6e78586e1d4c161fd8f030f75608003a94d3ed",
+            "b47a27618ca9c692c87401e4ff5bd6769856af4a803fd1da587e69c822fe0ee7",
+        ),
+    ),
+    "extract-both": (
+        ["extract", "--ref", "ref.csv", "--target", "target.csv", "--report", "golden.json", "--which", "both",
+         "--out-ref", "cause_ref.bin", "--out-target", "cause_target.bin", "--out-format", "binary"],
+        ("cause_ref.bin", "cause_target.bin"),
+        (
+            "a4b42810636384a61def141bbe1510c8e311f18fd7b1c43a69693df980e0d5a0",
+            "e8467d15a24322b26660752e003aede1eb08cca8359168b80156f84a3019933b",
+            "b0512886362c9fcc3a4916195ec92f3ce823081848cd96f9e839441ddc7bc8e8",
+        ),
+    ),
+    "simulate-mixture": (
+        ["simulate", "mixture", "--n", "40", "--dims", "3", "--fraction", "0.3", "--seed", "4", "--out", "mix.csv"],
+        ("mix.csv",),
+        (
+            "492d81720a465f559e48ff22d7a5aac10c74436d1ca7395eb345214ec2aada91",
+            "a549c25c51c41ce9d95f1ea5e7138021b369ad795fc40d26ca3f894f24cb6bb4",
+        ),
+    ),
+    "simulate-ratio-drift": (
+        ["simulate", "ratio-drift", "--n", "400", "--dims", "3", "--fractions", "0.1,0.5,0.9", "--seed", "7",
+         "--batch-size", "16", "--window", "8", "--bootstraps", "5"],
+        (),
+        ("671659ac1c595121c93a7ef6d2e5be1904b1692743131fd84f967a4843a0ed86",),
+    ),
+    "correlate": (
+        ["correlate", "--profile", "0,1.5,3", "--n", "512", "--dims", "3", "--batch-size", "32", "--window", "8",
+         "--bootstraps", "5", "--seed", "9", "--out", "buckets.csv"],
+        ("buckets.csv",),
+        (
+            "0411f950493afc4f9499e49cd9a3c1cf326fc65dbff8d10dbd2c8d465d2b3649",
+            "8cf73f99e899f498301646317b265319a4fa6a7819a71204acf5806198d80a5f",
+        ),
+    ),
+}
 
 OBSERVED_FIELDS = (
     "summary_score",
@@ -156,6 +221,18 @@ def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
     report, series = _scan(tmp_path, stride=512)
     assert len(calls) == 1  # the pooled median went through the row blocks
     assert (_sha256(report), _sha256(series)) == BLOCKWISE_PINS
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_PINS))
+def test_subcommand_outputs_match_golden_hashes(golden_inputs, golden_run, capsys, name):
+    argv, files, pins = COMMAND_PINS[name]
+    (golden_inputs / "golden.json").write_bytes(golden_run[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(golden_inputs)  # the configs echo the paths; keep them relative
+        capsys.readouterr()
+        assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert (_sha256(stdout), *(_sha256((golden_inputs / f).read_bytes()) for f in files)) == pins
 
 
 @pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))

@@ -37,7 +37,7 @@ def test_identical_inputs_all_zero_unflagged():
     assert len(report.windows) == 33
     for w in report.windows:
         assert w.observed_sq == 0.0
-        assert w.bootstrap.p_value == 1.0
+        assert w.p_value == 1.0
         assert not w.flagged
     assert report.summary_score == 0.0
     assert report.summary_median == 0.0

@@ -62,6 +62,8 @@ def test_mixture_spec_validation():
         axis_mixture_spec(dims=2, n=5, positive_fraction=1.5, seed=0)
     with pytest.raises(ValueError):
         axis_mixture_spec(dims=2, n=5, positive_fraction=0.5, seed=0, scale=0.0)
+    with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
+        axis_mixture_spec(dims=0, n=5, positive_fraction=0.5, seed=0)
     with pytest.raises(ValueError):
         ClassMixtureSpec(dims=2, positive_mean=np.zeros(3), negative_mean=np.zeros(2),
                          scale=1.0, positive_fraction=0.5, n=5, seed=0)
@@ -214,6 +216,11 @@ def test_null_calibration_validation():
         null_calibration(trials=1, n=4, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0"):
         null_calibration(trials=1, n=64, dims=2, window=8, bootstraps=9, alpha=0, seed=0)
+    for name in ("bootstraps", "window", "dims"):
+        args = {"trials": 1, "n": 64, "dims": 2, "window": 8, "bootstraps": 9, "alpha": 0.05, "seed": 0, name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            null_calibration(**args)
+    assert null_calibration(trials=2, n=16, dims=2, window=1, bootstraps=9, alpha=0.05, seed=0).trials == 2
 
 
 def _pool_sizes(monkeypatch) -> list:
