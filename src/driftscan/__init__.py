@@ -19,7 +19,7 @@ from .embeddings import (
 from .kernels import KernelSpec, kernel_value, median_heuristic_bandwidth
 from .mmd import MmdEstimate, mmd, mmd_oracle
 from .prep import BatchConfig, batch_means, shuffle_rows
-from .resample import BootstrapResult, RngPolicy, window_test
+from .resample import BootstrapResult, window_test
 from .scan import (
     DriftReport,
     ScanConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "KernelSpec",
     "MetricSeries",
     "MmdEstimate",
-    "RngPolicy",
     "ScanConfig",
     "ValidationError",
     "WindowResult",

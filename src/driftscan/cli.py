@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, astuple, fields
 
 from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings
@@ -293,7 +294,6 @@ def cmd_calibrate(args) -> int:
 def cmd_correlate(args) -> int:
     scan = _scan_config(args)
     series, corr_bce, corr_auc = correlation_study(
-        buckets=len(args.profile),
         drift_profile=args.profile,
         scan=scan,
         seed=args.seed,
@@ -417,14 +417,18 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # library warnings print as one line each; the filters are restored on return
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import numpy as np
 from .embeddings import ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
-from .rng import RngPolicy
+from .rng import derive_rng
 
 SPLIT_POLICIES = ("paired_halves", "literal_quarter")
 
@@ -61,6 +61,22 @@ class BootstrapResult:
 
     def __post_init__(self) -> None:
         self.stats.flags.writeable = False
+
+
+def block_size(rows: int, bootstraps: int, split_policy: str, estimator: str) -> int:
+    """Rows per bootstrap block for windows of ``rows`` rows; ValueError for settings that cannot run."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
+    if split_policy not in SPLIT_POLICIES:
+        raise ValueError(f"unknown split policy {split_policy!r}, expected one of {SPLIT_POLICIES}")
+    if bootstraps < 1:
+        raise ValueError(f"bootstraps must be >= 1, got {bootstraps}")
+    block = rows if split_policy == "paired_halves" else rows // 2
+    if block < 1:
+        raise ValueError(f"split {split_policy!r} with windows of {rows} rows leaves empty blocks")
+    if estimator == "unbiased" and block < 2:
+        raise ValueError("unbiased estimator needs blocks of >= 2 rows")
+    return block
 
 
 def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimator: str) -> np.ndarray:
@@ -97,7 +113,7 @@ def window_test(
     x: np.ndarray,
     y: np.ndarray,
     k: int,
-    rng: RngPolicy,
+    seed: int,
     split_policy: str,
     estimator: str,
     bandwidth: float | None = None,
@@ -110,24 +126,14 @@ def window_test(
     its contiguous blocks (bit-identical to :func:`~driftscan.mmd.mmd`), the
     k null statistics from :func:`null_stats_from_gram` over one
     (k, 2 * block) index matrix drawn from the stream
-    (rng.base_seed, "bootstrap", window_index), so reruns are byte-identical
-    however windows are scheduled. ``bandwidth`` is resolved over the pool
-    when None.
+    (seed, "bootstrap", window_index), so reruns are byte-identical however
+    windows are scheduled. ``bandwidth`` is resolved over the pool when None
+    (per window); :func:`block_size` checks the settings.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
-    if split_policy not in SPLIT_POLICIES:
-        raise ValueError(f"unknown split policy {split_policy!r}, expected one of {SPLIT_POLICIES}")
-    if k < 1:
-        raise ValidationError(f"bootstrap count must be >= 1, got {k}")
     half = x.shape[0]
-    block = half if split_policy == "paired_halves" else half // 2
-    if block < 1:
-        raise ValidationError(f"split {split_policy!r} with windows of {half} rows leaves empty blocks")
-    if estimator == "unbiased" and block < 2:
-        raise ValidationError("unbiased estimator needs blocks of >= 2 rows")
+    block = block_size(half, k, split_policy, estimator)
 
     pool = np.concatenate([x, y], dtype=np.float64)
     if bandwidth is None:
@@ -136,7 +142,7 @@ def window_test(
     kxx, kyy, kxy = (np.ascontiguousarray(b) for b in (gram[:half, :half], gram[half:, half:], gram[:half, half:]))
     observed = MmdEstimate.from_squared(mmd_sq_from_gram(kxx, kyy, kxy, estimator), estimator, bandwidth)
 
-    idx = rng.stream(BOOTSTRAP_TAG, window_index).integers(0, 2 * half, size=(k, 2 * block))
+    idx = derive_rng(seed, BOOTSTRAP_TAG, window_index).integers(0, 2 * half, size=(k, 2 * block))
     stats = null_stats_from_gram(gram, idx, block, estimator)
     median = float(np.median(stats))
     p_value = (1.0 + float(np.count_nonzero(stats >= observed.squared))) / (k + 1.0)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
 from .kernels import KernelSpec, resolve_bandwidth
-from .mmd import ESTIMATORS
-from .resample import RNG_SCHEME, SPLIT_POLICIES, RngPolicy, window_test
+from .resample import RNG_SCHEME, block_size, window_test
+from .rng import check_seed
 
 
 def check_alpha(alpha: float) -> None:
@@ -55,16 +55,11 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        if self.bootstraps < 1:
-            raise ValueError(f"bootstraps must be >= 1, got {self.bootstraps}")
+        block_size(self.window, self.bootstraps, self.split_policy, self.estimator)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.split_policy not in SPLIT_POLICIES:
-            raise ValueError(f"unknown split policy {self.split_policy!r}")
         check_alpha(self.alpha)
-        RngPolicy(self.seed)  # validates the seed range
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,17 +132,15 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         )
 
     spec = config.kernel
-    global_bw: float | None = None
-    if spec.needs_bandwidth and not spec.per_window_bandwidth:
-        global_bw = resolve_bandwidth(spec, np.vstack([ref.as_float64(), targ.as_float64()]))
+    bandwidth = None if spec.per_window_bandwidth else resolve_bandwidth(
+        spec, np.vstack([ref.as_float64(), targ.as_float64()]))
 
-    policy = RngPolicy(config.seed)
     width = config.window
     windows: list[WindowResult] = []
     for t in range(width, m_scan + 1, config.stride):
         rows = slice(t - width, t)
-        est, boot = window_test(spec, ref.values[rows], targ.values[rows], config.bootstraps, policy,
-                                config.split_policy, config.estimator, global_bw, window_index=t)
+        est, boot = window_test(spec, ref.values[rows], targ.values[rows], config.bootstraps, config.seed,
+                                config.split_policy, config.estimator, bandwidth, window_index=t)
         windows.append(
             WindowResult(
                 t_index=t,
@@ -167,7 +160,7 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     cause = (peak.start_index, peak.t_index)
     return DriftReport(
         config=config,
-        bandwidth_used=global_bw,
+        bandwidth_used=bandwidth,
         reference_rows=ref.rows,
         target_rows=targ.rows,
         scanned_rows=m_scan,
@@ -252,7 +245,7 @@ def load_report(path) -> DriftReport:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return report_from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError and out-of-range configs are ValueErrors
         raise DataError(f"{path}: not a valid drift report: {exc}") from exc
 
 

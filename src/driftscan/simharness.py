@@ -26,9 +26,9 @@ from . import kernels
 from .embeddings import DatasetPair, EmbeddingMatrix
 from .kernels import KernelSpec, resolve_bandwidth
 from .prep import BatchConfig, batch_means
-from .resample import RngPolicy, window_test
+from .resample import block_size, window_test
 from .rng import derive_rng, derive_seed
-from .scan import ScanConfig, drift_scan
+from .scan import ScanConfig, check_alpha, drift_scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,6 @@ def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def correlation_study(
-    buckets: int,
     drift_profile,
     scan: ScanConfig,
     seed: int,
@@ -224,17 +223,17 @@ def correlation_study(
 ) -> tuple[list[MetricSeries], float, float]:
     """Correlate per-bucket drift scores with a fixed scorer's BCE and AUC.
 
-    The reference is a balanced mixture; bucket b moves the positive-class
-    mean toward the negative class by drift_profile[b] * scale, shrinking
-    the class separation, which simultaneously drifts the bucket's inputs
-    and degrades the scorer (a logistic score along the class axis,
-    calibrated on the reference). Returns (series, pearson(drift, bce),
-    pearson(drift, auc)); the correlations are NaN with a warning when the
-    profile is degenerate (fewer than 2 buckets or all magnitudes equal).
+    The reference is a balanced mixture; bucket b, one per profile entry,
+    moves the positive-class mean toward the negative class by
+    drift_profile[b] * scale, shrinking the class separation, which
+    simultaneously drifts the bucket's inputs and degrades the scorer (a
+    logistic score along the class axis, calibrated on the reference).
+    Returns (series, pearson(drift, bce), pearson(drift, auc)); the
+    correlations are NaN with a warning when the profile is degenerate
+    (fewer than 2 buckets or all magnitudes equal).
     """
     profile = [float(v) for v in drift_profile]
-    if len(profile) != buckets:
-        raise ValueError(f"drift_profile has {len(profile)} entries for {buckets} buckets")
+    buckets = len(profile)
     if buckets < 1:
         raise ValueError("need at least one bucket")
 
@@ -292,7 +291,6 @@ class CalibrationResult:
     trials: int
     rejections: int
     rate: float
-    alpha: float
     p_values: np.ndarray = field(repr=False)
 
 
@@ -311,33 +309,32 @@ def null_calibration(
     """Empirical false-positive rate of the single-window test under no drift.
 
     Each trial draws fresh n-row reference and target sets from one standard
-    Gaussian, resolves the bandwidth over their concatenation (as a scan
-    would), tests the first ``window`` rows of each side against the
-    bootstrap null, and counts p_value <= alpha. The trials run on a thread
-    pool (``pdist``, the partition and the data draws release the GIL); each
-    draws from its own streams, so the p-values are the same bits for any
-    number of CPUs.
+    Gaussian, chooses the bandwidth as a scan would (over their concatenation,
+    or per window under ``median-window``), tests the first ``window`` rows of
+    each side against the bootstrap null, and counts p_value <= alpha. The
+    trials run on a thread pool (``pdist``, the partition and the data draws
+    release the GIL); each draws from its own streams, so the p-values are
+    the same bits for any number of CPUs.
     """
     if kernel is None:
         kernel = KernelSpec()
-    # the scan's checks of the parameters a trial shares with it; a window may be 1 row here
-    ScanConfig(bootstraps=bootstraps, estimator=estimator, kernel=kernel, split_policy=split_policy, seed=seed,
-               alpha=alpha)
     for name, value in (("window", window), ("dims", dims), ("trials", trials)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
+    block_size(window, bootstraps, split_policy, estimator)  # a window may be 1 row here, unlike a scan's
+    check_alpha(alpha)
     from concurrent.futures import ThreadPoolExecutor
 
     def trial(i: int) -> float:
         data_rng = derive_rng(seed, "calibration-data", i)
         ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
-        bandwidth = resolve_bandwidth(kernel, np.vstack([ref.as_float64(), target.as_float64()]))
+        bandwidth = None if kernel.per_window_bandwidth else resolve_bandwidth(
+            kernel, np.vstack([ref.as_float64(), target.as_float64()]))
         _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
-                              RngPolicy(derive_seed(seed, "calibration-boot", i)), split_policy, estimator,
-                              bandwidth)
+                              derive_seed(seed, "calibration-boot", i), split_policy, estimator, bandwidth)
         return boot.p_value
 
     # trials in flight hold at most BLOCK_DISTANCES distances, as one
@@ -351,6 +348,5 @@ def null_calibration(
         trials=trials,
         rejections=rejections,
         rate=rejections / trials,
-        alpha=alpha,
         p_values=p_values,
     )

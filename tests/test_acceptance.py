@@ -129,7 +129,6 @@ def test_c5_ratio_drift_shape():
 def test_c6_correlation_shape():
     profile = np.linspace(0.0, 3.0, 12)
     series, corr_bce, corr_auc = correlation_study(
-        buckets=12,
         drift_profile=profile,
         scan=ScanConfig(window=32, bootstraps=50, seed=6006),
         seed=6006,

@@ -111,6 +111,22 @@ def test_extract_both_sides(pair_files, tmp_path):
     np.testing.assert_array_equal(cause.values, expected)
 
 
+def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, capsys):
+    ref, target = pair_files
+    report = tmp_path / "rep.json"
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "8",
+                 "--bootstraps", "5", "--seed", "2", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    payload["config"]["window"] = 1
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
+                 "--out", str(tmp_path / "cause.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {report}: not a valid drift report: window must be >= 2, got 1\n"
+    assert captured.out == ""
+
+
 def test_simulate_mixture_and_scan_roundtrip(tmp_path):
     mix = tmp_path / "mix.csv"
     assert main(["simulate", "mixture", "--n", "60", "--dims", "3", "--fraction", "0.4",
@@ -199,6 +215,24 @@ def test_calibrate_usage_errors_exit_one(capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--window", "1", "--split", "literal"],
+     "split 'literal_quarter' with windows of 1 rows leaves empty blocks"),
+    (["calibrate", "--window", "3", "--split", "literal", "--estimator", "unbiased"],
+     "unbiased estimator needs blocks of >= 2 rows"),
+    (["scan", "--window", "3", "--split", "literal", "--estimator", "unbiased"],
+     "unbiased estimator needs blocks of >= 2 rows"),
+], ids=["calibrate-empty-blocks", "calibrate-unbiased", "scan-unbiased"])
+def test_blocks_too_small_for_the_settings_exit_one(pair_files, capsys, argv, message):
+    # the block size follows from the flags alone, so it is a usage error before any data is tested
+    ref, target = pair_files
+    inputs = ["--ref", ref, "--target", target] if argv[0] == "scan" else ["--trials", "2", "--n", "16"]
+    assert main([*argv, *inputs, "--bootstraps", "19"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "mixture", "--n", "10", "--out", "mix.csv"],
     ["simulate", "ratio-drift", "--n", "64"],
@@ -230,15 +264,18 @@ def test_correlate_writes_table_and_correlations(tmp_path, capsys):
 
 
 def test_correlate_degenerate_profile_gives_null(capsys):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(["correlate", "--profile", "1,1,1", "--n", "256", "--dims", "3",
-                     "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"])
+    code = main(["correlate", "--profile", "1,1,1", "--n", "256", "--dims", "3",
+                 "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pearson_drift_bce"] is None
     assert payload["pearson_drift_auc"] is None
+
+
+def test_library_warning_prints_as_one_line(capsys):
+    assert main(["correlate", "--profile", "1,1", "--n", "256", "--dims", "3",
+                 "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"]) == 0
+    assert capsys.readouterr().err == "warning: degenerate drift profile: correlations are undefined\n"
 
 
 def test_unknown_flag_exits_one(pair_files):

@@ -23,6 +23,9 @@ the trials' p-values from :func:`null_calibration` with the same arguments,
 since the JSON carries only the rejection count. Both were taken before the
 observed statistic and the null of a trial moved onto one pool Gram matrix.
 The p-value pins must also hold with the trials on 1, 2 and 3 threads.
+``CALIBRATE_MEDIAN_WINDOW_PINS`` pins ``--bandwidth median-window`` the same
+way; it was taken when that policy first chose each trial's bandwidth per
+window, as a scan does, instead of over the trial's 2n pooled rows.
 
 ``COMMAND_PINS`` hashes the stdout and every written file of one command of
 each other subcommand: ``mmd``, ``batch``, ``extract`` (one side and both),
@@ -84,6 +87,13 @@ CALIBRATE_PINS = {
         "90e9433e9b2d8d9297982fed35ccc695262daaa2c45a3b7a47c05630ea664756",
     ),
 }
+#: (sha256 of the JSON, sha256 of the p-values) of the same commands under
+#: ``--bandwidth median-window``, which tests each trial's window at the
+#: median distance of its own 2 * window pooled rows
+CALIBRATE_MEDIAN_WINDOW_PINS = (
+    "bf3cdd497d14b3827ad3e552ef51721ae12b6c9121cd637079d5b6a840bb70ad",
+    "70165560abb3c880cfe33d3606cdd5239f04b7525dd7114bf3d9fa00cd5257e5",
+)
 #: alpha 0.5 makes the rejection count move with the p-values
 CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
 SPLIT_POLICIES = {"paired": "paired_halves", "literal": "literal_quarter"}
@@ -262,3 +272,12 @@ def test_calibrate_p_values_do_not_depend_on_the_worker_count(monkeypatch, kerne
     hashes = _p_values_by_workers(monkeypatch, kernel=KernelSpec(kernel), estimator=estimator,
                                   split_policy=SPLIT_POLICIES[split])
     assert hashes == [CALIBRATE_PINS[kernel, estimator, split][1]] * 3
+
+
+def test_calibrate_median_window_matches_golden_hashes(tmp_path, monkeypatch):
+    json_sha, p_values_sha = CALIBRATE_MEDIAN_WINDOW_PINS
+    out = tmp_path / "calibrate.json"
+    flags = [f"--{name}={value}" for name, value in CALIBRATE_ARGS.items()]
+    assert main(["calibrate", *flags, "--bandwidth", "median-window", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == json_sha
+    assert _p_values_by_workers(monkeypatch, kernel=KernelSpec("rbf", "median-window")) == [p_values_sha] * 3

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from driftscan import kernels
+from driftscan.embeddings import EmbeddingMatrix
 from driftscan.kernels import KernelSpec
+from driftscan.resample import window_test
+from driftscan.rng import derive_rng, derive_seed
 from driftscan.scan import ScanConfig
 from driftscan.simharness import (
     ClassMixtureSpec,
@@ -147,7 +150,6 @@ def test_ratio_study_rejects_empty_fractions():
 
 def test_correlation_study_signs_on_monotone_profile():
     series, corr_bce, corr_auc = correlation_study(
-        buckets=3,
         drift_profile=[0.0, 1.5, 3.0],
         scan=FAST_SCAN,
         seed=31,
@@ -171,7 +173,7 @@ def test_correlation_study_degenerate_profile_is_nan():
     # constant zero profile: every bucket draws from the reference distribution
     with pytest.warns(UserWarning, match="degenerate"):
         series, corr_bce, corr_auc = correlation_study(
-            buckets=3, drift_profile=[0.0, 0.0, 0.0], scan=FAST_SCAN, seed=32,
+            drift_profile=[0.0, 0.0, 0.0], scan=FAST_SCAN, seed=32,
             dims=3, n=512, batch_size=32,
         )
     assert len(series) == 3
@@ -181,15 +183,15 @@ def test_correlation_study_degenerate_profile_is_nan():
 def test_correlation_study_single_bucket_is_nan():
     with pytest.warns(UserWarning, match="degenerate"):
         _, corr_bce, corr_auc = correlation_study(
-            buckets=1, drift_profile=[2.0], scan=FAST_SCAN, seed=33,
+            drift_profile=[2.0], scan=FAST_SCAN, seed=33,
             dims=3, n=512, batch_size=32,
         )
     assert math.isnan(corr_bce) and math.isnan(corr_auc)
 
 
-def test_correlation_study_profile_length_checked():
-    with pytest.raises(ValueError, match="buckets"):
-        correlation_study(buckets=2, drift_profile=[1.0], scan=FAST_SCAN, seed=0)
+def test_correlation_study_needs_a_bucket():
+    with pytest.raises(ValueError, match="at least one bucket"):
+        correlation_study(drift_profile=[], scan=FAST_SCAN, seed=0)
 
 
 def test_null_calibration_runs_and_reproduces():
@@ -207,6 +209,21 @@ def test_null_calibration_linear_kernel():
     result = null_calibration(trials=5, n=48, dims=3, window=12, bootstraps=19,
                               alpha=0.05, seed=14, kernel=KernelSpec("linear"))
     assert result.p_values.shape == (5,)
+
+
+def test_null_calibration_median_window_runs_the_per_window_test():
+    args = {"trials": 8, "n": 40, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.05, "seed": 21}
+    spec = KernelSpec("rbf", "median-window")
+    result = null_calibration(**args, kernel=spec)
+    by_hand = []
+    for i in range(args["trials"]):  # each trial's data and bootstrap seed, as null_calibration derives them
+        data_rng = derive_rng(21, "calibration-data", i)
+        ref, target = (EmbeddingMatrix.from_array(data_rng.standard_normal((40, 3))) for _ in range(2))
+        _, boot = window_test(spec, ref.values[:8], target.values[:8], 19, derive_seed(21, "calibration-boot", i),
+                              "paired_halves", "biased", bandwidth=None)
+        by_hand.append(boot.p_value)
+    np.testing.assert_array_equal(result.p_values, by_hand)
+    assert not np.array_equal(result.p_values, null_calibration(**args).p_values)
 
 
 def test_null_calibration_validation():
