@@ -16,8 +16,8 @@ from .embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from .kernels import KernelSpec, kernel_value, median_heuristic_bandwidth
-from .mmd import MmdEstimate, mmd, mmd_oracle
+from .kernels import KernelSpec, median_heuristic_bandwidth
+from .mmd import MmdEstimate, mmd
 from .prep import BatchConfig, batch_means, shuffle_rows
 from .resample import BootstrapResult, window_test
 from .scan import (
@@ -68,12 +68,10 @@ __all__ = [
     "drift_scan",
     "extract_cause_samples",
     "generate_mixture",
-    "kernel_value",
     "load_embeddings",
     "load_report",
     "median_heuristic_bandwidth",
     "mmd",
-    "mmd_oracle",
     "null_calibration",
     "pearson",
     "ratio_drift_study",

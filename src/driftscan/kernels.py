@@ -73,20 +73,6 @@ class KernelSpec:
         return self.needs_bandwidth and self.bandwidth == MEDIAN_PER_WINDOW
 
 
-def kernel_value(spec: KernelSpec, bandwidth: float | None, x, y) -> float:
-    """Evaluate the kernel on two vectors with an already-resolved bandwidth."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"x and y must be vectors of equal length, got {xv.shape} and {yv.shape}")
-    if spec.family == "linear":
-        return float(np.dot(xv, yv))
-    if bandwidth is None or bandwidth <= 0:
-        raise ValueError(f"rbf kernel needs a positive bandwidth, got {bandwidth!r}")
-    diff = xv - yv
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * bandwidth * bandwidth)))
-
-
 def kernel_matrix(spec: KernelSpec, bandwidth: float | None, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel Gram matrix between row sets ``x`` (n, d) and ``y`` (m, d).
 
@@ -102,7 +88,8 @@ def kernel_matrix(spec: KernelSpec, bandwidth: float | None, x: np.ndarray, y: n
     from scipy.spatial.distance import cdist
 
     sq = cdist(x, y, "sqeuclidean")
-    return np.exp(sq / (-2.0 * bandwidth * bandwidth))
+    np.divide(sq, -2.0 * bandwidth * bandwidth, out=sq)  # in place: the same bits as a new array
+    return np.exp(sq, out=sq)
 
 
 def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:

@@ -7,11 +7,6 @@ Two estimators of MMD^2 are provided:
   nonnegative up to rounding.
 * unbiased (U-statistic): within-sample means exclude the diagonal (i != j).
   Mean-zero when both samples share a distribution, so it can go negative.
-
-:func:`mmd_oracle` recomputes the same statistic with literal double loops
-over :func:`~driftscan.kernels.kernel_value` and no algebraic rearrangement.
-It exists to cross-check :func:`mmd` in tests and is far too slow for
-production sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingMatrix, ValidationError
-from .kernels import KernelSpec, kernel_matrix, kernel_value, resolve_bandwidth
+from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 
 ESTIMATORS = ("biased", "unbiased")
 
@@ -63,27 +58,32 @@ def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> N
         )
 
 
-def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimator: str) -> float:
+def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimator: str):
     """Reduce precomputed Gram blocks to MMD^2.
 
-    Shared by :func:`mmd` and :func:`~driftscan.resample.window_test`, which
-    passes contiguous blocks of a window's pool Gram matrix and so gets the
-    same bits as :func:`mmd`. The bootstrap evaluates the same sums as
+    Shared by :func:`mmd` and the window test, which passes views of its
+    windows' pool Grams with a leading window axis. Each block is summed as
+    a contiguous copy, one at a time, so each window gets :func:`mmd`'s
+    bits. The bootstrap evaluates the same sums as
     quadratic forms over count vectors
     (:func:`~driftscan.resample.null_stats_from_gram`). The cross term sums
     the block in both orientations (the transpose materialized so the
     summation order is its own row-major order, which numpy would otherwise
     bypass) so that swapping the two samples is bit-exact.
     """
-    n = kxx.shape[0]
-    m = kyy.shape[0]
-    cross = (float(np.sum(kxy)) + float(np.sum(np.ascontiguousarray(kxy.T)))) / (n * m)
+    n = kxx.shape[-1]
+    m = kyy.shape[-1]
+
+    def total(block):  # one contiguous copy at a time
+        return np.sum(np.ascontiguousarray(block), axis=(-2, -1))
+
+    cross = (total(kxy) + total(np.swapaxes(kxy, -2, -1))) / (n * m)
     if estimator == "biased":
-        within_x = float(np.sum(kxx)) / (n * n)
-        within_y = float(np.sum(kyy)) / (m * m)
+        within_x = total(kxx) / (n * n)
+        within_y = total(kyy) / (m * m)
     else:
-        within_x = (float(np.sum(kxx)) - float(np.trace(kxx))) / (n * (n - 1))
-        within_y = (float(np.sum(kyy)) - float(np.trace(kyy))) / (m * (m - 1))
+        within_x = (total(kxx) - np.trace(kxx, axis1=-2, axis2=-1)) / (n * (n - 1))
+        within_y = (total(kyy) - np.trace(kyy, axis1=-2, axis2=-1)) / (m * (m - 1))
     return (within_x + within_y) - cross
 
 
@@ -106,51 +106,11 @@ def mmd(
     y = q2.as_float64()
     if bandwidth is None:
         bandwidth = resolve_bandwidth(spec, np.vstack([x, y]))
-    sq = mmd_sq_from_gram(
+    sq = float(mmd_sq_from_gram(
         kernel_matrix(spec, bandwidth, x, x),
         kernel_matrix(spec, bandwidth, y, y),
         kernel_matrix(spec, bandwidth, x, y),
         estimator,
-    )
+    ))
     return MmdEstimate.from_squared(sq, estimator, bandwidth)
 
-
-def mmd_oracle(
-    spec: KernelSpec,
-    q1: EmbeddingMatrix,
-    q2: EmbeddingMatrix,
-    estimator: str = "biased",
-    bandwidth: float | None = None,
-) -> MmdEstimate:
-    """Brute-force MMD^2: explicit loops, one kernel_value call per pair."""
-    _check_inputs(q1, q2, estimator)
-    x = q1.as_float64()
-    y = q2.as_float64()
-    if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, np.vstack([x, y]))
-    n = q1.rows
-    m = q2.rows
-
-    sum_xx = 0.0
-    count_xx = 0
-    for i in range(n):
-        for j in range(n):
-            if estimator == "unbiased" and i == j:
-                continue
-            sum_xx += kernel_value(spec, bandwidth, x[i], x[j])
-            count_xx += 1
-    sum_yy = 0.0
-    count_yy = 0
-    for i in range(m):
-        for j in range(m):
-            if estimator == "unbiased" and i == j:
-                continue
-            sum_yy += kernel_value(spec, bandwidth, y[i], y[j])
-            count_yy += 1
-    sum_xy = 0.0
-    for i in range(n):
-        for j in range(m):
-            sum_xy += kernel_value(spec, bandwidth, x[i], y[j])
-
-    sq = sum_xx / count_xx + sum_yy / count_yy - 2.0 * sum_xy / (n * m)
-    return MmdEstimate.from_squared(sq, estimator, bandwidth)

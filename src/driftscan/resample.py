@@ -13,6 +13,11 @@ MMD^2 is a quadratic form in the pool's Gram matrix (Gretton et al. 2012,
 *A Kernel Two-Sample Test*, JMLR, sections 2-3), and all k statistics come
 from one product of the count matrix with the Gram matrix.
 
+A scan's windows go through :func:`scan_window_tests`: each run of
+overlapping windows shares one pool Gram over its rows, is reduced along a
+leading window axis, and the runs use every usable CPU, with the bits of
+one :func:`window_test` per window for any number of CPUs.
+
 Two split policies:
 
 * ``paired_halves`` (default): the two blocks each have as many rows as a
@@ -28,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from . import kernels
 from .embeddings import ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
@@ -88,24 +95,55 @@ def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimato
     d = c1 - c2, clamped at 0 (exact for a kernel, and it keeps p = 1 on
     identical inputs). The unbiased one subtracts from each within-block sum
     c'Gc its gathered diagonal c . diag(G). Products use einsum, not BLAS, so
-    the bytes do not depend on the thread count.
+    the bytes do not depend on the thread count. Leading axes of ``gram``
+    and ``idx`` stack windows, each with its own Gram and draws; every
+    window gets the same bits as it would alone.
     """
-    k = idx.shape[0]
-    n = gram.shape[0]
-    # draw i's first block counts into row i, its second into row k + i
-    slot = np.arange(k)[:, None] + np.repeat([0, k], block)
-    counts = np.bincount((idx + slot * n).ravel(), minlength=2 * k * n).reshape(2, k, n)
+    k = idx.shape[-2]
+    n = gram.shape[-1]
+    # draw f of all windows' draws counts its two blocks into rows (f // k, 0 and 1, f % k)
+    f = np.arange(idx.size // idx.shape[-1]).reshape(*idx.shape[:-1], 1)
+    slot = f + f // k * k + np.repeat([0, k], block)
+    counts = np.bincount((idx + slot * n).ravel(), minlength=2 * f.size * n).reshape(*idx.shape[:-2], 2, k, n)
     if estimator == "biased":
-        d = (counts[0] - counts[1]).astype(np.float64)
-        dg = np.einsum("in,nm->im", d, gram, optimize=False)
-        return np.maximum(np.einsum("im,im->i", dg, d) / (block * block), 0.0)
+        d = (counts[..., 0, :, :] - counts[..., 1, :, :]).astype(np.float64)
+        dg = np.einsum("...in,...nm->...im", d, gram, optimize=False)
+        return np.maximum(np.einsum("...im,...im->...i", dg, d) / (block * block), 0.0)
     c = counts.astype(np.float64)
-    cg = np.einsum("jin,nm->jim", c, gram, optimize=False)
-    quad = np.einsum("jim,jim->ji", cg, c)
-    trace = np.einsum("jin,n->ji", c, np.diagonal(gram))
+    cg = np.einsum("...jin,...nm->...jim", c, gram, optimize=False)
+    quad = np.einsum("...jim,...jim->...ji", cg, c)
+    trace = np.einsum("...jin,...n->...ji", c, np.diagonal(gram, axis1=-2, axis2=-1))
     within = (quad - trace) / (block * (block - 1))
-    cross = np.einsum("im,im->i", cg[0], c[1]) / (block * block)
-    return within[0] + within[1] - 2.0 * cross
+    cross = np.einsum("...im,...im->...i", cg[..., 0, :, :], c[..., 1, :, :]) / (block * block)
+    return within[..., 0, :] + within[..., 1, :] - 2.0 * cross
+
+
+def _span_tests(spec, x, y, width, stride, indices, k, seed, block, estimator, bandwidth):
+    """Window tests of x[j * stride:][:width] against y[j * stride:][:width] for each j < len(indices).
+
+    The windows copy their Grams out of one pool Gram over all rows of ``x``
+    and ``y``, with the bits of their own. Window j draws from the stream
+    (seed, "bootstrap", indices[j]). ``bandwidth`` None resolves it over the
+    pool, which is then one window. Returns the bandwidth and, per window,
+    the k null statistics, the observed MMD^2, their median and p-value.
+    """
+    span = x.shape[0]
+    pool = np.concatenate([x, y], dtype=np.float64)
+    if bandwidth is None:
+        bandwidth = resolve_bandwidth(spec, pool)
+    gram = kernel_matrix(spec, bandwidth, pool, pool)
+    grams = gram[None]
+    if span > width:  # each block of every window's Gram is one strided view of the span's
+        r, c = gram.strides
+        grams = np.empty((len(indices), 2 * width, 2 * width))
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            grams[:, a * width:(a + 1) * width, b * width:(b + 1) * width] = as_strided(
+                gram[a * span:, b * span:], (len(indices), width, width), (stride * (r + c), r, c), writeable=False)
+    observed = mmd_sq_from_gram(grams[:, :width, :width], grams[:, width:, width:], grams[:, :width, width:], estimator)
+    idx = np.stack([derive_rng(seed, BOOTSTRAP_TAG, t).integers(0, 2 * width, size=(k, 2 * block)) for t in indices])
+    stats = null_stats_from_gram(grams, idx, block, estimator)
+    p_value = (1.0 + np.count_nonzero(stats >= observed[:, None], axis=-1)) / (k + 1.0)
+    return bandwidth, stats, observed, np.median(stats, axis=-1), p_value
 
 
 def window_test(
@@ -128,22 +166,44 @@ def window_test(
     (k, 2 * block) index matrix drawn from the stream
     (seed, "bootstrap", window_index), so reruns are byte-identical however
     windows are scheduled. ``bandwidth`` is resolved over the pool when None
-    (per window); :func:`block_size` checks the settings.
+    (per window); :func:`block_size` checks the settings. It is the
+    one-window case of :func:`scan_window_tests`.
     """
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
-    half = x.shape[0]
-    block = block_size(half, k, split_policy, estimator)
+    block = block_size(x.shape[0], k, split_policy, estimator)
+    bandwidth, stats, observed, median, p_value = _span_tests(
+        spec, x, y, x.shape[0], 1, [window_index], k, seed, block, estimator, bandwidth)
+    return (MmdEstimate.from_squared(float(observed[0]), estimator, bandwidth),
+            BootstrapResult(stats=stats[0], median=float(median[0]), p_value=float(p_value[0])))
 
-    pool = np.concatenate([x, y], dtype=np.float64)
-    if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, pool)
-    gram = kernel_matrix(spec, bandwidth, pool, pool)
-    kxx, kyy, kxy = (np.ascontiguousarray(b) for b in (gram[:half, :half], gram[half:, half:], gram[:half, half:]))
-    observed = MmdEstimate.from_squared(mmd_sq_from_gram(kxx, kyy, kxy, estimator), estimator, bandwidth)
 
-    idx = derive_rng(seed, BOOTSTRAP_TAG, window_index).integers(0, 2 * half, size=(k, 2 * block))
-    stats = null_stats_from_gram(gram, idx, block, estimator)
-    median = float(np.median(stats))
-    p_value = (1.0 + float(np.count_nonzero(stats >= observed.squared))) / (k + 1.0)
-    return observed, BootstrapResult(stats=stats, median=median, p_value=p_value)
+def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int, stride: int, k: int, seed: int,
+                      split_policy: str, estimator: str, bandwidth: float | None) -> tuple[list[float], ...]:
+    """:func:`window_test` of x[t - width:t] against y[t - width:t] for t = width, width + stride, ... <= rows.
+
+    Returns the observed MMD^2, null medians and p-values as float lists,
+    the bits of one :func:`window_test` per window with ``window_index`` t.
+    Runs of up to ``width // stride`` overlapping windows share one pool
+    Gram (under ``median-window`` a run is one window). The runs go to one
+    thread per usable CPU, as ``cdist``, ``exp`` and einsum release the GIL,
+    holding about ``BLOCK_DISTANCES`` Gram entries at once; a window whose
+    own Gram is larger runs alone.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    block = block_size(width, k, split_policy, estimator)
+    ends = range(width, x.shape[0] + 1, stride)
+    entries = 4 * width * width  # one window's pool Gram
+    workers = min(kernels._usable_cpus(), len(ends), max(1, kernels.BLOCK_DISTANCES // entries))
+    # a run spans under 2 * width rows a side, so its Gram has under 4 * entries
+    size = 1 if spec.per_window_bandwidth else max(
+        1, min(width // stride, kernels.BLOCK_DISTANCES // workers // entries - 4))
+
+    def run(t: range):
+        return _span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, t, k, seed, block,
+                           estimator, bandwidth)[2:]
+
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(run, (ends[i:i + size] for i in range(0, len(ends), size))))
+    return tuple(np.concatenate(column).tolist() for column in zip(*parts))

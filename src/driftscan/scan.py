@@ -6,7 +6,8 @@ position it computes the observed MMD^2 between the two windows, bootstraps
 a null distribution from their pooled rows, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
 locates the window with the largest statistic, whose row ranges are the
-drift-cause candidates for both sides.
+drift-cause candidates for both sides. Runs of overlapping windows share a
+pool Gram and use every CPU (:func:`~driftscan.resample.scan_window_tests`).
 
 Index convention: ``t_index`` is 1-based and names the last sample in a
 window, so the first window has ``t_index == window`` and covers samples
@@ -23,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
-from .kernels import KernelSpec, resolve_bandwidth
-from .resample import RNG_SCHEME, block_size, window_test
+from .kernels import MEDIAN_GLOBAL, KernelSpec, resolve_bandwidth
+from .mmd import MmdEstimate
+from .resample import RNG_SCHEME, block_size, scan_window_tests
 from .rng import check_seed
 
 
@@ -110,18 +112,26 @@ class DriftReport:
     cause_target: tuple[int, int]
 
 
+def shared_bandwidth(spec: KernelSpec, reference: EmbeddingMatrix, target: EmbeddingMatrix) -> float | None:
+    """The bandwidth all windows share: None per window or for the linear kernel.
+
+    Only the global median reads the rows, so only it copies both sides to float64.
+    """
+    if spec.per_window_bandwidth:
+        return None
+    global_median = spec.needs_bandwidth and spec.bandwidth == MEDIAN_GLOBAL
+    return resolve_bandwidth(spec, np.vstack([reference.as_float64(), target.as_float64()]) if global_median else None)
+
+
 def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     """Run the sliding-window drift scan over ``pair``.
 
     Scans t = window, window + stride, ... up to M = min(rows); both sides
     are truncated to M when their lengths differ (recorded in the report).
-    The bandwidth is resolved once over the concatenation of both full
-    inputs unless the kernel's policy is per-window. Each window is one
-    :func:`~driftscan.resample.window_test` on the two sides' rows: one pool
-    Gram matrix serves both the observed statistic and the bootstrap null.
-    Deterministic: the bootstrap for window t draws from the one stream
-    (seed, "bootstrap", t), so reports are byte-identical across runs and any
-    window-level parallelization.
+    The bandwidth is resolved once by :func:`shared_bandwidth`. Window t
+    gets the bits of one :func:`~driftscan.resample.window_test` on its rows,
+    drawing from the stream (seed, "bootstrap", t), so reports are
+    byte-identical across runs and for any number of CPUs.
     """
     ref, targ = pair.reference, pair.target
     m_scan = min(ref.rows, targ.rows)
@@ -131,31 +141,17 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
             f"reference has {ref.rows}, target has {targ.rows}"
         )
 
-    spec = config.kernel
-    bandwidth = None if spec.per_window_bandwidth else resolve_bandwidth(
-        spec, np.vstack([ref.as_float64(), targ.as_float64()]))
-
+    bandwidth = shared_bandwidth(config.kernel, ref, targ)
     width = config.window
-    windows: list[WindowResult] = []
-    for t in range(width, m_scan + 1, config.stride):
-        rows = slice(t - width, t)
-        est, boot = window_test(spec, ref.values[rows], targ.values[rows], config.bootstraps, config.seed,
-                                config.split_policy, config.estimator, bandwidth, window_index=t)
-        windows.append(
-            WindowResult(
-                t_index=t,
-                start_index=t - width + 1,
-                observed_sq=est.squared,
-                observed=est.value,
-                boot_median=boot.median,
-                p_value=boot.p_value,
-                flagged=boot.p_value <= config.alpha,
-            )
-        )
-
-    observed_series = np.array([w.observed_sq for w in windows])
-    boot_medians = np.array([w.boot_median for w in windows])
-    argmax_pos = int(np.argmax(observed_series))  # first occurrence on ties
+    observed_sq, boot_medians, p_values = scan_window_tests(
+        config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
+        config.seed, config.split_policy, config.estimator, bandwidth)
+    windows = [
+        WindowResult(t, t - width + 1, sq, MmdEstimate.from_squared(sq, config.estimator, bandwidth).value, median,
+                     p, p <= config.alpha)
+        for t, sq, median, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
+    ]
+    argmax_pos = int(np.argmax(observed_sq))  # first occurrence on ties
     peak = windows[argmax_pos]
     cause = (peak.start_index, peak.t_index)
     return DriftReport(
@@ -166,8 +162,8 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         scanned_rows=m_scan,
         truncated=ref.rows != targ.rows,
         windows=windows,
-        summary_score=float(np.mean(observed_series)),
-        summary_median=float(np.median(observed_series)),
+        summary_score=float(np.mean(observed_sq)),
+        summary_median=float(np.median(observed_sq)),
         boot_median_mean=float(np.mean(boot_medians)),
         argmax_index=peak.t_index,
         cause_reference=cause,

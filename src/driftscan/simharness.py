@@ -24,11 +24,11 @@ import numpy as np
 
 from . import kernels
 from .embeddings import DatasetPair, EmbeddingMatrix
-from .kernels import KernelSpec, resolve_bandwidth
+from .kernels import KernelSpec
 from .prep import BatchConfig, batch_means
 from .resample import block_size, window_test
 from .rng import derive_rng, derive_seed
-from .scan import ScanConfig, check_alpha, drift_scan
+from .scan import ScanConfig, check_alpha, drift_scan, shared_bandwidth
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +331,7 @@ def null_calibration(
         data_rng = derive_rng(seed, "calibration-data", i)
         ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
-        bandwidth = None if kernel.per_window_bandwidth else resolve_bandwidth(
-            kernel, np.vstack([ref.as_float64(), target.as_float64()]))
+        bandwidth = shared_bandwidth(kernel, ref, target)
         _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
                               derive_seed(seed, "calibration-boot", i), split_policy, estimator, bandwidth)
         return boot.p_value

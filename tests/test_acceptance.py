@@ -24,10 +24,11 @@ from driftscan.embeddings import (
     save_embeddings,
 )
 from driftscan.kernels import KernelSpec, median_heuristic_bandwidth
-from driftscan.mmd import mmd, mmd_oracle
+from driftscan.mmd import mmd
 from driftscan.rng import derive_rng
 from driftscan.scan import ScanConfig, drift_scan
 from driftscan.simharness import axis_mixture_spec, correlation_study, null_calibration, ratio_drift_study
+from oracle import mmd_oracle
 
 
 def record(number: int, name: str, ok: bool, detail: str) -> None:

@@ -367,3 +367,32 @@ def test_scan_memory_stays_bounded_on_a_large_pool(tmp_path):
     assert peak_mb < SCAN_RSS_BOUND_MB, f"peak RSS {peak_mb:.0f} MB"
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["windows"]) == len(range(32, 8001, 512))
+
+
+#: a --window 512 scan may peak at most this many of its windows' 8 MB pool
+#: Grams above a tiny scan; one window_test per window peaked at about four
+WIDE_WINDOW_GRAMS = 5
+
+
+def _peak_rss_mb(work: Path, rows: int, window: int) -> float:
+    rng = np.random.default_rng(32)
+    for side in ("ref", "target"):
+        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((rows, 8))), work / f"{side}.emb")
+    argv = [sys.executable, "-c", PEAK_RSS_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
+            "--window", str(window), "--bootstraps", "50", "--stride", "1", "--out", "report.json"]
+    proc = subprocess.run(argv, cwd=work, env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((work / "report.json").read_text())["windows"]) == rows - window + 1
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for the child's own peak RSS")
+def test_wide_window_scan_memory_stays_within_a_few_window_grams(tmp_path):
+    # at stride 1, runs of overlapping windows share a pool Gram over their
+    # union; the runs and the windows in flight must keep to the budget
+    (tmp_path / "tiny").mkdir()
+    (tmp_path / "wide").mkdir()
+    base_mb = _peak_rss_mb(tmp_path / "tiny", 40, 8)
+    peak_mb = _peak_rss_mb(tmp_path / "wide", 600, 512)
+    gram_mb = (2 * 512) ** 2 * 8 / 2**20
+    assert peak_mb - base_mb < WIDE_WINDOW_GRAMS * gram_mb, f"peak RSS {peak_mb:.0f} MB, tiny scan {base_mb:.0f} MB"

@@ -13,7 +13,11 @@ A refactor that keeps the outputs must keep these hashes. For the scan, two pins
   drift score and cause untouched.
 
 ``VARIANT_PINS`` hashes the JSON and CSV of the same scan under each
-other kernel, estimator, split and bandwidth policy. ``BLOCKWISE_PINS``
+other kernel, estimator, split and bandwidth policy. ``STRIDE_PINS`` hashes
+the default scan and every variant at strides 1 and 8 as well, where runs of
+16 and of 2 overlapping windows share one pool Gram; they were taken while
+every window still built its own. Every scan pin must also hold with the
+windows on 1, 2 and 3 threads. ``BLOCKWISE_PINS``
 hashes a scan whose pool is large enough for the median bandwidth to be
 taken one row block at a time, so ``bandwidth_used`` from that pass is
 pinned to the byte. Both were taken before that pass ran on threads.
@@ -68,6 +72,55 @@ VARIANT_PINS = {
         "5ea81eb836500b97c7b441701ae66c0f4a8fee4f88b50fc9426e94dfa0c40243",
         "7b301866a1224f7bf9a5745a56c35f20f0edd28243c5039efed0d0d15d0b18cc",
     ),
+}
+#: (stride, extra scan flags) -> (sha256 of the JSON, sha256 of the CSV)
+STRIDE_PINS = {
+    (1, ()): (
+        "e0f47dbfafb7eecc1692ae2cbb8fc3768657950af062384fae4d769e02a94e14",
+        "91fda3e0265d12086b9a6e496ac9e1c706c3240e1a565c52c555ef79fcb46721",
+    ),
+    (1, ("--bandwidth", "median-window")): (
+        "8826c8cf482d6700fa3f3c836ff06d0901d8a865d56a08d89605d7c6f9480243",
+        "5775b7491879e2388a4adf97d8b94ab36ada576bc092fc273e8f3e8005f8da75",
+    ),
+    (1, ("--estimator", "unbiased")): (
+        "5dad2b74abfaa6c2fea680159162e1b3fa4482c459f398362d72558ad4b2b26f",
+        "ff16a48db8c27dc0d4abe224a1a334ecf42a9d28ca75d921cdac26bd815129ad",
+    ),
+    (1, ("--kernel", "linear")): (
+        "d3e2f78d9cdac1cb363c9d35f83e4c04266f7b8b274f2ed3824b286c26eceb1a",
+        "77110e1367caafdbbd9fb2b655ef8719f68876722420c3033e1279e6d93f1cf3",
+    ),
+    (1, ("--split", "literal")): (
+        "4ba56275de4af0cbbc12248e7378efcafa2ed4d37350c5b6e6d63fb23d640776",
+        "757281df8ea0c1f25ea80b321f9003228145922639e703877e2d21a67cf03968",
+    ),
+    (8, ()): (
+        "33179d2eb279edbbbc4ec73e072c29f3ac97cccc65d3d4d2ee693e43a2995eb6",
+        "42c3da24146a2e6b63398f29bf6f88240b88ae623d10b9bbae759e6eafb58af1",
+    ),
+    (8, ("--bandwidth", "median-window")): (
+        "f173708b508b1b7533c41027381c10e7bc88e9916c079e75a3c34f25387d32ed",
+        "3626eea11ca03943bdb484fe1c998c26f63fd804e51dc88cc46b6642ddd986b4",
+    ),
+    (8, ("--estimator", "unbiased")): (
+        "37ccd78f873a277f0400c7639a6f305a95dfdbbc7c07a17abaaa5c64fed62249",
+        "fe9edfb95c56beebf56647c457f8ccbf5d52231f5a5bfc9defc893934dfeffe2",
+    ),
+    (8, ("--kernel", "linear")): (
+        "f842fae9c52ab18f9b743c61d9af88497c733689b2a91e8088c0757d3fc4a5d4",
+        "d490a803942fa67b22e30c7a49704d311ef2860ed07ac242777e769dcac77875",
+    ),
+    (8, ("--split", "literal")): (
+        "baa8b9165431ffd27bcc589459615ee8a3acc92ba87485f5e3345c5e6862e1ed",
+        "8cc88b990796d03bd5bd4a76c159c7f5baa7c2dad72b58d875a6d8c645d9de88",
+    ),
+}
+#: every scan of the golden inputs: (stride, extra flags) -> its pins
+SCAN_PINS = {
+    (4, ()): (SCAN_JSON_SHA256, SCAN_CSV_SHA256),
+    **{(4, flags): pins for flags, pins in VARIANT_PINS.items()},
+    **STRIDE_PINS,
 }
 #: 2 x 1100 pooled rows make 2418450 pairs, over BLOCK_DISTANCES (2**21)
 BLOCKWISE_ROWS = 1100
@@ -223,14 +276,28 @@ def test_scan_variants_match_golden_hashes(golden_inputs, flags):
     assert (_sha256(report), _sha256(series)) == VARIANT_PINS[flags]
 
 
+def _scan_by_workers(monkeypatch, work, *flags: str, stride: int) -> list:
+    # the scan's windows on 1, 2 and 3 worker threads; each schedule must give the same bytes
+    hashes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        hashes.append(tuple(map(_sha256, _scan(work, *flags, stride=stride))))
+    return hashes
+
+
+@pytest.mark.parametrize("stride, flags", sorted(SCAN_PINS),
+                         ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
+def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, monkeypatch, stride, flags):
+    assert _scan_by_workers(monkeypatch, golden_inputs, *flags, stride=stride) == [SCAN_PINS[stride, flags]] * 3
+
+
 def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
     _simulate_pair(tmp_path, BLOCKWISE_ROWS)
     calls = []
     real = kernels._blockwise_order_statistic
     monkeypatch.setattr(kernels, "_blockwise_order_statistic", lambda x, k: calls.append(k) or real(x, k))
-    report, series = _scan(tmp_path, stride=512)
-    assert len(calls) == 1  # the pooled median went through the row blocks
-    assert (_sha256(report), _sha256(series)) == BLOCKWISE_PINS
+    assert _scan_by_workers(monkeypatch, tmp_path, stride=512) == [BLOCKWISE_PINS] * 3
+    assert len(calls) == 3  # each run's pooled median went through the row blocks
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_PINS))

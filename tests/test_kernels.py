@@ -11,10 +11,10 @@ from driftscan.embeddings import DegenerateInputError, EmbeddingMatrix, Validati
 from driftscan.kernels import (
     KernelSpec,
     kernel_matrix,
-    kernel_value,
     median_heuristic_bandwidth,
     resolve_bandwidth,
 )
+from oracle import kernel_value
 
 RBF = KernelSpec("rbf", 1.0)
 LINEAR = KernelSpec("linear")

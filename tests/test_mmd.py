@@ -3,7 +3,8 @@ import pytest
 
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec, kernel_matrix
-from driftscan.mmd import mmd, mmd_oracle, mmd_sq_from_gram
+from driftscan.mmd import mmd, mmd_sq_from_gram
+from oracle import mmd_oracle
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
 LINEAR = KernelSpec("linear")

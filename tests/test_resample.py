@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from driftscan import kernels, resample
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from driftscan.mmd import mmd, mmd_sq_from_gram
-from driftscan.resample import BOOTSTRAP_TAG, null_stats_from_gram, window_test
+from driftscan.resample import BOOTSTRAP_TAG, null_stats_from_gram, scan_window_tests, window_test
 from driftscan.rng import check_seed, derive_rng, derive_seed
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
@@ -87,6 +88,62 @@ def test_shared_gram_gives_the_same_null():
     own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), idx, 8, "biased")
     np.testing.assert_array_equal(result.stats, own)
     assert est == mmd(RBF_FIXED, x, y, "biased")
+
+
+#: name -> (kernel, bandwidth shared by the windows, estimator, split)
+SCAN_CASES = {
+    "rbf-biased-paired": (RBF_FIXED, 1.0, "biased", "paired_halves"),
+    "rbf-unbiased-literal": (RBF_FIXED, 1.0, "unbiased", "literal_quarter"),
+    "linear-biased-literal": (KernelSpec("linear"), None, "biased", "literal_quarter"),
+    "linear-unbiased-paired": (KernelSpec("linear"), None, "unbiased", "paired_halves"),
+    "median-window-unbiased-paired": (KernelSpec("rbf", "median-window"), None, "unbiased", "paired_halves"),
+    "median-window-biased-literal": (KernelSpec("rbf", "median-window"), None, "biased", "literal_quarter"),
+}
+SCAN_WIDTH = 8
+
+
+def _window_test_loop(spec, x, y, stride, k, seed, estimator, split, bandwidth):
+    """Reference: one window_test per window."""
+    columns = ([], [], [])
+    for t in range(SCAN_WIDTH, x.shape[0] + 1, stride):
+        rows = slice(t - SCAN_WIDTH, t)
+        est, boot = window_test(spec, x[rows], y[rows], k, seed, split, estimator, bandwidth, window_index=t)
+        for column, value in zip(columns, (est.squared, boot.median, boot.p_value)):
+            column.append(value)
+    return columns
+
+
+@pytest.mark.parametrize("stride", [1, 3, SCAN_WIDTH, 2 * SCAN_WIDTH])
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
+    spec, bandwidth, estimator, split = SCAN_CASES[name]
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((45, 3)).astype(np.float32)
+    y = (rng.standard_normal((45, 3)) + 0.3).astype(np.float32)
+    got = scan_window_tests(spec, x, y, SCAN_WIDTH, stride, 13, 4, split, estimator, bandwidth)
+    want = _window_test_loop(spec, x, y, stride, 13, 4, estimator, split, bandwidth)
+    assert all(type(v) is float for column in got for v in column)  # reports print each float's repr
+    assert got == want
+
+
+@pytest.mark.parametrize("budget_windows, workers", [(1, 1), (3, 2), (5, 3)])
+def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, workers):
+    # a run's Gram budget is BLOCK_DISTANCES // workers entries: with room for
+    # budget_windows + 4 window Grams a worker, runs of stride-1 windows hold
+    # budget_windows windows instead of SCAN_WIDTH
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", workers * (budget_windows + 4) * 4 * SCAN_WIDTH**2)
+    rng = np.random.default_rng(22)
+    x, y = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+    grams = []
+    real = resample.kernel_matrix
+    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(args[2].shape[0]) or real(*args))
+    for estimator in ("biased", "unbiased"):
+        grams.clear()
+        got = scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 6, "paired_halves", estimator, 1.0)
+        # 33 windows in runs of budget_windows; a run of n windows pools 2 * (SCAN_WIDTH + n - 1) rows
+        assert grams.count(2 * (SCAN_WIDTH + budget_windows - 1)) == 33 // budget_windows
+        assert got == _window_test_loop(RBF_FIXED, x, y, 1, 9, 6, estimator, "paired_halves", 1.0)
 
 
 def _windows(seed, rows, dims):

@@ -18,6 +18,7 @@ from driftscan.scan import (
     save_report,
     windows_to_csv,
 )
+from driftscan.simharness import null_calibration
 
 
 def gaussian_pair(seed=0, n=64, dims=3, shift=0.0):
@@ -217,6 +218,22 @@ def test_linear_kernel_scan_runs():
     pair = gaussian_pair(seed=16, n=24)
     report = drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("linear"), seed=0))
     assert report.bandwidth_used is None
+
+
+@pytest.mark.parametrize("bandwidth, pooled_copies", [("median", 2), ("median-window", 0), (1.5, 0)])
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, bandwidth, pooled_copies):
+    # the shared bandwidth reads both sides' rows only for the global median;
+    # the windows read slices of the stored rows, never a float64 copy of a side
+    pair = gaussian_pair(seed=17, n=40)
+    copied = []
+    real = EmbeddingMatrix.as_float64
+    monkeypatch.setattr(EmbeddingMatrix, "as_float64", lambda m: copied.append(m.rows) or real(m))
+    spec = KernelSpec(family, bandwidth)
+    drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=spec))
+    null_calibration(trials=2, n=40, dims=3, window=8, bootstraps=5, alpha=0.5, seed=1, kernel=spec)
+    expected = pooled_copies if spec.needs_bandwidth else 0
+    assert copied == [40] * (expected * 3)  # the scan, then each trial: both sides' 40 rows
 
 
 def test_config_validation():
