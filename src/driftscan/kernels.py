@@ -221,13 +221,13 @@ def _quantile_bracket(sample: np.ndarray, share: float, margin: float) -> tuple[
     return lo, hi
 
 
-def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float | None:
-    """Bandwidth to use for ``pooled`` rows under ``spec``'s policy.
+def resolve_bandwidth(spec: KernelSpec, *sides: np.ndarray) -> float | None:
+    """Bandwidth for the pooled rows of ``sides`` under ``spec``'s policy; None if the kernel takes none.
 
-    Returns None for kernels that take no bandwidth.
+    Only the median heuristic reads the rows, so only it pools them (in float64).
     """
     if not spec.needs_bandwidth:
         return None
     if isinstance(spec.bandwidth, (int, float)):
         return float(spec.bandwidth)
-    return median_heuristic_bandwidth(pooled)
+    return median_heuristic_bandwidth(np.concatenate(sides, dtype=np.float64))

@@ -105,7 +105,7 @@ def mmd(
     x = q1.as_float64()
     y = q2.as_float64()
     if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, np.vstack([x, y]))
+        bandwidth = resolve_bandwidth(spec, x, y)
     sq = float(mmd_sq_from_gram(
         kernel_matrix(spec, bandwidth, x, x),
         kernel_matrix(spec, bandwidth, y, y),

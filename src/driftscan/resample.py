@@ -15,7 +15,7 @@ from one product of the count matrix with the Gram matrix.
 
 A scan's windows go through :func:`scan_window_tests`: each run of
 overlapping windows shares one pool Gram over its rows, is reduced along a
-leading window axis, and the runs use every usable CPU, with the bits of
+leading window axis, and such runs use every usable CPU, with the bits of
 one :func:`window_test` per window for any number of CPUs.
 
 Two split policies:
@@ -128,9 +128,9 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, block, estimator, b
     the k null statistics, the observed MMD^2, their median and p-value.
     """
     span = x.shape[0]
-    pool = np.concatenate([x, y], dtype=np.float64)
     if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, pool)
+        bandwidth = resolve_bandwidth(spec, x, y)
+    pool = np.concatenate([x, y], dtype=np.float64)
     gram = kernel_matrix(spec, bandwidth, pool, pool)
     grams = gram[None]
     if span > width:  # each block of every window's Gram is one strided view of the span's
@@ -185,25 +185,30 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     Returns the observed MMD^2, null medians and p-values as float lists,
     the bits of one :func:`window_test` per window with ``window_index`` t.
     Runs of up to ``width // stride`` overlapping windows share one pool
-    Gram (under ``median-window`` a run is one window). The runs go to one
-    thread per usable CPU, as ``cdist``, ``exp`` and einsum release the GIL,
-    holding about ``BLOCK_DISTANCES`` Gram entries at once; a window whose
-    own Gram is larger runs alone.
+    Gram (under ``median-window`` a run is one window), and the runs go to
+    one thread per usable CPU, as ``cdist``, ``exp`` and einsum release the
+    GIL. The arrays in flight, Grams and nulls alike, hold about
+    ``BLOCK_DISTANCES`` numbers; a window that alone holds more runs alone.
+    Runs of one window share no Gram and are tested in order on the calling
+    thread, where threads cost CPU for no wall time.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     block = block_size(width, k, split_policy, estimator)
     ends = range(width, x.shape[0] + 1, stride)
     entries = 4 * width * width  # one window's pool Gram
-    workers = min(kernels._usable_cpus(), len(ends), max(1, kernels.BLOCK_DISTANCES // entries))
+    # a window's Gram, its null's three (2, k, 2 * width) count and product arrays, two (k, 2 * block) draws
+    footprint = entries + 4 * k * (3 * width + block)
+    workers = min(kernels._usable_cpus(), len(ends), max(1, kernels.BLOCK_DISTANCES // footprint))
     # a run spans under 2 * width rows a side, so its Gram has under 4 * entries
     size = 1 if spec.per_window_bandwidth else max(
-        1, min(width // stride, kernels.BLOCK_DISTANCES // workers // entries - 4))
+        1, min(width // stride, (kernels.BLOCK_DISTANCES // workers - 4 * entries) // footprint))
 
     def run(t: range):
         return _span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, t, k, seed, block,
                            estimator, bandwidth)[2:]
 
-    with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(run, (ends[i:i + size] for i in range(0, len(ends), size))))
+    runs = (ends[i:i + size] for i in range(0, len(ends), size))
+    with ThreadPoolExecutor(workers) as pool:  # the pool starts no thread for runs of one window
+        parts = list((pool.map if size > 1 else map)(run, runs))
     return tuple(np.concatenate(column).tolist() for column in zip(*parts))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
-from .kernels import MEDIAN_GLOBAL, KernelSpec, resolve_bandwidth
+from .kernels import KernelSpec, resolve_bandwidth
 from .mmd import MmdEstimate
 from .resample import RNG_SCHEME, block_size, scan_window_tests
 from .rng import check_seed
@@ -113,14 +113,8 @@ class DriftReport:
 
 
 def shared_bandwidth(spec: KernelSpec, reference: EmbeddingMatrix, target: EmbeddingMatrix) -> float | None:
-    """The bandwidth all windows share: None per window or for the linear kernel.
-
-    Only the global median reads the rows, so only it copies both sides to float64.
-    """
-    if spec.per_window_bandwidth:
-        return None
-    global_median = spec.needs_bandwidth and spec.bandwidth == MEDIAN_GLOBAL
-    return resolve_bandwidth(spec, np.vstack([reference.as_float64(), target.as_float64()]) if global_median else None)
+    """The bandwidth all windows share: None per window or for the linear kernel."""
+    return None if spec.per_window_bandwidth else resolve_bandwidth(spec, reference.values, target.values)
 
 
 def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:

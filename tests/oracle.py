@@ -31,7 +31,7 @@ def mmd_oracle(spec, q1, q2, estimator="biased", bandwidth=None) -> MmdEstimate:
     x = q1.as_float64()
     y = q2.as_float64()
     if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, np.vstack([x, y]))
+        bandwidth = resolve_bandwidth(spec, x, y)
     n = q1.rows
     m = q2.rows
 

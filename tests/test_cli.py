@@ -374,12 +374,12 @@ def test_scan_memory_stays_bounded_on_a_large_pool(tmp_path):
 WIDE_WINDOW_GRAMS = 5
 
 
-def _peak_rss_mb(work: Path, rows: int, window: int) -> float:
+def _peak_rss_mb(work: Path, rows: int, window: int, bootstraps: int = 50) -> float:
     rng = np.random.default_rng(32)
     for side in ("ref", "target"):
         save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((rows, 8))), work / f"{side}.emb")
     argv = [sys.executable, "-c", PEAK_RSS_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
-            "--window", str(window), "--bootstraps", "50", "--stride", "1", "--out", "report.json"]
+            "--window", str(window), "--bootstraps", str(bootstraps), "--stride", "1", "--out", "report.json"]
     proc = subprocess.run(argv, cwd=work, env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads((work / "report.json").read_text())["windows"]) == rows - window + 1
@@ -396,3 +396,22 @@ def test_wide_window_scan_memory_stays_within_a_few_window_grams(tmp_path):
     peak_mb = _peak_rss_mb(tmp_path / "wide", 600, 512)
     gram_mb = (2 * 512) ** 2 * 8 / 2**20
     assert peak_mb - base_mb < WIDE_WINDOW_GRAMS * gram_mb, f"peak RSS {peak_mb:.0f} MB, tiny scan {base_mb:.0f} MB"
+
+
+#: the window phase's arrays in flight hold about BLOCK_DISTANCES (2**21)
+#: numbers, 16 MB; a --bootstraps 2000 scan may peak at most twice that
+#: above a tiny scan
+LARGE_NULL_MB = 32
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for the child's own peak RSS")
+def test_large_null_scan_memory_stays_within_the_budget(tmp_path):
+    # at stride 1 and w = 32 a window's null (counts, their float copy and
+    # their product with the Gram, 2 x 2000 x 64 numbers each) outweighs its
+    # Gram 50-fold, so the budget must count it: runs of 32 such windows
+    # would hold about 200 MB a thread
+    (tmp_path / "tiny").mkdir()
+    (tmp_path / "null").mkdir()
+    base_mb = _peak_rss_mb(tmp_path / "tiny", 40, 8)
+    peak_mb = _peak_rss_mb(tmp_path / "null", 95, 32, bootstraps=2000)
+    assert peak_mb - base_mb < LARGE_NULL_MB, f"peak RSS {peak_mb:.0f} MB, tiny scan {base_mb:.0f} MB"

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -128,11 +130,14 @@ def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
 
 @pytest.mark.parametrize("budget_windows, workers", [(1, 1), (3, 2), (5, 3)])
 def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, workers):
-    # a run's Gram budget is BLOCK_DISTANCES // workers entries: with room for
-    # budget_windows + 4 window Grams a worker, runs of stride-1 windows hold
-    # budget_windows windows instead of SCAN_WIDTH
+    # a run's budget is BLOCK_DISTANCES // workers numbers. A window holds
+    # its Gram and 4k(3w + block) null numbers, a run's span Gram under 4
+    # window Grams: with room for those and budget_windows windows a worker,
+    # runs of stride-1 windows hold budget_windows windows, not SCAN_WIDTH
+    gram = 4 * SCAN_WIDTH**2
+    window = gram + 4 * 9 * (3 * SCAN_WIDTH + SCAN_WIDTH)  # k = 9, paired blocks of SCAN_WIDTH rows
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", workers * (budget_windows + 4) * 4 * SCAN_WIDTH**2)
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", workers * (4 * gram + budget_windows * window))
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
     grams = []
@@ -144,6 +149,18 @@ def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypa
         # 33 windows in runs of budget_windows; a run of n windows pools 2 * (SCAN_WIDTH + n - 1) rows
         assert grams.count(2 * (SCAN_WIDTH + budget_windows - 1)) == 33 // budget_windows
         assert got == _window_test_loop(RBF_FIXED, x, y, 1, 9, 6, estimator, "paired_halves", 1.0)
+
+
+@pytest.mark.parametrize("stride, threaded", [(1, True), (SCAN_WIDTH, False), (2 * SCAN_WIDTH, False)])
+def test_only_runs_of_several_windows_go_to_threads(monkeypatch, stride, threaded):
+    # windows that share no Gram are tested in order on the calling thread
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    threads = set()
+    real = resample.kernel_matrix
+    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: threads.add(threading.get_ident()) or real(*args))
+    x, y = _windows(23, 40, 2)
+    scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, stride, 9, 6, "paired_halves", "biased", 1.0)
+    assert (threads != {threading.get_ident()}) == threaded
 
 
 def _windows(seed, rows, dims):

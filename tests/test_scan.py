@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from driftscan import kernels
 from driftscan.embeddings import DatasetPair, EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec
 from driftscan.mmd import mmd
@@ -220,20 +221,24 @@ def test_linear_kernel_scan_runs():
     assert report.bandwidth_used is None
 
 
-@pytest.mark.parametrize("bandwidth, pooled_copies", [("median", 2), ("median-window", 0), (1.5, 0)])
+@pytest.mark.parametrize("bandwidth, copies_both_sides", [("median", True), ("median-window", False), (1.5, False)])
 @pytest.mark.parametrize("family", ["rbf", "linear"])
-def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, bandwidth, pooled_copies):
+def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, bandwidth, copies_both_sides):
     # the shared bandwidth reads both sides' rows only for the global median;
     # the windows read slices of the stored rows, never a float64 copy of a side
     pair = gaussian_pair(seed=17, n=40)
-    copied = []
-    real = EmbeddingMatrix.as_float64
-    monkeypatch.setattr(EmbeddingMatrix, "as_float64", lambda m: copied.append(m.rows) or real(m))
+    copied, pooled = [], []
+    real_copy = EmbeddingMatrix.as_float64
+    monkeypatch.setattr(EmbeddingMatrix, "as_float64", lambda m: copied.append(m.rows) or real_copy(m))
+    median = kernels.median_heuristic_bandwidth
+    monkeypatch.setattr(kernels, "median_heuristic_bandwidth", lambda rows: pooled.append(len(rows)) or median(rows))
     spec = KernelSpec(family, bandwidth)
     drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=spec))
     null_calibration(trials=2, n=40, dims=3, window=8, bootstraps=5, alpha=0.5, seed=1, kernel=spec)
-    expected = pooled_copies if spec.needs_bandwidth else 0
-    assert copied == [40] * (expected * 3)  # the scan, then each trial: both sides' 40 rows
+    assert copied == []
+    assert set(pooled) <= {16, 80}  # a window's two sides or both full inputs
+    # the scan, then each trial
+    assert pooled.count(80) == (3 if copies_both_sides and spec.needs_bandwidth else 0)
 
 
 def test_config_validation():
