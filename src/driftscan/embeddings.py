@@ -21,7 +21,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -134,25 +133,47 @@ def _format_value(v: np.float32) -> str:
     return np.format_float_positional(v, unique=True, trim="-")
 
 
-def _raise_field_error(fields: list[str], path: str, lineno: int, row: int) -> NoReturn:
-    # the first bad field of a row, in column order: text that is not a
-    # number is a FormatError, a non-finite number a ValidationError
-    for col, field in enumerate(fields):
-        try:
-            value = float(field)
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: column {col}: cannot parse {field.strip()!r} as a number"
-            ) from None
-        if not math.isfinite(value):
-            raise ValidationError(f"{path}: non-finite value at row {row}, column {col}")
-    raise AssertionError(f"{path}: line {lineno} has no bad field")
+def _declared_dims(line: str, path: str) -> int | None:
+    # the dims of a stripped first line '# dims=<d>', None for any other line
+    if not (line.startswith("#") and line[1:].strip().startswith("dims=")):
+        return None
+    tail = line[1:].strip()[len("dims="):]
+    try:
+        dims = int(tail)
+    except ValueError:
+        raise FormatError(f"{path}: line 1: bad dims declaration {tail!r}") from None
+    if dims < 1:
+        raise FormatError(f"{path}: line 1: dims must be >= 1, got {dims}")
+    return dims
 
 
 def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
-    # Each row is parsed with one map(float) and checked with one
-    # map(math.isfinite); only a row that fails either is walked field by
-    # field, to name its first bad column.
+    # numpy's C reader parses the data lines in one call. Its float32
+    # converter parses each field to a double as float() does, then casts,
+    # so it gives the bits of from_array. It refuses every field float()
+    # refuses, but strips the control character U+001F around a field,
+    # which float() keeps. Such text, and every file numpy refuses or that
+    # holds a non-finite value, goes to the strict walker, which alone
+    # names an error's position.
+    lines = [line.strip() for line in text.splitlines()]
+    declared_dims = _declared_dims(lines[0], path) if lines else None
+    data = [line for line in lines if line and not line.startswith("#")]
+    if data and "\x1f" not in text:  # loadtxt warns on empty input
+        try:
+            values = np.loadtxt(data, delimiter=",", dtype=np.float32, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if declared_dims in (None, values.shape[1]) and np.isfinite(values).all():
+                values.flags.writeable = False
+                return EmbeddingMatrix(values)
+    return _parse_csv_strict(text, path)
+
+
+def _parse_csv_strict(text: str, path: str) -> EmbeddingMatrix:
+    # Row by row and field by field, with float(): the first bad field of
+    # the first bad row sets the error, text that is not a number as a
+    # FormatError, a non-finite number as a ValidationError.
     declared_dims = None
     rows: list[list[float]] = []
     width = None
@@ -161,14 +182,8 @@ def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
         if not line:
             continue
         if line.startswith("#"):
-            if lineno == 1 and line[1:].strip().startswith("dims="):
-                tail = line[1:].strip()[len("dims="):]
-                try:
-                    declared_dims = int(tail)
-                except ValueError:
-                    raise FormatError(f"{path}: line 1: bad dims declaration {tail!r}") from None
-                if declared_dims < 1:
-                    raise FormatError(f"{path}: line 1: dims must be >= 1, got {declared_dims}")
+            if lineno == 1:
+                declared_dims = _declared_dims(line, path)
             continue
         fields = line.split(",")
         if width is None:
@@ -181,13 +196,18 @@ def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
             raise FormatError(
                 f"{path}: line {lineno}: ragged row, has {len(fields)} values, expected {width}"
             )
-        try:
-            parsed = list(map(float, fields))
-        except ValueError:
-            parsed = None
-        if parsed is None or not all(map(math.isfinite, parsed)):
-            _raise_field_error(fields, path, lineno, len(rows))
-        rows.append(parsed)
+        row = []
+        for col, field in enumerate(fields):
+            try:
+                value = float(field)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: column {col}: cannot parse {field.strip()!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}: non-finite value at row {len(rows)}, column {col}")
+            row.append(value)
+        rows.append(row)
     if not rows:
         if declared_dims is None:
             raise FormatError(f"{path}: no data rows and no '# dims=<d>' header")

@@ -51,6 +51,14 @@ BOOTSTRAP_TAG = "bootstrap"
 #: entry drew iteration i of window w from (base_seed, BOOTSTRAP_TAG, w, i).
 RNG_SCHEME = "window-stream"
 
+#: float64 numbers (2 GB) one window test may hold at its peak. Settings
+#: whose windows would need more are refused before any window runs, the
+#: same way on every machine: the machine's memory is not read.
+WINDOW_NUMBERS = 1 << 28
+#: a window test's peak over its pool Gram, measured (VmHWM) at w = 1024:
+#: the Gram plus the observed statistic's one contiguous copied block
+GRAM_PEAK_RATIO = 1.25
+
 
 @dataclass(frozen=True, eq=False)
 class BootstrapResult:
@@ -71,7 +79,11 @@ class BootstrapResult:
 
 
 def block_size(rows: int, bootstraps: int, split_policy: str, estimator: str) -> int:
-    """Rows per bootstrap block for windows of ``rows`` rows; ValueError for settings that cannot run."""
+    """Rows per bootstrap block for windows of ``rows`` rows.
+
+    ValueError for settings that cannot run, among them windows whose one
+    test would peak above ``WINDOW_NUMBERS``.
+    """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if split_policy not in SPLIT_POLICIES:
@@ -83,7 +95,17 @@ def block_size(rows: int, bootstraps: int, split_policy: str, estimator: str) ->
         raise ValueError(f"split {split_policy!r} with windows of {rows} rows leaves empty blocks")
     if estimator == "unbiased" and block < 2:
         raise ValueError("unbiased estimator needs blocks of >= 2 rows")
+    peak = GRAM_PEAK_RATIO * 4 * rows * rows + _null_numbers(rows, bootstraps, block)
+    if peak > WINDOW_NUMBERS:
+        raise ValueError(
+            f"windows of {rows} rows with {bootstraps} bootstraps need about {peak * 8 / 2**30:.1f} GB, "
+            f"over the {WINDOW_NUMBERS * 8 / 2**30:.0f} GB one window test may hold (resample.WINDOW_NUMBERS)")
     return block
+
+
+def _null_numbers(width: int, k: int, block: int) -> int:
+    # a window's null: three (2, k, 2 * width) count and product arrays, two (k, 2 * block) draws
+    return 4 * k * (3 * width + block)
 
 
 def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimator: str) -> np.ndarray:
@@ -197,8 +219,7 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     block = block_size(width, k, split_policy, estimator)
     ends = range(width, x.shape[0] + 1, stride)
     entries = 4 * width * width  # one window's pool Gram
-    # a window's Gram, its null's three (2, k, 2 * width) count and product arrays, two (k, 2 * block) draws
-    footprint = entries + 4 * k * (3 * width + block)
+    footprint = entries + _null_numbers(width, k, block)
     workers = min(kernels._usable_cpus(), len(ends), max(1, kernels.BLOCK_DISTANCES // footprint))
     # a run spans under 2 * width rows a side, so its Gram has under 4 * entries
     size = 1 if spec.per_window_bandwidth else max(

@@ -234,6 +234,23 @@ def test_blocks_too_small_for_the_settings_exit_one(pair_files, capsys, argv, me
 
 
 @pytest.mark.parametrize("argv", [
+    ["scan", "--window", "8192"],
+    ["scan", "--bootstraps", "1000000"],
+    ["calibrate", "--trials", "2", "--n", "8192", "--window", "8192"],
+], ids=["scan-window", "scan-bootstraps", "calibrate-window"])
+def test_window_over_the_memory_limit_exits_one(pair_files, capsys, argv):
+    # one window test would need over 2 GB (a 2w x 2w Gram, or its null's
+    # k x 2w arrays); the flags alone refuse it, before any window is built
+    ref, target = pair_files
+    inputs = ["--ref", ref, "--target", target] if argv[0] == "scan" else []
+    assert main([*argv, *inputs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: windows of ") and captured.err.count("\n") == 1
+    assert "resample.WINDOW_NUMBERS" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "mixture", "--n", "10", "--out", "mix.csv"],
     ["simulate", "ratio-drift", "--n", "64"],
     ["correlate", "--profile", "0,1", "--n", "64"],

@@ -1,18 +1,24 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from driftscan import embeddings
 from driftscan.embeddings import (
     DataError,
     DatasetPair,
     EmbeddingMatrix,
     FormatError,
     ValidationError,
+    _parse_csv,
+    _parse_csv_strict,
     load_embeddings,
     save_embeddings,
 )
+from peak_rss import HAS_PROC_STATUS, peak_rise_mb
 
 finite_f32 = st.floats(
     min_value=-(2.0**60), max_value=2.0**60, allow_nan=False, allow_infinity=False, width=32
@@ -232,3 +238,91 @@ def test_take_rows_slices():
     m = EmbeddingMatrix.from_array([[0.0], [1.0], [2.0], [3.0]])
     s = m.take_rows(1, 3)
     np.testing.assert_array_equal(s.values, np.array([[1.0], [2.0]], dtype=np.float32))
+
+
+def _shortest(v: float) -> str:
+    return np.format_float_positional(np.float32(v), unique=True, trim="-")
+
+
+def _near_halfway(v: float, digits: int) -> str:
+    # a decimal of `digits` significant digits next to the midpoint of v and
+    # its float32 neighbour towards zero, where decimal -> double -> float32
+    # could round apart
+    a = np.float32(v)
+    return f"{Decimal((float(a) + float(np.nextafter(a, np.float32(0)))) / 2):.{digits}e}"
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+#: values that numpy's reader refuses or that are not finite float32s,
+#: including U+001F, which numpy strips around a field and float() keeps
+_AWKWARD = ["1_0", "\u0661", "nan", "-inf", "1e39", "", "x", "1e-50", "-0", "\x1f1", "2\x1f"]
+_PADS = ["", "", " ", "\t", " \t ", "\xa0"]
+
+
+@st.composite
+def csv_texts(draw):
+    clean = draw(st.booleans())
+    number = st.one_of(_F32.map(_shortest), st.builds(_near_halfway, _F32, st.integers(9, 40)))
+    if not clean:
+        number = st.one_of(number, st.sampled_from(_AWKWARD))
+    field = st.builds("{}{}{}".format, st.sampled_from(_PADS), number, st.sampled_from(_PADS))
+    width = draw(st.integers(1, 4))
+    widths = st.sampled_from([width] * 4 + ([] if clean else [width - 1, width + 1]))
+    row = widths.flatmap(lambda d: st.lists(field, min_size=d, max_size=d)).map(",".join)
+    other = st.sampled_from(["", "   ", "# note", "#,1"])
+    lines = draw(st.lists(st.one_of(row, row, row, other), max_size=6))
+    header = draw(st.sampled_from([None, f"# dims={width}", f" #dims={width + 1}", "# dims=x", "# dims=0"]))
+    if header is not None:
+        lines.insert(0, header)
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text, "f.csv")
+    except DataError as exc:
+        return type(exc), str(exc)
+    return m.values.shape, m.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example("1,2\n3,\x1f4\n")
+@example("# dims=2\n1_0,2\n")
+@example("1,\u0661\r\n")
+@example("1,1e39\n")
+@example("# dims=3\n1,2\n")
+def test_csv_parse_matches_the_strict_walker(text):
+    # numpy's reader must give the walker's float32 bits, or send the text
+    # to the walker for its value or its error
+    assert _outcome(_parse_csv, text) == _outcome(_parse_csv_strict, text)
+
+
+def test_valid_csv_never_reaches_the_strict_walker(tmp_path, monkeypatch):
+    # a numpy upgrade or a refactor that sent every file down the slow path
+    # would pass every other test
+    def refuse(text, path):
+        raise AssertionError(f"{path} went to the strict walker")
+
+    monkeypatch.setattr(embeddings, "_parse_csv_strict", refuse)
+    p = tmp_path / "m.csv"
+    p.write_text("1.5,-2\n3,4e-3\n")
+    assert load_embeddings(p, "csv").values.tolist() == [[1.5, -2.0], [3.0, np.float32(4e-3)]]
+    p.write_text("# dims=2\n# note\n 1 , 2 \r\n\n3,4\n")
+    assert load_embeddings(p, "csv").values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+#: a CSV load may peak this many times the file's size above the loading
+#: process's resident size: the bytes, the text, its lines and the float32
+#: matrix take about 3.4 times, where a list of Python floats per row took 8
+CSV_LOAD_FILE_SIZES = 5
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_csv_load_memory_stays_within_a_few_file_sizes(tmp_path):
+    p = tmp_path / "m.csv"
+    save_embeddings(EmbeddingMatrix.from_array(np.random.default_rng(3).standard_normal((4000, 64))), p, "csv")
+    rise_mb = peak_rise_mb("from driftscan.embeddings import load_embeddings", f"load_embeddings({str(p)!r}, 'csv')")
+    file_mb = p.stat().st_size / 2**20
+    assert rise_mb < CSV_LOAD_FILE_SIZES * file_mb, f"load peaked {rise_mb:.1f} MB above start for {file_mb:.1f} MB"

@@ -9,6 +9,7 @@ from driftscan.kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from driftscan.mmd import mmd, mmd_sq_from_gram
 from driftscan.resample import BOOTSTRAP_TAG, null_stats_from_gram, scan_window_tests, window_test
 from driftscan.rng import check_seed, derive_rng, derive_seed
+from peak_rss import HAS_PROC_STATUS, peak_rise_mb
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
 
@@ -223,6 +224,29 @@ def test_split_policy_preconditions():
     x, y = _windows(6, 3, 2)
     _, result = window_test(RBF_FIXED, x, y, 5, 0, "literal_quarter", "biased")
     assert result.stats.shape == (5,)
+
+
+def test_block_size_refuses_windows_past_window_numbers():
+    # 4096-row windows peak at about 0.65 GB and pass; 8192-row ones at about 2.5 GB
+    assert resample.block_size(4096, 50, "paired_halves", "biased") == 4096
+    with pytest.raises(ValueError, match="8192 rows with 50 bootstraps need about 2.5 GB"):
+        resample.block_size(8192, 50, "paired_halves", "biased")
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_one_window_test_peaks_near_its_measured_gram_ratio():
+    # block_size refuses settings by GRAM_PEAK_RATIO times the Gram; a window
+    # test that held more copies of its Gram would pass settings that cannot fit
+    setup = """
+import numpy as np
+from driftscan.kernels import KernelSpec
+from driftscan.resample import window_test
+x, y = np.random.default_rng(0).standard_normal((2, 1024, 8))
+window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "paired_halves", "biased", 1.0)  # lazy imports
+"""
+    rise_mb = peak_rise_mb(setup, 'window_test(KernelSpec("rbf", 1.0), x, y, 1, 0, "paired_halves", "biased", 1.0)')
+    gram_mb = (2 * 1024) ** 2 * 8 / 2**20
+    assert rise_mb < (resample.GRAM_PEAK_RATIO + 0.25) * gram_mb, f"peak {rise_mb:.1f} MB over a {gram_mb:.0f} MB Gram"
 
 
 def test_literal_and_paired_differ():
