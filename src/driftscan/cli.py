@@ -175,16 +175,17 @@ def cmd_mmd(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ref = load_embeddings(args.ref, args.format)
-    target = load_embeddings(args.target, args.format)
-    if args.batch_size is not None:
-        ref = batch_means(ref, BatchConfig(args.batch_size, shuffle=True,
-                                           seed=derive_seed(args.seed, "batch-ref")))
-        target = batch_means(target, BatchConfig(args.batch_size, shuffle=True,
-                                                 seed=derive_seed(args.seed, "batch-target")))
+    # the flags are checked before the inputs are read: a usage error costs no parse
     config = _scan_config(args)
+    batches = [] if args.batch_size is None else [
+        BatchConfig(args.batch_size, shuffle=True, seed=derive_seed(args.seed, f"batch-{side}"))
+        for side in ("ref", "target")
+    ]
     _warn_if_unflaggable(config.bootstraps, config.alpha, "window")
-    report = drift_scan(DatasetPair(ref, target), config)
+    sides = [load_embeddings(path, args.format) for path in (args.ref, args.target)]
+    if batches:
+        sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
+    report = drift_scan(DatasetPair(*sides), config)
     payload = report_to_dict(report)
     payload["config"]["cli"] = _echo("scan", args)
     _emit_json(payload, args.out)

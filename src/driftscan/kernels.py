@@ -5,9 +5,24 @@ bandwidth is a length scale, not a variance. The default bandwidth policy is
 the median heuristic: the median of all pairwise Euclidean distances over the
 pooled samples, computed once before a scan so that per-window statistics are
 comparable. It is exact for any number of rows without holding every
-distance: beyond ``BLOCK_DISTANCES`` pairs the distances are made one row
+distance: beyond ``BLOCK_DISTANCES`` pairs the pairs are visited one row
 block at a time, on every CPU the process may use, and only those inside a
 bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
+
+The blocks are filtered by BLAS and checked by ``cdist``. One matrix product
+of ``[-2c, 1, |c|^2]`` rows with ``[c, |c|^2, 1]`` rows, for the centred rows
+``c = x - mean(x)``, approximates each squared distance to within
+``delta = C u (2R)^2`` of the square of ``cdist``'s (``u = 2**-53``, ``R``
+the largest centred row norm, ``C = 4(d + 4) + 8``). In units of
+``u (2R)^2``, for any summation order with or without FMA (Higham 2002,
+*Accuracy and Stability of Numerical Algorithms*, section 3.1), the
+length-(d + 2) dot product errs by d + 2, the row norms by d / 2, the
+centring by 2, and scipy's sum of squares and its square root by d + 4; the
+rest of C covers the thresholds' rounding. So the exact squared distance of
+rank k is within ``delta`` of the approximate one: the pairs more than
+``2 delta`` below or above that are only counted, and the rest, the near
+set, are measured by ``cdist``. BLAS decides only which pairs are
+recomputed, never the value.
 
 ``scipy.spatial`` is imported inside the functions that use it, so that
 importing the package (and every CLI call) does not pay for it.
@@ -99,13 +114,14 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     values is returned. The result is exact, bit for bit the value of
     ``np.partition(pdist(x), k)[k]``. Inputs with more than
     ``BLOCK_DISTANCES`` pairs are measured one row block at a time and keep
-    only the distances near the median (see
+    only the pairs near the median (see
     :func:`_blockwise_order_statistic`): 16000 rows keep about 8M of their
-    128M distances, 61 MB where one ``pdist`` vector takes 1 GB. Raises
-    :class:`DegenerateInputError` when fewer than two rows are given or the
-    median pairwise distance is zero; callers should fall back to a fixed
-    bandwidth in that case. Raises :class:`ValidationError` on non-finite
-    values.
+    128M pairs at 8 bytes each, 61 MB where one ``pdist`` vector takes 1 GB.
+    Raises :class:`DegenerateInputError` when fewer than two rows are given
+    or the median pairwise distance is zero; callers should fall back to a
+    fixed bandwidth in that case. Raises :class:`ValidationError` on
+    non-finite values, and on blockwise inputs whose squared row norms
+    overflow.
     """
     x = samples.as_float64() if isinstance(samples, EmbeddingMatrix) else np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
@@ -131,29 +147,49 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
 def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     """The k-th smallest (0-based) pairwise distance of ``x``'s rows, exactly.
 
-    A bracket [lo, hi] around rank k comes from the distances of a strided
-    row sample, at the quantiles ``BRACKET_MARGIN`` either side of k's.
-    One pass over row blocks (:func:`_count_and_keep`) counts the distances
-    below ``lo`` and keeps those inside; the answer is the (k - below)-th
-    kept value. A bracket that misses rank k tells on which side the answer
-    lies; the next bracket starts just past it on that side and ends at a
-    quantile four times further out, read from a strided sample of all the
-    distances the pass saw, or runs to infinity. The sample only sets how
-    many passes are made, never the value.
+    A bracket [lo, hi] of squared distances around rank k comes from a
+    strided row sample, at the quantiles ``BRACKET_MARGIN`` either side of
+    k's. One pass over row blocks (:func:`_count_and_keep`) counts the
+    approximations below ``lo`` and keeps those inside; the kept one of rank
+    k - below fixes the near set, and :func:`_near_order_statistic` the
+    answer. A near set that reaches past the bracket takes one more pass, on
+    a bracket around it. A bracket that misses rank k tells on which side
+    the answer lies; the next bracket starts just past it on that side and
+    ends at a quantile four times further out, read from a strided sample of
+    all the approximations the pass saw, or runs to infinity.
     """
     from scipy.spatial.distance import pdist
 
-    n = x.shape[0]
+    n, d = x.shape
     pairs = n * (n - 1) // 2
     share = k / (pairs - 1)
     stride = max(1, pairs // SEEN_DISTANCES)
     margin = BRACKET_MARGIN
-    lo, hi = _quantile_bracket(pdist(x[:: -(-n // BRACKET_SAMPLE_ROWS)], "euclidean"), share, margin)
+    rows = np.empty((n, d + 2))  # [c, |c|^2, 1] for the centred rows c
+    c = np.subtract(x, x.mean(axis=0), out=rows[:, :d])
+    rows[:, d] = np.einsum("ij,ij->i", c, c)
+    rows[:, d + 1] = 1.0
+    top = 4.0 * max(float(rows[:, d].max()), np.finfo(np.float64).tiny)  # (2R)^2; tiny covers underflow
+    delta = (4 * (d + 4) + 8) * 2.0**-53 * top
+    if not math.isfinite(delta):
+        raise ValidationError("median heuristic needs rows whose squared norms are finite")
+    scale = 2.0 ** -math.frexp(top)[1]  # kept values fit in float32's range
+    lo, hi = _quantile_bracket(pdist(x[:: -(-n // BRACKET_SAMPLE_ROWS)], "sqeuclidean"), share, margin)
     while True:
-        below, kept, seen = _count_and_keep(x, lo, hi, stride)
-        if below <= k < below + kept.size:
-            kept.partition(k - below)
-            return float(kept[k - below])
+        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, scale)
+        if below <= k < below + sum(v.size for _, _, v in blocks):
+            values = np.concatenate([v for _, _, v in blocks])
+            values.partition(k - below)
+            # the approximation of rank k lies between the float32 neighbours
+            # of its kept value, unscaled; the exact one within delta of it
+            v = values[k - below]
+            near_lo = float(np.nextafter(v, -np.inf, dtype=np.float32)) / scale - 2 * delta
+            near_hi = float(np.nextafter(v, np.inf, dtype=np.float32)) / scale + 2 * delta
+            if lo <= near_lo and near_hi <= hi:
+                return _near_order_statistic(x, blocks, k - below, np.float32(near_lo * scale),
+                                             np.float32(near_hi * scale))
+            lo, hi = near_lo - 2 * delta, near_hi + 2 * delta
+            continue
         margin *= 4
         wide_lo, wide_hi = _quantile_bracket(seen, share, margin)
         if k < below:  # the answer is below lo
@@ -162,21 +198,20 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(x: np.ndarray, lo: float, hi: float, stride: int):
-    """One pass over the pairs i < j of ``x``'s rows, in row blocks shared by threads.
+def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: float):
+    """One pass over the pairs i < j, in row blocks shared by threads.
 
-    The blocks run on one thread per usable CPU, since ``cdist`` and numpy's
-    large element-wise ops release the GIL. Each holds at most
-    ``BLOCK_DISTANCES // workers`` distances (unless one row has more), so
-    the pass holds no more than ``BLOCK_DISTANCES`` at once on any machine.
-    Returns the count of distances below ``lo``, the distances in [lo, hi],
-    and every ``stride``-th distance of each block, merged in row order.
+    The blocks run on one thread per usable CPU, since BLAS and numpy's large
+    element-wise ops release the GIL. Each holds at most ``BLOCK_DISTANCES //
+    workers`` approximations (unless one row has more), so the pass holds no
+    more than ``BLOCK_DISTANCES`` at once on any machine. Returns the count
+    below ``lo``; per block, its first row, the int32 offsets of the
+    approximations in [lo, hi] and those times ``scale`` in float32; and
+    every ``stride``-th approximation, merged in row order.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from scipy.spatial.distance import cdist
-
-    n = x.shape[0]
+    n = rows.shape[0]
     workers = _usable_cpus()
     spans = []
     a = 0
@@ -189,15 +224,40 @@ def _count_and_keep(x: np.ndarray, lo: float, hi: float, stride: int):
 
     def block(span):
         a, b = span
-        d = cdist(x[a:b], x[a:], "euclidean")  # the same bits as pdist
-        d[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
-        # the sample is a copy, so that d is freed
-        return np.count_nonzero(d < lo), d[(d >= lo) & (d <= hi)], d.ravel()[::stride].copy()
+        # [-2c_i, 1, |c_i|^2] . [c_j, |c_j|^2, 1] = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
+        p = np.matmul(np.column_stack([-2.0 * rows[a:b, :-2], rows[a:b, :-3:-1]]), rows[a:].T)
+        p[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
+        kept = np.flatnonzero((p >= lo) & (p <= hi))
+        p = p.ravel()
+        values = (p[kept] * scale).astype(np.float32)
+        # the sample is a copy, so that p is freed
+        return np.count_nonzero(p < lo), (a, kept.astype(np.int32), values), p[::stride].copy()
 
     with ThreadPoolExecutor(workers) as pool:
-        below, kept, seen = zip(*pool.map(block, spans))
+        below, blocks, seen = zip(*pool.map(block, spans))
     seen = np.concatenate(seen)
-    return sum(below), np.concatenate(kept), seen[~np.isnan(seen)]
+    return sum(below), blocks, seen[~np.isnan(seen)]
+
+
+def _near_order_statistic(x: np.ndarray, blocks, rank: int, lower: np.float32, upper: np.float32) -> float:
+    """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those in [lower, upper]."""
+    from scipy.spatial.distance import cdist
+
+    n, d = x.shape
+    i, j = [], []
+    for a, kept, values in blocks:
+        rank -= np.count_nonzero(values < lower)
+        row, col = np.divmod(kept[(values >= lower) & (values <= upper)], n - a)
+        i.append(a + row)
+        j.append(a + col)
+    i, j = np.concatenate(i), np.concatenate(j)  # in row order
+    exact = np.empty(i.size)
+    # each call starts at a new row or every BLOCK_DISTANCES // d pairs
+    cuts = np.union1d(np.flatnonzero(np.diff(i, prepend=-1)), np.arange(0, i.size, max(1, BLOCK_DISTANCES // d)))
+    for a, b in zip(cuts, [*cuts[1:], i.size]):
+        exact[a:b] = cdist(x[i[a] : i[a] + 1], x[j[a:b]], "euclidean")[0]
+    exact.partition(rank)
+    return float(exact[rank])
 
 
 def _usable_cpus() -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import driftscan
+from driftscan import cli
 from driftscan.cli import main
 from driftscan.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
@@ -53,6 +54,18 @@ def test_scan_writes_schema_compliant_report(pair_files, tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[1] == "t_index,observed_sq,boot_median,p_value"
     assert len(report["windows"]) == 40 - 8 + 1
+
+
+@pytest.mark.parametrize("flags", [["--window", "8192"], ["--batch-size", "0"], ["--alpha", "1.5"]])
+def test_scan_checks_its_flags_before_reading_the_inputs(flags, monkeypatch, capsys):
+    # a usage error costs no parse, and wins (exit 1) over an input that
+    # cannot be read (exit 2)
+    def unread(*args):
+        raise AssertionError("scan read its inputs before checking its flags")
+
+    monkeypatch.setattr(cli, "load_embeddings", unread)
+    assert main(["scan", "--ref", "missing.csv", "--target", "missing.csv", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_scan_stdout_when_no_out(pair_files, capsys):

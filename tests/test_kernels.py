@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from driftscan.kernels import (
     resolve_bandwidth,
 )
 from oracle import kernel_value
+from peak_rss import HAS_PROC_STATUS, peak_rise_mb
 
 RBF = KernelSpec("rbf", 1.0)
 LINEAR = KernelSpec("linear")
@@ -199,14 +204,58 @@ def _float32_rows(n, rng):
     return EmbeddingMatrix.from_array(rng.standard_normal((n, 5)) * 1e3)
 
 
-@pytest.mark.parametrize("make", [_tied_rows, _drift_rows, _float32_rows])
+def _offset_rows(n, rng):
+    # |x|^2 + |y|^2 - 2 x.y of rows 1e6 from the origin cancels to noise
+    # unless the rows are centred first
+    return rng.standard_normal((n, 4)) + 1e6
+
+
+def _outlier_rows(n, rng):
+    # one row far from the rest inflates R, and with it delta and the near set
+    x = rng.standard_normal((n, 4))
+    x[n // 3] = 1e5
+    return x
+
+
+def _far_cluster_rows(n, rng):
+    # a fifth of the rows 1e7 away: the mean lies 2e6 from the rest, so the
+    # approximations near the median err far more than float32 rounds, and
+    # only delta keeps them apart
+    x = rng.standard_normal((n, 4))
+    x[: n // 5, 0] += 1e7
+    return x
+
+
+def _lattice_rows(n, rng):
+    # small integer rows: long runs of equal distances, one of them at rank
+    # k, whose pairs all fall in the near set
+    return rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+
+
+def _near_duplicate_rows(n, rng):
+    # copies of five points, each moved by about 1e-9: the distances come in
+    # five clusters far narrower than the bracket, ordered only by cdist
+    return rng.standard_normal((5, 3))[rng.integers(0, 5, size=n)] + 1e-9 * rng.standard_normal((n, 3))
+
+
+def _one_dim_rows(n, rng):
+    return rng.standard_normal((n, 1))
+
+
+def _wide_rows(n, rng):
+    return rng.standard_normal((n, 256))
+
+
+@pytest.mark.parametrize("make", [_tied_rows, _drift_rows, _float32_rows, _offset_rows, _outlier_rows,
+                                  _far_cluster_rows, _lattice_rows, _near_duplicate_rows, _one_dim_rows,
+                                  _wide_rows])
 def test_blockwise_median_is_exact(make, monkeypatch):
     # small blocks, so that many block offsets and a partial last block occur
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
     monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
     x = make(301, np.random.default_rng(22))
     ref = _pdist_lower_median(x.values if isinstance(x, EmbeddingMatrix) else x)
-    if make is _tied_rows:  # the target rank sits inside a run of equal distances
+    if make in (_tied_rows, _lattice_rows):  # the target rank sits inside a run of equal distances
         d = np.sort(pdist(x))
         k = (d.size - 1) // 2
         assert d[k - 1] == d[k] == d[k + 1]
@@ -218,7 +267,8 @@ def test_blockwise_median_is_exact(make, monkeypatch):
 def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
     # 210 of 301 rows are the origin, so 48.6% of the distances are 0 and the
     # median lies just above them: the first bracket misses high of it and
-    # the second starts at 0, where the masked pairs j <= i must not count
+    # the second starts at a squared distance of 0, where the masked pairs
+    # j <= i must not count
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
     monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
     rng = np.random.default_rng(1)
@@ -231,13 +281,29 @@ def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
 
 def test_blockwise_median_after_a_bracket_miss(monkeypatch):
     # every other row is the origin, so the strided sample of rows is one
-    # point, its distances are all 0, and the first bracket [0, 0] misses
+    # point, its squared distances are all 0, and the first bracket [0, 0]
+    # misses
     x = np.random.default_rng(23).standard_normal((4096, 3))
     x[::2] = 0.0
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     assert passes[0] == (0.0, 0.0)
     assert len(passes) >= 6
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_blockwise_median_when_the_near_set_reaches_past_the_bracket(seed, monkeypatch):
+    # the sample is every row and the margin 0, so the first bracket is the
+    # exact squared median alone. The far-cluster approximations near it err
+    # by about 0.03, so the pairs that may hold the answer reach past any
+    # bracket that hits, and a pass on a bracket around them must follow
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
+    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 301)
+    monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0)
+    x = _far_cluster_rows(301, np.random.default_rng(seed))
+    passes = _count_passes(monkeypatch)
+    assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
+    assert len(passes) >= 2 * 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -254,13 +320,11 @@ def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_blockwise_workers_share_the_distance_budget(workers, monkeypatch):
-    # each worker's block holds at most BLOCK_DISTANCES // workers distances,
-    # so the blocks in flight together hold at most BLOCK_DISTANCES
-    from scipy.spatial import distance
-
+    # each worker's matrix product holds at most BLOCK_DISTANCES // workers
+    # approximations, so the blocks in flight together hold at most BLOCK_DISTANCES
     sizes = []
-    real = distance.cdist
-    monkeypatch.setattr(distance, "cdist", lambda a, b, metric: sizes.append(len(a) * len(b)) or real(a, b, metric))
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: sizes.append(a.shape[0] * b.shape[1]) or real(a, b))
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 6000)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
     x = np.random.default_rng(25).standard_normal((400, 3))
@@ -268,11 +332,61 @@ def test_blockwise_workers_share_the_distance_budget(workers, monkeypatch):
     assert 6000 // workers - 400 < max(sizes) <= 6000 // workers
 
 
+#: a child that prints the blockwise median of 2100 seeded rows (2.2M pairs)
+_BLAS_CHILD = """
+import numpy as np
+from driftscan.kernels import median_heuristic_bandwidth
+x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
+print(repr(median_heuristic_bandwidth(x)))
+"""
+
+
+def test_blockwise_median_is_the_same_bits_for_any_blas_threads():
+    # BLAS picks its own summation order for each thread count; it may move
+    # the approximations, never the answer
+    x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
+    assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.BLOCK_DISTANCES
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
+    printed = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env={**env, **threads},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout.strip())
+    assert printed == [repr(_pdist_lower_median(x))] * 2
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_blockwise_median_holds_each_kept_pair_once():
+    # 16000 rows keep about 7.7M of their 128M pairs: 8 bytes each, and 4
+    # more for the partition of their values. Measured at 105 MB on a 2-core
+    # box; holding the kept distances twice, as float64 slices and their
+    # concatenation, peaked at 132 MB there
+    setup = """
+import numpy as np
+from driftscan import kernels
+kernels.BLOCK_DISTANCES = 1 << 16  # small blocks, so that the kept pairs set the peak
+x = np.random.default_rng(27).standard_normal((16000, 2))
+kernels.median_heuristic_bandwidth(x[:100])  # lazy imports
+"""
+    rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
+    assert rise_mb < 118, f"peak {rise_mb:.1f} MB"
+
+
 def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 500)
     x = np.zeros((120, 2))
     x[-1] = 1.0
     with pytest.raises(DegenerateInputError):
+        median_heuristic_bandwidth(x)
+
+
+def test_blockwise_median_rejects_rows_whose_squares_overflow(monkeypatch):
+    # the error bound would be infinite and the approximations NaN
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 500)
+    x = np.random.default_rng(28).standard_normal((120, 2)) * 1e160
+    with pytest.raises(ValidationError, match="squared norms"):
         median_heuristic_bandwidth(x)
 
 
