@@ -9,20 +9,17 @@ distance: beyond ``BLOCK_DISTANCES`` pairs the pairs are visited one row
 block at a time, on every CPU the process may use, and only those inside a
 bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
 
-The blocks are filtered by BLAS and checked by ``cdist``. One matrix product
-of ``[-2c, 1, |c|^2]`` rows with ``[c, |c|^2, 1]`` rows, for the centred rows
-``c = x - mean(x)``, approximates each squared distance to within
-``delta = C u (2R)^2`` of the square of ``cdist``'s (``u = 2**-53``, ``R``
-the largest centred row norm, ``C = 4(d + 4) + 8``). In units of
-``u (2R)^2``, for any summation order with or without FMA (Higham 2002,
-*Accuracy and Stability of Numerical Algorithms*, section 3.1), the
-length-(d + 2) dot product errs by d + 2, the row norms by d / 2, the
-centring by 2, and scipy's sum of squares and its square root by d + 4; the
-rest of C covers the thresholds' rounding. So the exact squared distance of
-rank k is within ``delta`` of the approximate one: the pairs more than
-``2 delta`` below or above that are only counted, and the rest, the near
-set, are measured by ``cdist``. BLAS decides only which pairs are
-recomputed, never the value.
+The filter: for the centred rows c, largest norm first, one matrix product
+of ``[-2c_i, 1, |c_i|^2]`` with ``[c_j, |c_j|^2, 1]`` approximates the squared
+distance of each pair i < j to within ``C u (2|c_i|)^2`` of the square of
+``cdist``'s (``u = 2**-53``, ``C = 4(d + 4) + 8``). In units of
+``u (|c_i| + |c_j|)^2``, in any summation order with or without FMA (Higham
+2002, *Accuracy and Stability of Numerical Algorithms*, section 3.1), the
+length-(d + 2) dot product errs by d + 2, the row norms by d, the centring
+by 2, and scipy's sum of squares and its square root by d + 4; the rest of C
+covers the rounding of thresholds. So a far outlier widens only its own
+pairs' bounds. BLAS decides only which pairs ``cdist`` measures, never the
+value.
 
 ``scipy.spatial`` is imported inside the functions that use it, so that
 importing the package (and every CLI call) does not pay for it.
@@ -111,17 +108,14 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct row pairs i < j.
 
     Deterministic: for an even number of pairs the lower of the two middle
-    values is returned. The result is exact, bit for bit the value of
-    ``np.partition(pdist(x), k)[k]``. Inputs with more than
-    ``BLOCK_DISTANCES`` pairs are measured one row block at a time and keep
-    only the pairs near the median (see
-    :func:`_blockwise_order_statistic`): 16000 rows keep about 8M of their
-    128M pairs at 8 bytes each, 61 MB where one ``pdist`` vector takes 1 GB.
+    values is returned, bit for bit ``np.partition(pdist(x), k)[k]``. Inputs
+    with more than ``BLOCK_DISTANCES`` pairs keep only the pairs near the
+    median (:func:`_blockwise_order_statistic`): 16000 rows keep about 8M of
+    their 128M pairs at 8 bytes each, 61 MB where ``pdist`` takes 1 GB.
     Raises :class:`DegenerateInputError` when fewer than two rows are given
-    or the median pairwise distance is zero; callers should fall back to a
-    fixed bandwidth in that case. Raises :class:`ValidationError` on
-    non-finite values, and on blockwise inputs whose squared row norms
-    overflow.
+    or the median is zero; callers should fall back to a fixed bandwidth.
+    Raises :class:`ValidationError` on non-finite values, and on blockwise
+    inputs whose squared row norms overflow.
     """
     x = samples.as_float64() if isinstance(samples, EmbeddingMatrix) else np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
@@ -147,16 +141,15 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
 def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     """The k-th smallest (0-based) pairwise distance of ``x``'s rows, exactly.
 
-    A bracket [lo, hi] of squared distances around rank k comes from a
-    strided row sample, at the quantiles ``BRACKET_MARGIN`` either side of
-    k's. One pass over row blocks (:func:`_count_and_keep`) counts the
-    approximations below ``lo`` and keeps those inside; the kept one of rank
-    k - below fixes the near set, and :func:`_near_order_statistic` the
-    answer. A near set that reaches past the bracket takes one more pass, on
-    a bracket around it. A bracket that misses rank k tells on which side
-    the answer lies; the next bracket starts just past it on that side and
-    ends at a quantile four times further out, read from a strided sample of
-    all the approximations the pass saw, or runs to infinity.
+    A pass (:func:`_count_and_keep`) over a bracket [lo, hi] of squared
+    distances, first read from a strided row sample at the quantiles
+    ``BRACKET_MARGIN`` either side of k's, counts the pairs surely below lo
+    and keeps those that may lie inside. The kept lower and upper bounds of
+    rank k - below hold the answer: if they lie in the bracket, the pairs
+    that may reach them are measured; if not, the pass repeats on a bracket
+    around them. A bracket that misses rank k is followed by one just past
+    it, out to a quantile four times further in the pass's sample of
+    approximations, or to infinity.
     """
     from scipy.spatial.distance import pdist
 
@@ -165,30 +158,26 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     share = k / (pairs - 1)
     stride = max(1, pairs // SEEN_DISTANCES)
     margin = BRACKET_MARGIN
-    rows = np.empty((n, d + 2))  # [c, |c|^2, 1] for the centred rows c
-    c = np.subtract(x, x.mean(axis=0), out=rows[:, :d])
-    rows[:, d] = np.einsum("ij,ij->i", c, c)
-    rows[:, d + 1] = 1.0
-    top = 4.0 * max(float(rows[:, d].max()), np.finfo(np.float64).tiny)  # (2R)^2; tiny covers underflow
-    delta = (4 * (d + 4) + 8) * 2.0**-53 * top
-    if not math.isfinite(delta):
+    c = x - x.mean(axis=0)
+    order = np.argsort(np.einsum("ij,ij->i", c, c), kind="stable")[::-1]
+    rows = np.column_stack([c[order], np.einsum("ij,ij->i", c, c)[order], np.ones(n)])  # [c, |c|^2, 1]
+    del c
+    tiny = np.finfo(np.float64).tiny  # covers underflow
+    bound = (4 * (d + 4) + 8) * 2.0**-53 * 4.0 * np.maximum(rows[:, d], tiny)  # C u (2|c_i|)^2
+    if not math.isfinite(bound[0]):
         raise ValidationError("median heuristic needs rows whose squared norms are finite")
-    scale = 2.0 ** -math.frexp(top)[1]  # kept values fit in float32's range
+    scale = 2.0 ** -math.frexp(4.0 * max(rows[0, d], tiny))[1]  # kept values fit in float32's range
+    # a kept value's bounds in a block, scaled: the block's first bound, doubled
+    # so that float32's rounding of it and of the sums is covered too
+    widths = (2 * scale * bound).astype(np.float32) + np.float32(2**-140)
     lo, hi = _quantile_bracket(pdist(x[:: -(-n // BRACKET_SAMPLE_ROWS)], "sqeuclidean"), share, margin)
     while True:
-        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, scale)
+        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, scale, bound)
         if below <= k < below + sum(v.size for _, _, v in blocks):
-            values = np.concatenate([v for _, _, v in blocks])
-            values.partition(k - below)
-            # the approximation of rank k lies between the float32 neighbours
-            # of its kept value, unscaled; the exact one within delta of it
-            v = values[k - below]
-            near_lo = float(np.nextafter(v, -np.inf, dtype=np.float32)) / scale - 2 * delta
-            near_hi = float(np.nextafter(v, np.inf, dtype=np.float32)) / scale + 2 * delta
-            if lo <= near_lo and near_hi <= hi:
-                return _near_order_statistic(x, blocks, k - below, np.float32(near_lo * scale),
-                                             np.float32(near_hi * scale))
-            lo, hi = near_lo - 2 * delta, near_hi + 2 * delta
+            lower, upper = (float(w) / scale for w in _near_window(blocks, k - below, widths))
+            if lo <= lower and upper <= hi:
+                return _near_order_statistic(x, order, blocks, k - below, lower * scale, upper * scale, widths)
+            lo, hi = min(lo, 2 * lower - upper), max(hi, 2 * upper - lower)
             continue
         margin *= 4
         wide_lo, wide_hi = _quantile_bracket(seen, share, margin)
@@ -198,16 +187,16 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: float):
+def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: float, bound: np.ndarray):
     """One pass over the pairs i < j, in row blocks shared by threads.
 
     The blocks run on one thread per usable CPU, since BLAS and numpy's large
     element-wise ops release the GIL. Each holds at most ``BLOCK_DISTANCES //
-    workers`` approximations (unless one row has more), so the pass holds no
-    more than ``BLOCK_DISTANCES`` at once on any machine. Returns the count
-    below ``lo``; per block, its first row, the int32 offsets of the
-    approximations in [lo, hi] and those times ``scale`` in float32; and
-    every ``stride``-th approximation, merged in row order.
+    workers`` approximations p (unless one row has more), so the pass holds
+    no more than ``BLOCK_DISTANCES`` at once on any machine. Returns the count
+    of p + bound below ``lo``; per block, its first row, the int32 offsets of
+    the pairs whose p -/+ bound meets [lo, hi] and their p times ``scale`` in
+    float32; and every ``stride``-th p, merged in row order.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -217,8 +206,10 @@ def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: 
     a = 0
     while a < n - 1:
         # at most an eighth of the remaining rows, so that little of the
-        # block is spent on the masked triangle
+        # block is spent on the masked triangle, and only rows whose bound
+        # is at least half the first's, so that an outlier widens no other
         b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // workers // (n - a), (n - a) // 8)))
+        b = a + max(1, np.count_nonzero(bound[a:b] >= bound[a] / 2))
         spans.append((a, b))
         a = b
 
@@ -227,11 +218,13 @@ def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: 
         # [-2c_i, 1, |c_i|^2] . [c_j, |c_j|^2, 1] = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
         p = np.matmul(np.column_stack([-2.0 * rows[a:b, :-2], rows[a:b, :-3:-1]]), rows[a:].T)
         p[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
-        kept = np.flatnonzero((p >= lo) & (p <= hi))
+        floor, ceil = lo - bound[a], hi + bound[a]  # the block's largest bound
+        kept = np.flatnonzero((p >= floor) & (p <= ceil))
+        below = np.count_nonzero(p < floor)
         p = p.ravel()
         values = (p[kept] * scale).astype(np.float32)
         # the sample is a copy, so that p is freed
-        return np.count_nonzero(p < lo), (a, kept.astype(np.int32), values), p[::stride].copy()
+        return below, (a, kept.astype(np.int32), values), p[::stride].copy()
 
     with ThreadPoolExecutor(workers) as pool:
         below, blocks, seen = zip(*pool.map(block, spans))
@@ -239,23 +232,42 @@ def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: 
     return sum(below), blocks, seen[~np.isnan(seen)]
 
 
-def _near_order_statistic(x: np.ndarray, blocks, rank: int, lower: np.float32, upper: np.float32) -> float:
-    """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those in [lower, upper]."""
+def _slack(values: np.ndarray, width: np.float32) -> np.ndarray:
+    """How far the scaled squared distances of kept pairs may lie from their float32 values."""
+    return np.abs(values) * np.float32(2**-20) + width
+
+
+def _near_window(blocks, rank: int, widths: np.ndarray) -> list:
+    """The rank-th smallest lower bound of the kept pairs, and their rank-th smallest upper bound, scaled."""
+    bounds = np.empty(sum(v.size for _, _, v in blocks), np.float32)
+    window = []
+    for sign in (-1, 1):
+        at = 0
+        for a, _, v in blocks:
+            bounds[at : at + v.size] = v + sign * _slack(v, widths[a])
+            at += v.size
+        bounds.partition(rank)
+        window.append(bounds[rank])
+    return window
+
+
+def _near_order_statistic(x: np.ndarray, order: np.ndarray, blocks, rank: int, lower, upper, widths) -> float:
+    """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those whose bounds meet [lower, upper]."""
     from scipy.spatial.distance import cdist
 
     n, d = x.shape
-    i, j = [], []
-    for a, kept, values in blocks:
-        rank -= np.count_nonzero(values < lower)
-        row, col = np.divmod(kept[(values >= lower) & (values <= upper)], n - a)
-        i.append(a + row)
-        j.append(a + col)
-    i, j = np.concatenate(i), np.concatenate(j)  # in row order
-    exact = np.empty(i.size)
-    # each call starts at a new row or every BLOCK_DISTANCES // d pairs
-    cuts = np.union1d(np.flatnonzero(np.diff(i, prepend=-1)), np.arange(0, i.size, max(1, BLOCK_DISTANCES // d)))
-    for a, b in zip(cuts, [*cuts[1:], i.size]):
-        exact[a:b] = cdist(x[i[a] : i[a] + 1], x[j[a:b]], "euclidean")[0]
+    chunk = max(1, BLOCK_DISTANCES // d)
+    exact = []
+    for a, kept, v in blocks:
+        slack = _slack(v, widths[a])
+        rank -= np.count_nonzero(v + slack < lower)
+        i, j = np.divmod(kept[(v - slack <= upper) & (v + slack >= lower)], n - a)
+        i, j = order[a + i], order[a + j]
+        runs = np.flatnonzero(np.diff(i, prepend=-1))  # where each row's pairs start
+        for start, stop in zip(runs, [*runs[1:], i.size]):
+            for c in range(start, stop, chunk):
+                exact.append(cdist(x[i[c] : i[c] + 1], x[j[c : min(c + chunk, stop)]], "euclidean")[0])
+    exact = np.concatenate(exact)
     exact.partition(rank)
     return float(exact[rank])
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import distance
 from scipy.spatial.distance import pdist
 
 from driftscan import kernels
@@ -211,7 +212,8 @@ def _offset_rows(n, rng):
 
 
 def _outlier_rows(n, rng):
-    # one row far from the rest inflates R, and with it delta and the near set
+    # one row far from the rest: its bound is vast, and must widen no other
+    # pair's
     x = rng.standard_normal((n, 4))
     x[n // 3] = 1e5
     return x
@@ -346,10 +348,11 @@ def test_blockwise_median_is_the_same_bits_for_any_blas_threads():
     # the approximations, never the answer
     x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
     assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.BLOCK_DISTANCES
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    knobs = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in knobs}
     env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
     printed = []
-    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+    for threads in ({}, dict.fromkeys(knobs, "1")):
         proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env={**env, **threads},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -357,21 +360,56 @@ def test_blockwise_median_is_the_same_bits_for_any_blas_threads():
     assert printed == [repr(_pdist_lower_median(x))] * 2
 
 
-@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
-def test_blockwise_median_holds_each_kept_pair_once():
-    # 16000 rows keep about 7.7M of their 128M pairs: 8 bytes each, and 4
-    # more for the partition of their values. Measured at 105 MB on a 2-core
-    # box; holding the kept distances twice, as float64 slices and their
-    # concatenation, peaked at 132 MB there
-    setup = """
+#: a child's setup for a blockwise median of ``x``: one BLAS thread and two
+#: workers, so that their buffers are the same on any machine, and small
+#: blocks, so that the kept pairs set the peak
+_PEAK_SETUP = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
 import numpy as np
 from driftscan import kernels
-kernels.BLOCK_DISTANCES = 1 << 16  # small blocks, so that the kept pairs set the peak
-x = np.random.default_rng(27).standard_normal((16000, 2))
+kernels._usable_cpus = lambda: 2
+kernels.BLOCK_DISTANCES = 1 << 16
+{rows}
 kernels.median_heuristic_bandwidth(x[:100])  # lazy imports
 """
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_blockwise_median_holds_each_kept_pair_once():
+    # 16000 rows keep about 7.7M of their 128M pairs (2 * BRACKET_MARGIN of
+    # them): 8 bytes each, and 4 more for the partition of their bounds, plus
+    # 30 MB for the interpreter's and BLAS's own. Measured at 105 MB on a
+    # 2-core box; holding the kept distances twice, as float64 slices and
+    # their concatenation, peaked at 132 MB there
+    pairs = 16000 * 15999 // 2
+    setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(27).standard_normal((16000, 2))")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
-    assert rise_mb < 118, f"peak {rise_mb:.1f} MB"
+    assert rise_mb < 12 * 2 * kernels.BRACKET_MARGIN * pairs / 2**20 + 30, f"peak {rise_mb:.1f} MB"
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances():
+    # one row 1e8 away, whose error bound dwarfs the median: with one bound
+    # for every pair, every pair fell near the median and was held at about
+    # 40 bytes, 198 MB on a 2-core box. Each pair's own bound keeps it to
+    # 12 MB there, under the 8 bytes a pair that pdist's vector would take
+    pairs = 3001 * 3000 // 2
+    setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(29).standard_normal((3001, 2))\nx[1500] = 1e8")
+    rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
+    assert rise_mb < 8 * pairs / 2**20, f"peak {rise_mb:.1f} MB"
+
+
+def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(monkeypatch):
+    # at the default block size, the outlier's block must not widen the
+    # bounds of the rows that share it, or they all reach the median
+    x = np.random.default_rng(29).standard_normal((3001, 2))
+    x[1500] = 1e8
+    measured = []
+    real = distance.cdist
+    monkeypatch.setattr(distance, "cdist", lambda a, b, metric: measured.append(len(b)) or real(a, b, metric))
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    assert sum(measured) < 1000
 
 
 def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
