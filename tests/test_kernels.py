@@ -380,8 +380,7 @@ def test_blockwise_median_holds_each_kept_pair_once():
     # 16000 rows keep about 7.7M of their 128M pairs (2 * BRACKET_MARGIN of
     # them): 8 bytes each, and 4 more for the partition of their bounds, plus
     # 30 MB for the interpreter's and BLAS's own. Measured at 105 MB on a
-    # 2-core box; holding the kept distances twice, as float64 slices and
-    # their concatenation, peaked at 132 MB there
+    # 2-core box; kept distances held twice, as float64, would take 132 MB
     pairs = 16000 * 15999 // 2
     setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(27).standard_normal((16000, 2))")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
@@ -390,10 +389,9 @@ def test_blockwise_median_holds_each_kept_pair_once():
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
 def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances():
-    # one row 1e8 away, whose error bound dwarfs the median: with one bound
-    # for every pair, every pair fell near the median and was held at about
-    # 40 bytes, 198 MB on a 2-core box. Each pair's own bound keeps it to
-    # 12 MB there, under the 8 bytes a pair that pdist's vector would take
+    # one row 1e8 away, whose error bound dwarfs the median, must widen only
+    # its own pairs' bounds, or every pair is held near the median. Measured
+    # at 12 MB on a 2-core box, under the 8 bytes a pair of pdist's vector
     pairs = 3001 * 3000 // 2
     setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(29).standard_normal((3001, 2))\nx[1500] = 1e8")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
