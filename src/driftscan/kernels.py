@@ -11,18 +11,18 @@ bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
 
 The filter: for the centred rows c, largest norm first, one matrix product
 of ``[-2c_i, 1, |c_i|^2]`` with ``[c_j, |c_j|^2, 1]`` approximates the squared
-distance of each pair i < j to within ``C u (2|c_i|)^2`` of the square of
-``cdist``'s (``u = 2**-53``, ``C = 4(d + 4) + 8``). In units of
-``u (|c_i| + |c_j|)^2``, in any summation order with or without FMA (Higham
-2002, *Accuracy and Stability of Numerical Algorithms*, section 3.1), the
-length-(d + 2) dot product errs by d + 2, the row norms by d, the centring
-by 2, and scipy's sum of squares and its square root by d + 4; the rest of C
-covers the rounding of thresholds. So a far outlier widens only its own
-pairs' bounds. BLAS decides only which pairs ``cdist`` measures, never the
-value.
+distance of each pair i < j to within ``C u (2|c_i|)^2`` of the exact one
+(``u = 2**-53``, ``C = 4(d + 4) + 8``). In units of ``u (|c_i| + |c_j|)^2``,
+in any summation order with or without FMA (Higham 2002, *Accuracy and
+Stability of Numerical Algorithms*, section 3.1), the length-(d + 2) dot
+product errs by d + 2, the row norms by d, the centring by 2, and the
+in-order sum of squares and its square root by d + 4; the rest of C covers
+the rounding of thresholds. So a far outlier widens only its own pairs'
+bounds. BLAS decides only which pairs are measured exactly, never the value.
 
-``scipy.spatial`` is imported inside the functions that use it, so that
-importing the package (and every CLI call) does not pay for it.
+Distances are summed in numpy in ``cdist``'s order, to its bits
+(:func:`_squared_distances`); only the one-``pdist`` median of small inputs
+imports ``scipy.spatial``, which is slower to import than most scans run.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ MEDIAN_PER_WINDOW = "median-window"
 #: distances the median heuristic holds at once: inputs with at most this
 #: many pairs take one ``pdist``, larger ones go through row blocks this big
 BLOCK_DISTANCES = 1 << 21
-#: about how many of a pass's distances are sampled to re-bracket a miss
+#: about how many distances are sampled to bracket the median (first from
+#: fixed row pairs, then from a pass), and the most a step of a sum holds
 SEEN_DISTANCES = 1 << 18
-#: rows of the strided sample whose distances give the first bracket
-BRACKET_SAMPLE_ROWS = 2048
 #: half-width of the first bracket, as a share of all distances; a bracket
 #: that misses the median is widened fourfold and the pass repeated
 BRACKET_MARGIN = 0.03
@@ -97,9 +96,10 @@ def kernel_matrix(spec: KernelSpec, bandwidth: float | None, x: np.ndarray, y: n
         return np.einsum("id,jd->ij", x, y, optimize=False)
     if bandwidth is None or bandwidth <= 0:
         raise ValueError(f"rbf kernel needs a positive bandwidth, got {bandwidth!r}")
-    from scipy.spatial.distance import cdist
-
-    sq = cdist(x, y, "sqeuclidean")
+    sq, xt, yt = np.empty((x.shape[0], y.shape[0])), x.T[:, :, None], np.ascontiguousarray(y.T)
+    step = max(1, SEEN_DISTANCES // max(1, y.shape[0]))  # rows a step: one small temporary
+    for r in range(0, x.shape[0], step):  # x's columns down, y's across
+        _squared_distances(zip(xt[:, r : r + step], yt), sq[r : r + step])
     np.divide(sq, -2.0 * bandwidth * bandwidth, out=sq)  # in place: the same bits as a new array
     return np.exp(sq, out=sq)
 
@@ -142,7 +142,7 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     """The k-th smallest (0-based) pairwise distance of ``x``'s rows, exactly.
 
     A pass (:func:`_count_and_keep`) over a bracket [lo, hi] of squared
-    distances, first read from a strided row sample at the quantiles
+    distances, first read from a fixed sample of row pairs at the quantiles
     ``BRACKET_MARGIN`` either side of k's, counts the pairs surely below lo
     and keeps those that may lie inside. The kept lower and upper bounds of
     rank k - below hold the answer: if they lie in the bracket, the pairs
@@ -151,8 +151,6 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     it, out to a quantile four times further in the pass's sample of
     approximations, or to infinity.
     """
-    from scipy.spatial.distance import pdist
-
     n, d = x.shape
     pairs = n * (n - 1) // 2
     share = k / (pairs - 1)
@@ -170,13 +168,18 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     # a kept value's bounds in a block, scaled: the block's first bound, doubled
     # so that float32's rounding of it and of the sums is covered too
     widths = (2 * scale * bound).astype(np.float32) + np.float32(2**-140)
-    lo, hi = _quantile_bracket(pdist(x[:: -(-n // BRACKET_SAMPLE_ROWS)], "sqeuclidean"), share, margin)
+    xt = np.ascontiguousarray(x.T)
+    # a fixed sample of pairs of distinct rows: the bracket is only a guess
+    i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SEEN_DISTANCES))
+    j += j >= i
+    lo, hi = _quantile_bracket(_pair_distances(xt, i, j, np.empty(SEEN_DISTANCES)), share, margin)
+    del i, j
     while True:
         below, blocks, seen = _count_and_keep(rows, lo, hi, stride, scale, bound)
         if below <= k < below + sum(v.size for _, _, v in blocks):
             lower, upper = (float(w) / scale for w in _near_window(blocks, k - below, widths))
             if lo <= lower and upper <= hi:
-                return _near_order_statistic(x, order, blocks, k - below, lower * scale, upper * scale, widths)
+                return _near_order_statistic(xt, order, blocks, k - below, lower * scale, upper * scale, widths)
             lo, hi = min(lo, 2 * lower - upper), max(hi, 2 * upper - lower)
             continue
         margin *= 4
@@ -251,25 +254,50 @@ def _near_window(blocks, rank: int, widths: np.ndarray) -> list:
     return window
 
 
-def _near_order_statistic(x: np.ndarray, order: np.ndarray, blocks, rank: int, lower, upper, widths) -> float:
-    """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those whose bounds meet [lower, upper]."""
-    from scipy.spatial.distance import cdist
+def _near_order_statistic(xt: np.ndarray, order: np.ndarray, blocks, rank: int, lower, upper, widths) -> float:
+    """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those whose bounds meet [lower, upper].
 
-    n, d = x.shape
-    chunk = max(1, BLOCK_DISTANCES // d)
-    exact = []
+    ``xt`` is the rows' transpose; the measured pairs fill one vector.
+    """
+    n = xt.shape[1]
+    near = []
     for a, kept, v in blocks:
         slack = _slack(v, widths[a])
         rank -= np.count_nonzero(v + slack < lower)
-        i, j = np.divmod(kept[(v - slack <= upper) & (v + slack >= lower)], n - a)
-        i, j = order[a + i], order[a + j]
-        runs = np.flatnonzero(np.diff(i, prepend=-1))  # where each row's pairs start
-        for start, stop in zip(runs, [*runs[1:], i.size]):
-            for c in range(start, stop, chunk):
-                exact.append(cdist(x[i[c] : i[c] + 1], x[j[c : min(c + chunk, stop)]], "euclidean")[0])
-    exact = np.concatenate(exact)
+        near.append((a, kept[(v - slack <= upper) & (v + slack >= lower)]))
+    exact = np.empty(sum(offsets.size for _, offsets in near))  # squared
+    at = 0
+    for a, offsets in near:
+        i, j = np.divmod(offsets, n - a)
+        _pair_distances(xt, order[a + i], order[a + j], exact[at : at + offsets.size])
+        at += offsets.size
     exact.partition(rank)
-    return float(exact[rank])
+    return float(np.sqrt(exact[rank]))
+
+
+def _squared_distances(columns, out: np.ndarray) -> np.ndarray:
+    """Fills ``out`` with the sum of (a - b)**2 over the column pairs (a, b), added one pair after another.
+
+    For the columns c = 0, 1, ... of two row sets that is the order of
+    ``cdist``'s and ``pdist``'s loops: ``out`` holds their "sqeuclidean" bits,
+    its square root their "euclidean" ones. ``np.sum`` and einsum add in
+    other orders, which differ in the last bits.
+    """
+    out.fill(0.0)
+    t = np.empty_like(out)
+    for a, b in columns:
+        np.subtract(a, b, out=t)
+        np.multiply(t, t, out=t)
+        out += t
+    return out
+
+
+def _pair_distances(xt: np.ndarray, i: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fills ``out`` with the squared distances of rows ``i`` and ``j`` of ``xt.T``, ``SEEN_DISTANCES`` pairs a step."""
+    for s in range(0, i.size, SEEN_DISTANCES):
+        at = slice(s, s + SEEN_DISTANCES)
+        _squared_distances(((c.take(i[at]), c.take(j[at])) for c in xt), out[at])
+    return out
 
 
 def _usable_cpus() -> int:

@@ -208,8 +208,8 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     the bits of one :func:`window_test` per window with ``window_index`` t.
     Runs of up to ``width // stride`` overlapping windows share one pool
     Gram (under ``median-window`` a run is one window), and the runs go to
-    one thread per usable CPU, as ``cdist``, ``exp`` and einsum release the
-    GIL. The arrays in flight, Grams and nulls alike, hold about
+    one thread per usable CPU, as numpy's element-wise ops and einsum
+    release the GIL. The arrays in flight, Grams and nulls alike, hold about
     ``BLOCK_DISTANCES`` numbers; a window that alone holds more runs alone.
     Runs of one window share no Gram and are tested in order on the calling
     thread, where threads cost CPU for no wall time.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import driftscan
-from driftscan import cli
+from driftscan import cli, kernels
 from driftscan.cli import main
 from driftscan.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
@@ -356,14 +356,38 @@ def _child_env():
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats and scipy.spatial are slow to import; only correlate needs
-    # the one and only the commands that compute distances the other, so
-    # start-up (--help included) must pay for neither; nor for
+    # the one and only the median bandwidth of a small pool (one pdist) the
+    # other, so start-up (--help included) must pay for neither; nor for
     # concurrent.futures, which only the distance passes and calibrate use
     modules = ("scipy.stats", "scipy.spatial", "concurrent.futures")
     code = f"import sys, driftscan.cli; print(*(m in sys.modules for m in {modules!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False False"
+
+
+#: runs the CLI on its arguments, then prints whether scipy.spatial was imported
+SPATIAL_WRAPPER = """
+import sys
+from driftscan.cli import main
+code = main(sys.argv[1:])
+print("scipy.spatial" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_scan_past_the_one_pdist_pool_leaves_scipy_spatial_out(tmp_path):
+    # 2200 pooled rows have more than BLOCK_DISTANCES pairs, so the median
+    # goes through blocks, and every distance of the scan is summed in numpy
+    rng = np.random.default_rng(33)
+    for side in ("ref", "target"):
+        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((1100, 8))), tmp_path / f"{side}.emb")
+    argv = [sys.executable, "-c", SPATIAL_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
+            "--window", "32", "--bootstraps", "19", "--stride", "256", "--out", "report.json"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 2200 * 2199 // 2 > kernels.BLOCK_DISTANCES
+    assert proc.stdout.split()[-1] == "False"
 
 
 #: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import distance
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from driftscan import kernels
 from driftscan.embeddings import DegenerateInputError, EmbeddingMatrix, ValidationError
@@ -136,6 +135,38 @@ def test_kernel_matrix_matches_kernel_value():
                 assert km[i, j] == pytest.approx(kernel_value(spec, bw, x[i], y[j]), rel=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 130), st.integers(-150, 150), st.integers(0, 300),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_distances_are_scipys_bits(n, m, d, exponent, spread, via_float32, seed):
+    # scipy is the oracle: the Gram's squared distances must be cdist's and
+    # the pairs' distances pdist's, bit for bit. Each value is 10**e times a
+    # standard normal, e spread around ``exponent`` within 1e-150..1e150; the
+    # loaders' float32 values (about 1e-30..1e30 here) round through float32
+    rng = np.random.default_rng(seed)
+    if via_float32:
+        exponent, spread = min(max(exponent, -20), 20), 10
+    lo, hi = max(-150, exponent - spread), min(150, exponent + spread)
+    x, y = (rng.standard_normal((rows, d)) * 10.0 ** rng.integers(lo, hi + 1, size=(rows, d)) for rows in (n, m))
+    if via_float32:
+        x, y = (v.astype(np.float32).astype(np.float64) for v in (x, y))
+    gram = kernels._squared_distances(zip(x.T[:, :, None], y.T), np.empty((n, m)))
+    np.testing.assert_array_equal(gram, cdist(x, y, "sqeuclidean"), strict=True)
+    i, j = np.triu_indices(n, 1)
+    pairs = kernels._pair_distances(np.ascontiguousarray(x.T), i, j, np.empty(i.size))
+    np.testing.assert_array_equal(np.sqrt(pairs), pdist(x, "euclidean"), strict=True)
+
+
+def test_rbf_kernel_matrix_is_the_exp_of_cdist_in_any_row_steps(monkeypatch):
+    # the Gram is summed a few rows at a time; each step must give the bits
+    # of one cdist
+    x, y = np.random.default_rng(4).standard_normal((2, 90, 7))
+    expected = np.exp(cdist(x, y, "sqeuclidean") / (-2.0 * 0.7 * 0.7))
+    for seen in (kernels.SEEN_DISTANCES, 1000, 1):
+        monkeypatch.setattr(kernels, "SEEN_DISTANCES", seen)
+        np.testing.assert_array_equal(kernel_matrix(RBF, 0.7, x, y), expected, strict=True)
+
+
 def test_resolve_bandwidth_policies():
     m = np.array([[0.0], [1.0], [3.0]])
     assert resolve_bandwidth(KernelSpec("rbf", "median"), m) == 2.0
@@ -162,6 +193,15 @@ def _count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(kernels, "_count_and_keep", counted)
     return passes
+
+
+def _measured_pairs(monkeypatch) -> list:
+    # the row indices (i, j) of each exact measurement of pairs: the first
+    # bracket's sample, then the near pairs
+    calls = []
+    real = kernels._pair_distances
+    monkeypatch.setattr(kernels, "_pair_distances", lambda xt, i, j, out: calls.append((i, j)) or real(xt, i, j, out))
+    return calls
 
 
 def _medians_by_workers(x, monkeypatch) -> list:
@@ -236,7 +276,7 @@ def _lattice_rows(n, rng):
 
 def _near_duplicate_rows(n, rng):
     # copies of five points, each moved by about 1e-9: the distances come in
-    # five clusters far narrower than the bracket, ordered only by cdist
+    # five clusters far narrower than the bracket, ordered only by the exact sums
     return rng.standard_normal((5, 3))[rng.integers(0, 5, size=n)] + 1e-9 * rng.standard_normal((n, 3))
 
 
@@ -252,9 +292,10 @@ def _wide_rows(n, rng):
                                   _far_cluster_rows, _lattice_rows, _near_duplicate_rows, _one_dim_rows,
                                   _wide_rows])
 def test_blockwise_median_is_exact(make, monkeypatch):
-    # small blocks, so that many block offsets and a partial last block occur
+    # small blocks, so that many block offsets and a partial last block
+    # occur, and a small sample of pairs, so that brackets miss
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
-    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
+    monkeypatch.setattr(kernels, "SEEN_DISTANCES", 780)
     x = make(301, np.random.default_rng(22))
     ref = _pdist_lower_median(x.values if isinstance(x, EmbeddingMatrix) else x)
     if make in (_tied_rows, _lattice_rows):  # the target rank sits inside a run of equal distances
@@ -268,11 +309,9 @@ def test_blockwise_median_is_exact(make, monkeypatch):
 
 def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
     # 210 of 301 rows are the origin, so 48.6% of the distances are 0 and the
-    # median lies just above them: the first bracket misses high of it and
-    # the second starts at a squared distance of 0, where the masked pairs
-    # j <= i must not count
+    # median lies just above them: the bracket starts at a squared distance
+    # of 0, where the masked pairs j <= i must not count
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
-    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 40)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((301, 3)) + 5.0
     x[rng.permutation(301)[:210]] = 0.0
@@ -282,11 +321,14 @@ def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
 
 
 def test_blockwise_median_after_a_bracket_miss(monkeypatch):
-    # every other row is the origin, so the strided sample of rows is one
-    # point, its squared distances are all 0, and the first bracket [0, 0]
-    # misses
+    # the rows of the 64 sampled pairs are the origin, so their squared
+    # distances are all 0 and the first bracket [0, 0] misses. The sample
+    # depends on the row count alone, so a first median learns its rows
+    monkeypatch.setattr(kernels, "SEEN_DISTANCES", 64)
     x = np.random.default_rng(23).standard_normal((4096, 3))
-    x[::2] = 0.0
+    measured = _measured_pairs(monkeypatch)
+    median_heuristic_bandwidth(x)
+    x[np.concatenate(measured[0])] = 0.0
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     assert passes[0] == (0.0, 0.0)
@@ -295,16 +337,19 @@ def test_blockwise_median_after_a_bracket_miss(monkeypatch):
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
 def test_blockwise_median_when_the_near_set_reaches_past_the_bracket(seed, monkeypatch):
-    # the sample is every row and the margin 0, so the first bracket is the
-    # exact squared median alone. The far-cluster approximations near it err
-    # by about 0.03, so the pairs that may hold the answer reach past any
-    # bracket that hits, and a pass on a bracket around them must follow
+    # integer rows, whose squared distances come in long runs of equal
+    # values, and a zero margin, so the first bracket is the exact squared
+    # median alone. The far-cluster approximations near it err by about
+    # 0.03, so the pairs that may hold the answer reach past any bracket
+    # that hits, and a pass on a bracket around them must follow
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
-    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", 301)
     monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0)
-    x = _far_cluster_rows(301, np.random.default_rng(seed))
+    x = _lattice_rows(301, np.random.default_rng(seed))
+    x[: 301 // 5, 0] += 1e7
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
+    squares = np.sort(pdist(x, "sqeuclidean"))
+    assert passes[0] == (squares[(squares.size - 1) // 2],) * 2
     assert len(passes) >= 2 * 3
 
 
@@ -314,7 +359,7 @@ def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
     # values, which miss unless the median is among them
     rng = np.random.default_rng(seed)
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", int(rng.integers(60, 600)))
-    monkeypatch.setattr(kernels, "BRACKET_SAMPLE_ROWS", int(rng.integers(3, 30)))
+    monkeypatch.setattr(kernels, "SEEN_DISTANCES", int(rng.integers(3, 435)))
     monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0 if seed % 2 else 0.03)
     x = rng.standard_normal((int(rng.integers(40, 160)), int(rng.integers(1, 4))))
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
@@ -403,11 +448,10 @@ def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(monkeypatch):
     # bounds of the rows that share it, or they all reach the median
     x = np.random.default_rng(29).standard_normal((3001, 2))
     x[1500] = 1e8
-    measured = []
-    real = distance.cdist
-    monkeypatch.setattr(distance, "cdist", lambda a, b, metric: measured.append(len(b)) or real(a, b, metric))
+    measured = _measured_pairs(monkeypatch)
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
-    assert sum(measured) < 1000
+    assert measured[0][0].size == kernels.SEEN_DISTANCES
+    assert 0 < sum(i.size for i, _ in measured[1:]) < 1000
 
 
 def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
