@@ -9,16 +9,22 @@ distance: beyond ``BLOCK_DISTANCES`` pairs the pairs are visited one row
 block at a time, on every CPU the process may use, and only those inside a
 bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
 
-The filter: for the centred rows c, largest norm first, one matrix product
-of ``[-2c_i, 1, |c_i|^2]`` with ``[c_j, |c_j|^2, 1]`` approximates the squared
-distance of each pair i < j to within ``C u (2|c_i|)^2`` of the exact one
-(``u = 2**-53``, ``C = 4(d + 4) + 8``). In units of ``u (|c_i| + |c_j|)^2``,
-in any summation order with or without FMA (Higham 2002, *Accuracy and
-Stability of Numerical Algorithms*, section 3.1), the length-(d + 2) dot
-product errs by d + 2, the row norms by d, the centring by 2, and the
-in-order sum of squares and its square root by d + 4; the rest of C covers
-the rounding of thresholds. So a far outlier widens only its own pairs'
-bounds. BLAS decides only which pairs are measured exactly, never the value.
+The filter: the rows c, centred on a coordinate-wise median (so that a few far
+rows move no other row) and scaled by a power of two to squared norms of at
+most 1, go largest norm first. One matrix product of ``[-2c_i, 1, |c_i|^2]``
+with ``[c_j, |c_j|^2, 1]`` approximates the squared distance of each pair
+i < j to within ``C u max((2|c_i|)^2, 4 tiny)`` of the exact one (``C = 4(d + 4)
++ 8``). In units of ``u (|c_i| + |c_j|)^2``, in any summation order with or
+without FMA (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
+section 3.1), the length-(d + 2) dot product errs by d + 2, the row norms by
+d, the centring by 2, and the in-order sum of squares and its square root by
+d + 4; the rest of C covers the rounding of thresholds. That holds in float64
+(``u = 2**-53``) and in float32 (``u = 2**-24``, ``tiny = 2**-126``), where
+rounding the rows and norms adds two units and the float64 terms next to
+none. A block's product runs in float32 where its bound is a small share of
+the bracket's width, else (a far cluster) in float64. So a far outlier widens
+only its own pairs' bounds. BLAS decides only which pairs are measured
+exactly, never the value.
 
 Distances are summed in numpy in ``cdist``'s order, to its bits
 (:func:`_squared_distances`); only the one-``pdist`` median of small inputs
@@ -44,9 +50,12 @@ MEDIAN_PER_WINDOW = "median-window"
 #: distances the median heuristic holds at once: inputs with at most this
 #: many pairs take one ``pdist``, larger ones go through row blocks this big
 BLOCK_DISTANCES = 1 << 21
-#: about how many distances are sampled to bracket the median (first from
-#: fixed row pairs, then from a pass), and the most a step of a sum holds
+#: about how many approximations a pass samples to widen a bracket that
+#: missed the median, and the most a step of a sum holds
 SEEN_DISTANCES = 1 << 18
+#: row pairs whose distances set the first bracket: its quantiles then err
+#: by about 0.004, against ``BRACKET_MARGIN``
+SAMPLE_PAIRS = 1 << 14
 #: half-width of the first bracket, as a share of all distances; a bracket
 #: that misses the median is widened fourfold and the pass repeated
 BRACKET_MARGIN = 0.03
@@ -111,11 +120,12 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     values is returned, bit for bit ``np.partition(pdist(x), k)[k]``. Inputs
     with more than ``BLOCK_DISTANCES`` pairs keep only the pairs near the
     median (:func:`_blockwise_order_statistic`): 16000 rows keep about 8M of
-    their 128M pairs at 8 bytes each, 61 MB where ``pdist`` takes 1 GB.
+    their 128M pairs at 8 bytes each, 61 MB where ``pdist`` takes 1 GB. Their
+    float32 or float64 approximations decide only which pairs are measured.
     Raises :class:`DegenerateInputError` when fewer than two rows are given
     or the median is zero; callers should fall back to a fixed bandwidth.
     Raises :class:`ValidationError` on non-finite values, and on blockwise
-    inputs whose squared row norms overflow.
+    inputs whose squared norms about that median overflow.
     """
     x = samples.as_float64() if isinstance(samples, EmbeddingMatrix) else np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
@@ -142,44 +152,54 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     """The k-th smallest (0-based) pairwise distance of ``x``'s rows, exactly.
 
     A pass (:func:`_count_and_keep`) over a bracket [lo, hi] of squared
-    distances, first read from a fixed sample of row pairs at the quantiles
-    ``BRACKET_MARGIN`` either side of k's, counts the pairs surely below lo
-    and keeps those that may lie inside. The kept lower and upper bounds of
-    rank k - below hold the answer: if they lie in the bracket, the pairs
-    that may reach them are measured; if not, the pass repeats on a bracket
-    around them. A bracket that misses rank k is followed by one just past
-    it, out to a quantile four times further in the pass's sample of
-    approximations, or to infinity.
+    distances, first read from a fixed sample of ``SAMPLE_PAIRS`` row pairs at
+    the quantiles ``BRACKET_MARGIN`` either side of k's, counts the pairs
+    surely below lo and keeps those that may lie inside. The kept lower and
+    upper bounds of rank k - below hold the answer: if they lie in the
+    bracket, the pairs that may reach them are measured; if not, the pass
+    repeats on a bracket around them. A bracket that misses rank k is
+    followed by one just past it, out to a quantile four times further in
+    the pass's sample of approximations, or to infinity.
     """
     n, d = x.shape
     pairs = n * (n - 1) // 2
     share = k / (pairs - 1)
     stride = max(1, pairs // SEEN_DISTANCES)
     margin = BRACKET_MARGIN
-    c = x - x.mean(axis=0)
-    order = np.argsort(np.einsum("ij,ij->i", c, c), kind="stable")[::-1]
-    rows = np.column_stack([c[order], np.einsum("ij,ij->i", c, c)[order], np.ones(n)])  # [c, |c|^2, 1]
-    del c
-    tiny = np.finfo(np.float64).tiny  # covers underflow
-    bound = (4 * (d + 4) + 8) * 2.0**-53 * 4.0 * np.maximum(rows[:, d], tiny)  # C u (2|c_i|)^2
-    if not math.isfinite(bound[0]):
-        raise ValidationError("median heuristic needs rows whose squared norms are finite")
-    scale = 2.0 ** -math.frexp(4.0 * max(rows[0, d], tiny))[1]  # kept values fit in float32's range
-    # a kept value's bounds in a block, scaled: the block's first bound, doubled
-    # so that float32's rounding of it and of the sums is covered too
-    widths = (2 * scale * bound).astype(np.float32) + np.float32(2**-140)
     xt = np.ascontiguousarray(x.T)
+    c = x - np.partition(xt, n // 2, axis=1)[:, n // 2]  # a far row moves no other row
+    if not math.isfinite(np.einsum("ij,ij->i", c, c).max()):
+        raise ValidationError("median heuristic needs rows whose squared norms are finite")
+    # the pass's unit is a squared distance times 4**e: a power of two, so
+    # exact, that brings each |c_i|^2 to at most 1 (each entry below 2**-m,
+    # with 4**m >= d), clamped so that 4**e stays finite
+    e = min(511, -math.frexp(np.abs(c).max())[1] - ((d - 1).bit_length() + 1) // 2)
+    c *= 2.0**e
+    norms = np.einsum("ij,ij->i", c, c)
+    order = np.argsort(norms, kind="stable")[::-1]
+    rows = np.column_stack([c[order], norms[order], np.ones(n)])  # [c, |c|^2, 1]
+    del c
+    # C u (2|c_i|)^2 in float32 and float64, floored for underflow
+    bound32, bound64 = ((4 * (d + 4) + 8) * np.finfo(t).eps / 2 * 4.0 * np.maximum(rows[:, d], np.finfo(t).tiny)
+                        for t in (np.float32, np.float64))
     # a fixed sample of pairs of distinct rows: the bracket is only a guess
-    i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SEEN_DISTANCES))
+    i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SAMPLE_PAIRS))
     j += j >= i
-    lo, hi = _quantile_bracket(_pair_distances(xt, i, j, np.empty(SEEN_DISTANCES)), share, margin)
+    lo, hi = _quantile_bracket(_pair_distances(xt, i, j, np.empty(SAMPLE_PAIRS)) * 4.0**e, share, margin)
     del i, j
     while True:
-        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, scale, bound)
+        # float32 from the first row whose bound is under 1/256 of the bracket:
+        # wider ones would measure more pairs exactly than float64 costs
+        wide = np.count_nonzero(bound32 > (hi - lo) / 256)
+        bound = np.concatenate([bound64[:wide], bound32[wide:]])
+        # a kept value's bounds in a block: the block's first bound, a little
+        # wider, so that float32's rounding of it and of the sums is covered too
+        widths = (bound * (1 + 2**-10)).astype(np.float32) + np.float32(2**-140)
+        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, bound, wide)
         if below <= k < below + sum(v.size for _, _, v in blocks):
-            lower, upper = (float(w) / scale for w in _near_window(blocks, k - below, widths))
+            lower, upper = (float(w) for w in _near_window(blocks, k - below, widths))
             if lo <= lower and upper <= hi:
-                return _near_order_statistic(xt, order, blocks, k - below, lower * scale, upper * scale, widths)
+                return _near_order_statistic(xt, order, blocks, k - below, lower, upper, widths)
             lo, hi = min(lo, 2 * lower - upper), max(hi, 2 * upper - lower)
             continue
         margin *= 4
@@ -190,21 +210,23 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: float, bound: np.ndarray):
+def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, bound: np.ndarray, wide: int):
     """One pass over the pairs i < j, in row blocks shared by threads.
 
     The blocks run on one thread per usable CPU, since BLAS and numpy's large
     element-wise ops release the GIL. Each holds at most ``BLOCK_DISTANCES //
     workers`` approximations p (unless one row has more), so the pass holds
-    no more than ``BLOCK_DISTANCES`` at once on any machine. Returns the count
-    of p + bound below ``lo``; per block, its first row, the int32 offsets of
-    the pairs whose p -/+ bound meets [lo, hi] and their p times ``scale`` in
+    no more than ``BLOCK_DISTANCES`` at once on any machine. Blocks from row
+    ``wide`` on take their products in float32, the others in float64.
+    Returns the count of p + bound below ``lo``; per block, its first row, the
+    int32 offsets of the pairs whose p -/+ bound meets [lo, hi] and their p in
     float32; and every ``stride``-th p, merged in row order.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n = rows.shape[0]
     workers = _usable_cpus()
+    narrow = rows.astype(np.float32) if wide < n else None
     spans = []
     a = 0
     while a < n - 1:
@@ -212,22 +234,25 @@ def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, scale: 
         # block is spent on the masked triangle, and only rows whose bound
         # is at least half the first's, so that an outlier widens no other
         b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // workers // (n - a), (n - a) // 8)))
+        if a < wide:  # float64 and float32 rows share no block
+            b = min(b, wide)
         b = a + max(1, np.count_nonzero(bound[a:b] >= bound[a] / 2))
         spans.append((a, b))
         a = b
 
     def block(span):
         a, b = span
+        r = rows if a < wide else narrow
         # [-2c_i, 1, |c_i|^2] . [c_j, |c_j|^2, 1] = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
-        p = np.matmul(np.column_stack([-2.0 * rows[a:b, :-2], rows[a:b, :-3:-1]]), rows[a:].T)
+        p = np.matmul(np.column_stack([-2 * r[a:b, :-2], r[a:b, :-3:-1]]), r[a:].T)
         p[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
-        floor, ceil = lo - bound[a], hi + bound[a]  # the block's largest bound
+        # the block's largest bound, rounded outwards to p's precision
+        floor, ceil = np.nextafter(np.array([lo - bound[a], hi + bound[a]], r.dtype), r.dtype.type([-np.inf, np.inf]))
         kept = np.flatnonzero((p >= floor) & (p <= ceil))
         below = np.count_nonzero(p < floor)
         p = p.ravel()
-        values = (p[kept] * scale).astype(np.float32)
         # the sample is a copy, so that p is freed
-        return below, (a, kept.astype(np.int32), values), p[::stride].copy()
+        return below, (a, kept.astype(np.int32), p[kept].astype(np.float32)), p[::stride].copy()
 
     with ThreadPoolExecutor(workers) as pool:
         below, blocks, seen = zip(*pool.map(block, spans))

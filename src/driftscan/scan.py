@@ -198,9 +198,11 @@ def _config_echo(config: ScanConfig) -> dict:
 
 
 def report_to_dict(report: DriftReport) -> dict:
+    keys = [f.name for f in fields(WindowResult)]  # shallow: asdict would deep-copy each window
     return {
-        **asdict(report),
+        **{f.name: getattr(report, f.name) for f in fields(report)},
         "config": _config_echo(report.config),
+        "windows": [{key: getattr(w, key) for key in keys} for w in report.windows],
         "cause_reference": list(report.cause_reference),
         "cause_target": list(report.cause_target),
     }

@@ -260,12 +260,41 @@ def _outlier_rows(n, rng):
 
 
 def _far_cluster_rows(n, rng):
-    # a fifth of the rows 1e7 away: the mean lies 2e6 from the rest, so the
-    # approximations near the median err far more than float32 rounds, and
-    # only delta keeps them apart
+    # a fifth of the rows 1e7 away: the approximations near the median err
+    # far more than float32 rounds, and only delta keeps them apart
     x = rng.standard_normal((n, 4))
     x[: n // 5, 0] += 1e7
     return x
+
+
+def _near_cluster_rows(n, rng):
+    # a fifth of the rows 1e4 away: their blocks' float32 bounds would reach
+    # across the bracket, so their products run in float64
+    x = rng.standard_normal((n, 4))
+    x[: n // 5, 0] += 1e4
+    return x
+
+
+def _three_point_rows(n, rng):
+    # rows within 1e-6 of three points: the origin, and two 100 from it and 1
+    # apart. The median lies among the distances of about 1, which float32
+    # rounds by far more than they spread, while the bracket reaches those
+    # of 100, wide enough for float32 products
+    points = np.array([[0.0, 0.0, 0.0, 0.0], [100.0, 0.0, 0.0, 0.0], [100.0, 1.0, 0.0, 0.0]])
+    return points[rng.choice(3, size=n, p=[0.6, 0.2, 0.2])] + 1e-6 * rng.standard_normal((n, 4))
+
+
+def _subnormal_square_rows(n, rng):
+    # squares below float64's smallest normal number
+    return rng.standard_normal((n, 4)) * 1e-160
+
+
+def _huge_rows(n, rng):
+    return rng.standard_normal((n, 4)) * 1e30
+
+
+def _small_rows(n, rng):
+    return rng.standard_normal((n, 4)) * 1e-30
 
 
 def _lattice_rows(n, rng):
@@ -289,13 +318,13 @@ def _wide_rows(n, rng):
 
 
 @pytest.mark.parametrize("make", [_tied_rows, _drift_rows, _float32_rows, _offset_rows, _outlier_rows,
-                                  _far_cluster_rows, _lattice_rows, _near_duplicate_rows, _one_dim_rows,
-                                  _wide_rows])
+                                  _far_cluster_rows, _near_cluster_rows, _three_point_rows, _huge_rows, _small_rows,
+                                  _lattice_rows, _near_duplicate_rows, _one_dim_rows, _wide_rows])
 def test_blockwise_median_is_exact(make, monkeypatch):
     # small blocks, so that many block offsets and a partial last block
     # occur, and a small sample of pairs, so that brackets miss
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
-    monkeypatch.setattr(kernels, "SEEN_DISTANCES", 780)
+    monkeypatch.setattr(kernels, "SAMPLE_PAIRS", 780)
     x = make(301, np.random.default_rng(22))
     ref = _pdist_lower_median(x.values if isinstance(x, EmbeddingMatrix) else x)
     if make in (_tied_rows, _lattice_rows):  # the target rank sits inside a run of equal distances
@@ -324,7 +353,7 @@ def test_blockwise_median_after_a_bracket_miss(monkeypatch):
     # the rows of the 64 sampled pairs are the origin, so their squared
     # distances are all 0 and the first bracket [0, 0] misses. The sample
     # depends on the row count alone, so a first median learns its rows
-    monkeypatch.setattr(kernels, "SEEN_DISTANCES", 64)
+    monkeypatch.setattr(kernels, "SAMPLE_PAIRS", 64)
     x = np.random.default_rng(23).standard_normal((4096, 3))
     measured = _measured_pairs(monkeypatch)
     median_heuristic_bandwidth(x)
@@ -349,7 +378,8 @@ def test_blockwise_median_when_the_near_set_reaches_past_the_bracket(seed, monke
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     squares = np.sort(pdist(x, "sqeuclidean"))
-    assert passes[0] == (squares[(squares.size - 1) // 2],) * 2
+    lo, hi = passes[0]  # in the pass's unit: the squared distances times a power of two
+    assert lo == hi and math.frexp(lo)[0] == math.frexp(squares[(squares.size - 1) // 2])[0]
     assert len(passes) >= 2 * 3
 
 
@@ -359,7 +389,7 @@ def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
     # values, which miss unless the median is among them
     rng = np.random.default_rng(seed)
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", int(rng.integers(60, 600)))
-    monkeypatch.setattr(kernels, "SEEN_DISTANCES", int(rng.integers(3, 435)))
+    monkeypatch.setattr(kernels, "SAMPLE_PAIRS", int(rng.integers(3, 435)))
     monkeypatch.setattr(kernels, "BRACKET_MARGIN", 0.0 if seed % 2 else 0.03)
     x = rng.standard_normal((int(rng.integers(40, 160)), int(rng.integers(1, 4))))
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
@@ -379,20 +409,32 @@ def test_blockwise_workers_share_the_distance_budget(workers, monkeypatch):
     assert 6000 // workers - 400 < max(sizes) <= 6000 // workers
 
 
-#: a child that prints the blockwise median of 2100 seeded rows (2.2M pairs)
-_BLAS_CHILD = """
+#: 2100 seeded rows (2.2M pairs), a fifth of them 1e4 away, so that the
+#: pass has float32 blocks and float64 ones
+_BLAS_ROWS = """
 import numpy as np
-from driftscan.kernels import median_heuristic_bandwidth
 x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
+x[:420, 0] += 1e4
+"""
+#: a child that prints their blockwise median
+_BLAS_CHILD = _BLAS_ROWS + """
+from driftscan.kernels import median_heuristic_bandwidth
 print(repr(median_heuristic_bandwidth(x)))
 """
 
 
-def test_blockwise_median_is_the_same_bits_for_any_blas_threads():
-    # BLAS picks its own summation order for each thread count; it may move
-    # the approximations, never the answer
-    x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
+def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
+    # BLAS picks its own summation order for each thread count and
+    # precision; it may move the approximations, never the answer
+    rows = {}
+    exec(_BLAS_ROWS, rows)
+    x = rows["x"]
     assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.BLOCK_DISTANCES
+    dtypes = set()
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: dtypes.add(a.dtype) or real(a, b))
+    median_heuristic_bandwidth(x)
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
     knobs = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {key: value for key, value in os.environ.items() if key not in knobs}
     env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
@@ -433,24 +475,39 @@ def test_blockwise_median_holds_each_kept_pair_once():
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
-def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances():
-    # one row 1e8 away, whose error bound dwarfs the median, must widen only
-    # its own pairs' bounds, or every pair is held near the median. Measured
-    # at 12 MB on a 2-core box, under the 8 bytes a pair of pdist's vector
+@pytest.mark.parametrize("far", [1e8, 1e12])
+def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances(far):
+    # one far row, whose error bound dwarfs the median, must widen only its
+    # own pairs' bounds, or every pair is held near the median. Measured at
+    # 12 MB on a 2-core box, under the 8 bytes a pair of pdist's vector
     pairs = 3001 * 3000 // 2
-    setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(29).standard_normal((3001, 2))\nx[1500] = 1e8")
+    setup = _PEAK_SETUP.format(rows=f"x = np.random.default_rng(29).standard_normal((3001, 2))\nx[1500] = {far!r}")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
     assert rise_mb < 8 * pairs / 2**20, f"peak {rise_mb:.1f} MB"
 
 
-def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(monkeypatch):
+@pytest.mark.parametrize("far", [1e8, 1e10, 1e12])
+def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(far, monkeypatch):
     # at the default block size, the outlier's block must not widen the
-    # bounds of the rows that share it, or they all reach the median
+    # bounds of the rows that share it, or they all reach the median; nor
+    # may it move the centre the other rows' bounds are measured from
     x = np.random.default_rng(29).standard_normal((3001, 2))
-    x[1500] = 1e8
+    x[1500] = far
     measured = _measured_pairs(monkeypatch)
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
-    assert measured[0][0].size == kernels.SEEN_DISTANCES
+    assert measured[0][0].size == kernels.SAMPLE_PAIRS
+    assert 0 < sum(i.size for i, _ in measured[1:]) < 1000
+
+
+@pytest.mark.parametrize("make", [_near_cluster_rows, _subnormal_square_rows])
+def test_blockwise_median_measures_few_pairs(make, monkeypatch):
+    # a cluster whose float32 bounds reach across the bracket must take
+    # float64's, and rows whose squares are float64-subnormal are scaled
+    # clear of the bounds' underflow floor; either way few pairs reach the
+    # median
+    x = make(3001, np.random.default_rng(30))
+    measured = _measured_pairs(monkeypatch)
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
     assert 0 < sum(i.size for i, _ in measured[1:]) < 1000
 
 
