@@ -21,10 +21,11 @@ d, the centring by 2, and the in-order sum of squares and its square root by
 d + 4; the rest of C covers the rounding of thresholds. That holds in float64
 (``u = 2**-53``) and in float32 (``u = 2**-24``, ``tiny = 2**-126``), where
 rounding the rows and norms adds two units and the float64 terms next to
-none. A block's product runs in float32 where its bound is a small share of
-the bracket's width, else (a far cluster) in float64. So a far outlier widens
-only its own pairs' bounds. BLAS decides only which pairs are measured
-exactly, never the value.
+none; ``tiny`` is at least float64's in the unscaled rows, on whose subnormal
+grid ``pdist`` rounds. A block's product runs in float32 where its bound is a
+small share of the bracket's width, else (a far cluster) in float64. So a far
+outlier widens only its own pairs' bounds. BLAS decides only which pairs are
+measured exactly, never the value.
 
 Distances are summed in numpy in ``cdist``'s order, to its bits
 (:func:`_squared_distances`); only the one-``pdist`` median of small inputs
@@ -178,10 +179,12 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     norms = np.einsum("ij,ij->i", c, c)
     order = np.argsort(norms, kind="stable")[::-1]
     rows = np.column_stack([c[order], norms[order], np.ones(n)])  # [c, |c|^2, 1]
+    narrow = rows.astype(np.float32)
     del c
-    # C u (2|c_i|)^2 in float32 and float64, floored for underflow
-    bound32, bound64 = ((4 * (d + 4) + 8) * np.finfo(t).eps / 2 * 4.0 * np.maximum(rows[:, d], np.finfo(t).tiny)
-                        for t in (np.float32, np.float64))
+    # C u (2|c_i|)^2 in float32 and float64, floored for the product's
+    # underflow and for pdist's on the unscaled rows
+    bound32, bound64 = ((4 * (d + 4) + 8) * u * 4.0 * np.maximum(rows[:, d], max(tiny, 4.0**e * 2.0**-1022))
+                        for u, tiny in ((2.0**-24, 2.0**-126), (2.0**-53, 2.0**-1022)))
     # a fixed sample of pairs of distinct rows: the bracket is only a guess
     i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SAMPLE_PAIRS))
     j += j >= i
@@ -189,13 +192,14 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     del i, j
     while True:
         # float32 from the first row whose bound is under 1/256 of the bracket:
-        # wider ones would measure more pairs exactly than float64 costs
+        # float64 keeps a far cluster from keeping every pair, for memory, not
+        # speed (scan-dense's and scan-wide's pools take no float64 row)
         wide = np.count_nonzero(bound32 > (hi - lo) / 256)
         bound = np.concatenate([bound64[:wide], bound32[wide:]])
         # a kept value's bounds in a block: the block's first bound, a little
         # wider, so that float32's rounding of it and of the sums is covered too
         widths = (bound * (1 + 2**-10)).astype(np.float32) + np.float32(2**-140)
-        below, blocks, seen = _count_and_keep(rows, lo, hi, stride, bound, wide)
+        below, blocks, seen = _count_and_keep(rows, narrow, lo, hi, stride, bound, wide)
         if below <= k < below + sum(v.size for _, _, v in blocks):
             lower, upper = (float(w) for w in _near_window(blocks, k - below, widths))
             if lo <= lower and upper <= hi:
@@ -210,14 +214,15 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, bound: np.ndarray, wide: int):
+def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, stride: int, bound: np.ndarray,
+                    wide: int):
     """One pass over the pairs i < j, in row blocks shared by threads.
 
     The blocks run on one thread per usable CPU, since BLAS and numpy's large
     element-wise ops release the GIL. Each holds at most ``BLOCK_DISTANCES //
     workers`` approximations p (unless one row has more), so the pass holds
     no more than ``BLOCK_DISTANCES`` at once on any machine. Blocks from row
-    ``wide`` on take their products in float32, the others in float64.
+    ``wide`` on take their products from ``narrow``, the rows in float32.
     Returns the count of p + bound below ``lo``; per block, its first row, the
     int32 offsets of the pairs whose p -/+ bound meets [lo, hi] and their p in
     float32; and every ``stride``-th p, merged in row order.
@@ -226,7 +231,6 @@ def _count_and_keep(rows: np.ndarray, lo: float, hi: float, stride: int, bound: 
 
     n = rows.shape[0]
     workers = _usable_cpus()
-    narrow = rows.astype(np.float32) if wide < n else None
     spans = []
     a = 0
     while a < n - 1:

@@ -188,7 +188,7 @@ def _count_passes(monkeypatch) -> list:
     real = kernels._count_and_keep
 
     def counted(*args):
-        passes.append(args[1:3])
+        passes.append(args[2:4])  # lo, hi
         return real(*args)
 
     monkeypatch.setattr(kernels, "_count_and_keep", counted)
@@ -318,8 +318,9 @@ def _wide_rows(n, rng):
 
 
 @pytest.mark.parametrize("make", [_tied_rows, _drift_rows, _float32_rows, _offset_rows, _outlier_rows,
-                                  _far_cluster_rows, _near_cluster_rows, _three_point_rows, _huge_rows, _small_rows,
-                                  _lattice_rows, _near_duplicate_rows, _one_dim_rows, _wide_rows])
+                                  _far_cluster_rows, _near_cluster_rows, _three_point_rows, _subnormal_square_rows,
+                                  _huge_rows, _small_rows, _lattice_rows, _near_duplicate_rows, _one_dim_rows,
+                                  _wide_rows])
 def test_blockwise_median_is_exact(make, monkeypatch):
     # small blocks, so that many block offsets and a partial last block
     # occur, and a small sample of pairs, so that brackets miss
@@ -334,6 +335,18 @@ def test_blockwise_median_is_exact(make, monkeypatch):
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [ref] * 3
     assert len(passes) >= 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blockwise_median_of_subnormal_squares_is_exact(seed, monkeypatch):
+    # pdist rounds each square of these rows on float64's subnormal grid,
+    # far coarser, in the pass's scaled unit, than the product's own error:
+    # bounds floored only for the product's underflow give another distance
+    # on seeds 0 and 5
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
+    monkeypatch.setattr(kernels, "SAMPLE_PAIRS", 780)
+    x = _subnormal_square_rows(301, np.random.default_rng(seed))
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
 
 
 def test_blockwise_median_when_the_bracket_starts_at_zero(monkeypatch):
@@ -378,8 +391,10 @@ def test_blockwise_median_when_the_near_set_reaches_past_the_bracket(seed, monke
     passes = _count_passes(monkeypatch)
     assert _medians_by_workers(x, monkeypatch) == [_pdist_lower_median(x)] * 3
     squares = np.sort(pdist(x, "sqeuclidean"))
-    lo, hi = passes[0]  # in the pass's unit: the squared distances times a power of two
-    assert lo == hi and math.frexp(lo)[0] == math.frexp(squares[(squares.size - 1) // 2])[0]
+    # the pass's unit is a squared distance times 4**e, set as the pass sets it
+    c = x - np.partition(x.T, 301 // 2, axis=1)[:, 301 // 2]
+    e = min(511, -math.frexp(np.abs(c).max())[1] - ((x.shape[1] - 1).bit_length() + 1) // 2)
+    assert passes[0] == (squares[(squares.size - 1) // 2] * 4.0**e,) * 2
     assert len(passes) >= 2 * 3
 
 
@@ -499,16 +514,17 @@ def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(far, monkeypat
     assert 0 < sum(i.size for i, _ in measured[1:]) < 1000
 
 
-@pytest.mark.parametrize("make", [_near_cluster_rows, _subnormal_square_rows])
-def test_blockwise_median_measures_few_pairs(make, monkeypatch):
+@pytest.mark.parametrize("make, most", [pytest.param(_near_cluster_rows, 1000, id="_near_cluster_rows"),
+                                        pytest.param(_subnormal_square_rows, 80_000, id="_subnormal_square_rows")])
+def test_blockwise_median_measures_few_pairs(make, most, monkeypatch):
     # a cluster whose float32 bounds reach across the bracket must take
-    # float64's, and rows whose squares are float64-subnormal are scaled
-    # clear of the bounds' underflow floor; either way few pairs reach the
-    # median
+    # float64's, or nearly every pair reaches the median. Rows whose squares
+    # are float64-subnormal measure the pairs within pdist's underflow floor
+    # of it: 57,405 of 4.5M, against 114,689 with bounds twice as wide
     x = make(3001, np.random.default_rng(30))
     measured = _measured_pairs(monkeypatch)
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
-    assert 0 < sum(i.size for i, _ in measured[1:]) < 1000
+    assert 0 < sum(i.size for i, _ in measured[1:]) < most
 
 
 def test_blockwise_median_of_mostly_identical_rows_is_degenerate(monkeypatch):
