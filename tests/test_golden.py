@@ -21,6 +21,11 @@ windows on 1, 2 and 3 threads. ``BLOCKWISE_PINS``
 hashes a scan whose pool is large enough for the median bandwidth to be
 taken one row block at a time, so ``bandwidth_used`` from that pass is
 pinned to the byte. Both were taken before that pass ran on threads.
+``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
+projection of each of those scans, and ``DATA_ROW_PINS`` the data rows of
+``simulate ratio-drift`` and ``correlate``, which hold only observed
+statistics. They were taken before the null moved from the bootstrap to
+permutations, and show that that change left the observed side untouched.
 
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments,
@@ -116,6 +121,23 @@ STRIDE_PINS = {
         "8cc88b990796d03bd5bd4a76c159c7f5baa7c2dad72b58d875a6d8c645d9de88",
     ),
 }
+#: (stride, extra scan flags) -> sha256 of the report's :func:`observed_projection`.
+#: The observed side does not depend on the null, so these hold through any
+#: change to it.
+OBSERVED_PINS = {
+    (4, ()): OBSERVED_SHA256,
+    (4, ("--bandwidth", "median-window")): "c922320561ad5de710924c05efd2b6845f48353816fc8566799a4132e2e6df3e",
+    (4, ("--estimator", "unbiased")): "d15830c35f0e2df9231b80ad79988d47defc71622e3df0564eafbbd3e9eba8d4",
+    (4, ("--kernel", "linear")): "997562e8775de81fa096e6b118a0064469497c68dd9148e6aad654c9064dcf01",
+    (1, ()): "0defcd1b52c1af936cb21def3b37e1ade18e502cfbdefc46b55f42c5b68a8e07",
+    (1, ("--bandwidth", "median-window")): "11ddb9d3787764c2ee07c1ea1c1b7e6e736b0ec0b21f4636bd35024b22207cb2",
+    (1, ("--estimator", "unbiased")): "b3cd02e09d488d90f93cabc69d315ce4a9ae74e9da302d7d6619f39fede61b1c",
+    (1, ("--kernel", "linear")): "2201252b86eba7f2d471914ebc0c679fbf9017803e779bd005911bf604d5d881",
+    (8, ()): "7d25df4effc58e724fee4a6206867c6d5636e67cb4d24f6974dfd8d1ab0df9d5",
+    (8, ("--bandwidth", "median-window")): "68f43be06f6f781ae912d9263d052e95efa8ce0545f961cfdc599fc7d1b3278a",
+    (8, ("--estimator", "unbiased")): "b64a3c151eb058ac3192f2fda79257481b9414ff5cff5620e919af96558ab7d4",
+    (8, ("--kernel", "linear")): "33dd86915c0ce9ec504af0aba58af384537d69e5ccb0a832bab046e274cde525",
+}
 #: every scan of the golden inputs: (stride, extra flags) -> its pins
 SCAN_PINS = {
     (4, ()): (SCAN_JSON_SHA256, SCAN_CSV_SHA256),
@@ -128,6 +150,7 @@ BLOCKWISE_PINS = (
     "d61174ee2d6073c8e2bf8db915cf3932be8c98df7749684ecc38d6eb7c10a9ad",
     "38993397c6f4f5300fd321975281f7df2afcb29e9aff54f23c0bebfbb2cdf796",
 )
+BLOCKWISE_OBSERVED_SHA256 = "070ae36210ef4f04deb0264f20925ef6643f4fc296d85cca8c8527d9b031a6e3"
 
 #: (kernel, estimator, split) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
 CALIBRATE_PINS = {
@@ -211,6 +234,14 @@ COMMAND_PINS = {
     ),
 }
 
+#: name in COMMAND_PINS -> (the CSV it writes, None for stdout; sha256 of
+#: its :func:`data_rows`). The rows hold only observed statistics, so these
+#: hold through any change to the null.
+DATA_ROW_PINS = {
+    "simulate-ratio-drift": (None, "8ceb2c5d562d4f8d480ff22dfcd35a5cce70993ec2adbb3115f575bac9940d73"),
+    "correlate": ("buckets.csv", "40bbd616b2e186414f31bddd0087a8aea328257518f5b06679651fffb66d86f4"),
+}
+
 OBSERVED_FIELDS = (
     "summary_score",
     "summary_median",
@@ -230,6 +261,15 @@ def observed_projection(report: dict) -> bytes:
     projection = {name: report[name] for name in OBSERVED_FIELDS}
     projection["windows"] = [[w["t_index"], w["observed_sq"], w["observed"]] for w in report["windows"]]
     return json.dumps(projection, sort_keys=True).encode("utf-8")
+
+
+def data_rows(table: bytes) -> bytes:
+    """A CSV table without its ``# config:`` line."""
+    return b"".join(line for line in table.splitlines(keepends=True) if not line.startswith(b"# config:"))
+
+
+def _observed_sha256(report_path) -> str:
+    return _sha256(observed_projection(json.loads(report_path.read_bytes())))
 
 
 def _simulate_pair(work, n: int) -> None:
@@ -288,7 +328,10 @@ def _scan_by_workers(monkeypatch, work, *flags: str, stride: int) -> list:
 @pytest.mark.parametrize("stride, flags", sorted(SCAN_PINS),
                          ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
 def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, monkeypatch, stride, flags):
-    assert _scan_by_workers(monkeypatch, golden_inputs, *flags, stride=stride) == [SCAN_PINS[stride, flags]] * 3
+    hashes = _scan_by_workers(monkeypatch, golden_inputs, *flags, stride=stride)
+    if (stride, flags) in OBSERVED_PINS:
+        assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
+    assert hashes == [SCAN_PINS[stride, flags]] * 3
 
 
 def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
@@ -296,7 +339,9 @@ def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
     calls = []
     real = kernels._blockwise_order_statistic
     monkeypatch.setattr(kernels, "_blockwise_order_statistic", lambda x, k: calls.append(k) or real(x, k))
-    assert _scan_by_workers(monkeypatch, tmp_path, stride=512) == [BLOCKWISE_PINS] * 3
+    hashes = _scan_by_workers(monkeypatch, tmp_path, stride=512)
+    assert _observed_sha256(tmp_path / "report.json") == BLOCKWISE_OBSERVED_SHA256
+    assert hashes == [BLOCKWISE_PINS] * 3
     assert len(calls) == 3  # each run's pooled median went through the row blocks
 
 
@@ -309,6 +354,9 @@ def test_subcommand_outputs_match_golden_hashes(golden_inputs, golden_run, capsy
         capsys.readouterr()
         assert main(argv) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
+    if name in DATA_ROW_PINS:
+        table, rows_sha = DATA_ROW_PINS[name]
+        assert _sha256(data_rows(stdout if table is None else (golden_inputs / table).read_bytes())) == rows_sha
     assert (_sha256(stdout), *(_sha256((golden_inputs / f).read_bytes()) for f in files)) == pins
 
 
