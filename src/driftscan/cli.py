@@ -124,15 +124,15 @@ def _echo(command: str, args, **resolved) -> dict:
     return {"command": command, **_from_args(_ECHO_KEYS[command], args, resolved)}
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        _write_text(out_path, text)
-    else:
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when ``path`` is None or empty."""
+    if not path:
         sys.stdout.write(text)
-
-
-def _write_text(path: str, text: str) -> None:
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -156,21 +156,21 @@ def _json_safe(value: float):
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
+def _load_sides(args) -> list:
+    """The ``--ref`` and ``--target`` embeddings, in that order."""
+    return [load_embeddings(path, args.format) for path in (args.ref, args.target)]
+
+
 def cmd_mmd(args) -> int:
-    ref = load_embeddings(args.ref, args.format)
-    target = load_embeddings(args.target, args.format)
-    pair = DatasetPair(ref, target)
+    pair = DatasetPair(*_load_sides(args))
     spec = _kernel_spec(args)
     est = mmd(spec, pair.reference, pair.target, args.estimator)
-    _emit_json(
-        {
-            "config": _echo("mmd", args, kernel=asdict(spec)),
-            "squared": est.squared,
-            "value": est.value,
-            "bandwidth_used": est.bandwidth_used,
-        },
-        args.out,
-    )
+    _write_text(args.out, _json({
+        "config": _echo("mmd", args, kernel=asdict(spec)),
+        "squared": est.squared,
+        "value": est.value,
+        "bandwidth_used": est.bandwidth_used,
+    }))
     return 0
 
 
@@ -182,13 +182,13 @@ def cmd_scan(args) -> int:
         for side in ("ref", "target")
     ]
     _warn_if_unflaggable(config.bootstraps, config.alpha, "window")
-    sides = [load_embeddings(path, args.format) for path in (args.ref, args.target)]
+    sides = _load_sides(args)
     if batches:
         sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
     report = drift_scan(DatasetPair(*sides), config)
     payload = report_to_dict(report)
     payload["config"]["cli"] = _echo("scan", args)
-    _emit_json(payload, args.out)
+    _write_text(args.out, _json(payload))
     if args.csv_out:
         _write_text(args.csv_out, windows_to_csv(report))
     return 0
@@ -204,23 +204,19 @@ def cmd_batch(args) -> int:
     )
     reduced = batch_means(matrix, config)
     save_embeddings(reduced, args.out, args.out_format)
-    _emit_json(
-        {
-            "config": _echo("batch", args, shuffle=config.shuffle, tail_policy=config.tail_policy),
-            "input_rows": matrix.rows,
-            "output_rows": reduced.rows,
-            "dims": reduced.dims,
-        },
-        None,
-    )
+    _write_text(None, _json({
+        "config": _echo("batch", args, shuffle=config.shuffle, tail_policy=config.tail_policy),
+        "input_rows": matrix.rows,
+        "output_rows": reduced.rows,
+        "dims": reduced.dims,
+    }))
     return 0
 
 
 def cmd_extract(args) -> int:
-    ref = load_embeddings(args.ref, args.format)
-    target = load_embeddings(args.target, args.format)
+    sides = _load_sides(args)
     report = load_report(args.report)
-    pair = DatasetPair(ref, target)
+    pair = DatasetPair(*sides)
     if args.which == "both":
         if not (args.out_ref and args.out_target):
             raise DataError("--which both needs --out-ref and --out-target")
@@ -231,15 +227,12 @@ def cmd_extract(args) -> int:
         if not args.out:
             raise DataError(f"--which {args.which} needs --out")
         save_embeddings(extract_cause_samples(pair, report, args.which), args.out, args.out_format)
-    _emit_json(
-        {
-            "config": _echo("extract", args),
-            "cause_reference": list(report.cause_reference),
-            "cause_target": list(report.cause_target),
-            "rows": report.cause_target[1] - report.cause_target[0] + 1,
-        },
-        None,
-    )
+    _write_text(None, _json({
+        "config": _echo("extract", args),
+        "cause_reference": list(report.cause_reference),
+        "cause_target": list(report.cause_target),
+        "rows": report.cause_target[1] - report.cause_target[0] + 1,
+    }))
     return 0
 
 
@@ -248,11 +241,8 @@ def cmd_simulate_ratio(args) -> int:
                              scale=args.scale, separation=args.separation)
     scan = _scan_config(args)
     rows = ratio_drift_study(base, args.fractions, scan, batch_size=args.batch_size)
-    text = table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()), ["fraction", "summary_score"], rows)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()),
+                                    ["fraction", "summary_score"], rows))
     return 0
 
 
@@ -260,7 +250,7 @@ def cmd_simulate_mixture(args) -> int:
     spec = axis_mixture_spec(args.dims, args.n, args.fraction, args.seed,
                              scale=args.scale, separation=args.separation)
     save_embeddings(generate_mixture(spec), args.out, args.out_format)
-    _emit_json({"config": _echo("simulate mixture", args)}, None)
+    _write_text(None, _json({"config": _echo("simulate mixture", args)}))
     return 0
 
 
@@ -280,15 +270,12 @@ def cmd_calibrate(args) -> int:
         estimator=args.estimator,
         split_policy=_SPLIT_NAMES[args.split],
     )
-    _emit_json(
-        {
-            "config": _echo("calibrate", args, kernel=asdict(spec)),
-            "trials": result.trials,
-            "rejections": result.rejections,
-            "rate": result.rate,
-        },
-        args.out,
-    )
+    _write_text(args.out, _json({
+        "config": _echo("calibrate", args, kernel=asdict(spec)),
+        "trials": result.trials,
+        "rejections": result.rejections,
+        "rate": result.rate,
+    }))
     return 0
 
 
@@ -307,14 +294,11 @@ def cmd_correlate(args) -> int:
     config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:
         _write_text(args.out, table_csv(config, [f.name for f in fields(MetricSeries)], map(astuple, series)))
-    _emit_json(
-        {
-            "config": config,
-            "pearson_drift_bce": _json_safe(corr_bce),
-            "pearson_drift_auc": _json_safe(corr_auc),
-        },
-        None,
-    )
+    _write_text(None, _json({
+        "config": config,
+        "pearson_drift_bce": _json_safe(corr_bce),
+        "pearson_drift_auc": _json_safe(corr_auc),
+    }))
     return 0
 
 
