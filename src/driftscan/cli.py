@@ -27,8 +27,6 @@ from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, l
 from .simharness import (MetricSeries, axis_mixture_spec, correlation_study, generate_mixture, null_calibration,
                          ratio_drift_study)
 
-_SPLIT_NAMES = {"paired": "paired_halves", "literal": "literal_quarter"}
-
 #: each subcommand's config echo after its "command" key, in order; a key
 #: names an ``args`` attribute unless the command passes a resolved value
 _ECHO_KEYS = {
@@ -38,7 +36,7 @@ _ECHO_KEYS = {
     "extract": ("ref", "target", "report", "which", "out", "out_ref", "out_target", "out_format"),
     "simulate ratio-drift": ("n", "dims", "fractions", "scale", "separation", "batch_size", "scan"),
     "simulate mixture": ("n", "dims", "fraction", "scale", "separation", "seed", "out", "out_format"),
-    "calibrate": ("trials", "n", "dims", "window", "bootstraps", "alpha", "seed", "kernel", "estimator", "split"),
+    "calibrate": ("trials", "n", "dims", "window", "bootstraps", "alpha", "seed", "kernel", "estimator"),
     "correlate": ("profile", "n", "dims", "batch_size", "scale", "separation", "scan"),
 }
 
@@ -93,10 +91,8 @@ def _add_kernel_flags(p):
 def _add_scan_flags(p, bootstraps_default=50):
     p.add_argument("--window", type=int, default=32, help="samples per compared window (default: 32)")
     p.add_argument("--bootstraps", type=int, default=bootstraps_default,
-                   help=f"bootstrap iterations per window (default: {bootstraps_default})")
+                   help=f"null permutations per window (default: {bootstraps_default})")
     p.add_argument("--stride", type=int, default=1, help="window step (default: 1)")
-    p.add_argument("--split", choices=("paired", "literal"), default="paired",
-                   help="bootstrap split policy (default: paired)")
     p.add_argument("--alpha", type=float, default=0.05, help="flagging threshold (default: 0.05)")
     _add_kernel_flags(p)
 
@@ -115,8 +111,7 @@ def _from_args(keys, args, resolved: dict) -> dict:
 
 
 def _scan_config(args) -> ScanConfig:
-    resolved = {"kernel": _kernel_spec(args), "split_policy": _SPLIT_NAMES[args.split]}
-    return ScanConfig(**_from_args([f.name for f in fields(ScanConfig)], args, resolved))
+    return ScanConfig(**_from_args([f.name for f in fields(ScanConfig)], args, {"kernel": _kernel_spec(args)}))
 
 
 def _echo(command: str, args, **resolved) -> dict:
@@ -268,7 +263,6 @@ def cmd_calibrate(args) -> int:
         seed=args.seed,
         kernel=spec,
         estimator=args.estimator,
-        split_policy=_SPLIT_NAMES[args.split],
     )
     _write_text(args.out, _json({
         "config": _echo("calibrate", args, kernel=asdict(spec)),
@@ -378,7 +372,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=32)
     p.add_argument("--bootstraps", type=int, default=199)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--split", choices=("paired", "literal"), default="paired")
     _add_kernel_flags(p)
     _add_run_flags(p)
     p.add_argument("--out", metavar="PATH", help="write JSON here instead of stdout")

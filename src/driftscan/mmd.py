@@ -64,8 +64,8 @@ def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimato
     Shared by :func:`mmd` and the window test, which passes views of its
     windows' pool Grams with a leading window axis. Each block is summed as
     a contiguous copy, one at a time, so each window gets :func:`mmd`'s
-    bits. The bootstrap evaluates the same sums as
-    quadratic forms over count vectors
+    bits. The permutation null evaluates the same sums as
+    quadratic forms over sign vectors
     (:func:`~driftscan.resample.null_stats_from_gram`). The cross term sums
     the block in both orientations (the transpose materialized so the
     summation order is its own row-major order, which numpy would otherwise

@@ -1,31 +1,22 @@
-"""The window test: MMD^2 between two windows and its bootstrap null.
+"""The window test: MMD^2 between two windows and its permutation null.
 
-Under the no-drift hypothesis the two windows are pooled, and bootstrap
-draws (sampling rows with replacement) from the pool are split into two
-blocks whose MMD^2 forms the null distribution. The observed statistic's
-p-value is its add-one-smoothed rank within that distribution.
-:func:`window_test` builds the pool's Gram matrix once and takes both the
-observed statistic and the null from it.
+Under the no-drift hypothesis the two windows' rows are exchangeable, so
+they are pooled, and each permutation of the pool splits it into two blocks
+of a window's rows whose MMD^2 is one draw of the null distribution, exact
+under exchangeability (Gretton et al. 2012, *A Kernel Two-Sample Test*,
+JMLR). The observed statistic's p-value is its add-one-smoothed rank within
+that distribution. :func:`window_test` builds the pool's Gram matrix once
+and takes both the observed statistic and the null from it.
 
-All k draws of a window come from one stream, as one (k, 2 * block) index
-matrix. Each block of a draw is a count vector over the pooled rows, so its
-MMD^2 is a quadratic form in the pool's Gram matrix (Gretton et al. 2012,
-*A Kernel Two-Sample Test*, JMLR, sections 2-3), and all k statistics come
-from one product of the count matrix with the Gram matrix.
+All k permutations of a window come from one stream, as one (k, 2 * rows)
+matrix of signs: +1 puts a pooled row in the first block, -1 in the second.
+Each statistic is a quadratic form s'Gs in the pool's Gram matrix G, and all
+k come from one product of the sign matrix with G.
 
 A scan's windows go through :func:`scan_window_tests`: each run of
 overlapping windows shares one pool Gram over its rows, is reduced along a
 leading window axis, and such runs use every usable CPU, with the bits of
 one :func:`window_test` per window for any number of CPUs.
-
-Two split policies:
-
-* ``paired_halves`` (default): the two blocks each have as many rows as a
-  window, so the null is computed at the same sample size as the statistic
-  it calibrates.
-* ``literal_quarter``: blocks of half a window each, i.e. the first and
-  second half of the leading window-sized part of the draw. Kept
-  selectable because the smaller blocks widen the null.
 """
 
 from __future__ import annotations
@@ -41,15 +32,15 @@ from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
 from .rng import derive_rng
 
-SPLIT_POLICIES = ("paired_halves", "literal_quarter")
-
-#: purpose tag for bootstrap streams; window w draws its whole (k, 2 * block)
-#: index matrix from the one stream (base_seed, BOOTSTRAP_TAG, w)
+#: purpose tag for the null's streams; window w draws its whole (k, 2 * rows)
+#: sign matrix from the one stream (base_seed, BOOTSTRAP_TAG, w)
 BOOTSTRAP_TAG = "bootstrap"
 
-#: names that draw scheme in the report's config echo. Reports without the
-#: entry drew iteration i of window w from (base_seed, BOOTSTRAP_TAG, w, i).
-RNG_SCHEME = "window-stream"
+#: names that draw scheme in the report's config echo. Reports with
+#: "window-stream" drew window w's bootstrap (rows with replacement) from
+#: that stream; reports without the entry drew iteration i of window w from
+#: (base_seed, BOOTSTRAP_TAG, w, i).
+RNG_SCHEME = "window-permutation"
 
 #: float64 numbers (2 GB) one window test may hold at its peak. Settings
 #: whose windows would need more are refused before any window runs, the
@@ -64,7 +55,7 @@ GRAM_PEAK_RATIO = 1.25
 class BootstrapResult:
     """Null statistics for one window.
 
-    ``stats`` holds the k bootstrapped MMD^2 values, ``median`` their exact
+    ``stats`` holds the k permuted MMD^2 values, ``median`` their exact
     order-statistic median (mean of the two middles for even k), and
     ``p_value`` the add-one-smoothed tail probability of the observed
     statistic: (1 + #{stats >= observed}) / (k + 1), never zero.
@@ -78,69 +69,55 @@ class BootstrapResult:
         self.stats.flags.writeable = False
 
 
-def block_size(rows: int, bootstraps: int, split_policy: str, estimator: str) -> int:
-    """Rows per bootstrap block for windows of ``rows`` rows.
+def block_size(rows: int, bootstraps: int, estimator: str) -> None:
+    """Check the settings of window tests on windows of ``rows`` rows, whose null blocks have as many.
 
     ValueError for settings that cannot run, among them windows whose one
     test would peak above ``WINDOW_NUMBERS``.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
-    if split_policy not in SPLIT_POLICIES:
-        raise ValueError(f"unknown split policy {split_policy!r}, expected one of {SPLIT_POLICIES}")
     if bootstraps < 1:
         raise ValueError(f"bootstraps must be >= 1, got {bootstraps}")
-    block = rows if split_policy == "paired_halves" else rows // 2
-    if block < 1:
-        raise ValueError(f"split {split_policy!r} with windows of {rows} rows leaves empty blocks")
-    if estimator == "unbiased" and block < 2:
+    if rows < 1:
+        raise ValueError(f"windows of {rows} rows leave empty blocks")
+    if estimator == "unbiased" and rows < 2:
         raise ValueError("unbiased estimator needs blocks of >= 2 rows")
-    peak = GRAM_PEAK_RATIO * 4 * rows * rows + _null_numbers(rows, bootstraps, block)
+    peak = GRAM_PEAK_RATIO * 4 * rows * rows + _null_numbers(rows, bootstraps)
     if peak > WINDOW_NUMBERS:
         raise ValueError(
             f"windows of {rows} rows with {bootstraps} bootstraps need about {peak * 8 / 2**30:.1f} GB, "
             f"over the {WINDOW_NUMBERS * 8 / 2**30:.0f} GB one window test may hold (resample.WINDOW_NUMBERS)")
-    return block
 
 
-def _null_numbers(width: int, k: int, block: int) -> int:
-    # a window's null: three (2, k, 2 * width) count and product arrays, two (k, 2 * block) draws
-    return 4 * k * (3 * width + block)
+def _null_numbers(width: int, k: int) -> int:
+    # a window's null: the tiled signs, their permuted copy and its product with the Gram, each (k, 2 * width)
+    return 3 * k * 2 * width
 
 
-def null_stats_from_gram(gram: np.ndarray, idx: np.ndarray, block: int, estimator: str) -> np.ndarray:
-    """MMD^2 of each bootstrap draw, from the pool Gram and the draws' row indices.
+def null_stats_from_gram(gram: np.ndarray, signs: np.ndarray, estimator: str) -> np.ndarray:
+    """MMD^2 of each permutation, from the pool Gram G and the permutations' signs.
 
-    Row i of ``idx`` is draw i: its first ``block`` entries pick the first
-    block's pooled rows, the next ``block`` the second's. With c1 and c2 the
-    blocks' count vectors, the biased statistic is d'Gd / block^2 for
-    d = c1 - c2, clamped at 0 (exact for a kernel, and it keeps p = 1 on
-    identical inputs). The unbiased one subtracts from each within-block sum
-    c'Gc its gathered diagonal c . diag(G). Products use einsum, not BLAS, so
-    the bytes do not depend on the thread count. Leading axes of ``gram``
-    and ``idx`` stack windows, each with its own Gram and draws; every
-    window gets the same bits as it would alone.
+    Row i of ``signs`` is permutation i: +1 puts a pooled row in the first
+    block, -1 in the second, w rows each. With q = s'Gs and T the sum of G,
+    the two within-block sums add to (T + q) / 2 and the cross sum is
+    (T - q) / 4. So the biased statistic is q / w^2, clamped at 0 (exact
+    for a kernel, and it keeps p = 1 on identical inputs), and the unbiased
+    one is ((T + q) / 2 - tr G) / (w (w - 1)) - (T - q) / (2 w^2). Products
+    use einsum, not BLAS, so the bytes do not depend on the thread count.
+    Leading axes of ``gram`` and ``signs`` stack windows, each with its own
+    Gram and signs; every window gets the same bits as it would alone.
     """
-    k = idx.shape[-2]
-    n = gram.shape[-1]
-    # draw f of all windows' draws counts its two blocks into rows (f // k, 0 and 1, f % k)
-    f = np.arange(idx.size // idx.shape[-1]).reshape(*idx.shape[:-1], 1)
-    slot = f + f // k * k + np.repeat([0, k], block)
-    counts = np.bincount((idx + slot * n).ravel(), minlength=2 * f.size * n).reshape(*idx.shape[:-2], 2, k, n)
+    w = gram.shape[-1] // 2
+    q = np.einsum("...im,...im->...i", np.einsum("...in,...nm->...im", signs, gram, optimize=False), signs)
     if estimator == "biased":
-        d = (counts[..., 0, :, :] - counts[..., 1, :, :]).astype(np.float64)
-        dg = np.einsum("...in,...nm->...im", d, gram, optimize=False)
-        return np.maximum(np.einsum("...im,...im->...i", dg, d) / (block * block), 0.0)
-    c = counts.astype(np.float64)
-    cg = np.einsum("...jin,...nm->...jim", c, gram, optimize=False)
-    quad = np.einsum("...jim,...jim->...ji", cg, c)
-    trace = np.einsum("...jin,...n->...ji", c, np.diagonal(gram, axis1=-2, axis2=-1))
-    within = (quad - trace) / (block * (block - 1))
-    cross = np.einsum("...im,...im->...i", cg[..., 0, :, :], c[..., 1, :, :]) / (block * block)
-    return within[..., 0, :] + within[..., 1, :] - 2.0 * cross
+        return np.maximum(q / (w * w), 0.0)
+    total = gram.sum(axis=(-2, -1))[..., None]
+    trace = np.trace(gram, axis1=-2, axis2=-1)[..., None]
+    return ((total + q) / 2 - trace) / (w * (w - 1)) - (total - q) / (2 * w * w)
 
 
-def _span_tests(spec, x, y, width, stride, indices, k, seed, block, estimator, bandwidth):
+def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidth):
     """Window tests of x[j * stride:][:width] against y[j * stride:][:width] for each j < len(indices).
 
     The windows copy their Grams out of one pool Gram over all rows of ``x``
@@ -162,8 +139,9 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, block, estimator, b
             grams[:, a * width:(a + 1) * width, b * width:(b + 1) * width] = as_strided(
                 gram[a * span:, b * span:], (len(indices), width, width), (stride * (r + c), r, c), writeable=False)
     observed = mmd_sq_from_gram(grams[:, :width, :width], grams[:, width:, width:], grams[:, :width, width:], estimator)
-    idx = np.stack([derive_rng(seed, BOOTSTRAP_TAG, t).integers(0, 2 * width, size=(k, 2 * block)) for t in indices])
-    stats = null_stats_from_gram(grams, idx, block, estimator)
+    halves = np.tile(np.repeat([1.0, -1.0], width), (k, 1))
+    signs = np.stack([derive_rng(seed, BOOTSTRAP_TAG, t).permuted(halves, axis=1) for t in indices])
+    stats = null_stats_from_gram(grams, signs, estimator)
     p_value = (1.0 + np.count_nonzero(stats >= observed[:, None], axis=-1)) / (k + 1.0)
     return bandwidth, stats, observed, np.median(stats, axis=-1), p_value
 
@@ -174,18 +152,17 @@ def window_test(
     y: np.ndarray,
     k: int,
     seed: int,
-    split_policy: str,
     estimator: str,
     bandwidth: float | None = None,
     window_index: int = 0,
 ) -> tuple[MmdEstimate, BootstrapResult]:
-    """MMD^2 between windows ``x`` and ``y`` and its bootstrap null.
+    """MMD^2 between windows ``x`` and ``y`` and its permutation null.
 
     ``x`` and ``y`` are (rows, dims) arrays, pooled and computed in float64.
     The pool's Gram matrix is built once: the observed statistic comes from
     its contiguous blocks (bit-identical to :func:`~driftscan.mmd.mmd`), the
     k null statistics from :func:`null_stats_from_gram` over one
-    (k, 2 * block) index matrix drawn from the stream
+    (k, 2 * rows) sign matrix drawn from the stream
     (seed, "bootstrap", window_index), so reruns are byte-identical however
     windows are scheduled. ``bandwidth`` is resolved over the pool when None
     (per window); :func:`block_size` checks the settings. It is the
@@ -193,15 +170,15 @@ def window_test(
     """
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
-    block = block_size(x.shape[0], k, split_policy, estimator)
+    block_size(x.shape[0], k, estimator)
     bandwidth, stats, observed, median, p_value = _span_tests(
-        spec, x, y, x.shape[0], 1, [window_index], k, seed, block, estimator, bandwidth)
+        spec, x, y, x.shape[0], 1, [window_index], k, seed, estimator, bandwidth)
     return (MmdEstimate.from_squared(float(observed[0]), estimator, bandwidth),
             BootstrapResult(stats=stats[0], median=float(median[0]), p_value=float(p_value[0])))
 
 
 def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int, stride: int, k: int, seed: int,
-                      split_policy: str, estimator: str, bandwidth: float | None) -> tuple[list[float], ...]:
+                      estimator: str, bandwidth: float | None) -> tuple[list[float], ...]:
     """:func:`window_test` of x[t - width:t] against y[t - width:t] for t = width, width + stride, ... <= rows.
 
     Returns the observed MMD^2, null medians and p-values as float lists,
@@ -216,17 +193,17 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    block = block_size(width, k, split_policy, estimator)
+    block_size(width, k, estimator)
     ends = range(width, x.shape[0] + 1, stride)
     entries = 4 * width * width  # one window's pool Gram
-    footprint = entries + _null_numbers(width, k, block)
+    footprint = entries + _null_numbers(width, k)
     workers = min(kernels._usable_cpus(), len(ends), max(1, kernels.BLOCK_DISTANCES // footprint))
     # a run spans under 2 * width rows a side, so its Gram has under 4 * entries
     size = 1 if spec.per_window_bandwidth else max(
         1, min(width // stride, (kernels.BLOCK_DISTANCES // workers - 4 * entries) // footprint))
 
     def run(t: range):
-        return _span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, t, k, seed, block,
+        return _span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, t, k, seed,
                            estimator, bandwidth)[2:]
 
     runs = (ends[i:i + size] for i in range(0, len(ends), size))

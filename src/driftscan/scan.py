@@ -2,8 +2,8 @@
 
 A scan slides a window of ``window`` trailing rows over both sides of a
 :class:`~driftscan.embeddings.DatasetPair` in lockstep. For each window
-position it computes the observed MMD^2 between the two windows, bootstraps
-a null distribution from their pooled rows, and records the per-window
+position it computes the observed MMD^2 between the two windows, draws a
+permutation null from their pooled rows, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
 locates the window with the largest statistic, whose row ranges are the
 drift-cause candidates for both sides. Runs of overlapping windows share a
@@ -50,14 +50,13 @@ class ScanConfig:
     stride: int = 1
     estimator: str = "biased"
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    split_policy: str = "paired_halves"
     seed: int = 0
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        block_size(self.window, self.bootstraps, self.split_policy, self.estimator)
+        block_size(self.window, self.bootstraps, self.estimator)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         check_alpha(self.alpha)
@@ -73,7 +72,7 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class WindowResult:
-    """One window position: the observed statistic and its bootstrap null's median and p-value.
+    """One window position: the observed statistic and its permutation null's median and p-value.
 
     The fields are the report's window keys, in order.
     """
@@ -93,7 +92,7 @@ class DriftReport:
 
     ``summary_score`` and ``summary_median`` are the mean and median of the
     observed MMD^2 series, the scan's drift estimate. ``boot_median_mean``
-    is the mean of the per-window bootstrap-null medians, kept for reference
+    is the mean of the per-window null medians, kept for reference
     as the center of the no-drift distribution at window scale.
     """
 
@@ -139,7 +138,7 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     width = config.window
     observed_sq, boot_medians, p_values = scan_window_tests(
         config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
-        config.seed, config.split_policy, config.estimator, bandwidth)
+        config.seed, config.estimator, bandwidth)
     windows = [
         WindowResult(t, t - width + 1, sq, MmdEstimate.from_squared(sq, config.estimator, bandwidth).value, median,
                      p, p <= config.alpha)

@@ -304,14 +304,13 @@ def null_calibration(
     seed: int,
     kernel: KernelSpec | None = None,
     estimator: str = "biased",
-    split_policy: str = "paired_halves",
 ) -> CalibrationResult:
     """Empirical false-positive rate of the single-window test under no drift.
 
     Each trial draws fresh n-row reference and target sets from one standard
     Gaussian, chooses the bandwidth as a scan would (over their concatenation,
     or per window under ``median-window``), tests the first ``window`` rows of
-    each side against the bootstrap null, and counts p_value <= alpha. The
+    each side against the permutation null, and counts p_value <= alpha. The
     trials run on a thread pool (``pdist``, the partition and the data draws
     release the GIL); each draws from its own streams, so the p-values are
     the same bits for any number of CPUs.
@@ -323,7 +322,7 @@ def null_calibration(
             raise ValueError(f"{name} must be >= 1, got {value}")
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
-    block_size(window, bootstraps, split_policy, estimator)  # a window may be 1 row here, unlike a scan's
+    block_size(window, bootstraps, estimator)  # a window may be 1 row here, unlike a scan's
     check_alpha(alpha)
     from concurrent.futures import ThreadPoolExecutor
 
@@ -333,7 +332,7 @@ def null_calibration(
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         bandwidth = shared_bandwidth(kernel, ref, target)
         _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
-                              derive_seed(seed, "calibration-boot", i), split_policy, estimator, bandwidth)
+                              derive_seed(seed, "calibration-boot", i), estimator, bandwidth)
         return boot.p_value
 
     # trials in flight hold at most BLOCK_DISTANCES distances, as one

@@ -71,10 +71,10 @@ def test_scan_checks_its_flags_before_reading_the_inputs(flags, monkeypatch, cap
 def test_scan_stdout_when_no_out(pair_files, capsys):
     ref, target = pair_files
     assert main(["scan", "--ref", ref, "--target", target, "--window", "8",
-                 "--bootstraps", "5", "--seed", "1", "--split", "literal"]) == 0
+                 "--bootstraps", "5", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["bootstraps"] == 5
-    assert payload["config"]["split_policy"] == "literal_quarter"
+    assert payload["config"]["rng_scheme"] == "window-permutation"
 
 
 def test_scan_with_batching(pair_files, tmp_path):
@@ -228,27 +228,18 @@ def test_calibrate_usage_errors_exit_one(capsys, flag, value):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["calibrate", "--window", "1", "--split", "literal"],
-     "split 'literal_quarter' with windows of 1 rows leaves empty blocks"),
-    (["calibrate", "--window", "3", "--split", "literal", "--estimator", "unbiased"],
-     "unbiased estimator needs blocks of >= 2 rows"),
-    (["scan", "--window", "3", "--split", "literal", "--estimator", "unbiased"],
-     "unbiased estimator needs blocks of >= 2 rows"),
-], ids=["calibrate-empty-blocks", "calibrate-unbiased", "scan-unbiased"])
-def test_blocks_too_small_for_the_settings_exit_one(pair_files, capsys, argv, message):
+def test_blocks_too_small_for_the_settings_exit_one(capsys):
     # the block size follows from the flags alone, so it is a usage error before any data is tested
-    ref, target = pair_files
-    inputs = ["--ref", ref, "--target", target] if argv[0] == "scan" else ["--trials", "2", "--n", "16"]
-    assert main([*argv, *inputs, "--bootstraps", "19"]) == 1
+    assert main(["calibrate", "--window", "1", "--estimator", "unbiased", "--trials", "2", "--n", "16",
+                 "--bootstraps", "19"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == "error: unbiased estimator needs blocks of >= 2 rows\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--window", "8192"],
-    ["scan", "--bootstraps", "1000000"],
+    ["scan", "--bootstraps", "2000000"],
     ["calibrate", "--trials", "2", "--n", "8192", "--window", "8192"],
 ], ids=["scan-window", "scan-bootstraps", "calibrate-window"])
 def test_window_over_the_memory_limit_exits_one(pair_files, capsys, argv):
@@ -313,6 +304,20 @@ def test_unknown_flag_exits_one(pair_files):
     with pytest.raises(SystemExit) as exc:
         main(["mmd", "--ref", ref, "--target", target, "--frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--ref", "ref.csv", "--target", "target.csv"],
+    ["simulate", "ratio-drift"],
+    ["correlate", "--profile", "0,1"],
+    ["calibrate"],
+], ids=lambda argv: argv[0] if argv[0] != "simulate" else "ratio-drift")
+def test_split_is_an_unknown_flag(argv, capsys):
+    # the null has one form, a permutation of the pooled rows; --split no longer chooses its blocks
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--split", "paired"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --split paired" in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_one():
@@ -460,10 +465,10 @@ LARGE_NULL_MB = 32
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for the child's own peak RSS")
 def test_large_null_scan_memory_stays_within_the_budget(tmp_path):
-    # at stride 1 and w = 32 a window's null (counts, their float copy and
-    # their product with the Gram, 2 x 2000 x 64 numbers each) outweighs its
-    # Gram 50-fold, so the budget must count it: runs of 32 such windows
-    # would hold about 200 MB a thread
+    # at stride 1 and w = 32 a window's null (its permuted signs and their
+    # product with the Gram, 2000 x 64 numbers each, beside the tiled signs)
+    # outweighs its 64 x 64 Gram about 90-fold, so the budget must count it:
+    # runs of 32 such windows would hold about 100 MB a thread
     (tmp_path / "tiny").mkdir()
     (tmp_path / "null").mkdir()
     base_mb = _peak_rss_mb(tmp_path / "tiny", 40, 8)

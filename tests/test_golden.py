@@ -4,16 +4,16 @@ A refactor that keeps the outputs must keep these hashes. For the scan, two pins
 
 * ``SCAN_JSON_SHA256`` and ``SCAN_CSV_SHA256`` hash the whole report and
   window series. They move with any deliberate change to the outputs,
-  including the bootstrap's index-draw scheme; update them in the same
-  change and say why.
+  including the null's draw scheme; update them in the same change and say
+  why.
 * ``OBSERVED_SHA256`` hashes only the observed side of the report: the
   statistic series, the drift score and the cause. Those fields do not
-  depend on the bootstrap at all, and this pin dates from before the
-  per-window bootstrap stream, so it shows that changing the null left the
-  drift score and cause untouched.
+  depend on the null at all, and this pin dates from before the per-window
+  bootstrap stream, so it shows that changing the null left the drift score
+  and cause untouched.
 
 ``VARIANT_PINS`` hashes the JSON and CSV of the same scan under each
-other kernel, estimator, split and bandwidth policy. ``STRIDE_PINS`` hashes
+other kernel, estimator and bandwidth policy. ``STRIDE_PINS`` hashes
 the default scan and every variant at strides 1 and 8 as well, where runs of
 16 and of 2 overlapping windows share one pool Gram; they were taken while
 every window still built its own. Every scan pin must also hold with the
@@ -26,6 +26,15 @@ projection of each of those scans, and ``DATA_ROW_PINS`` the data rows of
 ``simulate ratio-drift`` and ``correlate``, which hold only observed
 statistics. They were taken before the null moved from the bootstrap to
 permutations, and show that that change left the observed side untouched.
+
+The permutation null moved, once, every scan pin (``SCAN_*_SHA256``,
+``VARIANT_PINS``, ``STRIDE_PINS``, ``BLOCKWISE_PINS``), every calibrate pin
+and the ``simulate-ratio-drift`` and ``correlate`` entries of
+``COMMAND_PINS``: the per-window ``boot_median``, ``p_value`` and
+``flagged``, ``boot_median_mean``, the trials' p-values, and the config
+echo (``rng_scheme``; no ``split_policy`` or ``split``). The pins of the
+``--split literal`` scans went with the flag. The notes on when each pin
+was taken describe the bootstrap pins that these replaced.
 
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments,
@@ -55,70 +64,58 @@ from driftscan.cli import main
 from driftscan.kernels import KernelSpec
 from driftscan.simharness import null_calibration
 
-SCAN_JSON_SHA256 = "9d830df1abd08419509517c26ac9e9a964fa05166d5f8319bc26a48e6278f6ff"
-SCAN_CSV_SHA256 = "2c4aed7ad00edcd12b1cd8c2b48980e74c92a7fbb810b7554d70011bba41f862"
+SCAN_JSON_SHA256 = "800437c0fa5123ab8a93000a5c95fdcd66ca604a10dd520ac5f5832a3b898e71"
+SCAN_CSV_SHA256 = "896dd4faccc1a8c3c2bb7867a22a54af44730e9bfb1e8af0c9f060e143e2af29"
 OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
 
 #: extra scan flags -> (sha256 of the JSON, sha256 of the CSV)
 VARIANT_PINS = {
     ("--kernel", "linear"): (
-        "652fefaddd332198e45a19132905ce86b8219fc6970b8da866166597136b1bf9",
-        "0dc59777d060b093619dc91dade3d32ae6847325925a851e62a960ea3120a26f",
+        "efcdbbd33ce6c70b2dc4dac07ecc974117c88d4f03c49b5c7ba1f826f0d8b90a",
+        "ba3ed40efd3aaab063676162db1d18b8dccbe1969f8b13939f3c61be7b2bcef0",
     ),
     ("--estimator", "unbiased"): (
-        "6ce65e7a2d426b8a3be321eebd30293ae1041cd4f1526fac2a33e72cf083a972",
-        "babf2ac15e5d10ba9c779e7caee0a31238f32e937038624558a5a540cfd23fa7",
-    ),
-    ("--split", "literal"): (
-        "7368b55f7663d8334757b2d2d4dbcdfead1037ad0cec759f316d7848fc206c72",
-        "bbc04e61e1f1dd5a96fe68a4495ce4e91e1b5a6a35a5828721e629bc073b1c9e",
+        "257242530c10e0eccb69301ce66c242b36a9bc9feda2991a61a12ea5069b35a7",
+        "67a7e1c5e0cf876bbf471f1d45ae7677be02809cc7f4119a32096d84850050fd",
     ),
     ("--bandwidth", "median-window"): (
-        "5ea81eb836500b97c7b441701ae66c0f4a8fee4f88b50fc9426e94dfa0c40243",
-        "7b301866a1224f7bf9a5745a56c35f20f0edd28243c5039efed0d0d15d0b18cc",
+        "e765dcf8dbd33f3e7afa3eb3ac850244c777d5d6fab170582fc4fb2df439c0a1",
+        "685a9297c1665dce958041fda483a9e85adf2d44c7aefff0e5e08c75cbc884c0",
     ),
 }
 #: (stride, extra scan flags) -> (sha256 of the JSON, sha256 of the CSV)
 STRIDE_PINS = {
     (1, ()): (
-        "e0f47dbfafb7eecc1692ae2cbb8fc3768657950af062384fae4d769e02a94e14",
-        "91fda3e0265d12086b9a6e496ac9e1c706c3240e1a565c52c555ef79fcb46721",
+        "4aa0b66dc227cc8473b9c50fa7e2515f16935575171561bfca3020ed1c03c93b",
+        "d1eb3998b0b732ffe0e0146cc3e6a3a469968c5c626a696285fa39dd7a0cb5fa",
     ),
     (1, ("--bandwidth", "median-window")): (
-        "8826c8cf482d6700fa3f3c836ff06d0901d8a865d56a08d89605d7c6f9480243",
-        "5775b7491879e2388a4adf97d8b94ab36ada576bc092fc273e8f3e8005f8da75",
+        "c91786d546a81fcbaa9554c85150fdc42224848b795092fe6e5566ea7a48bc8c",
+        "110b62ed7b520db6d178c2179a994f8fcdbd84749497d131349f7d64b75715df",
     ),
     (1, ("--estimator", "unbiased")): (
-        "5dad2b74abfaa6c2fea680159162e1b3fa4482c459f398362d72558ad4b2b26f",
-        "ff16a48db8c27dc0d4abe224a1a334ecf42a9d28ca75d921cdac26bd815129ad",
+        "b631e3fa96ab09041b3a1482c531e0bfdffea3cbd721f6c909904d4c658092f4",
+        "e73e5ec7d56dbea273b963f82005d2f5b6eeb990e92d20017c3bb91b41e3c66d",
     ),
     (1, ("--kernel", "linear")): (
-        "d3e2f78d9cdac1cb363c9d35f83e4c04266f7b8b274f2ed3824b286c26eceb1a",
-        "77110e1367caafdbbd9fb2b655ef8719f68876722420c3033e1279e6d93f1cf3",
-    ),
-    (1, ("--split", "literal")): (
-        "4ba56275de4af0cbbc12248e7378efcafa2ed4d37350c5b6e6d63fb23d640776",
-        "757281df8ea0c1f25ea80b321f9003228145922639e703877e2d21a67cf03968",
+        "80254ae95b85f3f854ab7f3341cfb65119c1ba034cbdae4e649d50f6f857d8dd",
+        "5bc1a3ebc6d6792474aa58f7c98d93a29ec64bf5d6f01ba0ccb8b26e3ff740e9",
     ),
     (8, ()): (
-        "33179d2eb279edbbbc4ec73e072c29f3ac97cccc65d3d4d2ee693e43a2995eb6",
-        "42c3da24146a2e6b63398f29bf6f88240b88ae623d10b9bbae759e6eafb58af1",
+        "ae0f60a84b402104df8b2685cec089bae99a657030ed80793282ba2318e7ce43",
+        "e92b956478c30920d1d0572db5f9412edff68140a8dc09bda44ca5bb8761bbfe",
     ),
     (8, ("--bandwidth", "median-window")): (
-        "f173708b508b1b7533c41027381c10e7bc88e9916c079e75a3c34f25387d32ed",
-        "3626eea11ca03943bdb484fe1c998c26f63fd804e51dc88cc46b6642ddd986b4",
+        "c752f0f2fdd9914bdb8e600f7fae6de241c9abffa53eb27c2b071b7873452cde",
+        "6f4624d5f66ef5ad19a772b5ab845b7002e0dcca15423aed6b3aef07bcb59463",
     ),
     (8, ("--estimator", "unbiased")): (
-        "37ccd78f873a277f0400c7639a6f305a95dfdbbc7c07a17abaaa5c64fed62249",
-        "fe9edfb95c56beebf56647c457f8ccbf5d52231f5a5bfc9defc893934dfeffe2",
+        "b23b391e88793f8bc723704a1ee45f076f4917c625114b77ea7a6e2d70517912",
+        "17b0349f5bc37ef3ac44599f3c5de1c3e3a9fc64809234ee321fd52f3cfa3b3f",
     ),
     (8, ("--kernel", "linear")): (
-        "f842fae9c52ab18f9b743c61d9af88497c733689b2a91e8088c0757d3fc4a5d4",
-        "d490a803942fa67b22e30c7a49704d311ef2860ed07ac242777e769dcac77875",
-    ),
-    (8, ("--split", "literal")): (
-        "baa8b9165431ffd27bcc589459615ee8a3acc92ba87485f5e3345c5e6862e1ed",
-        "8cc88b990796d03bd5bd4a76c159c7f5baa7c2dad72b58d875a6d8c645d9de88",
+        "d9845cf19e1f817c76d7fbeacd396a64e86e42cea6000b318e4b060bbc395db4",
+        "aa8db19d9da27f7cc148425203b98a2cc68c987e364c6ab02305a446c7785aca",
     ),
 }
 #: (stride, extra scan flags) -> sha256 of the report's :func:`observed_projection`.
@@ -147,32 +144,31 @@ SCAN_PINS = {
 #: 2 x 1100 pooled rows make 2418450 pairs, over BLOCK_DISTANCES (2**21)
 BLOCKWISE_ROWS = 1100
 BLOCKWISE_PINS = (
-    "d61174ee2d6073c8e2bf8db915cf3932be8c98df7749684ecc38d6eb7c10a9ad",
-    "38993397c6f4f5300fd321975281f7df2afcb29e9aff54f23c0bebfbb2cdf796",
+    "d86a374fba81b1296d04394cedd98d1f80ee7f0a5a58acfe5d6b8b4733bf7d71",
+    "177f82f411b8dcb1383feb6306e999b2041ab8013aef40192607ed224f4a9ef7",
 )
 BLOCKWISE_OBSERVED_SHA256 = "070ae36210ef4f04deb0264f20925ef6643f4fc296d85cca8c8527d9b031a6e3"
 
-#: (kernel, estimator, split) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
+#: (kernel, estimator) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
 CALIBRATE_PINS = {
-    ("rbf", "biased", "paired"): (
-        "d2ffc8b57a9619bf16074dd6161c784193e2d5f7343d1cb3055cf58f3561de54",
-        "009dcebe74eaa041235ed588b6fb456fa0aca11f86417d2a14fab2f82dda85d7",
+    ("rbf", "biased"): (
+        "819b8342ed28517b30b5f1aa1966c3f8a7d8d5f957c1b0b2664c219b524b8ddd",
+        "0406cd81b7e0f98a7fb4a4574a382129f97bbb39f8a7e008f262ef0c55c662dc",
     ),
-    ("linear", "unbiased", "literal"): (
-        "33779d442e5847bc111baf7172e4848682934c38e6dca28a9da515d19a25bd55",
-        "90e9433e9b2d8d9297982fed35ccc695262daaa2c45a3b7a47c05630ea664756",
+    ("linear", "unbiased"): (
+        "a787fef64b632e10a0d273932de5c38005b777a2797b600532784ca1a618caba",
+        "f35f3f892e4881ee49e4504c07d1786039c8235311fee20b288fec44239e4f35",
     ),
 }
 #: (sha256 of the JSON, sha256 of the p-values) of the same commands under
 #: ``--bandwidth median-window``, which tests each trial's window at the
 #: median distance of its own 2 * window pooled rows
 CALIBRATE_MEDIAN_WINDOW_PINS = (
-    "bf3cdd497d14b3827ad3e552ef51721ae12b6c9121cd637079d5b6a840bb70ad",
-    "70165560abb3c880cfe33d3606cdd5239f04b7525dd7114bf3d9fa00cd5257e5",
+    "90addabadc962957b53c471bcd84977bc0185a07f249595283c640794f4c58fc",
+    "7604eed1573d3c015ac42b99cc795617fcb70553763d31514cd1698a9c447a67",
 )
 #: alpha 0.5 makes the rejection count move with the p-values
 CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
-SPLIT_POLICIES = {"paired": "paired_halves", "literal": "literal_quarter"}
 
 #: name -> (argv run in the golden inputs' directory, files it writes,
 #: sha256 of its stdout and then of each file). ``golden.json`` is the
@@ -221,15 +217,15 @@ COMMAND_PINS = {
         ["simulate", "ratio-drift", "--n", "400", "--dims", "3", "--fractions", "0.1,0.5,0.9", "--seed", "7",
          "--batch-size", "16", "--window", "8", "--bootstraps", "5"],
         (),
-        ("671659ac1c595121c93a7ef6d2e5be1904b1692743131fd84f967a4843a0ed86",),
+        ("08159e254153ac91c09c9584caebefdb16ce00a8040882798adb660eb8680ad3",),
     ),
     "correlate": (
         ["correlate", "--profile", "0,1.5,3", "--n", "512", "--dims", "3", "--batch-size", "32", "--window", "8",
          "--bootstraps", "5", "--seed", "9", "--out", "buckets.csv"],
         ("buckets.csv",),
         (
-            "0411f950493afc4f9499e49cd9a3c1cf326fc65dbff8d10dbd2c8d465d2b3649",
-            "8cf73f99e899f498301646317b265319a4fa6a7819a71204acf5806198d80a5f",
+            "98bcde2c4ff2fcb963bb495dc5a5f48f7086889deb5817bae9c9b73bf0521960",
+            "91bc8bebe60264341e4954511d2cc378f9c19992621ee9a2c4a93a4519aee44a",
         ),
     ),
 }
@@ -329,8 +325,7 @@ def _scan_by_workers(monkeypatch, work, *flags: str, stride: int) -> list:
                          ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
 def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, monkeypatch, stride, flags):
     hashes = _scan_by_workers(monkeypatch, golden_inputs, *flags, stride=stride)
-    if (stride, flags) in OBSERVED_PINS:
-        assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
+    assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
     assert hashes == [SCAN_PINS[stride, flags]] * 3
 
 
@@ -360,16 +355,14 @@ def test_subcommand_outputs_match_golden_hashes(golden_inputs, golden_run, capsy
     assert (_sha256(stdout), *(_sha256((golden_inputs / f).read_bytes()) for f in files)) == pins
 
 
-@pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))
-def test_calibrate_outputs_match_golden_hashes(tmp_path, kernel, estimator, split):
-    json_sha, p_values_sha = CALIBRATE_PINS[kernel, estimator, split]
+@pytest.mark.parametrize("kernel, estimator", sorted(CALIBRATE_PINS))
+def test_calibrate_outputs_match_golden_hashes(tmp_path, kernel, estimator):
+    json_sha, p_values_sha = CALIBRATE_PINS[kernel, estimator]
     out = tmp_path / "calibrate.json"
     flags = [f"--{name}={value}" for name, value in CALIBRATE_ARGS.items()]
-    assert main(["calibrate", *flags, "--kernel", kernel, "--estimator", estimator, "--split", split,
-                 "--out", str(out)]) == 0
+    assert main(["calibrate", *flags, "--kernel", kernel, "--estimator", estimator, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == json_sha
-    result = null_calibration(**CALIBRATE_ARGS, kernel=KernelSpec(kernel), estimator=estimator,
-                              split_policy=SPLIT_POLICIES[split])
+    result = null_calibration(**CALIBRATE_ARGS, kernel=KernelSpec(kernel), estimator=estimator)
     assert _sha256(result.p_values.tobytes()) == p_values_sha
 
 
@@ -382,11 +375,10 @@ def _p_values_by_workers(monkeypatch, **kwargs) -> list:
     return hashes
 
 
-@pytest.mark.parametrize("kernel, estimator, split", sorted(CALIBRATE_PINS))
-def test_calibrate_p_values_do_not_depend_on_the_worker_count(monkeypatch, kernel, estimator, split):
-    hashes = _p_values_by_workers(monkeypatch, kernel=KernelSpec(kernel), estimator=estimator,
-                                  split_policy=SPLIT_POLICIES[split])
-    assert hashes == [CALIBRATE_PINS[kernel, estimator, split][1]] * 3
+@pytest.mark.parametrize("kernel, estimator", sorted(CALIBRATE_PINS))
+def test_calibrate_p_values_do_not_depend_on_the_worker_count(monkeypatch, kernel, estimator):
+    hashes = _p_values_by_workers(monkeypatch, kernel=KernelSpec(kernel), estimator=estimator)
+    assert hashes == [CALIBRATE_PINS[kernel, estimator][1]] * 3
 
 
 def test_calibrate_median_window_matches_golden_hashes(tmp_path, monkeypatch):

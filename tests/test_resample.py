@@ -17,25 +17,30 @@ RBF_FIXED = KernelSpec("rbf", 1.0)
 def test_window_test_rejects_mismatched_windows():
     x = np.zeros((4, 2))
     with pytest.raises(ValidationError, match="same rows and dims"):
-        window_test(RBF_FIXED, x, np.zeros((4, 3)), 5, 0, "paired_halves", "biased")
+        window_test(RBF_FIXED, x, np.zeros((4, 3)), 5, 0, "biased")
     with pytest.raises(ValidationError, match="same rows and dims"):
-        window_test(RBF_FIXED, x, np.zeros((5, 2)), 5, 0, "paired_halves", "biased")
+        window_test(RBF_FIXED, x, np.zeros((5, 2)), 5, 0, "biased")
 
 
 def test_degenerate_pool_gives_zero_stats_and_p_one():
     window = np.array([[2.0, -1.0]] * 4)
-    est, result = window_test(RBF_FIXED, window, window, 25, 9, "paired_halves", "biased")
+    est, result = window_test(RBF_FIXED, window, window, 25, 9, "biased")
     assert est.squared == 0.0
     assert np.all(result.stats == 0.0)
     assert result.median == 0.0
     assert result.p_value == 1.0
 
 
-def gathered_null_stats(gram, idx, block, estimator):
-    """Reference: gather each draw's Gram blocks and reduce them one draw at a time."""
+def permutation_signs(seed, window, k, rows):
+    """Window ``window``'s k permutations of 2 * rows pooled rows, as the window test draws them."""
+    return derive_rng(seed, BOOTSTRAP_TAG, window).permuted(np.tile(np.repeat([1.0, -1.0], rows), (k, 1)), axis=1)
+
+
+def gathered_null_stats(gram, signs, estimator):
+    """Reference: gather each permutation's Gram blocks and reduce them one permutation at a time."""
     stats = []
-    for row in idx:
-        b1, b2 = row[:block], row[block:]
+    for row in signs:
+        b1, b2 = np.flatnonzero(row > 0), np.flatnonzero(row < 0)
         stats.append(mmd_sq_from_gram(
             gram[np.ix_(b1, b1)], gram[np.ix_(b2, b2)], gram[np.ix_(b1, b2)], estimator
         ))
@@ -44,16 +49,14 @@ def gathered_null_stats(gram, idx, block, estimator):
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
-@pytest.mark.parametrize("split", ["paired_halves", "literal_quarter"])
-def test_quadratic_form_matches_gathered_blocks(family, estimator, split):
+def test_quadratic_form_matches_gathered_blocks(family, estimator):
     half = 12
-    block = half if split == "paired_halves" else half // 2
-    rng = np.random.default_rng(11)
-    pool = rng.standard_normal((2 * half, 4))
+    pool = np.random.default_rng(11).standard_normal((2 * half, 4))
     gram = kernel_matrix(KernelSpec(family), 1.5, pool, pool)
-    idx = rng.integers(0, 2 * half, size=(60, 2 * block))
-    fast = null_stats_from_gram(gram, idx, block, estimator)
-    slow = gathered_null_stats(gram, idx, block, estimator)
+    signs = permutation_signs(11, 0, 60, half)
+    assert np.all(signs.sum(axis=1) == 0)  # two blocks of half rows each
+    fast = null_stats_from_gram(gram, signs, estimator)
+    slow = gathered_null_stats(gram, signs, estimator)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
@@ -65,7 +68,7 @@ _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
 #: name -> (kernel, pool, seed). Identical windows pool into each row twice,
 #: so the observed statistic is 0. The two far rows (far in bandwidth units)
 #: are each repeated; without the clamp some of their draws round to about
-#: -1e-40, and an observed 0 would get p < 1.
+#: -6e-39, and an observed 0 would get p < 1.
 DUPLICATED_POOLS = {
     "identical-windows-rbf": (RBF_FIXED, np.vstack([_TWIN, _TWIN]), 4),
     "identical-windows-linear": (KernelSpec("linear"), np.vstack([_TWIN, _TWIN]), 4),
@@ -77,40 +80,38 @@ DUPLICATED_POOLS = {
 def test_biased_null_on_duplicated_rows_is_nonnegative_with_p_one(name):
     spec, pool, seed = DUPLICATED_POOLS[name]
     gram = kernel_matrix(spec, resolve_bandwidth(spec, pool), pool, pool)
-    idx = derive_rng(seed, BOOTSTRAP_TAG, 0).integers(0, 16, size=(200, 16))
     # p = (1 + #{stats >= 0}) / (k + 1) is 1 for an observed 0 exactly when no stat is negative
-    assert np.all(null_stats_from_gram(gram, idx, 8, "biased") >= 0.0)
+    assert np.all(null_stats_from_gram(gram, permutation_signs(seed, 0, 200, 8), "biased") >= 0.0)
 
 
 def test_shared_gram_gives_the_same_null():
     rng = np.random.default_rng(13)
     x, y = (EmbeddingMatrix.from_array(rng.standard_normal((8, 3))) for _ in range(2))
-    est, result = window_test(RBF_FIXED, x.values, y.values, 30, 6, "paired_halves", "biased")
+    est, result = window_test(RBF_FIXED, x.values, y.values, 30, 6, "biased")
     pool = np.vstack([x.as_float64(), y.as_float64()])
-    idx = derive_rng(6, BOOTSTRAP_TAG, 0).integers(0, 16, size=(30, 16))
-    own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), idx, 8, "biased")
+    own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), permutation_signs(6, 0, 30, 8), "biased")
     np.testing.assert_array_equal(result.stats, own)
     assert est == mmd(RBF_FIXED, x, y, "biased")
 
 
-#: name -> (kernel, bandwidth shared by the windows, estimator, split)
+#: name -> (kernel, bandwidth shared by the windows, estimator)
 SCAN_CASES = {
-    "rbf-biased-paired": (RBF_FIXED, 1.0, "biased", "paired_halves"),
-    "rbf-unbiased-literal": (RBF_FIXED, 1.0, "unbiased", "literal_quarter"),
-    "linear-biased-literal": (KernelSpec("linear"), None, "biased", "literal_quarter"),
-    "linear-unbiased-paired": (KernelSpec("linear"), None, "unbiased", "paired_halves"),
-    "median-window-unbiased-paired": (KernelSpec("rbf", "median-window"), None, "unbiased", "paired_halves"),
-    "median-window-biased-literal": (KernelSpec("rbf", "median-window"), None, "biased", "literal_quarter"),
+    "rbf-biased": (RBF_FIXED, 1.0, "biased"),
+    "rbf-unbiased": (RBF_FIXED, 1.0, "unbiased"),
+    "linear-biased": (KernelSpec("linear"), None, "biased"),
+    "linear-unbiased": (KernelSpec("linear"), None, "unbiased"),
+    "median-window-unbiased": (KernelSpec("rbf", "median-window"), None, "unbiased"),
+    "median-window-biased": (KernelSpec("rbf", "median-window"), None, "biased"),
 }
 SCAN_WIDTH = 8
 
 
-def _window_test_loop(spec, x, y, stride, k, seed, estimator, split, bandwidth):
+def _window_test_loop(spec, x, y, stride, k, seed, estimator, bandwidth):
     """Reference: one window_test per window."""
     columns = ([], [], [])
     for t in range(SCAN_WIDTH, x.shape[0] + 1, stride):
         rows = slice(t - SCAN_WIDTH, t)
-        est, boot = window_test(spec, x[rows], y[rows], k, seed, split, estimator, bandwidth, window_index=t)
+        est, boot = window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth, window_index=t)
         for column, value in zip(columns, (est.squared, boot.median, boot.p_value)):
             column.append(value)
     return columns
@@ -119,12 +120,12 @@ def _window_test_loop(spec, x, y, stride, k, seed, estimator, split, bandwidth):
 @pytest.mark.parametrize("stride", [1, 3, SCAN_WIDTH, 2 * SCAN_WIDTH])
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
-    spec, bandwidth, estimator, split = SCAN_CASES[name]
+    spec, bandwidth, estimator = SCAN_CASES[name]
     rng = np.random.default_rng(21)
     x = rng.standard_normal((45, 3)).astype(np.float32)
     y = (rng.standard_normal((45, 3)) + 0.3).astype(np.float32)
-    got = scan_window_tests(spec, x, y, SCAN_WIDTH, stride, 13, 4, split, estimator, bandwidth)
-    want = _window_test_loop(spec, x, y, stride, 13, 4, estimator, split, bandwidth)
+    got = scan_window_tests(spec, x, y, SCAN_WIDTH, stride, 13, 4, estimator, bandwidth)
+    want = _window_test_loop(spec, x, y, stride, 13, 4, estimator, bandwidth)
     assert all(type(v) is float for column in got for v in column)  # reports print each float's repr
     assert got == want
 
@@ -132,11 +133,11 @@ def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
 @pytest.mark.parametrize("budget_windows, workers", [(1, 1), (3, 2), (5, 3)])
 def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, workers):
     # a run's budget is BLOCK_DISTANCES // workers numbers. A window holds
-    # its Gram and 4k(3w + block) null numbers, a run's span Gram under 4
-    # window Grams: with room for those and budget_windows windows a worker,
-    # runs of stride-1 windows hold budget_windows windows, not SCAN_WIDTH
+    # its Gram and 3k(2w) null numbers, a run's span Gram under 4 window
+    # Grams: with room for those and budget_windows windows a worker, runs
+    # of stride-1 windows hold budget_windows windows, not SCAN_WIDTH
     gram = 4 * SCAN_WIDTH**2
-    window = gram + 4 * 9 * (3 * SCAN_WIDTH + SCAN_WIDTH)  # k = 9, paired blocks of SCAN_WIDTH rows
+    window = gram + 3 * 9 * 2 * SCAN_WIDTH  # k = 9: tiled signs, their permutation, its product with the Gram
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", workers * (4 * gram + budget_windows * window))
     rng = np.random.default_rng(22)
@@ -146,10 +147,10 @@ def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypa
     monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(args[2].shape[0]) or real(*args))
     for estimator in ("biased", "unbiased"):
         grams.clear()
-        got = scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 6, "paired_halves", estimator, 1.0)
+        got = scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 6, estimator, 1.0)
         # 33 windows in runs of budget_windows; a run of n windows pools 2 * (SCAN_WIDTH + n - 1) rows
         assert grams.count(2 * (SCAN_WIDTH + budget_windows - 1)) == 33 // budget_windows
-        assert got == _window_test_loop(RBF_FIXED, x, y, 1, 9, 6, estimator, "paired_halves", 1.0)
+        assert got == _window_test_loop(RBF_FIXED, x, y, 1, 9, 6, estimator, 1.0)
 
 
 @pytest.mark.parametrize("stride, threaded", [(1, True), (SCAN_WIDTH, False), (2 * SCAN_WIDTH, False)])
@@ -160,7 +161,7 @@ def test_only_runs_of_several_windows_go_to_threads(monkeypatch, stride, threade
     real = resample.kernel_matrix
     monkeypatch.setattr(resample, "kernel_matrix", lambda *args: threads.add(threading.get_ident()) or real(*args))
     x, y = _windows(23, 40, 2)
-    scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, stride, 9, 6, "paired_halves", "biased", 1.0)
+    scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, stride, 9, 6, "biased", 1.0)
     assert (threads != {threading.get_ident()}) == threaded
 
 
@@ -171,11 +172,11 @@ def _windows(seed, rows, dims):
 
 def test_fixed_seed_reproduces_stats_bitwise():
     x, y = _windows(1, 8, 3)
-    _, a = window_test(RBF_FIXED, x, y, 50, 7, "paired_halves", "biased")
-    _, b = window_test(RBF_FIXED, x, y, 50, 7, "paired_halves", "biased")
+    _, a = window_test(RBF_FIXED, x, y, 50, 7, "biased")
+    _, b = window_test(RBF_FIXED, x, y, 50, 7, "biased")
     np.testing.assert_array_equal(a.stats, b.stats)
     assert a.median == b.median and a.p_value == b.p_value
-    _, c = window_test(RBF_FIXED, x, y, 50, 8, "paired_halves", "biased")
+    _, c = window_test(RBF_FIXED, x, y, 50, 8, "biased")
     assert not np.array_equal(a.stats, c.stats)
 
 
@@ -186,7 +187,7 @@ def test_p_value_bounds_and_monotonicity():
     k = 40
     ps = []
     for shift in (0.0, 0.1, 0.3, 1.0, 100.0):
-        est, result = window_test(RBF_FIXED, x, x + shift, k, 3, "paired_halves", "biased")
+        est, result = window_test(RBF_FIXED, x, x + shift, k, 3, "biased")
         assert result.p_value == (1 + np.count_nonzero(result.stats >= est.squared)) / (k + 1)
         assert 1.0 / (k + 1) <= result.p_value <= 1.0
         ps.append(result.p_value)
@@ -205,32 +206,26 @@ def test_label_swap_invariance_on_canonicalized_pool():
     def canonical(a, b):
         t = np.vstack([a, b])
         t = t[np.lexsort(t.T[::-1])]
-        return window_test(RBF_FIXED, t[:6], t[6:], 30, 5, "paired_halves", "biased")[1]
+        return window_test(RBF_FIXED, t[:6], t[6:], 30, 5, "biased")[1]
 
     np.testing.assert_array_equal(np.sort(canonical(q1, q2).stats), np.sort(canonical(q2, q1).stats))
-    e12, _ = window_test(RBF_FIXED, q1, q2, 30, 5, "paired_halves", "biased")
-    e21, _ = window_test(RBF_FIXED, q2, q1, 30, 5, "paired_halves", "biased")
+    e12, _ = window_test(RBF_FIXED, q1, q2, 30, 5, "biased")
+    e21, _ = window_test(RBF_FIXED, q2, q1, 30, 5, "biased")
     assert e12.squared == e21.squared
 
 
-def test_split_policy_preconditions():
-    # paired compares blocks as large as a window, so one row per window suffices
+def test_one_row_windows_have_a_null():
+    # the null's blocks are as large as a window, so one row per window suffices
     x, y = _windows(6, 1, 2)
-    _, result = window_test(RBF_FIXED, x, y, 5, 0, "paired_halves", "biased")
-    assert result.stats.shape == (5,)
-    # literal compares blocks of half a window, which one row leaves empty
-    with pytest.raises(ValueError, match="empty blocks"):
-        window_test(RBF_FIXED, x, y, 5, 0, "literal_quarter", "biased")
-    x, y = _windows(6, 3, 2)
-    _, result = window_test(RBF_FIXED, x, y, 5, 0, "literal_quarter", "biased")
+    _, result = window_test(RBF_FIXED, x, y, 5, 0, "biased")
     assert result.stats.shape == (5,)
 
 
 def test_block_size_refuses_windows_past_window_numbers():
-    # 4096-row windows peak at about 0.65 GB and pass; 8192-row ones at about 2.5 GB
-    assert resample.block_size(4096, 50, "paired_halves", "biased") == 4096
+    # 4096-row windows peak at about 0.63 GB and pass; 8192-row ones at about 2.5 GB
+    resample.block_size(4096, 50, "biased")
     with pytest.raises(ValueError, match="8192 rows with 50 bootstraps need about 2.5 GB"):
-        resample.block_size(8192, 50, "paired_halves", "biased")
+        resample.block_size(8192, 50, "biased")
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
@@ -242,38 +237,29 @@ import numpy as np
 from driftscan.kernels import KernelSpec
 from driftscan.resample import window_test
 x, y = np.random.default_rng(0).standard_normal((2, 1024, 8))
-window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "paired_halves", "biased", 1.0)  # lazy imports
+window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "biased", 1.0)  # lazy imports
 """
-    rise_mb = peak_rise_mb(setup, 'window_test(KernelSpec("rbf", 1.0), x, y, 1, 0, "paired_halves", "biased", 1.0)')
+    rise_mb = peak_rise_mb(setup, 'window_test(KernelSpec("rbf", 1.0), x, y, 1, 0, "biased", 1.0)')
     gram_mb = (2 * 1024) ** 2 * 8 / 2**20
     assert rise_mb < (resample.GRAM_PEAK_RATIO + 0.25) * gram_mb, f"peak {rise_mb:.1f} MB over a {gram_mb:.0f} MB Gram"
-
-
-def test_literal_and_paired_differ():
-    x, y = _windows(7, 8, 2)
-    _, a = window_test(RBF_FIXED, x, y, 20, 1, "paired_halves", "biased")
-    _, b = window_test(RBF_FIXED, x, y, 20, 1, "literal_quarter", "biased")
-    assert not np.array_equal(a.stats, b.stats)
 
 
 def test_parameter_validation():
     x = np.array([[1.0], [2.0]])
     y = np.array([[3.0], [4.0]])
+    with pytest.raises(ValueError, match="empty blocks"):
+        window_test(RBF_FIXED, x[:0], y[:0], 5, 0, "biased")
     with pytest.raises(ValueError):
-        window_test(RBF_FIXED, x[:0], y[:0], 5, 0, "paired_halves", "biased")
-    with pytest.raises(ValueError):
-        window_test(RBF_FIXED, x, y, 0, 0, "paired_halves", "biased")
-    with pytest.raises(ValueError, match="split"):
-        window_test(RBF_FIXED, x, y, 5, 0, "thirds", "biased")
+        window_test(RBF_FIXED, x, y, 0, 0, "biased")
     with pytest.raises(ValueError, match="estimator"):
-        window_test(RBF_FIXED, x, y, 5, 0, "paired_halves", "plain")
+        window_test(RBF_FIXED, x, y, 5, 0, "plain")
     with pytest.raises(ValueError, match="unbiased"):
-        window_test(RBF_FIXED, x, y, 5, 0, "literal_quarter", "unbiased")
+        window_test(RBF_FIXED, x[:1], y[:1], 5, 0, "unbiased")
 
 
 def test_even_k_median_averages_middles():
     x, y = _windows(8, 3, 2)
-    _, result = window_test(RBF_FIXED, x, y, 10, 2, "paired_halves", "biased")
+    _, result = window_test(RBF_FIXED, x, y, 10, 2, "biased")
     s = np.sort(result.stats)
     assert result.median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
 

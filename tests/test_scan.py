@@ -146,12 +146,22 @@ def test_report_json_roundtrip(tmp_path):
     assert report_to_dict(load_report(path)) == d
 
 
-def test_report_without_rng_scheme_still_loads():
-    # reports written before the entry existed lack it
+#: config entries of reports from earlier versions, in place of today's rng_scheme
+OLDER_CONFIGS = {
+    "without-rng-scheme": {},  # written before the entry existed
+    "bootstrap": {"rng_scheme": "window-stream", "split_policy": "literal_quarter"},  # before the permutation null
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLDER_CONFIGS))
+def test_report_without_rng_scheme_still_loads(name, tmp_path):
     d = report_to_dict(drift_scan(gaussian_pair(seed=11), FAST))
     assert d["config"]["rng_scheme"] == RNG_SCHEME
     del d["config"]["rng_scheme"]
-    rebuilt = report_from_dict(json.loads(json.dumps(d)))
+    d["config"].update(OLDER_CONFIGS[name])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(d))
+    rebuilt = load_report(path)
     assert rebuilt.config == FAST
     assert report_to_dict(rebuilt)["config"]["rng_scheme"] == RNG_SCHEME
 

@@ -220,7 +220,7 @@ def test_null_calibration_median_window_runs_the_per_window_test():
         data_rng = derive_rng(21, "calibration-data", i)
         ref, target = (EmbeddingMatrix.from_array(data_rng.standard_normal((40, 3))) for _ in range(2))
         _, boot = window_test(spec, ref.values[:8], target.values[:8], 19, derive_seed(21, "calibration-boot", i),
-                              "paired_halves", "biased", bandwidth=None)
+                              "biased", bandwidth=None)
         by_hand.append(boot.p_value)
     np.testing.assert_array_equal(result.p_values, by_hand)
     assert not np.array_equal(result.p_values, null_calibration(**args).p_values)
