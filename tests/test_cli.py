@@ -237,6 +237,16 @@ def test_blocks_too_small_for_the_settings_exit_one(capsys):
     assert captured.out == ""
 
 
+def test_calibrate_runs_one_row_windows_with_the_biased_estimator(capsys):
+    # the null compares blocks as large as a window, so one row per window is enough
+    assert main(["calibrate", "--window", "1", "--trials", "3", "--n", "16", "--bootstraps", "19"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["trials"] == 3
+    assert payload["config"]["window"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--window", "8192"],
     ["scan", "--bootstraps", "2000000"],

@@ -60,6 +60,24 @@ def test_quadratic_form_matches_gathered_blocks(family, estimator):
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+@pytest.mark.parametrize("half", [2, 7])
+def test_unpermuted_signs_give_the_observed_statistic(family, estimator, half):
+    # the draw that keeps each row on its own side is the observed split, in
+    # either orientation; 2 rows is the least the unbiased estimator takes
+    rng = np.random.default_rng(17)
+    x, y = (EmbeddingMatrix.from_array(rng.standard_normal((half, 3)) + shift) for shift in (0.0, 0.5))
+    spec = KernelSpec(family)
+    pool = np.vstack([x.as_float64(), y.as_float64()])
+    bandwidth = resolve_bandwidth(spec, pool)
+    observed = mmd(spec, x, y, estimator, bandwidth=bandwidth).squared
+    split = np.repeat([1.0, -1.0], half)
+    stats = null_stats_from_gram(kernel_matrix(spec, bandwidth, pool, pool), np.stack([split, -split]), estimator)
+    assert stats[0] == stats[1]
+    assert abs(stats[0] - observed) <= 1e-12 * abs(observed)
+
+
 _TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3))).as_float64()
 _FAR = ([9.658225059509277, 53.671287536621094, 26.380176544189453],
         [11.147784233093262, 44.63081359863281, 21.859966278076172])

@@ -150,6 +150,7 @@ def test_report_json_roundtrip(tmp_path):
 OLDER_CONFIGS = {
     "without-rng-scheme": {},  # written before the entry existed
     "bootstrap": {"rng_scheme": "window-stream", "split_policy": "literal_quarter"},  # before the permutation null
+    "bootstrap-paired": {"rng_scheme": "window-stream", "split_policy": "paired_halves"},  # the old default split
 }
 
 
