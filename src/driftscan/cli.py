@@ -88,10 +88,9 @@ def _add_kernel_flags(p):
     p.add_argument("--estimator", choices=("biased", "unbiased"), default="biased")
 
 
-def _add_scan_flags(p, bootstraps_default=50):
+def _add_scan_flags(p):
     p.add_argument("--window", type=int, default=32, help="samples per compared window (default: 32)")
-    p.add_argument("--bootstraps", type=int, default=bootstraps_default,
-                   help=f"null permutations per window (default: {bootstraps_default})")
+    p.add_argument("--bootstraps", type=int, default=50, help="null permutations per window (default: 50)")
     p.add_argument("--stride", type=int, default=1, help="window step (default: 1)")
     p.add_argument("--alpha", type=float, default=0.05, help="flagging threshold (default: 0.05)")
     _add_kernel_flags(p)
@@ -190,13 +189,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    matrix = load_embeddings(args.input, args.format)
     config = BatchConfig(
         batch_size=args.batch_size,
         shuffle=not args.no_shuffle,
         seed=args.seed,
         tail_policy="keep_partial" if args.tail == "keep" else "drop",
     )
+    matrix = load_embeddings(args.input, args.format)
     reduced = batch_means(matrix, config)
     save_embeddings(reduced, args.out, args.out_format)
     _write_text(None, _json({
@@ -209,18 +208,18 @@ def cmd_batch(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.which == "both" and not (args.out_ref and args.out_target):
+        raise ValueError("--which both needs --out-ref and --out-target")
+    if args.which != "both" and not args.out:
+        raise ValueError(f"--which {args.which} needs --out")
     sides = _load_sides(args)
     report = load_report(args.report)
     pair = DatasetPair(*sides)
     if args.which == "both":
-        if not (args.out_ref and args.out_target):
-            raise DataError("--which both needs --out-ref and --out-target")
         cause_ref, cause_target = extract_cause_samples(pair, report, "both")
         save_embeddings(cause_ref, args.out_ref, args.out_format)
         save_embeddings(cause_target, args.out_target, args.out_format)
     else:
-        if not args.out:
-            raise DataError(f"--which {args.which} needs --out")
         save_embeddings(extract_cause_samples(pair, report, args.which), args.out, args.out_format)
     _write_text(None, _json({
         "config": _echo("extract", args),

@@ -120,7 +120,7 @@ def null_stats_from_gram(gram: np.ndarray, signs: np.ndarray, estimator: str) ->
 def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidth):
     """Window tests of x[j * stride:][:width] against y[j * stride:][:width] for each j < len(indices).
 
-    The windows copy their Grams out of one pool Gram over all rows of ``x``
+    The windows take their Grams from one pool Gram over all rows of ``x``
     and ``y``, with the bits of their own. Window j draws from the stream
     (seed, "bootstrap", indices[j]). ``bandwidth`` None resolves it over the
     pool, which is then one window. Returns the bandwidth and, per window,
@@ -131,13 +131,11 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidt
         bandwidth = resolve_bandwidth(spec, x, y)
     pool = np.concatenate([x, y], dtype=np.float64)
     gram = kernel_matrix(spec, bandwidth, pool, pool)
-    grams = gram[None]
-    if span > width:  # each block of every window's Gram is one strided view of the span's
-        r, c = gram.strides
-        grams = np.empty((len(indices), 2 * width, 2 * width))
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            grams[:, a * width:(a + 1) * width, b * width:(b + 1) * width] = as_strided(
-                gram[a * span:, b * span:], (len(indices), width, width), (stride * (r + c), r, c), writeable=False)
+    # every window's Gram in one strided view of the span's, as (side, row, side, column):
+    # the reshape copies it once for a run of windows, and not at all for one window
+    r, c = gram.strides
+    grams = as_strided(gram, (len(indices), 2, width, 2, width), (stride * (r + c), span * r, r, span * c, c),
+                       writeable=False).reshape(len(indices), 2 * width, 2 * width)
     observed = mmd_sq_from_gram(grams[:, :width, :width], grams[:, width:, width:], grams[:, :width, width:], estimator)
     halves = np.tile(np.repeat([1.0, -1.0], width), (k, 1))
     signs = np.stack([derive_rng(seed, BOOTSTRAP_TAG, t).permuted(halves, axis=1) for t in indices])

@@ -163,6 +163,11 @@ def pearson(x, y) -> float:
     return float(np.dot(xc, yc) / denom)
 
 
+def _batched(points: EmbeddingMatrix, batch_size: int, seed: int) -> EmbeddingMatrix:
+    """Means of ``batch_size``-row batches of ``points``, shuffled with ``seed``, a partial tail dropped."""
+    return batch_means(points, BatchConfig(batch_size=batch_size, shuffle=True, seed=seed))
+
+
 def ratio_drift_study(
     base: ClassMixtureSpec,
     fractions,
@@ -179,21 +184,13 @@ def ratio_drift_study(
     if not fractions:
         raise ValueError("fractions must be nonempty")
     ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, "ratio-ref"))
-    ref = batch_means(
-        generate_mixture(ref_spec),
-        BatchConfig(batch_size=batch_size, shuffle=True, seed=derive_seed(base.seed, "ratio-ref-batch")),
-    )
+    ref = _batched(generate_mixture(ref_spec), batch_size, derive_seed(base.seed, "ratio-ref-batch"))
     rows = []
     for i, fraction in enumerate(fractions):
         target_spec = replace(
             base, positive_fraction=fraction, seed=derive_seed(base.seed, "ratio-target", i)
         )
-        target = batch_means(
-            generate_mixture(target_spec),
-            BatchConfig(
-                batch_size=batch_size, shuffle=True, seed=derive_seed(base.seed, "ratio-target-batch", i)
-            ),
-        )
+        target = _batched(generate_mixture(target_spec), batch_size, derive_seed(base.seed, "ratio-target-batch", i))
         scan_i = replace(scan, seed=derive_seed(scan.seed, "ratio-scan", i))
         report = drift_scan(DatasetPair(ref, target), scan_i)
         rows.append((fraction, report.summary_score))
@@ -240,10 +237,7 @@ def correlation_study(
     ref_spec = axis_mixture_spec(
         dims, n, 0.5, derive_seed(seed, "corr-ref"), scale=scale, separation=separation
     )
-    ref_batched = batch_means(
-        generate_mixture(ref_spec),
-        BatchConfig(batch_size=batch_size, shuffle=True, seed=derive_seed(seed, "corr-ref-batch")),
-    )
+    ref_batched = _batched(generate_mixture(ref_spec), batch_size, derive_seed(seed, "corr-ref-batch"))
     # fixed scorer: Bayes-optimal logistic score for the reference mixture
     weights = (ref_spec.positive_mean - ref_spec.negative_mean) / (scale * scale)
     bias = -float(np.dot(weights, (ref_spec.positive_mean + ref_spec.negative_mean) / 2.0))
@@ -253,20 +247,10 @@ def correlation_study(
 
     series = []
     for b in range(buckets):
-        bucket_spec = ClassMixtureSpec(
-            dims=dims,
-            positive_mean=ref_spec.positive_mean - profile[b] * scale * axis,
-            negative_mean=ref_spec.negative_mean,
-            scale=scale,
-            positive_fraction=0.5,
-            n=n,
-            seed=derive_seed(seed, "corr-bucket", b),
-        )
+        bucket_spec = replace(ref_spec, positive_mean=ref_spec.positive_mean - profile[b] * scale * axis,
+                              seed=derive_seed(seed, "corr-bucket", b))
         points, labels = generate_labeled_mixture(bucket_spec)
-        bucket_batched = batch_means(
-            points,
-            BatchConfig(batch_size=batch_size, shuffle=True, seed=derive_seed(seed, "corr-bucket-batch", b)),
-        )
+        bucket_batched = _batched(points, batch_size, derive_seed(seed, "corr-bucket-batch", b))
         scan_b = replace(scan, seed=derive_seed(scan.seed, "corr-scan", b))
         report = drift_scan(DatasetPair(ref_batched, bucket_batched), scan_b)
         scores = _stable_sigmoid(points.as_float64() @ weights + bias)

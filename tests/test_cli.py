@@ -56,15 +56,26 @@ def test_scan_writes_schema_compliant_report(pair_files, tmp_path, capsys):
     assert len(report["windows"]) == 40 - 8 + 1
 
 
-@pytest.mark.parametrize("flags", [["--window", "8192"], ["--batch-size", "0"], ["--alpha", "1.5"]])
+MISSING_SIDES = ["--ref", "missing.csv", "--target", "missing.csv"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["scan", *MISSING_SIDES, "--window", "8192"],
+    ["scan", *MISSING_SIDES, "--batch-size", "0"],
+    ["scan", *MISSING_SIDES, "--alpha", "1.5"],
+    ["extract", *MISSING_SIDES, "--report", "missing.json", "--which", "target"],
+    ["extract", *MISSING_SIDES, "--report", "missing.json", "--which", "both", "--out-ref", "ref.csv"],
+    ["batch", "--input", "missing.csv", "--out", "out.csv", "--batch-size", "0"],
+])
 def test_scan_checks_its_flags_before_reading_the_inputs(flags, monkeypatch, capsys):
-    # a usage error costs no parse, and wins (exit 1) over an input that
-    # cannot be read (exit 2)
+    # scan, extract and batch: a usage error costs no parse, and wins
+    # (exit 1) over an input that cannot be read (exit 2)
     def unread(*args):
-        raise AssertionError("scan read its inputs before checking its flags")
+        raise AssertionError(f"{flags[0]} read its inputs before checking its flags")
 
     monkeypatch.setattr(cli, "load_embeddings", unread)
-    assert main(["scan", "--ref", "missing.csv", "--target", "missing.csv", *flags]) == 1
+    monkeypatch.setattr(cli, "load_report", unread)
+    assert main(flags) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -113,7 +124,7 @@ def test_extract_both_sides(pair_files, tmp_path):
 
     # single side requires --out
     assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
-                 "--which", "target"]) == 2
+                 "--which", "target"]) == 1
     single = tmp_path / "cause.bin"
     assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
                  "--which", "target", "--out", str(single), "--out-format", "binary"]) == 0

@@ -188,6 +188,37 @@ def _windows(seed, rows, dims):
     return rng.standard_normal((rows, dims)), rng.standard_normal((rows, dims))
 
 
+def _spy_on_grams(monkeypatch):
+    """Lists that collect the kernel matrices window tests build and the Grams they give the null."""
+    built, given = [], []
+    kernel, null = resample.kernel_matrix, resample.null_stats_from_gram
+    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: built.append(kernel(*args)) or built[-1])
+    monkeypatch.setattr(resample, "null_stats_from_gram", lambda gram, *args: given.append(gram) or null(gram, *args))
+    return built, given
+
+
+def test_one_window_gives_the_null_a_view_of_its_kernel_matrix(monkeypatch):
+    # a copy would push the window's peak past the GRAM_PEAK_RATIO that block_size budgets for
+    built, given = _spy_on_grams(monkeypatch)
+    x, y = _windows(24, SCAN_WIDTH, 3)
+    window_test(RBF_FIXED, x, y, 9, 0, "biased", 1.0)
+    assert len(built) == len(given) == 1
+    assert given[0].shape == (1, 2 * SCAN_WIDTH, 2 * SCAN_WIDTH)
+    assert np.shares_memory(given[0], built[0])
+
+
+def test_a_run_of_windows_gives_the_null_one_contiguous_copy_of_their_grams(monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)  # runs in order
+    built, given = _spy_on_grams(monkeypatch)
+    x, y = _windows(25, 20, 3)
+    scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 0, "biased", 1.0)
+    assert [grams.shape[0] for grams in given] == [SCAN_WIDTH, 20 - 2 * SCAN_WIDTH + 1]
+    assert all(grams.flags.c_contiguous for grams in given)
+    pools = [np.concatenate([x[t - SCAN_WIDTH:t], y[t - SCAN_WIDTH:t]]) for t in range(SCAN_WIDTH, 21)]
+    own = [kernel_matrix(RBF_FIXED, 1.0, pool, pool) for pool in pools]
+    np.testing.assert_array_equal(np.concatenate(given), own)
+
+
 def test_fixed_seed_reproduces_stats_bitwise():
     x, y = _windows(1, 8, 3)
     _, a = window_test(RBF_FIXED, x, y, 50, 7, "biased")
