@@ -6,8 +6,8 @@ the median heuristic: the median of all pairwise Euclidean distances over the
 pooled samples, computed once before a scan so that per-window statistics are
 comparable. It is exact for any number of rows without holding every
 distance: beyond ``BLOCK_DISTANCES`` pairs the pairs are visited one row
-block at a time, on every CPU the process may use, and only those inside a
-bracket around the median (about ``2 * BRACKET_MARGIN`` of them) are kept.
+block at a time, and only those inside a bracket around the median (about
+``2 * BRACKET_MARGIN`` of them) are kept.
 
 The filter: the rows c, centred on a coordinate-wise median (so that a few far
 rows move no other row) and scaled by a power of two to squared norms of at
@@ -51,11 +51,10 @@ MEDIAN_PER_WINDOW = "median-window"
 #: distances the median heuristic holds at once: inputs with at most this
 #: many pairs take one ``pdist``, larger ones go through row blocks this big
 BLOCK_DISTANCES = 1 << 21
-#: about how many approximations a pass samples to widen a bracket that
-#: missed the median, and the most a step of a sum holds
+#: the most distances a step of a sum holds
 SEEN_DISTANCES = 1 << 18
-#: row pairs whose distances set the first bracket: its quantiles then err
-#: by about 0.004, against ``BRACKET_MARGIN``
+#: row pairs whose distances set the first bracket and widen one that
+#: misses: its quantiles err by about 0.004, against ``BRACKET_MARGIN``
 SAMPLE_PAIRS = 1 << 14
 #: half-width of the first bracket, as a share of all distances; a bracket
 #: that misses the median is widened fourfold and the pass repeated
@@ -160,12 +159,11 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     bracket, the pairs that may reach them are measured; if not, the pass
     repeats on a bracket around them. A bracket that misses rank k is
     followed by one just past it, out to a quantile four times further in
-    the pass's sample of approximations, or to infinity.
+    that sample, or to infinity.
     """
     n, d = x.shape
     pairs = n * (n - 1) // 2
     share = k / (pairs - 1)
-    stride = max(1, pairs // SEEN_DISTANCES)
     margin = BRACKET_MARGIN
     xt = np.ascontiguousarray(x.T)
     c = x - np.partition(xt, n // 2, axis=1)[:, n // 2]  # a far row moves no other row
@@ -188,7 +186,8 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     # a fixed sample of pairs of distinct rows: the bracket is only a guess
     i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SAMPLE_PAIRS))
     j += j >= i
-    lo, hi = _quantile_bracket(_pair_distances(xt, i, j, np.empty(SAMPLE_PAIRS)) * 4.0**e, share, margin)
+    sample = _pair_distances(xt, i, j, np.empty(SAMPLE_PAIRS)) * 4.0**e
+    lo, hi = _quantile_bracket(sample, share, margin)
     del i, j
     while True:
         # float32 from the first row whose bound is under 1/256 of the bracket:
@@ -199,7 +198,7 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
         # a kept value's bounds in a block: the block's first bound, a little
         # wider, so that float32's rounding of it and of the sums is covered too
         widths = (bound * (1 + 2**-10)).astype(np.float32) + np.float32(2**-140)
-        below, blocks, seen = _count_and_keep(rows, narrow, lo, hi, stride, bound, wide)
+        below, blocks = _count_and_keep(rows, narrow, lo, hi, bound, wide)
         if below <= k < below + sum(v.size for _, _, v in blocks):
             lower, upper = (float(w) for w in _near_window(blocks, k - below, widths))
             if lo <= lower and upper <= hi:
@@ -207,45 +206,33 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = min(lo, 2 * lower - upper), max(hi, 2 * upper - lower)
             continue
         margin *= 4
-        wide_lo, wide_hi = _quantile_bracket(seen, share, margin)
+        wide_lo, wide_hi = _quantile_bracket(sample, share, margin)
         if k < below:  # the answer is below lo
             lo, hi = (wide_lo if wide_lo < lo else -np.inf), np.nextafter(lo, -np.inf)
         else:  # the answer is above hi
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, stride: int, bound: np.ndarray,
-                    wide: int):
-    """One pass over the pairs i < j, in row blocks shared by threads.
+def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, bound: np.ndarray, wide: int):
+    """One pass over the pairs i < j, one row block at a time.
 
-    The blocks run on one thread per usable CPU, since BLAS and numpy's large
-    element-wise ops release the GIL. Each holds at most ``BLOCK_DISTANCES //
-    workers`` approximations p (unless one row has more), so the pass holds
-    no more than ``BLOCK_DISTANCES`` at once on any machine. Blocks from row
-    ``wide`` on take their products from ``narrow``, the rows in float32.
-    Returns the count of p + bound below ``lo``; per block, its first row, the
-    int32 offsets of the pairs whose p -/+ bound meets [lo, hi] and their p in
-    float32; and every ``stride``-th p, merged in row order.
+    Each block holds at most ``BLOCK_DISTANCES`` approximations p (unless one
+    row has more), and BLAS threads its product. Blocks from row ``wide`` on
+    take their products from ``narrow``, the rows in float32. Returns the
+    count of p + bound below ``lo`` and, per block, its first row, the int32
+    offsets of the pairs whose p -/+ bound meets [lo, hi] and their p in
+    float32.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n = rows.shape[0]
-    workers = _usable_cpus()
-    spans = []
-    a = 0
+    below, blocks, a = 0, [], 0
     while a < n - 1:
         # at most an eighth of the remaining rows, so that little of the
         # block is spent on the masked triangle, and only rows whose bound
         # is at least half the first's, so that an outlier widens no other
-        b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // workers // (n - a), (n - a) // 8)))
+        b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // (n - a), (n - a) // 8)))
         if a < wide:  # float64 and float32 rows share no block
             b = min(b, wide)
         b = a + max(1, np.count_nonzero(bound[a:b] >= bound[a] / 2))
-        spans.append((a, b))
-        a = b
-
-    def block(span):
-        a, b = span
         r = rows if a < wide else narrow
         # [-2c_i, 1, |c_i|^2] . [c_j, |c_j|^2, 1] = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
         p = np.matmul(np.column_stack([-2 * r[a:b, :-2], r[a:b, :-3:-1]]), r[a:].T)
@@ -253,15 +240,11 @@ def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, 
         # the block's largest bound, rounded outwards to p's precision
         floor, ceil = np.nextafter(np.array([lo - bound[a], hi + bound[a]], r.dtype), r.dtype.type([-np.inf, np.inf]))
         kept = np.flatnonzero((p >= floor) & (p <= ceil))
-        below = np.count_nonzero(p < floor)
-        p = p.ravel()
-        # the sample is a copy, so that p is freed
-        return below, (a, kept.astype(np.int32), p[kept].astype(np.float32)), p[::stride].copy()
-
-    with ThreadPoolExecutor(workers) as pool:
-        below, blocks, seen = zip(*pool.map(block, spans))
-    seen = np.concatenate(seen)
-    return sum(below), blocks, seen[~np.isnan(seen)]
+        below += np.count_nonzero(p < floor)
+        blocks.append((a, kept.astype(np.int32), p.ravel()[kept].astype(np.float32)))
+        del p, kept  # before the next block's product
+        a = b
+    return below, blocks
 
 
 def _slack(values: np.ndarray, width: np.float32) -> np.ndarray:
@@ -339,7 +322,7 @@ def _usable_cpus() -> int:
 def _quantile_bracket(sample: np.ndarray, share: float, margin: float) -> tuple[float, float]:
     """Values of ``sample`` at quantiles ``share -/+ margin``, or -inf/inf past its ends.
 
-    ``sample`` is partitioned in place; callers pass vectors they no longer need.
+    ``sample`` is partitioned in place, which keeps its values but not their order.
     """
     last = sample.size - 1
     r_lo = math.floor((share - margin) * last)

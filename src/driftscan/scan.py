@@ -207,14 +207,22 @@ def report_to_dict(report: DriftReport) -> dict:
     }
 
 
+def _cause_range(span, rows) -> tuple[int, int]:
+    """A report's cause range: two ints with 1 <= start <= end <= ``rows``, else ValueError."""
+    start, end = span
+    if type(start) is not int or type(end) is not int or not 1 <= start <= end <= rows:
+        raise ValueError(f"cause range {span!r} is not within rows 1..{rows}")
+    return start, end
+
+
 def report_from_dict(d: dict) -> DriftReport:
     """Rebuild a report parsed from JSON; keys that name no field are ignored."""
     return DriftReport(**{
         **_field_values(DriftReport, d),
         "config": ScanConfig.from_dict(d["config"]),
         "windows": [WindowResult(**_field_values(WindowResult, w)) for w in d["windows"]],
-        "cause_reference": tuple(d["cause_reference"]),
-        "cause_target": tuple(d["cause_target"]),
+        "cause_reference": _cause_range(d["cause_reference"], d["reference_rows"]),
+        "cause_target": _cause_range(d["cause_target"], d["target_rows"]),
     })
 
 

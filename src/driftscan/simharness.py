@@ -183,6 +183,7 @@ def ratio_drift_study(
     fractions = [float(f) for f in fractions]
     if not fractions:
         raise ValueError("fractions must be nonempty")
+    BatchConfig(batch_size)  # a bad size fails before any mixture is drawn
     ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, "ratio-ref"))
     ref = _batched(generate_mixture(ref_spec), batch_size, derive_seed(base.seed, "ratio-ref-batch"))
     rows = []
@@ -233,6 +234,7 @@ def correlation_study(
     buckets = len(profile)
     if buckets < 1:
         raise ValueError("need at least one bucket")
+    BatchConfig(batch_size)  # a bad size fails before any mixture is drawn
 
     ref_spec = axis_mixture_spec(
         dims, n, 0.5, derive_seed(seed, "corr-ref"), scale=scale, separation=separation

@@ -151,6 +151,29 @@ def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("span", [[500, 531], [0, 31], ["a", "b"]])
+@pytest.mark.parametrize("side", ["cause_reference", "cause_target"])
+def test_extract_rejects_cause_ranges_outside_the_rows(pair_files, tmp_path, capsys, side, span):
+    # each range must be two ints, 1 <= start <= end <= that side's 40 rows;
+    # else the report is invalid (exit 2) and no file is written
+    ref, target = pair_files
+    report = tmp_path / "rep.json"
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "8",
+                 "--bootstraps", "5", "--seed", "2", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    payload[side] = span
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    outs = [tmp_path / "cause_ref.csv", tmp_path / "cause_target.csv"]
+    assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
+                 "--which", "both", "--out-ref", str(outs[0]), "--out-target", str(outs[1])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {report}: not a valid drift report: "
+                            f"cause range {span!r} is not within rows 1..40\n")
+    assert captured.out == ""
+    assert not any(out.exists() for out in outs)
+
+
 def test_simulate_mixture_and_scan_roundtrip(tmp_path):
     mix = tmp_path / "mix.csv"
     assert main(["simulate", "mixture", "--n", "60", "--dims", "3", "--fraction", "0.4",
@@ -287,6 +310,21 @@ def test_zero_dims_exits_one_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert captured.err == "error: dims must be >= 1, got 0\n"
     assert captured.out == ""
     assert not (tmp_path / "mix.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "ratio-drift", "--n", "64"],
+    ["correlate", "--profile", "0,1", "--n", "64"],
+], ids=lambda argv: argv[0] if argv[0] != "simulate" else "ratio-drift")
+def test_studies_check_the_batch_size_before_drawing_a_mixture(capsys, monkeypatch, argv):
+    from driftscan import simharness
+
+    drawn = []
+    for name in ("generate_mixture", "generate_labeled_mixture"):
+        monkeypatch.setattr(simharness, name, lambda spec, name=name: drawn.append(name))
+    assert main([*argv, "--batch-size", "0"]) == 1
+    assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
+    assert drawn == []
 
 
 def test_correlate_writes_table_and_correlations(tmp_path, capsys):

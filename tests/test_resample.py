@@ -313,7 +313,7 @@ def test_even_k_median_averages_middles():
     assert result.median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
 
 
-def test_rng_policy_streams_are_stable_and_distinct():
+def test_derived_streams_are_stable_and_distinct():
     a = derive_rng(123, "x", 4).integers(0, 1 << 30, 8)
     b = derive_rng(123, "x", 4).integers(0, 1 << 30, 8)
     c = derive_rng(123, "x", 5).integers(0, 1 << 30, 8)
