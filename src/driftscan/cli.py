@@ -24,7 +24,7 @@ from .prep import BatchConfig, batch_means
 from .rng import derive_seed
 from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_dict,
                    table_csv, windows_to_csv)
-from .simharness import (MetricSeries, axis_mixture_spec, correlation_study, generate_mixture, null_calibration,
+from .simharness import (ClassMixtureSpec, MetricSeries, correlation_study, generate_mixture, null_calibration,
                          ratio_drift_study)
 
 #: each subcommand's config echo after its "command" key, in order; a key
@@ -230,20 +230,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _mixture(args, fraction: float = 0.5) -> ClassMixtureSpec:
+    return ClassMixtureSpec(args.dims, args.n, fraction, args.seed, args.scale, args.separation)
+
+
 def cmd_simulate_ratio(args) -> int:
-    base = axis_mixture_spec(args.dims, args.n, 0.5, args.seed,
-                             scale=args.scale, separation=args.separation)
     scan = _scan_config(args)
-    rows = ratio_drift_study(base, args.fractions, scan, batch_size=args.batch_size)
+    rows = ratio_drift_study(_mixture(args), args.fractions, scan, batch_size=args.batch_size)
     _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()),
                                     ["fraction", "summary_score"], rows))
     return 0
 
 
 def cmd_simulate_mixture(args) -> int:
-    spec = axis_mixture_spec(args.dims, args.n, args.fraction, args.seed,
-                             scale=args.scale, separation=args.separation)
-    save_embeddings(generate_mixture(spec), args.out, args.out_format)
+    save_embeddings(generate_mixture(_mixture(args, args.fraction)), args.out, args.out_format)
     _write_text(None, _json({"config": _echo("simulate mixture", args)}))
     return 0
 
@@ -274,16 +274,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_correlate(args) -> int:
     scan = _scan_config(args)
-    series, corr_bce, corr_auc = correlation_study(
-        drift_profile=args.profile,
-        scan=scan,
-        seed=args.seed,
-        dims=args.dims,
-        n=args.n,
-        batch_size=args.batch_size,
-        scale=args.scale,
-        separation=args.separation,
-    )
+    series, corr_bce, corr_auc = correlation_study(_mixture(args), args.profile, scan, args.batch_size)
     config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:
         _write_text(args.out, table_csv(config, [f.name for f in fields(MetricSeries)], map(astuple, series)))

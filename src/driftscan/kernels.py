@@ -48,8 +48,10 @@ FAMILIES = ("rbf", "linear")
 MEDIAN_GLOBAL = "median"
 MEDIAN_PER_WINDOW = "median-window"
 
-#: distances the median heuristic holds at once: inputs with at most this
-#: many pairs take one ``pdist``, larger ones go through row blocks this big
+#: numbers held at once: inputs with at most this many pairs take one
+#: ``pdist`` for the median heuristic, larger ones go through row blocks
+#: this big; it also caps the Grams and nulls of a scan's window threads
+#: (``resample``) and the distances of ``calibrate``'s trials in flight
 BLOCK_DISTANCES = 1 << 21
 #: the most distances a step of a sum holds
 SEEN_DISTANCES = 1 << 18

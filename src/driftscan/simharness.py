@@ -1,12 +1,14 @@
 """Synthetic-data generators, study drivers, and evaluation metrics.
 
 The studies here reproduce the detector's qualitative behavior at desk
-scale on synthetic two-class Gaussian embeddings:
+scale on synthetic two-class Gaussian embeddings, each drawn from a
+:class:`ClassMixtureSpec` whose class means lie on the first axis:
 
 * :func:`ratio_drift_study` sweeps the positive-class fraction of the
   target set against a balanced reference and tabulates the drift score.
-* :func:`correlation_study` degrades a fixed scorer by collapsing the class
-  separation bucket by bucket and correlates drift with BCE and AUC.
+* :func:`correlation_study` shifts the positive-class mean toward the
+  negative one bucket by bucket (the spec's ``shift``), which degrades a
+  fixed scorer, and correlates drift with BCE and AUC.
 * :func:`null_calibration` measures the empirical false-positive rate of
   the single-window test on same-distribution data.
 
@@ -31,24 +33,25 @@ from .rng import derive_rng, derive_seed
 from .scan import ScanConfig, check_alpha, drift_scan, shared_bandwidth
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassMixtureSpec:
-    """Two-class isotropic Gaussian mixture in embedding space."""
+    """Two-class isotropic Gaussian mixture with its class means on the first axis.
+
+    The means sit at +-(separation * scale / 2); the positive mean then moves
+    shift * scale toward the negative one (toward -axis 0 at separation 0).
+    """
 
     dims: int
-    positive_mean: np.ndarray
-    negative_mean: np.ndarray
-    scale: float
-    positive_fraction: float
     n: int
+    positive_fraction: float
     seed: int
+    scale: float = 1.0
+    separation: float = 4.0
+    shift: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("positive_mean", "negative_mean"):
-            vec = np.asarray(getattr(self, name), dtype=np.float64)
-            if vec.shape != (self.dims,):
-                raise ValueError(f"{name} must have shape ({self.dims},), got {vec.shape}")
-            object.__setattr__(self, name, vec)
+        if self.dims < 1:
+            raise ValueError(f"dims must be >= 1, got {self.dims}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if not 0.0 <= self.positive_fraction <= 1.0:
@@ -67,30 +70,6 @@ class MetricSeries:
     auc: float
 
 
-def axis_mixture_spec(
-    dims: int,
-    n: int,
-    positive_fraction: float,
-    seed: int,
-    scale: float = 1.0,
-    separation: float = 4.0,
-) -> ClassMixtureSpec:
-    """Mixture with class means +-(separation * scale / 2) along the first axis."""
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    mu = np.zeros(dims)
-    mu[0] = separation * scale / 2.0
-    return ClassMixtureSpec(
-        dims=dims,
-        positive_mean=mu,
-        negative_mean=-mu,
-        scale=scale,
-        positive_fraction=positive_fraction,
-        n=n,
-        seed=seed,
-    )
-
-
 def positive_count(n: int, fraction: float) -> int:
     """Round n * fraction half up, for exactly reproducible class counts."""
     return int(math.floor(n * fraction + 0.5))
@@ -102,8 +81,12 @@ def generate_labeled_mixture(spec: ClassMixtureSpec) -> tuple[EmbeddingMatrix, n
     rng = derive_rng(spec.seed, "mixture")
     if spec.n == 0:
         return EmbeddingMatrix.empty(spec.dims), np.empty(0, dtype=np.int64)
-    pos = rng.normal(loc=spec.positive_mean, scale=spec.scale, size=(n_pos, spec.dims))
-    neg = rng.normal(loc=spec.negative_mean, scale=spec.scale, size=(spec.n - n_pos, spec.dims))
+    half = spec.separation * spec.scale / 2.0
+    toward_negative = 1.0 if spec.separation >= 0 else -1.0
+    pos_mean, neg_mean = np.zeros(spec.dims), np.zeros(spec.dims)
+    pos_mean[0], neg_mean[0] = half - spec.shift * spec.scale * toward_negative, -half
+    pos = rng.normal(loc=pos_mean, scale=spec.scale, size=(n_pos, spec.dims))
+    neg = rng.normal(loc=neg_mean, scale=spec.scale, size=(spec.n - n_pos, spec.dims))
     data = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(spec.n - n_pos, dtype=np.int64)])
     perm = rng.permutation(spec.n)
@@ -180,21 +163,19 @@ def ratio_drift_study(
     table is reproducible bit-identically per seed and independent of the
     order in which fractions are evaluated. Rows are (fraction, score).
     """
-    fractions = [float(f) for f in fractions]
-    if not fractions:
+    targets = [replace(base, positive_fraction=float(f), seed=derive_seed(base.seed, "ratio-target", i))
+               for i, f in enumerate(fractions)]  # a bad fraction fails before any mixture is drawn
+    if not targets:
         raise ValueError("fractions must be nonempty")
-    BatchConfig(batch_size)  # a bad size fails before any mixture is drawn
+    BatchConfig(batch_size)  # and so does a bad size
     ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, "ratio-ref"))
     ref = _batched(generate_mixture(ref_spec), batch_size, derive_seed(base.seed, "ratio-ref-batch"))
     rows = []
-    for i, fraction in enumerate(fractions):
-        target_spec = replace(
-            base, positive_fraction=fraction, seed=derive_seed(base.seed, "ratio-target", i)
-        )
+    for i, target_spec in enumerate(targets):
         target = _batched(generate_mixture(target_spec), batch_size, derive_seed(base.seed, "ratio-target-batch", i))
         scan_i = replace(scan, seed=derive_seed(scan.seed, "ratio-scan", i))
         report = drift_scan(DatasetPair(ref, target), scan_i)
-        rows.append((fraction, report.summary_score))
+        rows.append((target_spec.positive_fraction, report.summary_score))
     return rows
 
 
@@ -209,26 +190,22 @@ def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def correlation_study(
+    base: ClassMixtureSpec,
     drift_profile,
     scan: ScanConfig,
-    seed: int,
-    *,
-    dims: int = 16,
-    n: int = 4096,
     batch_size: int = 64,
-    scale: float = 1.0,
-    separation: float = 4.0,
 ) -> tuple[list[MetricSeries], float, float]:
     """Correlate per-bucket drift scores with a fixed scorer's BCE and AUC.
 
-    The reference is a balanced mixture; bucket b, one per profile entry,
-    moves the positive-class mean toward the negative class by
-    drift_profile[b] * scale, shrinking the class separation, which
-    simultaneously drifts the bucket's inputs and degrades the scorer (a
-    logistic score along the class axis, calibrated on the reference).
+    The reference is ``base`` at a balanced fraction; bucket b, one per
+    profile entry, is the reference with ``shift=drift_profile[b]``, so its
+    positive-class mean moves drift_profile[b] * scale toward the negative
+    class. That drifts the bucket's inputs and degrades the scorer (the
+    Bayes-optimal logistic score on axis 0 for the reference) together.
     Returns (series, pearson(drift, bce), pearson(drift, auc)); the
     correlations are NaN with a warning when the profile is degenerate
-    (fewer than 2 buckets or all magnitudes equal).
+    (fewer than 2 buckets or all magnitudes equal), or when the scorer is
+    constant because the separation is 0.
     """
     profile = [float(v) for v in drift_profile]
     buckets = len(profile)
@@ -236,26 +213,21 @@ def correlation_study(
         raise ValueError("need at least one bucket")
     BatchConfig(batch_size)  # a bad size fails before any mixture is drawn
 
-    ref_spec = axis_mixture_spec(
-        dims, n, 0.5, derive_seed(seed, "corr-ref"), scale=scale, separation=separation
-    )
+    seed = base.seed
+    ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(seed, "corr-ref"))
     ref_batched = _batched(generate_mixture(ref_spec), batch_size, derive_seed(seed, "corr-ref-batch"))
-    # fixed scorer: Bayes-optimal logistic score for the reference mixture
-    weights = (ref_spec.positive_mean - ref_spec.negative_mean) / (scale * scale)
-    bias = -float(np.dot(weights, (ref_spec.positive_mean + ref_spec.negative_mean) / 2.0))
-    axis = (ref_spec.positive_mean - ref_spec.negative_mean) / float(
-        np.linalg.norm(ref_spec.positive_mean - ref_spec.negative_mean)
-    )
+    # the reference's Bayes-optimal logistic weight on axis 0, (mu+ - mu-) / scale²
+    half = base.separation * base.scale / 2.0
+    weight = (half + half) / (base.scale * base.scale)
 
     series = []
     for b in range(buckets):
-        bucket_spec = replace(ref_spec, positive_mean=ref_spec.positive_mean - profile[b] * scale * axis,
-                              seed=derive_seed(seed, "corr-bucket", b))
+        bucket_spec = replace(ref_spec, shift=profile[b], seed=derive_seed(seed, "corr-bucket", b))
         points, labels = generate_labeled_mixture(bucket_spec)
         bucket_batched = _batched(points, batch_size, derive_seed(seed, "corr-bucket-batch", b))
         scan_b = replace(scan, seed=derive_seed(scan.seed, "corr-scan", b))
         report = drift_scan(DatasetPair(ref_batched, bucket_batched), scan_b)
-        scores = _stable_sigmoid(points.as_float64() @ weights + bias)
+        scores = _stable_sigmoid(points.as_float64()[:, 0] * weight)
         series.append(
             MetricSeries(
                 bucket_id=b,

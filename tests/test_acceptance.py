@@ -27,7 +27,7 @@ from driftscan.kernels import KernelSpec, median_heuristic_bandwidth
 from driftscan.mmd import mmd
 from driftscan.rng import derive_rng
 from driftscan.scan import ScanConfig, drift_scan
-from driftscan.simharness import axis_mixture_spec, correlation_study, null_calibration, ratio_drift_study
+from driftscan.simharness import ClassMixtureSpec, correlation_study, null_calibration, ratio_drift_study
 from oracle import mmd_oracle
 
 
@@ -110,7 +110,7 @@ def test_c4_monotone_drift_response():
 
 def test_c5_ratio_drift_shape():
     start = time.perf_counter()
-    base = axis_mixture_spec(dims=16, n=5000, positive_fraction=0.5, seed=7, scale=1.0, separation=4.0)
+    base = ClassMixtureSpec(dims=16, n=5000, positive_fraction=0.5, seed=7, scale=1.0, separation=4.0)
     scan = ScanConfig(window=32, bootstraps=50, seed=7)
     fractions = [0.1, 0.3, 0.5, 0.7, 0.9]
     table = dict(ratio_drift_study(base, fractions, scan, batch_size=64))
@@ -130,11 +130,9 @@ def test_c5_ratio_drift_shape():
 def test_c6_correlation_shape():
     profile = np.linspace(0.0, 3.0, 12)
     series, corr_bce, corr_auc = correlation_study(
-        drift_profile=profile,
-        scan=ScanConfig(window=32, bootstraps=50, seed=6006),
-        seed=6006,
-        dims=16,
-        n=4096,
+        ClassMixtureSpec(dims=16, n=4096, positive_fraction=0.5, seed=6006),
+        profile,
+        ScanConfig(window=32, bootstraps=50, seed=6006),
         batch_size=64,
     )
     ok = corr_bce > 0.6 and corr_auc < -0.5

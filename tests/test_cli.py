@@ -312,18 +312,31 @@ def test_zero_dims_exits_one_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "mix.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "ratio-drift", "--n", "64"],
-    ["correlate", "--profile", "0,1", "--n", "64"],
-], ids=lambda argv: argv[0] if argv[0] != "simulate" else "ratio-drift")
-def test_studies_check_the_batch_size_before_drawing_a_mixture(capsys, monkeypatch, argv):
+def _spy_on_mixtures(monkeypatch) -> list:
+    # the name of every mixture generator the studies call, in order; none draws
     from driftscan import simharness
 
     drawn = []
     for name in ("generate_mixture", "generate_labeled_mixture"):
         monkeypatch.setattr(simharness, name, lambda spec, name=name: drawn.append(name))
+    return drawn
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "ratio-drift", "--n", "64"],
+    ["correlate", "--profile", "0,1", "--n", "64"],
+], ids=lambda argv: argv[0] if argv[0] != "simulate" else "ratio-drift")
+def test_studies_check_the_batch_size_before_drawing_a_mixture(capsys, monkeypatch, argv):
+    drawn = _spy_on_mixtures(monkeypatch)
     assert main([*argv, "--batch-size", "0"]) == 1
     assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
+    assert drawn == []
+
+
+def test_ratio_drift_checks_every_fraction_before_drawing_a_mixture(capsys, monkeypatch):
+    drawn = _spy_on_mixtures(monkeypatch)
+    assert main(["simulate", "ratio-drift", "--n", "64", "--fractions", "0.5,1.5"]) == 1
+    assert capsys.readouterr().err == "error: positive_fraction must be in [0, 1], got 1.5\n"
     assert drawn == []
 
 
@@ -348,6 +361,18 @@ def test_correlate_degenerate_profile_gives_null(capsys):
                  "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["pearson_drift_bce"] is None
+    assert payload["pearson_drift_auc"] is None
+
+
+def test_correlate_at_zero_separation_gives_null(capsys):
+    # the scorer's weight is 0, so every bucket's BCE and AUC are the same
+    code = main(["correlate", "--profile", "0,1,2", "--n", "256", "--dims", "3", "--separation", "0",
+                 "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: pearson undefined for zero-variance input\n" * 2
+    payload = json.loads(captured.out)
     assert payload["pearson_drift_bce"] is None
     assert payload["pearson_drift_auc"] is None
 

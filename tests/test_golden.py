@@ -48,7 +48,10 @@ window, as a scan does, instead of over the trial's 2n pooled rows.
 ``COMMAND_PINS`` hashes the stdout and every written file of one command of
 each other subcommand: ``mmd``, ``batch``, ``extract`` (one side and both),
 ``simulate mixture``, ``simulate ratio-drift`` and ``correlate``. They were
-taken before the configuration echoes came from one table of keys.
+taken before the configuration echoes came from one table of keys. The
+three ``*-negative-separation`` entries were taken while each study still
+built its class means as vectors, and pin which way a negative separation
+puts the classes and moves the positive mean.
 
 The hashes hold for the float64 results of this numpy/scipy stack; a
 platform whose ``exp`` rounds differently in the last bit moves them.
@@ -226,6 +229,30 @@ COMMAND_PINS = {
         (
             "98bcde2c4ff2fcb963bb495dc5a5f48f7086889deb5817bae9c9b73bf0521960",
             "91bc8bebe60264341e4954511d2cc378f9c19992621ee9a2c4a93a4519aee44a",
+        ),
+    ),
+    "simulate-mixture-negative-separation": (
+        ["simulate", "mixture", "--n", "40", "--dims", "3", "--fraction", "0.3", "--separation", "-1",
+         "--out", "neg.csv"],
+        ("neg.csv",),
+        (
+            "c5e0b39b78e1e1c2422893e3eaa4552b241ab81c04e3931c88bd9eafc44c181c",
+            "9b013445720a91292519319b14e022d4b78ec73575555add1032dbc7a52e6b10",
+        ),
+    ),
+    "simulate-ratio-drift-negative-separation": (
+        ["simulate", "ratio-drift", "--n", "400", "--dims", "3", "--fractions", "0.1,0.9", "--batch-size", "16",
+         "--window", "8", "--bootstraps", "5", "--separation", "-3", "--scale", "0.7"],
+        (),
+        ("ac718b0583d48af0faff784cf32ff1274088ac9c7b5dc5e5f8937f5c90eb35ea",),
+    ),
+    "correlate-negative-separation": (
+        ["correlate", "--profile", "0,0.5,1.5,-1", "--n", "512", "--dims", "3", "--batch-size", "32", "--window",
+         "8", "--bootstraps", "5", "--seed", "9", "--separation", "-2", "--out", "b.csv"],
+        ("b.csv",),
+        (
+            "95da86cb4b2562de1171cd472cdb9a70b65a2163566718b409040c4be3fd6a29",
+            "b4f429a7a5e9aaa317132c775005da3fcfae218fb41a8f14cff7162746a8d211",
         ),
     ),
 }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from driftscan.rng import derive_rng, derive_seed
 from driftscan.scan import ScanConfig
 from driftscan.simharness import (
     ClassMixtureSpec,
-    axis_mixture_spec,
     auc,
     bce,
     correlation_study,
@@ -24,28 +24,46 @@ from driftscan.simharness import (
 )
 
 
-def test_pure_positive_mixture_clusters_at_positive_mean():
-    spec = axis_mixture_spec(dims=3, n=400, positive_fraction=1.0, seed=1, scale=0.5)
+def _cluster_mean(spec: ClassMixtureSpec) -> tuple[np.ndarray, float]:
+    # the mean of a one-class mixture; it lies within 4 standard errors of the class mean
     m = generate_mixture(spec)
-    tolerance = 4 * spec.scale / math.sqrt(spec.n)
-    np.testing.assert_allclose(m.values.mean(axis=0), spec.positive_mean, atol=tolerance)
+    return m.values.mean(axis=0), 4 * spec.scale / math.sqrt(spec.n)
+
+
+def test_pure_positive_mixture_clusters_at_positive_mean():
+    # separation 4 in units of scale 0.5 puts the means at +-1 on axis 0
+    mean, tolerance = _cluster_mean(ClassMixtureSpec(dims=3, n=400, positive_fraction=1.0, seed=1, scale=0.5))
+    np.testing.assert_allclose(mean, [1.0, 0.0, 0.0], atol=tolerance)
 
 
 def test_pure_negative_mixture_clusters_at_negative_mean():
-    spec = axis_mixture_spec(dims=3, n=400, positive_fraction=0.0, seed=2, scale=0.5)
-    m = generate_mixture(spec)
-    tolerance = 4 * spec.scale / math.sqrt(spec.n)
-    np.testing.assert_allclose(m.values.mean(axis=0), spec.negative_mean, atol=tolerance)
+    mean, tolerance = _cluster_mean(ClassMixtureSpec(dims=3, n=400, positive_fraction=0.0, seed=2, scale=0.5))
+    np.testing.assert_allclose(mean, [-1.0, 0.0, 0.0], atol=tolerance)
+
+
+@pytest.mark.parametrize("separation, shift, axis0", [
+    (4.0, 1.5, 0.25),  # +1 moves 0.75 toward -1
+    (-4.0, 1.5, -0.25),  # -1 moves 0.75 toward +1
+    (0.0, 1.5, -0.75),  # at separation 0, toward -axis 0
+    (4.0, -1.0, 1.5),  # a negative shift moves away from the negative mean
+])
+def test_shift_moves_the_positive_mean_toward_the_negative_mean(separation, shift, axis0):
+    spec = ClassMixtureSpec(dims=2, n=400, positive_fraction=1.0, seed=4, scale=0.5,
+                            separation=separation, shift=shift)
+    mean, tolerance = _cluster_mean(spec)
+    np.testing.assert_allclose(mean, [axis0, 0.0], atol=tolerance)
+    negatives, _ = _cluster_mean(replace(spec, positive_fraction=0.0))
+    np.testing.assert_allclose(negatives, [-separation * 0.25, 0.0], atol=tolerance)  # shift leaves them
 
 
 def test_empty_mixture():
-    spec = axis_mixture_spec(dims=2, n=0, positive_fraction=0.5, seed=3)
+    spec = ClassMixtureSpec(dims=2, n=0, positive_fraction=0.5, seed=3)
     m, labels = generate_labeled_mixture(spec)
     assert m.rows == 0 and labels.size == 0
 
 
 def test_mixture_deterministic_and_label_counts_exact():
-    spec = axis_mixture_spec(dims=4, n=101, positive_fraction=0.37, seed=9)
+    spec = ClassMixtureSpec(dims=4, n=101, positive_fraction=0.37, seed=9)
     m1, y1 = generate_labeled_mixture(spec)
     m2, y2 = generate_labeled_mixture(spec)
     np.testing.assert_array_equal(m1.values, m2.values)
@@ -62,14 +80,11 @@ def test_positive_count_rounds_half_up():
 
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
-        axis_mixture_spec(dims=2, n=5, positive_fraction=1.5, seed=0)
+        ClassMixtureSpec(dims=2, n=5, positive_fraction=1.5, seed=0)
     with pytest.raises(ValueError):
-        axis_mixture_spec(dims=2, n=5, positive_fraction=0.5, seed=0, scale=0.0)
+        ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, scale=0.0)
     with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
-        axis_mixture_spec(dims=0, n=5, positive_fraction=0.5, seed=0)
-    with pytest.raises(ValueError):
-        ClassMixtureSpec(dims=2, positive_mean=np.zeros(3), negative_mean=np.zeros(2),
-                         scale=1.0, positive_fraction=0.5, n=5, seed=0)
+        ClassMixtureSpec(dims=0, n=5, positive_fraction=0.5, seed=0)
 
 
 def test_auc_perfect_separation():
@@ -127,7 +142,7 @@ FAST_SCAN = ScanConfig(window=8, bootstraps=10, seed=5)
 
 
 def test_ratio_study_minimum_at_balanced_fraction():
-    base = axis_mixture_spec(dims=4, n=600, positive_fraction=0.5, seed=11)
+    base = ClassMixtureSpec(dims=4, n=600, positive_fraction=0.5, seed=11)
     rows = ratio_drift_study(base, [0.1, 0.5, 0.9], FAST_SCAN, batch_size=16)
     fractions = [r[0] for r in rows]
     scores = {r[0]: r[1] for r in rows}
@@ -136,26 +151,21 @@ def test_ratio_study_minimum_at_balanced_fraction():
 
 
 def test_ratio_study_reproducible_bitwise():
-    base = axis_mixture_spec(dims=3, n=400, positive_fraction=0.5, seed=21)
+    base = ClassMixtureSpec(dims=3, n=400, positive_fraction=0.5, seed=21)
     a = ratio_drift_study(base, [0.2, 0.5], FAST_SCAN, batch_size=16)
     b = ratio_drift_study(base, [0.2, 0.5], FAST_SCAN, batch_size=16)
     assert a == b
 
 
 def test_ratio_study_rejects_empty_fractions():
-    base = axis_mixture_spec(dims=2, n=100, positive_fraction=0.5, seed=0)
+    base = ClassMixtureSpec(dims=2, n=100, positive_fraction=0.5, seed=0)
     with pytest.raises(ValueError):
         ratio_drift_study(base, [], FAST_SCAN)
 
 
 def test_correlation_study_signs_on_monotone_profile():
     series, corr_bce, corr_auc = correlation_study(
-        drift_profile=[0.0, 1.5, 3.0],
-        scan=FAST_SCAN,
-        seed=31,
-        dims=4,
-        n=1024,
-        batch_size=32,
+        ClassMixtureSpec(dims=4, n=1024, positive_fraction=0.5, seed=31), [0.0, 1.5, 3.0], FAST_SCAN, batch_size=32
     )
     assert [m.bucket_id for m in series] == [0, 1, 2]
     assert corr_bce > 0.5
@@ -173,8 +183,7 @@ def test_correlation_study_degenerate_profile_is_nan():
     # constant zero profile: every bucket draws from the reference distribution
     with pytest.warns(UserWarning, match="degenerate"):
         series, corr_bce, corr_auc = correlation_study(
-            drift_profile=[0.0, 0.0, 0.0], scan=FAST_SCAN, seed=32,
-            dims=3, n=512, batch_size=32,
+            ClassMixtureSpec(dims=3, n=512, positive_fraction=0.5, seed=32), [0.0, 0.0, 0.0], FAST_SCAN, batch_size=32
         )
     assert len(series) == 3
     assert math.isnan(corr_bce) and math.isnan(corr_auc)
@@ -183,15 +192,14 @@ def test_correlation_study_degenerate_profile_is_nan():
 def test_correlation_study_single_bucket_is_nan():
     with pytest.warns(UserWarning, match="degenerate"):
         _, corr_bce, corr_auc = correlation_study(
-            drift_profile=[2.0], scan=FAST_SCAN, seed=33,
-            dims=3, n=512, batch_size=32,
+            ClassMixtureSpec(dims=3, n=512, positive_fraction=0.5, seed=33), [2.0], FAST_SCAN, batch_size=32
         )
     assert math.isnan(corr_bce) and math.isnan(corr_auc)
 
 
 def test_correlation_study_needs_a_bucket():
     with pytest.raises(ValueError, match="at least one bucket"):
-        correlation_study(drift_profile=[], scan=FAST_SCAN, seed=0)
+        correlation_study(ClassMixtureSpec(dims=3, n=512, positive_fraction=0.5, seed=0), [], FAST_SCAN)
 
 
 def test_null_calibration_runs_and_reproduces():
