@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
-from .rng import derive_rng
+from .rng import check_seed, derive_rng
 
 TAIL_POLICIES = ("drop", "keep_partial")
 
@@ -31,6 +31,7 @@ class BatchConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tail_policy not in TAIL_POLICIES:
             raise ValueError(f"unknown tail policy {self.tail_policy!r}")
+        check_seed(self.seed)
 
 
 def shuffle_rows(m: EmbeddingMatrix, seed: int) -> EmbeddingMatrix:

@@ -164,32 +164,21 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     )
 
 
-def extract_cause_samples(
-    pair: DatasetPair, report: DriftReport, which: str = "target"
-) -> EmbeddingMatrix | tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    """Rows of the drift-cause window, from the requested side(s).
+def extract_cause_samples(pair: DatasetPair, report: DriftReport, which: str) -> EmbeddingMatrix:
+    """Rows of the drift-cause window from one side, ``reference`` or ``target``.
 
-    ``which`` is ``reference``, ``target``, or ``both`` (returns a
-    (reference, target) tuple). The pair must be the one the report was
-    produced from.
+    The pair must be the one the report was produced from.
     """
-    if which not in ("reference", "target", "both"):
-        raise ValueError(f"which must be reference, target, or both, got {which!r}")
+    if which not in ("reference", "target"):
+        raise ValueError(f"which must be reference or target, got {which!r}")
     if pair.reference.rows != report.reference_rows or pair.target.rows != report.target_rows:
         raise ValidationError(
             f"pair shape ({pair.reference.rows}, {pair.target.rows}) does not match report "
             f"({report.reference_rows}, {report.target_rows})"
         )
-
-    def cut(m: EmbeddingMatrix, span: tuple[int, int]) -> EmbeddingMatrix:
-        start, end = span  # 1-based inclusive
-        return m.take_rows(start - 1, end)
-
-    if which == "reference":
-        return cut(pair.reference, report.cause_reference)
-    if which == "target":
-        return cut(pair.target, report.cause_target)
-    return cut(pair.reference, report.cause_reference), cut(pair.target, report.cause_target)
+    matrix, (start, end) = ((pair.reference, report.cause_reference) if which == "reference"
+                            else (pair.target, report.cause_target))
+    return matrix.take_rows(start - 1, end)  # the range is 1-based inclusive
 
 
 def _config_echo(config: ScanConfig) -> dict:

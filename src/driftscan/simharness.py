@@ -9,8 +9,9 @@ scale on synthetic two-class Gaussian embeddings, each drawn from a
 * :func:`correlation_study` shifts the positive-class mean toward the
   negative one bucket by bucket (the spec's ``shift``), which degrades a
   fixed scorer, and correlates drift with BCE and AUC.
-* :func:`null_calibration` measures the empirical false-positive rate of
-  the single-window test on same-distribution data.
+* :func:`null_calibration` returns the single-window test's p-values on
+  same-distribution data; the share at or below alpha is its false-positive
+  rate.
 
 Real encoder embeddings can be substituted by loading them from files and
 calling the prep/scan modules directly; nothing here is text-specific.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .kernels import KernelSpec
 from .prep import BatchConfig, batch_means
 from .resample import block_size, window_test
 from .rng import derive_rng, derive_seed
-from .scan import ScanConfig, check_alpha, drift_scan, shared_bandwidth
+from .scan import ScanConfig, drift_scan, shared_bandwidth
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,24 @@ class ClassMixtureSpec:
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
+        for name in ("scale", "separation", "shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        if not all(map(math.isfinite, self.class_means())):
+            raise ValueError(f"class means overflow at scale {self.scale}, separation {self.separation}, "
+                             f"shift {self.shift}")
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ValueError(f"positive_fraction must be in [0, 1], got {self.positive_fraction}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+
+    def class_means(self) -> tuple[float, float]:
+        """The positive and the negative class mean on the first axis."""
+        half = self.separation * self.scale / 2.0
+        toward_negative = 1.0 if self.separation >= 0 else -1.0
+        return half - self.shift * self.scale * toward_negative, -half
 
 
 @dataclass(frozen=True)
@@ -81,10 +94,8 @@ def generate_labeled_mixture(spec: ClassMixtureSpec) -> tuple[EmbeddingMatrix, n
     rng = derive_rng(spec.seed, "mixture")
     if spec.n == 0:
         return EmbeddingMatrix.empty(spec.dims), np.empty(0, dtype=np.int64)
-    half = spec.separation * spec.scale / 2.0
-    toward_negative = 1.0 if spec.separation >= 0 else -1.0
     pos_mean, neg_mean = np.zeros(spec.dims), np.zeros(spec.dims)
-    pos_mean[0], neg_mean[0] = half - spec.shift * spec.scale * toward_negative, -half
+    pos_mean[0], neg_mean[0] = spec.class_means()
     pos = rng.normal(loc=pos_mean, scale=spec.scale, size=(n_pos, spec.dims))
     neg = rng.normal(loc=neg_mean, scale=spec.scale, size=(spec.n - n_pos, spec.dims))
     data = np.vstack([pos, neg])
@@ -215,14 +226,15 @@ def correlation_study(
 
     seed = base.seed
     ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(seed, "corr-ref"))
+    bucket_specs = [replace(ref_spec, shift=shift, seed=derive_seed(seed, "corr-bucket", b))
+                    for b, shift in enumerate(profile)]  # a bad shift fails before any mixture is drawn
     ref_batched = _batched(generate_mixture(ref_spec), batch_size, derive_seed(seed, "corr-ref-batch"))
     # the reference's Bayes-optimal logistic weight on axis 0, (mu+ - mu-) / scale²
     half = base.separation * base.scale / 2.0
     weight = (half + half) / (base.scale * base.scale)
 
     series = []
-    for b in range(buckets):
-        bucket_spec = replace(ref_spec, shift=profile[b], seed=derive_seed(seed, "corr-bucket", b))
+    for b, bucket_spec in enumerate(bucket_specs):
         points, labels = generate_labeled_mixture(bucket_spec)
         bucket_batched = _batched(points, batch_size, derive_seed(seed, "corr-bucket-batch", b))
         scan_b = replace(scan, seed=derive_seed(scan.seed, "corr-scan", b))
@@ -244,44 +256,33 @@ def correlation_study(
     return series, pearson(drifts, [m.bce for m in series]), pearson(drifts, [m.auc for m in series])
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
-    trials: int
-    rejections: int
-    rate: float
-    p_values: np.ndarray = field(repr=False)
-
-
 def null_calibration(
     trials: int,
     n: int,
     dims: int,
     window: int,
     bootstraps: int,
-    alpha: float,
     seed: int,
-    kernel: KernelSpec | None = None,
+    kernel: KernelSpec = KernelSpec(),
     estimator: str = "biased",
-) -> CalibrationResult:
-    """Empirical false-positive rate of the single-window test under no drift.
+) -> np.ndarray:
+    """The single-window test's p-values under no drift, one per trial, as float64.
 
     Each trial draws fresh n-row reference and target sets from one standard
     Gaussian, chooses the bandwidth as a scan would (over their concatenation,
-    or per window under ``median-window``), tests the first ``window`` rows of
-    each side against the permutation null, and counts p_value <= alpha. The
-    trials run on a thread pool (``pdist``, the partition and the data draws
-    release the GIL); each draws from its own streams, so the p-values are
-    the same bits for any number of CPUs.
+    or per window under ``median-window``), and tests the first ``window``
+    rows of each side against the permutation null; the share of p-values at
+    or below alpha is the test's false-positive rate at alpha. The trials run
+    on a thread pool (``pdist``, the partition and the data draws release the
+    GIL); each draws from its own streams, so the p-values are the same bits
+    for any number of CPUs.
     """
-    if kernel is None:
-        kernel = KernelSpec()
     for name, value in (("window", window), ("dims", dims), ("trials", trials)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
     block_size(window, bootstraps, estimator)  # a window may be 1 row here, unlike a scan's
-    check_alpha(alpha)
     from concurrent.futures import ThreadPoolExecutor
 
     def trial(i: int) -> float:
@@ -298,11 +299,4 @@ def null_calibration(
     pairs = n * (2 * n - 1)
     workers = min(kernels._usable_cpus(), trials, max(1, kernels.BLOCK_DISTANCES // pairs))
     with ThreadPoolExecutor(workers) as pool:
-        p_values = np.fromiter(pool.map(trial, range(trials)), dtype=np.float64, count=trials)
-    rejections = int(np.count_nonzero(p_values <= alpha))
-    return CalibrationResult(
-        trials=trials,
-        rejections=rejections,
-        rate=rejections / trials,
-        p_values=p_values,
-    )
+        return np.fromiter(pool.map(trial, range(trials)), dtype=np.float64, count=trials)

@@ -68,12 +68,12 @@ def test_c1_oracle_equivalence():
 
 def test_c2_null_calibration():
     start = time.perf_counter()
-    result = null_calibration(trials=200, n=512, dims=8, window=32, bootstraps=199,
-                              alpha=0.05, seed=2002)
+    p_values = null_calibration(trials=200, n=512, dims=8, window=32, bootstraps=199, seed=2002)
     elapsed = time.perf_counter() - start
-    ok = 0.02 <= result.rate <= 0.10 and elapsed < 60.0
+    rate = (p_values <= 0.05).mean()
+    ok = 0.02 <= rate <= 0.10 and elapsed < 60.0
     record(2, "null calibration", ok,
-           f"rejection rate {result.rate:.3f} in [0.02, 0.10], {elapsed:.1f}s < 60s")
+           f"rejection rate {rate:.3f} in [0.02, 0.10], {elapsed:.1f}s < 60s")
 
 
 def test_c3_unbiasedness():

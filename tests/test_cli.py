@@ -66,6 +66,8 @@ MISSING_SIDES = ["--ref", "missing.csv", "--target", "missing.csv"]
     ["extract", *MISSING_SIDES, "--report", "missing.json", "--which", "target"],
     ["extract", *MISSING_SIDES, "--report", "missing.json", "--which", "both", "--out-ref", "ref.csv"],
     ["batch", "--input", "missing.csv", "--out", "out.csv", "--batch-size", "0"],
+    ["batch", "--input", "missing.csv", "--out", "out.csv", "--seed", "-1"],
+    ["batch", "--input", "missing.csv", "--out", "out.csv", "--seed", "-1", "--no-shuffle"],
 ])
 def test_scan_checks_its_flags_before_reading_the_inputs(flags, monkeypatch, capsys):
     # scan, extract and batch: a usage error costs no parse, and wins
@@ -313,12 +315,13 @@ def test_zero_dims_exits_one_without_traceback(tmp_path, capsys, monkeypatch, ar
 
 
 def _spy_on_mixtures(monkeypatch) -> list:
-    # the name of every mixture generator the studies call, in order; none draws
+    # the name of every mixture generator the studies and simulate mixture call, in order; none draws
     from driftscan import simharness
 
     drawn = []
-    for name in ("generate_mixture", "generate_labeled_mixture"):
-        monkeypatch.setattr(simharness, name, lambda spec, name=name: drawn.append(name))
+    for module, name in ((simharness, "generate_mixture"), (simharness, "generate_labeled_mixture"),
+                         (cli, "generate_mixture")):
+        monkeypatch.setattr(module, name, lambda spec, name=name: drawn.append(name))
     return drawn
 
 
@@ -337,6 +340,22 @@ def test_ratio_drift_checks_every_fraction_before_drawing_a_mixture(capsys, monk
     drawn = _spy_on_mixtures(monkeypatch)
     assert main(["simulate", "ratio-drift", "--n", "64", "--fractions", "0.5,1.5"]) == 1
     assert capsys.readouterr().err == "error: positive_fraction must be in [0, 1], got 1.5\n"
+    assert drawn == []
+
+
+MIXTURE = ["simulate", "mixture", "--n", "10", "--dims", "2", "--out", "mix.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*MIXTURE, "--separation", "nan"], "separation must be finite, got nan"),
+    ([*MIXTURE, "--scale", "inf"], "scale must be finite, got inf"),
+    ([*MIXTURE, "--separation", "1e308", "--scale", "10"], "class means overflow at scale 10.0, separation 1e+308"),
+    (["correlate", "--profile", "0,inf", "--n", "64"], "shift must be finite, got inf"),
+], ids=["separation-nan", "scale-inf", "means-overflow", "correlate-shift-inf"])
+def test_non_finite_class_means_fail_before_drawing_a_mixture(capsys, monkeypatch, argv, message):
+    drawn = _spy_on_mixtures(monkeypatch)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert drawn == []
 
 

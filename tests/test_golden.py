@@ -37,19 +37,22 @@ echo (``rng_scheme``; no ``split_policy`` or ``split``). The pins of the
 was taken describe the bootstrap pins that these replaced.
 
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
-the trials' p-values from :func:`null_calibration` with the same arguments,
-since the JSON carries only the rejection count. Both were taken before the
-observed statistic and the null of a trial moved onto one pool Gram matrix.
+the trials' p-values from :func:`null_calibration` with the same arguments
+but ``alpha``, since the JSON carries only the rejection count. Both were
+taken before the observed statistic and the null of a trial moved onto one
+pool Gram matrix.
 The p-value pins must also hold with the trials on 1, 2 and 3 threads.
 ``CALIBRATE_MEDIAN_WINDOW_PINS`` pins ``--bandwidth median-window`` the same
 way; it was taken when that policy first chose each trial's bandwidth per
 window, as a scan does, instead of over the trial's 2n pooled rows.
 
 ``COMMAND_PINS`` hashes the stdout and every written file of one command of
-each other subcommand: ``mmd``, ``batch``, ``extract`` (one side and both),
+each other subcommand: ``mmd``, ``batch``, ``extract`` (each side and both),
 ``simulate mixture``, ``simulate ratio-drift`` and ``correlate``. They were
-taken before the configuration echoes came from one table of keys. The
-three ``*-negative-separation`` entries were taken while each study still
+taken before the configuration echoes came from one table of keys, all but
+``extract-reference``: it was taken later, before ``extract`` wrote every
+side it is asked for through one loop over the sides. The three
+``*-negative-separation`` entries were taken while each study still
 built its class means as vectors, and pin which way a negative separation
 puts the classes and moves the positive mean.
 
@@ -172,6 +175,8 @@ CALIBRATE_MEDIAN_WINDOW_PINS = (
 )
 #: alpha 0.5 makes the rejection count move with the p-values
 CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
+#: the same trials through :func:`null_calibration`, which returns the p-values and takes no alpha
+NULL_CALIBRATION_ARGS = {name: value for name, value in CALIBRATE_ARGS.items() if name != "alpha"}
 
 #: name -> (argv run in the golden inputs' directory, files it writes,
 #: sha256 of its stdout and then of each file). ``golden.json`` is the
@@ -196,6 +201,15 @@ COMMAND_PINS = {
         (
             "14714de61e5cf28b6f75957a3d6e78586e1d4c161fd8f030f75608003a94d3ed",
             "b47a27618ca9c692c87401e4ff5bd6769856af4a803fd1da587e69c822fe0ee7",
+        ),
+    ),
+    "extract-reference": (
+        ["extract", "--ref", "ref.csv", "--target", "target.csv", "--report", "golden.json", "--which", "reference",
+         "--out", "cause_ref.csv"],
+        ("cause_ref.csv",),
+        (
+            "7374147609e0973eb3b12f78a03ecc7549f0d3a75c737167cd3428b3e1d6393a",
+            "5d24dfe6b0b219f20d3a42320b3ad5f6cc95ed59b84847d40fe890987203f88c",
         ),
     ),
     "extract-both": (
@@ -389,8 +403,8 @@ def test_calibrate_outputs_match_golden_hashes(tmp_path, kernel, estimator):
     flags = [f"--{name}={value}" for name, value in CALIBRATE_ARGS.items()]
     assert main(["calibrate", *flags, "--kernel", kernel, "--estimator", estimator, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == json_sha
-    result = null_calibration(**CALIBRATE_ARGS, kernel=KernelSpec(kernel), estimator=estimator)
-    assert _sha256(result.p_values.tobytes()) == p_values_sha
+    p_values = null_calibration(**NULL_CALIBRATION_ARGS, kernel=KernelSpec(kernel), estimator=estimator)
+    assert _sha256(p_values.tobytes()) == p_values_sha
 
 
 def _p_values_by_workers(monkeypatch, **kwargs) -> list:
@@ -398,7 +412,7 @@ def _p_values_by_workers(monkeypatch, **kwargs) -> list:
     hashes = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-        hashes.append(_sha256(null_calibration(**CALIBRATE_ARGS, **kwargs).p_values.tobytes()))
+        hashes.append(_sha256(null_calibration(**NULL_CALIBRATION_ARGS, **kwargs).tobytes()))
     return hashes
 
 

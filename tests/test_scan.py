@@ -112,10 +112,12 @@ def test_extract_cause_samples_shapes_and_boundary():
     report = drift_scan(pair, FAST)
     target_rows = extract_cause_samples(pair, report, "target")
     assert target_rows.rows == FAST.window and target_rows.dims == pair.target.dims
-    ref_rows, targ_rows = extract_cause_samples(pair, report, "both")
-    assert ref_rows.rows == FAST.window and targ_rows.rows == FAST.window
+    ref_rows = extract_cause_samples(pair, report, "reference")
+    assert ref_rows.rows == FAST.window
     start, end = report.cause_target
-    np.testing.assert_array_equal(targ_rows.values, pair.target.values[start - 1 : end])
+    np.testing.assert_array_equal(target_rows.values, pair.target.values[start - 1 : end])
+    start, end = report.cause_reference
+    np.testing.assert_array_equal(ref_rows.values, pair.reference.values[start - 1 : end])
 
     # argmax at the first window maps to rows [0, window)
     m = EmbeddingMatrix.from_array(np.random.default_rng(3).standard_normal((20, 2)))
@@ -131,8 +133,9 @@ def test_extract_rejects_mismatched_pair():
     other = gaussian_pair(seed=9, n=29)
     with pytest.raises(ValidationError, match="does not match"):
         extract_cause_samples(other, report, "target")
-    with pytest.raises(ValueError, match="which"):
-        extract_cause_samples(pair, report, "everything")
+    for which in ("everything", "both"):
+        with pytest.raises(ValueError, match="which"):
+            extract_cause_samples(pair, report, which)
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -245,7 +248,7 @@ def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, band
     monkeypatch.setattr(kernels, "median_heuristic_bandwidth", lambda rows: pooled.append(len(rows)) or median(rows))
     spec = KernelSpec(family, bandwidth)
     drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=spec))
-    null_calibration(trials=2, n=40, dims=3, window=8, bootstraps=5, alpha=0.5, seed=1, kernel=spec)
+    null_calibration(trials=2, n=40, dims=3, window=8, bootstraps=5, seed=1, kernel=spec)
     assert copied == []
     assert set(pooled) <= {16, 80}  # a window's two sides or both full inputs
     # the scan, then each trial

@@ -85,6 +85,14 @@ def test_mixture_spec_validation():
         ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, scale=0.0)
     with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
         ClassMixtureSpec(dims=0, n=5, positive_fraction=0.5, seed=0)
+    for name, value in (("scale", math.inf), ("separation", math.nan), ("shift", -math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **{name: value})
+    # finite settings whose products, or the positive mean's difference, overflow
+    for extremes in ({"separation": 1e308, "scale": 10.0}, {"shift": 1e308, "scale": 10.0},
+                     {"separation": 1.7e308, "shift": -1.7e308}):
+        with pytest.raises(ValueError, match="class means overflow"):
+            ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **extremes)
 
 
 def test_auc_perfect_separation():
@@ -203,26 +211,22 @@ def test_correlation_study_needs_a_bucket():
 
 
 def test_null_calibration_runs_and_reproduces():
-    a = null_calibration(trials=30, n=64, dims=4, window=16, bootstraps=39,
-                         alpha=0.05, seed=13)
-    b = null_calibration(trials=30, n=64, dims=4, window=16, bootstraps=39,
-                         alpha=0.05, seed=13)
-    assert a.trials == 30
-    assert a.rate == a.rejections / 30
-    assert 0.0 <= a.rate <= 0.2  # loose sanity bound at this tiny scale
-    np.testing.assert_array_equal(a.p_values, b.p_values)
+    a = null_calibration(trials=30, n=64, dims=4, window=16, bootstraps=39, seed=13)
+    b = null_calibration(trials=30, n=64, dims=4, window=16, bootstraps=39, seed=13)
+    assert a.shape == (30,) and a.dtype == np.float64
+    assert 0.0 <= (a <= 0.05).mean() <= 0.2  # loose sanity bound at this tiny scale
+    np.testing.assert_array_equal(a, b)
 
 
 def test_null_calibration_linear_kernel():
-    result = null_calibration(trials=5, n=48, dims=3, window=12, bootstraps=19,
-                              alpha=0.05, seed=14, kernel=KernelSpec("linear"))
-    assert result.p_values.shape == (5,)
+    p_values = null_calibration(trials=5, n=48, dims=3, window=12, bootstraps=19, seed=14, kernel=KernelSpec("linear"))
+    assert p_values.shape == (5,)
 
 
 def test_null_calibration_median_window_runs_the_per_window_test():
-    args = {"trials": 8, "n": 40, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.05, "seed": 21}
+    args = {"trials": 8, "n": 40, "dims": 3, "window": 8, "bootstraps": 19, "seed": 21}
     spec = KernelSpec("rbf", "median-window")
-    result = null_calibration(**args, kernel=spec)
+    p_values = null_calibration(**args, kernel=spec)
     by_hand = []
     for i in range(args["trials"]):  # each trial's data and bootstrap seed, as null_calibration derives them
         data_rng = derive_rng(21, "calibration-data", i)
@@ -230,22 +234,20 @@ def test_null_calibration_median_window_runs_the_per_window_test():
         _, boot = window_test(spec, ref.values[:8], target.values[:8], 19, derive_seed(21, "calibration-boot", i),
                               "biased", bandwidth=None)
         by_hand.append(boot.p_value)
-    np.testing.assert_array_equal(result.p_values, by_hand)
-    assert not np.array_equal(result.p_values, null_calibration(**args).p_values)
+    np.testing.assert_array_equal(p_values, by_hand)
+    assert not np.array_equal(p_values, null_calibration(**args))
 
 
 def test_null_calibration_validation():
     with pytest.raises(ValueError):
-        null_calibration(trials=0, n=64, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
+        null_calibration(trials=0, n=64, dims=2, window=8, bootstraps=9, seed=0)
     with pytest.raises(ValueError):
-        null_calibration(trials=1, n=4, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
-    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0"):
-        null_calibration(trials=1, n=64, dims=2, window=8, bootstraps=9, alpha=0, seed=0)
+        null_calibration(trials=1, n=4, dims=2, window=8, bootstraps=9, seed=0)
     for name in ("bootstraps", "window", "dims"):
-        args = {"trials": 1, "n": 64, "dims": 2, "window": 8, "bootstraps": 9, "alpha": 0.05, "seed": 0, name: 0}
+        args = {"trials": 1, "n": 64, "dims": 2, "window": 8, "bootstraps": 9, "seed": 0, name: 0}
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
             null_calibration(**args)
-    assert null_calibration(trials=2, n=16, dims=2, window=1, bootstraps=9, alpha=0.05, seed=0).trials == 2
+    assert null_calibration(trials=2, n=16, dims=2, window=1, bootstraps=9, seed=0).shape == (2,)
 
 
 def _pool_sizes(monkeypatch) -> list:
@@ -274,7 +276,7 @@ def test_calibration_trials_share_the_distance_budget(n, block, workers, monkeyp
         monkeypatch.setattr(kernels, "BLOCK_DISTANCES", block)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
     sizes = _pool_sizes(monkeypatch)
-    null_calibration(trials=6, n=n, dims=2, window=8, bootstraps=9, alpha=0.05, seed=0)
+    null_calibration(trials=6, n=n, dims=2, window=8, bootstraps=9, seed=0)
     assert sizes[0] == workers
     if block is None:
         assert sizes == [workers]
