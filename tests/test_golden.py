@@ -21,7 +21,12 @@ windows on 1, 2 and 3 threads. ``BLOCKWISE_PINS``
 hashes a scan whose pool is large enough for the median bandwidth to be
 taken one row block at a time, so ``bandwidth_used`` from that pass is
 pinned to the byte. Both were taken before that pass ran on threads.
-``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
+``NULL_PINS`` hashes the null statistics of single window tests, and
+``SPAN_NULL_PINS`` a run of overlapping windows on stacked Grams, at shapes
+where a BLAS product of the signs and the Gram may add its terms in another
+order than einsum: one permutation (a matrix-vector product) and a pool
+over 256 rows. They were taken while that product always ran through
+einsum. ``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
 projection of each of those scans, and ``DATA_ROW_PINS`` the data rows of
 ``simulate ratio-drift`` and ``correlate``, which hold only observed
 statistics. They were taken before the null moved from the bootstrap to
@@ -63,11 +68,13 @@ platform whose ``exp`` rounds differently in the last bit moves them.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from driftscan import kernels
 from driftscan.cli import main
 from driftscan.kernels import KernelSpec
+from driftscan.resample import scan_window_tests, window_test
 from driftscan.simharness import null_calibration
 
 SCAN_JSON_SHA256 = "800437c0fa5123ab8a93000a5c95fdcd66ca604a10dd520ac5f5832a3b898e71"
@@ -154,6 +161,22 @@ BLOCKWISE_PINS = (
     "177f82f411b8dcb1383feb6306e999b2041ab8013aef40192607ed224f4a9ef7",
 )
 BLOCKWISE_OBSERVED_SHA256 = "070ae36210ef4f04deb0264f20925ef6643f4fc296d85cca8c8527d9b031a6e3"
+
+#: (width, bootstraps) -> sha256 of :func:`window_test`'s null statistics on :func:`_null_inputs`
+NULL_PINS = {
+    (32, 1): "95f8978b0dbd4ccbf1b916b82e6fa6dac6ba5a1dfc48ded09e306fa91e9b9ca7",
+    (32, 2): "cb282ac1315b2a34e820b616bc440a189ed6a16fa252bf5bca2d8802be2fe4a8",
+    (129, 50): "0dc07eca5ccd07af1367c5abc4bc858cd2ff6ed294513893a2e2d79a9e3a97e4",
+    (160, 19): "57c044ae1402fe6e3dffb96345c910c935d4c6f5f14974e66433b9249157ab6c",
+}
+#: bootstraps -> sha256 of :func:`scan_window_tests`' observed MMD^2, medians and
+#: p-values, 11 windows of 160 rows at stride 4 over 200 rows of :func:`_null_inputs`,
+#: at the fixed bandwidth ``SPAN_BANDWIDTH``
+SPAN_NULL_PINS = {
+    1: "aa48fb3de4a79bfee95a86695308e36bb5e9c0f655c8b0aebff22161763e392f",
+    19: "f499438c268394bd154c354469bf726af89a423a6ef5922c769fc74ed5b5fc67",
+}
+SPAN_BANDWIDTH = 2.0
 
 #: (kernel, estimator) -> (sha256 of the JSON, sha256 of the p-values' float64 bytes)
 CALIBRATE_PINS = {
@@ -429,3 +452,23 @@ def test_calibrate_median_window_matches_golden_hashes(tmp_path, monkeypatch):
     assert main(["calibrate", *flags, "--bandwidth", "median-window", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == json_sha
     assert _p_values_by_workers(monkeypatch, kernel=KernelSpec("rbf", "median-window")) == [p_values_sha] * 3
+
+
+def _null_inputs(rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, 4)), rng.standard_normal((rows, 4)) + 0.25
+
+
+@pytest.mark.parametrize("width, k", sorted(NULL_PINS))
+def test_window_nulls_match_golden_hashes(width, k):
+    _, null = window_test(KernelSpec(), *_null_inputs(width, width), k, 7, "biased")
+    assert _sha256(null.stats.tobytes()) == NULL_PINS[width, k]
+
+
+@pytest.mark.parametrize("k", sorted(SPAN_NULL_PINS))
+def test_stacked_window_nulls_match_golden_hashes(monkeypatch, k):
+    x, y = _null_inputs(200, 160)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        columns = scan_window_tests(KernelSpec("rbf", SPAN_BANDWIDTH), x, y, 160, 4, k, 7, "biased", SPAN_BANDWIDTH)
+        assert _sha256(np.array(columns).tobytes()) == SPAN_NULL_PINS[k]
