@@ -11,7 +11,10 @@ and takes both the observed statistic and the null from it.
 All k permutations of a window come from one stream, as one (k, 2 * rows)
 matrix of signs: +1 puts a pooled row in the first block, -1 in the second.
 Each statistic is a quadratic form s'Gs in the pool's Gram matrix G, and all
-k come from one product of the sign matrix with G.
+k come from one product of the sign matrix with G. It runs through a BLAS
+GEMM (``np.matmul``) at shapes where a probe finds einsum's bits, and through
+einsum at shapes whose GEMM reorders the sum, so the bits are einsum's on any
+machine and for any thread count.
 
 A scan's windows go through :func:`scan_window_tests`: each run of
 overlapping windows shares one pool Gram over its rows, is reduced along a
@@ -21,6 +24,7 @@ one :func:`window_test` per window for any number of CPUs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +99,27 @@ def _null_numbers(width: int, k: int) -> int:
     return 3 * k * 2 * width
 
 
+#: the null's product of the signs and the Gram by einsum, which adds each sum in order
+_einsum_product = functools.partial(np.einsum, "...in,...nm->...im", optimize=False)
+
+
+@functools.cache
+def _matmul_keeps_bits(k: int, width: int) -> bool:
+    """Whether ``np.matmul`` gives einsum's bits for k signs by a pool Gram of 2 * width rows.
+
+    +-1 signs make every product exact, so only the order of the sum over
+    2 * width terms sets the bits, and the BLAS kernel picks that order by
+    shape and thread count, not by data. A seeded pair of sign matrices on a
+    Gram with exponents from 2^-40 to 2^40 shows any change of it. The
+    answer holds for the process, whose BLAS keeps one thread count.
+    """
+    rng = np.random.default_rng(0)
+    gram = rng.standard_normal((2 * width, 2 * width))
+    np.ldexp(gram, rng.integers(-40, 41, gram.shape, dtype=np.int8), out=gram)
+    signs = rng.choice([-1.0, 1.0], (2, k, 2 * width))
+    return np.array_equal(np.matmul(signs, gram), _einsum_product(signs, gram))
+
+
 def null_stats_from_gram(gram: np.ndarray, signs: np.ndarray, estimator: str) -> np.ndarray:
     """MMD^2 of each permutation, from the pool Gram G and the permutations' signs.
 
@@ -103,13 +128,17 @@ def null_stats_from_gram(gram: np.ndarray, signs: np.ndarray, estimator: str) ->
     the two within-block sums add to (T + q) / 2 and the cross sum is
     (T - q) / 4. So the biased statistic is q / w^2, clamped at 0 (exact
     for a kernel, and it keeps p = 1 on identical inputs), and the unbiased
-    one is ((T + q) / 2 - tr G) / (w (w - 1)) - (T - q) / (2 w^2). Products
-    use einsum, not BLAS, so the bytes do not depend on the thread count.
+    one is ((T + q) / 2 - tr G) / (w (w - 1)) - (T - q) / (2 w^2). The
+    product of the signs and G goes through a BLAS GEMM at shapes where
+    :func:`_matmul_keeps_bits` finds einsum's bits, and through einsum where
+    the GEMM reorders the sum, so the bytes are the same on any machine and
+    for any thread count.
     Leading axes of ``gram`` and ``signs`` stack windows, each with its own
     Gram and signs; every window gets the same bits as it would alone.
     """
     w = gram.shape[-1] // 2
-    q = np.einsum("...im,...im->...i", np.einsum("...in,...nm->...im", signs, gram, optimize=False), signs)
+    product = np.matmul if _matmul_keeps_bits(signs.shape[-2], w) else _einsum_product
+    q = np.einsum("...im,...im->...i", product(signs, gram), signs)
     if estimator == "biased":
         return np.maximum(q / (w * w), 0.0)
     total = gram.sum(axis=(-2, -1))[..., None]
@@ -127,6 +156,7 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidt
     the k null statistics, the observed MMD^2, their median and p-value.
     """
     span = x.shape[0]
+    _matmul_keeps_bits(k, width)  # a new shape's probe runs before this Gram is held, so the two never add up
     if bandwidth is None:
         bandwidth = resolve_bandwidth(spec, x, y)
     pool = np.concatenate([x, y], dtype=np.float64)
@@ -183,9 +213,12 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     the bits of one :func:`window_test` per window with ``window_index`` t.
     Runs of up to ``width // stride`` overlapping windows share one pool
     Gram (under ``median-window`` a run is one window), and the runs go to
-    one thread per usable CPU, as numpy's element-wise ops and einsum
-    release the GIL. The arrays in flight, Grams and nulls alike, hold about
-    ``BLOCK_DISTANCES`` numbers; a window that alone holds more runs alone.
+    one thread per usable CPU, as numpy's element-wise ops, einsum and
+    matmul release the GIL. matmul takes the null's product only at shapes
+    whose probe found einsum's bits, so the bits hold for any thread count;
+    two runs that probe one shape at once agree. The arrays in flight, Grams
+    and nulls alike, hold about ``BLOCK_DISTANCES`` numbers; a window that
+    alone holds more runs alone.
     Runs of one window share no Gram and are tested in order on the calling
     thread, where threads cost CPU for no wall time.
     """

@@ -58,9 +58,11 @@ class ClassMixtureSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if not all(map(math.isfinite, self.class_means())):
+        with np.errstate(over="ignore"):  # the mixture is stored as float32
+            means = np.array(self.class_means(), dtype=np.float32)
+        if not np.isfinite(means).all():
             raise ValueError(f"class means overflow at scale {self.scale}, separation {self.separation}, "
-                             f"shift {self.shift}")
+                             f"shift {self.shift}, past float32's range")
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ValueError(f"positive_fraction must be in [0, 1], got {self.positive_fraction}")
         if self.n < 0:

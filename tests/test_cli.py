@@ -350,13 +350,19 @@ MIXTURE = ["simulate", "mixture", "--n", "10", "--dims", "2", "--out", "mix.csv"
     ([*MIXTURE, "--separation", "nan"], "separation must be finite, got nan"),
     ([*MIXTURE, "--scale", "inf"], "scale must be finite, got inf"),
     ([*MIXTURE, "--separation", "1e308", "--scale", "10"], "class means overflow at scale 10.0, separation 1e+308"),
+    # finite in float64, but the mixture is stored as float32
+    ([*MIXTURE, "--scale", "1e39"], "class means overflow at scale 1e+39, separation 4.0, shift 0.0, past float32"),
+    ([*MIXTURE, "--scale", "1e308", "--separation", "1"], "class means overflow at scale 1e+308, separation 1.0"),
     (["correlate", "--profile", "0,inf", "--n", "64"], "shift must be finite, got inf"),
-], ids=["separation-nan", "scale-inf", "means-overflow", "correlate-shift-inf"])
-def test_non_finite_class_means_fail_before_drawing_a_mixture(capsys, monkeypatch, argv, message):
+], ids=["separation-nan", "scale-inf", "means-overflow", "means-past-float32", "means-past-float32-separation-1",
+        "correlate-shift-inf"])
+def test_non_finite_class_means_fail_before_drawing_a_mixture(tmp_path, capsys, monkeypatch, argv, message):
     drawn = _spy_on_mixtures(monkeypatch)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert drawn == []
+    assert not (tmp_path / "mix.csv").exists()
 
 
 def test_correlate_writes_table_and_correlations(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,82 @@ def test_shared_gram_gives_the_same_null():
     own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), permutation_signs(6, 0, 30, 8), "biased")
     np.testing.assert_array_equal(result.stats, own)
     assert est == mmd(RBF_FIXED, x, y, "biased")
+
+
+@pytest.fixture
+def fresh_probe():
+    """An empty cache of :func:`resample._matmul_keeps_bits`, emptied again afterwards."""
+    resample._matmul_keeps_bits.cache_clear()
+    yield
+    resample._matmul_keeps_bits.cache_clear()
+
+
+def _einsum_null_stats(monkeypatch, gram, signs, estimator):
+    """Reference: the null with its sign product through einsum, whatever the probe says."""
+    with monkeypatch.context() as m:
+        m.setattr(resample, "_matmul_keeps_bits", lambda k, width: False)
+        return null_stats_from_gram(gram, signs, estimator)
+
+
+def _stacked_pools(width, windows=3):
+    pools = np.random.default_rng(width).standard_normal((windows, 2 * width, 4))
+    return np.stack([kernel_matrix(RBF_FIXED, 1.0, pool, pool) for pool in pools])
+
+
+@pytest.mark.parametrize("width", [1, 2, 32, 128, 129])
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 199])
+def test_null_has_the_bits_of_einsum_at_every_shape(monkeypatch, width, k):
+    # one permutation is a matrix-vector product, and 129 rows a side pool over
+    # 256 rows; a BLAS product of either may add in another order than einsum
+    grams = _stacked_pools(width)
+    signs = np.stack([permutation_signs(5, t, k, width) for t in range(len(grams))])
+    stacked = null_stats_from_gram(grams, signs, "biased")
+    assert stacked.tobytes() == _einsum_null_stats(monkeypatch, grams, signs, "biased").tobytes()
+    for gram, own, stats in zip(grams, signs, stacked):
+        assert null_stats_from_gram(gram, own, "biased").tobytes() == stats.tobytes()
+
+
+def _spy_on_matmul(monkeypatch, product):
+    """A list of the shapes of the left operands given to ``np.matmul``, which ``product`` then multiplies."""
+    calls = []
+    monkeypatch.setattr(np, "matmul", lambda a, b: calls.append(a.shape) or product(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("keeps_bits", [False, True])
+def test_the_probe_picks_the_product(monkeypatch, keeps_bits):
+    grams = _stacked_pools(8)
+    signs = np.stack([permutation_signs(5, t, 4, 8) for t in range(len(grams))])
+    want = _einsum_null_stats(monkeypatch, grams, signs, "biased")
+    monkeypatch.setattr(resample, "_matmul_keeps_bits", lambda k, width: keeps_bits)
+    calls = _spy_on_matmul(monkeypatch, resample._einsum_product)  # einsum's bits on any BLAS
+    assert null_stats_from_gram(grams, signs, "biased").tobytes() == want.tobytes()
+    assert calls == ([signs.shape] if keeps_bits else [])
+
+
+def test_a_probe_of_one_shape_does_not_serve_another(monkeypatch, fresh_probe):
+    # a product that has einsum's bits for k >= 2 and is one ulp off for k = 1:
+    # a probe keyed on the width alone would take it for k = 1 after k = 50
+    def product(a, b):
+        exact = resample._einsum_product(a, b)
+        return np.nextafter(exact, np.inf) if a.shape[-2] == 1 else exact
+
+    calls = _spy_on_matmul(monkeypatch, product)
+    grams = _stacked_pools(32, windows=1)
+    for k in (50, 1):
+        signs = permutation_signs(5, 0, k, 32)[None]
+        want = _einsum_null_stats(monkeypatch, grams, signs, "biased")
+        assert null_stats_from_gram(grams, signs, "biased").tobytes() == want.tobytes()
+    assert resample._matmul_keeps_bits(50, 32) and not resample._matmul_keeps_bits(1, 32)
+    assert [shape[-2] for shape in calls] == [50, 50, 1]  # probe and null at k = 50, the probe alone at k = 1
+
+
+def test_the_probe_waits_for_the_first_null():
+    # importing the CLI probes no shape, so start-up time does not include it
+    code = "import driftscan.cli, driftscan.resample as r; print(r._matmul_keeps_bits.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(resample.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout == "0\n"
 
 
 #: name -> (kernel, bandwidth shared by the windows, estimator)

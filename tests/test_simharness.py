@@ -88,9 +88,9 @@ def test_mixture_spec_validation():
     for name, value in (("scale", math.inf), ("separation", math.nan), ("shift", -math.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **{name: value})
-    # finite settings whose products, or the positive mean's difference, overflow
+    # finite settings whose products, or the positive mean's difference, overflow float64 or float32
     for extremes in ({"separation": 1e308, "scale": 10.0}, {"shift": 1e308, "scale": 10.0},
-                     {"separation": 1.7e308, "shift": -1.7e308}):
+                     {"separation": 1.7e308, "shift": -1.7e308}, {"scale": 1e39}, {"scale": 1e308, "separation": 1.0}):
         with pytest.raises(ValueError, match="class means overflow"):
             ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **extremes)
 
