@@ -2,12 +2,14 @@
 
 The RBF kernel here is exp(-||x - y||^2 / (2 * bandwidth^2)), so the
 bandwidth is a length scale, not a variance. The default bandwidth policy is
-the median heuristic: the median of all pairwise Euclidean distances over the
+the median heuristic: the median of the pairwise Euclidean distances over the
 pooled samples, computed once before a scan so that per-window statistics are
-comparable. It is exact for any number of rows without holding every
+comparable. It is exact up to ``EXACT_PAIRS`` pairs without holding every
 distance: beyond ``BLOCK_DISTANCES`` pairs the pairs are visited one row
 block at a time, and only those inside a bracket around the median (about
-``2 * BRACKET_MARGIN`` of them) are kept.
+``2 * BRACKET_MARGIN`` of them) are kept. Larger pools take the exact median
+of a fixed sample of ``MEDIAN_SAMPLE_PAIRS`` pairs, which is as reproducible
+and holds a few MB whatever the input.
 
 The filter: the rows c, centred on a coordinate-wise median (so that a few far
 rows move no other row) and scaled by a power of two to squared norms of at
@@ -61,6 +63,10 @@ SAMPLE_PAIRS = 1 << 14
 #: half-width of the first bracket, as a share of all distances; a bracket
 #: that misses the median is widened fourfold and the pass repeated
 BRACKET_MARGIN = 0.03
+#: the most pairs whose median is exact; larger pools take the lower median
+#: of ``MEDIAN_SAMPLE_PAIRS`` sampled pairs, whose rank errs by about 0.001
+EXACT_PAIRS = 1 << 24
+MEDIAN_SAMPLE_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -119,11 +125,13 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct row pairs i < j.
 
     Deterministic: for an even number of pairs the lower of the two middle
-    values is returned, bit for bit ``np.partition(pdist(x), k)[k]``. Inputs
-    with more than ``BLOCK_DISTANCES`` pairs keep only the pairs near the
-    median (:func:`_blockwise_order_statistic`): 16000 rows keep about 8M of
-    their 128M pairs at 8 bytes each, 61 MB where ``pdist`` takes 1 GB. Their
-    float32 or float64 approximations decide only which pairs are measured.
+    values is returned, bit for bit ``np.partition(pdist(x), k)[k]`` up to
+    ``EXACT_PAIRS`` pairs. Inputs with more than ``BLOCK_DISTANCES`` pairs
+    keep only the pairs near the median (:func:`_blockwise_order_statistic`),
+    whose float32 or float64 approximations decide only which pairs are
+    measured. Inputs with more than ``EXACT_PAIRS`` pairs take the lower
+    median of a fixed sample of ``MEDIAN_SAMPLE_PAIRS`` pairs, to ``pdist``'s
+    bits for those pairs, with no BLAS: 2 MB of distances for any input.
     Raises :class:`DegenerateInputError` when fewer than two rows are given
     or the median is zero; callers should fall back to a fixed bandwidth.
     Raises :class:`ValidationError` on non-finite values, and on blockwise
@@ -136,15 +144,19 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     if not np.isfinite(x).all():  # NaN distances would fall in no bracket
         raise ValidationError("median heuristic needs finite values")
     pairs = n * (n - 1) // 2
-    k = (pairs - 1) // 2  # lower middle for even counts
-    if pairs <= BLOCK_DISTANCES:
-        from scipy.spatial.distance import pdist
+    if BLOCK_DISTANCES < pairs <= EXACT_PAIRS:
+        med = _blockwise_order_statistic(x, (pairs - 1) // 2)
+    else:
+        if pairs > EXACT_PAIRS:
+            d = np.empty(MEDIAN_SAMPLE_PAIRS)
+            np.sqrt(_pair_distances(np.ascontiguousarray(x.T), *_sample_pairs(n, d.size), d), out=d)
+        else:
+            from scipy.spatial.distance import pdist
 
-        d = pdist(x, "euclidean")
+            d = pdist(x, "euclidean")
+        k = (d.size - 1) // 2  # lower middle for even counts
         d.partition(k)  # in place: a copy would double the memory and page faults
         med = float(d[k])
-    else:
-        med = _blockwise_order_statistic(x, k)
     if med <= 0.0:
         raise DegenerateInputError("median pairwise distance is zero; supply a fixed bandwidth")
     return med
@@ -185,12 +197,9 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     # underflow and for pdist's on the unscaled rows
     bound32, bound64 = ((4 * (d + 4) + 8) * u * 4.0 * np.maximum(rows[:, d], max(tiny, 4.0**e * 2.0**-1022))
                         for u, tiny in ((2.0**-24, 2.0**-126), (2.0**-53, 2.0**-1022)))
-    # a fixed sample of pairs of distinct rows: the bracket is only a guess
-    i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, SAMPLE_PAIRS))
-    j += j >= i
-    sample = _pair_distances(xt, i, j, np.empty(SAMPLE_PAIRS)) * 4.0**e
+    # the bracket is only a guess
+    sample = _pair_distances(xt, *_sample_pairs(n, SAMPLE_PAIRS), np.empty(SAMPLE_PAIRS)) * 4.0**e
     lo, hi = _quantile_bracket(sample, share, margin)
-    del i, j
     while True:
         # float32 from the first row whose bound is under 1/256 of the bracket:
         # float64 keeps a far cluster from keeping every pair, for memory, not
@@ -304,6 +313,13 @@ def _squared_distances(columns, out: np.ndarray) -> np.ndarray:
         np.multiply(t, t, out=t)
         out += t
     return out
+
+
+def _sample_pairs(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices i, j of ``size`` pairs of distinct rows of n, a fixed draw from ``default_rng(0)``."""
+    i, j = np.random.default_rng(0).integers(0, [[n], [n - 1]], size=(2, size))
+    j += j >= i
+    return i, j
 
 
 def _pair_distances(xt: np.ndarray, i: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -220,10 +220,13 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     and nulls alike, hold about ``BLOCK_DISTANCES`` numbers; a window that
     alone holds more runs alone.
     Runs of one window share no Gram and are tested in order on the calling
-    thread, where threads cost CPU for no wall time.
+    thread, where threads cost CPU for no wall time. ``bandwidth`` None
+    under the global median is a ValueError: each run would take its own.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    if bandwidth is None and spec.needs_bandwidth and spec.bandwidth == kernels.MEDIAN_GLOBAL:
+        raise ValueError("the global median bandwidth must be resolved over the whole scan and passed in")
     block_size(width, k, estimator)
     ends = range(width, x.shape[0] + 1, stride)
     entries = 4 * width * width  # one window's pool Gram

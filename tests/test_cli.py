@@ -492,20 +492,23 @@ sys.exit(code)
 
 def test_scan_past_the_one_pdist_pool_leaves_scipy_spatial_out(tmp_path):
     # 2200 pooled rows have more than BLOCK_DISTANCES pairs, so the median
-    # goes through blocks, and every distance of the scan is summed in numpy
-    rng = np.random.default_rng(33)
-    for side in ("ref", "target"):
-        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((1100, 8))), tmp_path / f"{side}.emb")
+    # goes through blocks, and 6000 more than EXACT_PAIRS, so it is of a
+    # sample of pairs; every distance of the scan is summed in numpy
+    assert 2200 * 2199 // 2 > kernels.BLOCK_DISTANCES and 6000 * 5999 // 2 > kernels.EXACT_PAIRS
     argv = [sys.executable, "-c", SPATIAL_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
             "--window", "32", "--bootstraps", "19", "--stride", "256", "--out", "report.json"]
-    proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert 2200 * 2199 // 2 > kernels.BLOCK_DISTANCES
-    assert proc.stdout.split()[-1] == "False"
+    rng = np.random.default_rng(33)
+    for rows in (1100, 3000):
+        for side in ("ref", "target"):
+            save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((rows, 8))), tmp_path / f"{side}.emb")
+        proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False", f"{2 * rows} pooled rows"
 
 
-#: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows
-#: (128M distances: 1 GB as one pdist vector, about 2 GB with its partition)
+#: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows.
+#: Their 128M pairs are over EXACT_PAIRS, so the median is of a fixed sample
+#: of 2**18 pairs (2 MB); all 128M distances would take 1 GB
 SCAN_RSS_BOUND_MB = 512
 
 #: runs the CLI on its arguments, then prints the process's own peak RSS

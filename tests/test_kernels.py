@@ -221,6 +221,50 @@ def test_median_either_side_of_the_block_threshold_matches_pdist(side, monkeypat
     assert len(passes) == (0 if side == "one-pdist" else 1)
 
 
+def _sampled_median_by_hand(x) -> float:
+    # the lower median of the distances of MEDIAN_SAMPLE_PAIRS pairs from
+    # default_rng(0), each summed over the columns in order, as pdist sums
+    m = kernels.MEDIAN_SAMPLE_PAIRS
+    i, j = np.random.default_rng(0).integers(0, [[len(x)], [len(x) - 1]], size=(2, m))
+    j += j >= i
+    squares = np.zeros(m)
+    for column in np.asarray(x, dtype=np.float64).T:
+        t = column[i] - column[j]
+        squares += t * t
+    return float(np.sort(np.sqrt(squares))[(m - 1) // 2])
+
+
+@pytest.mark.parametrize("side", ["blockwise", "sampled"])
+def test_median_either_side_of_the_exact_threshold(side, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
+    monkeypatch.setattr(kernels, "EXACT_PAIRS", 1 << 16)
+    x = np.random.default_rng(34).standard_normal((_rows_for_pairs(1 << 16) + (side == "sampled"), 4))
+    passes = _count_passes(monkeypatch)
+    want = _sampled_median_by_hand(x) if side == "sampled" else _pdist_lower_median(x)
+    assert median_heuristic_bandwidth(x) == want
+    assert len(passes) == (0 if side == "sampled" else 1)
+
+
+@pytest.mark.parametrize("shift", [0.0, 4.0], ids=["normal", "two-class"])
+def test_sampled_median_of_a_large_pool(shift, monkeypatch):
+    # a pool over EXACT_PAIRS pairs takes the lower median of a fixed sample
+    # of pairs, summed in numpy with no BLAS product. Its rank among all the
+    # distances errs by about sqrt(1 / 4m) = 0.001 for m = 2**18 pairs,
+    # about 2.4e-4 relative for 64-d normal rows
+    monkeypatch.setattr(kernels, "EXACT_PAIRS", 1 << 16)
+    x = np.random.default_rng(35).standard_normal((600, 64))
+    x[:240, 0] += shift
+    products = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: products.append(a.shape) or real(a, b))
+    got = median_heuristic_bandwidth(x)
+    assert products == []
+    assert got == _sampled_median_by_hand(x)
+    d = np.sort(pdist(x))
+    assert abs(np.searchsorted(d, got) / d.size - 0.5) < 5 * math.sqrt(1 / (4 * kernels.MEDIAN_SAMPLE_PAIRS))
+    assert got == pytest.approx(_pdist_lower_median(x), rel=1e-3)
+
+
 def _tied_rows(n, rng):
     # rows on three points of a line: every distance is 0, 1, 2 or 3
     return rng.choice([0.0, 1.0, 3.0], size=(n, 1))
@@ -433,16 +477,19 @@ import numpy as np
 x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
 x[:420, 0] += 1e4
 """
-#: a child that prints their blockwise median
+#: a child that prints their blockwise median, then their sampled one
 _BLAS_CHILD = _BLAS_ROWS + """
-from driftscan.kernels import median_heuristic_bandwidth
-print(repr(median_heuristic_bandwidth(x)))
+from driftscan import kernels
+print(repr(kernels.median_heuristic_bandwidth(x)))
+kernels.EXACT_PAIRS = 1 << 16
+print(repr(kernels.median_heuristic_bandwidth(x)))
 """
 
 
 def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
     # BLAS picks its own summation order for each thread count and
-    # precision; it may move the approximations, never the answer
+    # precision; it may move the approximations, never the answer. The
+    # sampled median takes no BLAS product at all
     rows = {}
     exec(_BLAS_ROWS, rows)
     x = rows["x"]
@@ -460,13 +507,13 @@ def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
         proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env={**env, **threads},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        printed.append(proc.stdout.strip())
-    assert printed == [repr(_pdist_lower_median(x))] * 2
+        printed.append(proc.stdout.split())
+    assert printed == [[repr(_pdist_lower_median(x)), repr(_sampled_median_by_hand(x))]] * 2
 
 
-#: a child's setup for a blockwise median of ``x``: one BLAS thread, so that
-#: its buffers are the same on any machine, and small blocks, so that the
-#: kept pairs set the peak
+#: a child's setup for a median of ``x``: one BLAS thread, so that its
+#: buffers are the same on any machine, and small blocks, so that on the
+#: blockwise pass the kept pairs set the peak
 _PEAK_SETUP = """
 import os
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
@@ -485,7 +532,8 @@ def test_blockwise_median_holds_each_kept_pair_once():
     # 30 MB for the interpreter's and BLAS's own. Measured at 105 MB on a
     # 2-core box; kept distances held twice, as float64, would take 132 MB
     pairs = 16000 * 15999 // 2
-    setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(27).standard_normal((16000, 2))")
+    setup = _PEAK_SETUP.format(rows="kernels.EXACT_PAIRS = 1 << 27  # keeps these 128M pairs exact\n"
+                                    "x = np.random.default_rng(27).standard_normal((16000, 2))")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
     assert rise_mb < 12 * 2 * kernels.BRACKET_MARGIN * pairs / 2**20 + 30, f"peak {rise_mb:.1f} MB"
 
@@ -500,6 +548,16 @@ def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances(far
     setup = _PEAK_SETUP.format(rows=f"x = np.random.default_rng(29).standard_normal((3001, 2))\nx[1500] = {far!r}")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
     assert rise_mb < 8 * pairs / 2**20, f"peak {rise_mb:.1f} MB"
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_sampled_median_beside_a_1e30_row_holds_a_few_mb():
+    # 8000 rows have 32M pairs, over EXACT_PAIRS, so the median is of a fixed
+    # sample of pairs, a few MB for any rows. On the blockwise pass the 1e30
+    # row sent almost every other pair to exact measurement: about 660 MB
+    setup = _PEAK_SETUP.format(rows="x = np.random.default_rng(36).standard_normal((8000, 8))\nx[4000] = 1e30")
+    rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
+    assert rise_mb < 64, f"peak {rise_mb:.1f} MB"
 
 
 @pytest.mark.parametrize("far", [1e8, 1e10, 1e12])

@@ -228,6 +228,19 @@ def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
     assert got == want
 
 
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", "median"), KernelSpec("rbf", "median-window"), KernelSpec("linear"),
+                                  RBF_FIXED], ids=["median", "median-window", "linear", "fixed"])
+def test_scan_window_tests_refuse_an_unresolved_global_median(spec):
+    # a run would take the median of its own rows, so the bits would depend
+    # on how many windows a run holds, that is on the CPU count
+    x, y = _windows(26, 200, 3)
+    if spec == KernelSpec("rbf", "median"):
+        with pytest.raises(ValueError, match="global median"):
+            scan_window_tests(spec, x, y, 160, 4, 19, 7, "biased", None)
+    else:
+        assert len(scan_window_tests(spec, x, y, 160, 4, 19, 7, "biased", None)[0]) == 11
+
+
 @pytest.mark.parametrize("budget_windows, workers", [(1, 1), (3, 2), (5, 3)])
 def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, workers):
     # a run's budget is BLOCK_DISTANCES // workers numbers. A window holds
