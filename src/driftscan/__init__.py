@@ -17,9 +17,9 @@ from .embeddings import (
     save_embeddings,
 )
 from .kernels import KernelSpec, median_heuristic_bandwidth
-from .mmd import MmdEstimate, mmd
+from .mmd import mmd
 from .prep import BatchConfig, batch_means, shuffle_rows
-from .resample import BootstrapResult, window_test
+from .resample import window_test
 from .scan import (
     DriftReport,
     ScanConfig,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchConfig",
-    "BootstrapResult",
     "ClassMixtureSpec",
     "DataError",
     "DatasetPair",
@@ -57,7 +56,6 @@ __all__ = [
     "FormatError",
     "KernelSpec",
     "MetricSeries",
-    "MmdEstimate",
     "ScanConfig",
     "ValidationError",
     "WindowResult",

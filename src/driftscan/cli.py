@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple, fields
 
 from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings
 from .kernels import KernelSpec
-from .mmd import mmd
+from .mmd import mmd, mmd_value
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
 from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_dict,
@@ -51,17 +51,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bandwidth_arg(text: str):
-    if text in ("median", "median-window"):
-        return text
+    """A number as a float, any other text as it is; :class:`KernelSpec` judges both."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'median', 'median-window', or a positive number, got {text!r}"
-        ) from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"fixed bandwidth must be positive and finite, got {text!r}")
-    return value
+        return text
 
 
 def _float_list(text: str) -> list[float]:
@@ -156,14 +150,14 @@ def _load_sides(args) -> list:
 
 
 def cmd_mmd(args) -> int:
+    spec = _kernel_spec(args)  # before the inputs are read, as in cmd_scan
     pair = DatasetPair(*_load_sides(args))
-    spec = _kernel_spec(args)
-    est = mmd(spec, pair.reference, pair.target, args.estimator)
+    squared, bandwidth = mmd(spec, pair.reference, pair.target, args.estimator)
     _write_text(args.out, _json({
         "config": _echo("mmd", args, kernel=asdict(spec)),
-        "squared": est.squared,
-        "value": est.value,
-        "bandwidth_used": est.bandwidth_used,
+        "squared": squared,
+        "value": mmd_value(squared),
+        "bandwidth_used": bandwidth,
     }))
     return 0
 
@@ -247,8 +241,8 @@ def cmd_simulate_mixture(args) -> int:
 
 def cmd_calibrate(args) -> int:
     check_alpha(args.alpha)  # before the warning, which divides by it
-    _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
     spec = _kernel_spec(args)
+    _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
     p_values = null_calibration(
         trials=args.trials,
         n=args.n,

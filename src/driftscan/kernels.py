@@ -89,7 +89,7 @@ class KernelSpec:
             if bw not in (MEDIAN_GLOBAL, MEDIAN_PER_WINDOW):
                 raise ValueError(f"unknown bandwidth policy {bw!r}")
         else:
-            if not (isinstance(bw, (int, float)) and np.isfinite(bw) and bw > 0):
+            if isinstance(bw, bool) or not (isinstance(bw, (int, float)) and np.isfinite(bw) and bw > 0):
                 raise ValueError(f"fixed bandwidth must be a positive finite number, got {bw!r}")
 
     @property
@@ -111,8 +111,8 @@ def kernel_matrix(spec: KernelSpec, bandwidth: float | None, x: np.ndarray, y: n
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if spec.family == "linear":
         return np.einsum("id,jd->ij", x, y, optimize=False)
-    if bandwidth is None or bandwidth <= 0:
-        raise ValueError(f"rbf kernel needs a positive bandwidth, got {bandwidth!r}")
+    if bandwidth is None or not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"rbf kernel needs a positive finite bandwidth, got {bandwidth!r}")
     sq, xt, yt = np.empty((x.shape[0], y.shape[0])), x.T[:, :, None], np.ascontiguousarray(y.T)
     step = max(1, SEEN_DISTANCES // max(1, y.shape[0]))  # rows a step: one small temporary
     for r in range(0, x.shape[0], step):  # x's columns down, y's across

@@ -12,7 +12,6 @@ Two estimators of MMD^2 are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,28 +21,12 @@ from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 ESTIMATORS = ("biased", "unbiased")
 
 
-@dataclass(frozen=True)
-class MmdEstimate:
-    """MMD^2 estimate plus its square root.
+def mmd_value(squared: float) -> float:
+    """MMD from MMD^2: sqrt(max(0, squared)), so a negative unbiased estimate reads 0.
 
-    ``value`` is sqrt(max(0, squared)); report consumers should threshold on
-    ``squared`` to avoid square-root noise near zero. ``bandwidth_used`` is
-    None for kernels that take no bandwidth.
+    Threshold on ``squared``: its square root magnifies noise near zero.
     """
-
-    squared: float
-    value: float
-    estimator: str
-    bandwidth_used: float | None
-
-    @classmethod
-    def from_squared(cls, squared: float, estimator: str, bandwidth_used: float | None) -> "MmdEstimate":
-        return cls(
-            squared=squared,
-            value=math.sqrt(max(0.0, squared)),
-            estimator=estimator,
-            bandwidth_used=bandwidth_used,
-        )
+    return math.sqrt(max(0.0, squared))
 
 
 def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> None:
@@ -93,8 +76,8 @@ def mmd(
     q2: EmbeddingMatrix,
     estimator: str = "biased",
     bandwidth: float | None = None,
-) -> MmdEstimate:
-    """MMD^2 (and MMD) between two samples.
+) -> tuple[float, float | None]:
+    """MMD^2 between two samples, and the bandwidth it used (None for kernels that take none).
 
     When ``bandwidth`` is None it is resolved from ``spec``'s policy over the
     pooled rows of both samples; pass an explicit value to reuse a bandwidth
@@ -112,5 +95,5 @@ def mmd(
         kernel_matrix(spec, bandwidth, x, y),
         estimator,
     ))
-    return MmdEstimate.from_squared(sq, estimator, bandwidth)
+    return sq, bandwidth
 

@@ -25,7 +25,6 @@ one :func:`window_test` per window for any number of CPUs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import kernels
 from .embeddings import ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
-from .mmd import ESTIMATORS, MmdEstimate, mmd_sq_from_gram
+from .mmd import ESTIMATORS, mmd_sq_from_gram
 from .rng import derive_rng
 
 #: purpose tag for the null's streams; window w draws its whole (k, 2 * rows)
@@ -55,25 +54,7 @@ WINDOW_NUMBERS = 1 << 28
 GRAM_PEAK_RATIO = 1.25
 
 
-@dataclass(frozen=True, eq=False)
-class BootstrapResult:
-    """Null statistics for one window.
-
-    ``stats`` holds the k permuted MMD^2 values, ``median`` their exact
-    order-statistic median (mean of the two middles for even k), and
-    ``p_value`` the add-one-smoothed tail probability of the observed
-    statistic: (1 + #{stats >= observed}) / (k + 1), never zero.
-    """
-
-    stats: np.ndarray = field(repr=False)
-    median: float
-    p_value: float
-
-    def __post_init__(self) -> None:
-        self.stats.flags.writeable = False
-
-
-def block_size(rows: int, bootstraps: int, estimator: str) -> None:
+def check_window_settings(rows: int, bootstraps: int, estimator: str) -> None:
     """Check the settings of window tests on windows of ``rows`` rows, whose null blocks have as many.
 
     ValueError for settings that cannot run, among them windows whose one
@@ -152,8 +133,8 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidt
     The windows take their Grams from one pool Gram over all rows of ``x``
     and ``y``, with the bits of their own. Window j draws from the stream
     (seed, "bootstrap", indices[j]). ``bandwidth`` None resolves it over the
-    pool, which is then one window. Returns the bandwidth and, per window,
-    the k null statistics, the observed MMD^2, their median and p-value.
+    pool, which is then one window. Returns, per window, the k null
+    statistics, the observed MMD^2, their median and p-value.
     """
     span = x.shape[0]
     _matmul_keeps_bits(k, width)  # a new shape's probe runs before this Gram is held, so the two never add up
@@ -171,7 +152,7 @@ def _span_tests(spec, x, y, width, stride, indices, k, seed, estimator, bandwidt
     signs = np.stack([derive_rng(seed, BOOTSTRAP_TAG, t).permuted(halves, axis=1) for t in indices])
     stats = null_stats_from_gram(grams, signs, estimator)
     p_value = (1.0 + np.count_nonzero(stats >= observed[:, None], axis=-1)) / (k + 1.0)
-    return bandwidth, stats, observed, np.median(stats, axis=-1), p_value
+    return stats, observed, np.median(stats, axis=-1), p_value
 
 
 def window_test(
@@ -183,8 +164,13 @@ def window_test(
     estimator: str,
     bandwidth: float | None = None,
     window_index: int = 0,
-) -> tuple[MmdEstimate, BootstrapResult]:
+) -> tuple[float, np.ndarray, float, float]:
     """MMD^2 between windows ``x`` and ``y`` and its permutation null.
+
+    Returns (observed_sq, stats, median, p_value): the observed MMD^2, the k
+    permuted MMD^2 values, their median (the mean of the two middles for
+    even k), and the add-one-smoothed tail probability
+    (1 + #{stats >= observed_sq}) / (k + 1), never zero.
 
     ``x`` and ``y`` are (rows, dims) arrays, pooled and computed in float64.
     The pool's Gram matrix is built once: the observed statistic comes from
@@ -193,16 +179,15 @@ def window_test(
     (k, 2 * rows) sign matrix drawn from the stream
     (seed, "bootstrap", window_index), so reruns are byte-identical however
     windows are scheduled. ``bandwidth`` is resolved over the pool when None
-    (per window); :func:`block_size` checks the settings. It is the
+    (per window); :func:`check_window_settings` checks the settings. It is the
     one-window case of :func:`scan_window_tests`.
     """
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
-    block_size(x.shape[0], k, estimator)
-    bandwidth, stats, observed, median, p_value = _span_tests(
+    check_window_settings(x.shape[0], k, estimator)
+    stats, observed, median, p_value = _span_tests(
         spec, x, y, x.shape[0], 1, [window_index], k, seed, estimator, bandwidth)
-    return (MmdEstimate.from_squared(float(observed[0]), estimator, bandwidth),
-            BootstrapResult(stats=stats[0], median=float(median[0]), p_value=float(p_value[0])))
+    return float(observed[0]), stats[0], float(median[0]), float(p_value[0])
 
 
 def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int, stride: int, k: int, seed: int,
@@ -227,7 +212,7 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
 
     if bandwidth is None and spec.needs_bandwidth and spec.bandwidth == kernels.MEDIAN_GLOBAL:
         raise ValueError("the global median bandwidth must be resolved over the whole scan and passed in")
-    block_size(width, k, estimator)
+    check_window_settings(width, k, estimator)
     ends = range(width, x.shape[0] + 1, stride)
     entries = 4 * width * width  # one window's pool Gram
     footprint = entries + _null_numbers(width, k)
@@ -238,7 +223,7 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
 
     def run(t: range):
         return _span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, t, k, seed,
-                           estimator, bandwidth)[2:]
+                           estimator, bandwidth)[1:]
 
     runs = (ends[i:i + size] for i in range(0, len(ends), size))
     with ThreadPoolExecutor(workers) as pool:  # the pool starts no thread for runs of one window

@@ -25,8 +25,8 @@ import numpy as np
 
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
 from .kernels import KernelSpec, resolve_bandwidth
-from .mmd import MmdEstimate
-from .resample import RNG_SCHEME, block_size, scan_window_tests
+from .mmd import mmd_value
+from .resample import RNG_SCHEME, check_window_settings, scan_window_tests
 from .rng import check_seed
 
 
@@ -56,7 +56,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        block_size(self.window, self.bootstraps, self.estimator)
+        check_window_settings(self.window, self.bootstraps, self.estimator)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         check_alpha(self.alpha)
@@ -140,8 +140,7 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
         config.seed, config.estimator, bandwidth)
     windows = [
-        WindowResult(t, t - width + 1, sq, MmdEstimate.from_squared(sq, config.estimator, bandwidth).value, median,
-                     p, p <= config.alpha)
+        WindowResult(t, t - width + 1, sq, mmd_value(sq), median, p, p <= config.alpha)
         for t, sq, median, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
     ]
     argmax_pos = int(np.argmax(observed_sq))  # first occurrence on ties

@@ -29,7 +29,7 @@ from . import kernels
 from .embeddings import DatasetPair, EmbeddingMatrix
 from .kernels import KernelSpec
 from .prep import BatchConfig, batch_means
-from .resample import block_size, window_test
+from .resample import check_window_settings, window_test
 from .rng import derive_rng, derive_seed
 from .scan import ScanConfig, drift_scan, shared_bandwidth
 
@@ -284,7 +284,7 @@ def null_calibration(
             raise ValueError(f"{name} must be >= 1, got {value}")
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
-    block_size(window, bootstraps, estimator)  # a window may be 1 row here, unlike a scan's
+    check_window_settings(window, bootstraps, estimator)  # a window may be 1 row here, unlike a scan's
     from concurrent.futures import ThreadPoolExecutor
 
     def trial(i: int) -> float:
@@ -292,9 +292,9 @@ def null_calibration(
         ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
         bandwidth = shared_bandwidth(kernel, ref, target)
-        _, boot = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
-                              derive_seed(seed, "calibration-boot", i), estimator, bandwidth)
-        return boot.p_value
+        *_, p_value = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
+                                  derive_seed(seed, "calibration-boot", i), estimator, bandwidth)
+        return p_value
 
     # trials in flight hold at most BLOCK_DISTANCES distances, as one
     # blockwise pass does; a trial that needs that pass runs alone

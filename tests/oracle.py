@@ -8,7 +8,7 @@ and exists only to cross-check the fast path.
 import numpy as np
 
 from driftscan.kernels import KernelSpec, resolve_bandwidth
-from driftscan.mmd import MmdEstimate, _check_inputs
+from driftscan.mmd import _check_inputs
 
 
 def kernel_value(spec: KernelSpec, bandwidth: float | None, x, y) -> float:
@@ -25,8 +25,8 @@ def kernel_value(spec: KernelSpec, bandwidth: float | None, x, y) -> float:
     return float(np.exp(-np.dot(diff, diff) / (2.0 * bandwidth * bandwidth)))
 
 
-def mmd_oracle(spec, q1, q2, estimator="biased", bandwidth=None) -> MmdEstimate:
-    """Brute-force MMD^2: explicit loops, one kernel_value call per pair."""
+def mmd_oracle(spec, q1, q2, estimator="biased", bandwidth=None) -> tuple[float, float | None]:
+    """Brute-force MMD^2 and the bandwidth it used: explicit loops, one kernel_value call per pair."""
     _check_inputs(q1, q2, estimator)
     x = q1.as_float64()
     y = q2.as_float64()
@@ -56,5 +56,4 @@ def mmd_oracle(spec, q1, q2, estimator="biased", bandwidth=None) -> MmdEstimate:
         for j in range(m):
             sum_xy += kernel_value(spec, bandwidth, x[i], y[j])
 
-    sq = sum_xx / count_xx + sum_yy / count_yy - 2.0 * sum_xy / (n * m)
-    return MmdEstimate.from_squared(sq, estimator, bandwidth)
+    return sum_xx / count_xx + sum_yy / count_yy - 2.0 * sum_xy / (n * m), bandwidth

@@ -142,15 +142,21 @@ def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, c
     report = tmp_path / "rep.json"
     assert main(["scan", "--ref", ref, "--target", target, "--window", "8",
                  "--bootstraps", "5", "--seed", "2", "--out", str(report)]) == 0
-    payload = json.loads(report.read_text())
-    payload["config"]["window"] = 1
-    report.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
-                 "--out", str(tmp_path / "cause.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {report}: not a valid drift report: window must be >= 2, got 1\n"
-    assert captured.out == ""
+    scanned = report.read_text()
+    for section, key, value, message in (
+        ("config", "window", 1, "window must be >= 2, got 1"),
+        ("kernel", "bandwidth", True, "fixed bandwidth must be a positive finite number, got True"),
+    ):
+        payload = json.loads(scanned)
+        config = payload["config"]
+        (config if section == "config" else config[section])[key] = value
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
+                     "--out", str(tmp_path / "cause.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {report}: not a valid drift report: {message}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("span", [[500, 531], [0, 31], ["a", "b"]])
@@ -457,10 +463,13 @@ def test_window_too_large_exits_two(pair_files, capsys):
     assert "window" in capsys.readouterr().err
 
 
-def test_bad_bandwidth_value_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["mmd", "--ref", "a.csv", "--target", "b.csv", "--bandwidth", "-3"])
-    assert exc.value.code == 1
+def test_bad_bandwidth_value_exits_one(tmp_path, monkeypatch, capsys):
+    # the input files do not exist, so exit 1 (not 2) shows that no file was read
+    monkeypatch.chdir(tmp_path)
+    for value in ("-3", "0", "nan", "inf", "foo"):
+        assert main(["mmd", "--ref", "a.csv", "--target", "b.csv", "--bandwidth", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _child_env():

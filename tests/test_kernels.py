@@ -121,6 +121,9 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", -1.0)
     with pytest.raises(ValueError):
         KernelSpec("rbf", "med")
+    for bandwidth in (True, False):  # a bool is an int to isinstance, but no bandwidth
+        with pytest.raises(ValueError, match="positive finite number"):
+            KernelSpec("rbf", bandwidth)
     KernelSpec("rbf", "median-window")  # valid
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec, kernel_matrix
-from driftscan.mmd import mmd, mmd_sq_from_gram
+from driftscan.mmd import mmd, mmd_sq_from_gram, mmd_value
 from oracle import mmd_oracle
 
 RBF_FIXED = KernelSpec("rbf", 1.0)
@@ -23,10 +23,8 @@ def assert_close_to_oracle(fast, oracle):
 
 def test_identical_samples_biased_is_exactly_zero():
     m = random_matrix(np.random.default_rng(0), 10, 4)
-    est = mmd(RBF_FIXED, m, m, "biased")
-    assert est.squared == 0.0
-    assert est.value == 0.0
-    assert mmd_oracle(RBF_FIXED, m, m, "biased").squared == 0.0
+    assert mmd(RBF_FIXED, m, m, "biased") == (0.0, 1.0)
+    assert mmd_oracle(RBF_FIXED, m, m, "biased")[0] == 0.0
 
 
 def test_linear_hand_example():
@@ -34,11 +32,8 @@ def test_linear_hand_example():
     q1 = EmbeddingMatrix.from_array([[0.0], [0.0]])
     q2 = EmbeddingMatrix.from_array([[1.0], [1.0]])
     for estimator in ("biased", "unbiased"):
-        est = mmd(LINEAR, q1, q2, estimator)
-        assert est.squared == 1.0
-        assert est.value == 1.0
-        assert est.bandwidth_used is None
-    assert mmd_oracle(LINEAR, q1, q2, "biased").squared == 1.0
+        assert mmd(LINEAR, q1, q2, estimator) == (1.0, None)
+    assert mmd_oracle(LINEAR, q1, q2, "biased") == (1.0, None)
 
 
 def test_oracle_agreement_seeded_instances():
@@ -53,10 +48,10 @@ def test_oracle_agreement_seeded_instances():
         q2 = random_matrix(rng, int(rows2), dims)
         spec = kernels[i % 2]
         estimator = estimators[(i // 2) % 2]
-        fast = mmd(spec, q1, q2, estimator)
-        slow = mmd_oracle(spec, q1, q2, estimator)
-        assert_close_to_oracle(fast.squared, slow.squared)
-        assert fast.bandwidth_used == slow.bandwidth_used
+        fast, fast_bandwidth = mmd(spec, q1, q2, estimator)
+        slow, slow_bandwidth = mmd_oracle(spec, q1, q2, estimator)
+        assert_close_to_oracle(fast, slow)
+        assert fast_bandwidth == slow_bandwidth
 
 
 def test_symmetry_is_exact():
@@ -65,8 +60,8 @@ def test_symmetry_is_exact():
     q2 = random_matrix(rng, 13, 3)
     for spec in (RBF_FIXED, LINEAR):
         for estimator in ("biased", "unbiased"):
-            a = mmd(spec, q1, q2, estimator).squared
-            b = mmd(spec, q2, q1, estimator).squared
+            a = mmd(spec, q1, q2, estimator)[0]
+            b = mmd(spec, q2, q1, estimator)[0]
             assert a == b
 
 
@@ -74,10 +69,10 @@ def test_row_permutation_invariance():
     rng = np.random.default_rng(6)
     q1 = random_matrix(rng, 12, 4)
     q2 = random_matrix(rng, 15, 4)
-    base = mmd(RBF_FIXED, q1, q2, "biased").squared
+    base = mmd(RBF_FIXED, q1, q2, "biased")[0]
     perm = rng.permutation(12)
     shuffled = EmbeddingMatrix(q1.values[perm])
-    assert mmd(RBF_FIXED, shuffled, q2, "biased").squared == pytest.approx(base, rel=1e-12, abs=1e-15)
+    assert mmd(RBF_FIXED, shuffled, q2, "biased")[0] == pytest.approx(base, rel=1e-12, abs=1e-15)
 
 
 def test_biased_nonnegative_and_rbf_bounded():
@@ -85,7 +80,7 @@ def test_biased_nonnegative_and_rbf_bounded():
     for _ in range(20):
         q1 = random_matrix(rng, int(rng.integers(1, 20)), 3)
         q2 = random_matrix(rng, int(rng.integers(1, 20)), 3)
-        sq = mmd(RBF_FIXED, q1, q2, "biased").squared
+        sq = mmd(RBF_FIXED, q1, q2, "biased")[0]
         assert sq >= -1e-12
         assert sq <= 2.0
 
@@ -96,7 +91,7 @@ def test_unbiased_can_go_negative():
     for i in range(50):
         q1 = random_matrix(rng, 6, 2)
         q2 = random_matrix(rng, 6, 2)
-        if mmd(RBF_FIXED, q1, q2, "unbiased").squared < 0:
+        if mmd(RBF_FIXED, q1, q2, "unbiased")[0] < 0:
             seen_negative = True
             break
     assert seen_negative
@@ -106,8 +101,9 @@ def test_value_is_sqrt_of_clamped_squared():
     rng = np.random.default_rng(9)
     q1 = random_matrix(rng, 8, 2)
     q2 = random_matrix(rng, 8, 2)
-    est = mmd(RBF_FIXED, q1, q2, "unbiased")
-    assert est.value == np.sqrt(max(0.0, est.squared))
+    squared, _ = mmd(RBF_FIXED, q1, q2, "unbiased")
+    assert mmd_value(squared) == np.sqrt(max(0.0, squared))
+    assert (mmd_value(-1e-3), mmd_value(0.25)) == (0.0, 0.5)
 
 
 def test_unbiased_needs_two_rows():
@@ -152,5 +148,5 @@ def test_pooled_gram_slices_match_direct_mmd():
                     EmbeddingMatrix(pool.values[b2]),
                     estimator,
                     bandwidth=bw,
-                ).squared
+                )[0]
                 assert sliced == direct

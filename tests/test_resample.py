@@ -28,11 +28,9 @@ def test_window_test_rejects_mismatched_windows():
 
 def test_degenerate_pool_gives_zero_stats_and_p_one():
     window = np.array([[2.0, -1.0]] * 4)
-    est, result = window_test(RBF_FIXED, window, window, 25, 9, "biased")
-    assert est.squared == 0.0
-    assert np.all(result.stats == 0.0)
-    assert result.median == 0.0
-    assert result.p_value == 1.0
+    observed_sq, stats, median, p_value = window_test(RBF_FIXED, window, window, 25, 9, "biased")
+    assert (observed_sq, median, p_value) == (0.0, 0.0, 1.0)
+    assert np.all(stats == 0.0)
 
 
 def permutation_signs(seed, window, k, rows):
@@ -75,7 +73,7 @@ def test_unpermuted_signs_give_the_observed_statistic(family, estimator, half):
     spec = KernelSpec(family)
     pool = np.vstack([x.as_float64(), y.as_float64()])
     bandwidth = resolve_bandwidth(spec, pool)
-    observed = mmd(spec, x, y, estimator, bandwidth=bandwidth).squared
+    observed = mmd(spec, x, y, estimator, bandwidth=bandwidth)[0]
     split = np.repeat([1.0, -1.0], half)
     stats = null_stats_from_gram(kernel_matrix(spec, bandwidth, pool, pool), np.stack([split, -split]), estimator)
     assert stats[0] == stats[1]
@@ -109,11 +107,11 @@ def test_biased_null_on_duplicated_rows_is_nonnegative_with_p_one(name):
 def test_shared_gram_gives_the_same_null():
     rng = np.random.default_rng(13)
     x, y = (EmbeddingMatrix.from_array(rng.standard_normal((8, 3))) for _ in range(2))
-    est, result = window_test(RBF_FIXED, x.values, y.values, 30, 6, "biased")
+    observed_sq, stats, _, _ = window_test(RBF_FIXED, x.values, y.values, 30, 6, "biased")
     pool = np.vstack([x.as_float64(), y.as_float64()])
     own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), permutation_signs(6, 0, 30, 8), "biased")
-    np.testing.assert_array_equal(result.stats, own)
-    assert est == mmd(RBF_FIXED, x, y, "biased")
+    np.testing.assert_array_equal(stats, own)
+    assert (observed_sq, 1.0) == mmd(RBF_FIXED, x, y, "biased")
 
 
 @pytest.fixture
@@ -209,8 +207,9 @@ def _window_test_loop(spec, x, y, stride, k, seed, estimator, bandwidth):
     columns = ([], [], [])
     for t in range(SCAN_WIDTH, x.shape[0] + 1, stride):
         rows = slice(t - SCAN_WIDTH, t)
-        est, boot = window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth, window_index=t)
-        for column, value in zip(columns, (est.squared, boot.median, boot.p_value)):
+        observed_sq, _, median, p_value = window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth,
+                                                      window_index=t)
+        for column, value in zip(columns, (observed_sq, median, p_value)):
             column.append(value)
     return columns
 
@@ -291,7 +290,7 @@ def _spy_on_grams(monkeypatch):
 
 
 def test_one_window_gives_the_null_a_view_of_its_kernel_matrix(monkeypatch):
-    # a copy would push the window's peak past the GRAM_PEAK_RATIO that block_size budgets for
+    # a copy would push the window's peak past the GRAM_PEAK_RATIO that check_window_settings budgets for
     built, given = _spy_on_grams(monkeypatch)
     x, y = _windows(24, SCAN_WIDTH, 3)
     window_test(RBF_FIXED, x, y, 9, 0, "biased", 1.0)
@@ -314,12 +313,12 @@ def test_a_run_of_windows_gives_the_null_one_contiguous_copy_of_their_grams(monk
 
 def test_fixed_seed_reproduces_stats_bitwise():
     x, y = _windows(1, 8, 3)
-    _, a = window_test(RBF_FIXED, x, y, 50, 7, "biased")
-    _, b = window_test(RBF_FIXED, x, y, 50, 7, "biased")
-    np.testing.assert_array_equal(a.stats, b.stats)
-    assert a.median == b.median and a.p_value == b.p_value
-    _, c = window_test(RBF_FIXED, x, y, 50, 8, "biased")
-    assert not np.array_equal(a.stats, c.stats)
+    _, a_stats, *a = window_test(RBF_FIXED, x, y, 50, 7, "biased")
+    _, b_stats, *b = window_test(RBF_FIXED, x, y, 50, 7, "biased")
+    np.testing.assert_array_equal(a_stats, b_stats)
+    assert a == b
+    _, c_stats, *_ = window_test(RBF_FIXED, x, y, 50, 8, "biased")
+    assert not np.array_equal(a_stats, c_stats)
 
 
 def test_p_value_bounds_and_monotonicity():
@@ -329,10 +328,10 @@ def test_p_value_bounds_and_monotonicity():
     k = 40
     ps = []
     for shift in (0.0, 0.1, 0.3, 1.0, 100.0):
-        est, result = window_test(RBF_FIXED, x, x + shift, k, 3, "biased")
-        assert result.p_value == (1 + np.count_nonzero(result.stats >= est.squared)) / (k + 1)
-        assert 1.0 / (k + 1) <= result.p_value <= 1.0
-        ps.append(result.p_value)
+        observed_sq, stats, _, p_value = window_test(RBF_FIXED, x, x + shift, k, 3, "biased")
+        assert p_value == (1 + np.count_nonzero(stats >= observed_sq)) / (k + 1)
+        assert 1.0 / (k + 1) <= p_value <= 1.0
+        ps.append(p_value)
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     assert ps[0] == 1.0  # identical windows: every stat reaches the observed 0
     assert ps[-1] == 1.0 / (k + 1)  # add-one smoothing floor
@@ -350,29 +349,26 @@ def test_label_swap_invariance_on_canonicalized_pool():
         t = t[np.lexsort(t.T[::-1])]
         return window_test(RBF_FIXED, t[:6], t[6:], 30, 5, "biased")[1]
 
-    np.testing.assert_array_equal(np.sort(canonical(q1, q2).stats), np.sort(canonical(q2, q1).stats))
-    e12, _ = window_test(RBF_FIXED, q1, q2, 30, 5, "biased")
-    e21, _ = window_test(RBF_FIXED, q2, q1, 30, 5, "biased")
-    assert e12.squared == e21.squared
+    np.testing.assert_array_equal(np.sort(canonical(q1, q2)), np.sort(canonical(q2, q1)))
+    assert window_test(RBF_FIXED, q1, q2, 30, 5, "biased")[0] == window_test(RBF_FIXED, q2, q1, 30, 5, "biased")[0]
 
 
 def test_one_row_windows_have_a_null():
     # the null's blocks are as large as a window, so one row per window suffices
     x, y = _windows(6, 1, 2)
-    _, result = window_test(RBF_FIXED, x, y, 5, 0, "biased")
-    assert result.stats.shape == (5,)
+    assert window_test(RBF_FIXED, x, y, 5, 0, "biased")[1].shape == (5,)
 
 
-def test_block_size_refuses_windows_past_window_numbers():
+def test_check_window_settings_refuses_windows_past_window_numbers():
     # 4096-row windows peak at about 0.63 GB and pass; 8192-row ones at about 2.5 GB
-    resample.block_size(4096, 50, "biased")
+    resample.check_window_settings(4096, 50, "biased")
     with pytest.raises(ValueError, match="8192 rows with 50 bootstraps need about 2.5 GB"):
-        resample.block_size(8192, 50, "biased")
+        resample.check_window_settings(8192, 50, "biased")
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
 def test_one_window_test_peaks_near_its_measured_gram_ratio():
-    # block_size refuses settings by GRAM_PEAK_RATIO times the Gram; a window
+    # check_window_settings refuses settings by GRAM_PEAK_RATIO times the Gram; a window
     # test that held more copies of its Gram would pass settings that cannot fit
     setup = """
 import numpy as np
@@ -384,6 +380,16 @@ window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "biased", 1.0)  # lazy i
     rise_mb = peak_rise_mb(setup, 'window_test(KernelSpec("rbf", 1.0), x, y, 1, 0, "biased", 1.0)')
     gram_mb = (2 * 1024) ** 2 * 8 / 2**20
     assert rise_mb < (resample.GRAM_PEAK_RATIO + 0.25) * gram_mb, f"peak {rise_mb:.1f} MB over a {gram_mb:.0f} MB Gram"
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+def test_non_finite_bandwidth_is_refused(bandwidth):
+    # NaN once gave every null statistic NaN and a flagged p = 1/(k + 1); inf a constant kernel
+    x = np.random.default_rng(3).standard_normal((16, 3))
+    with pytest.raises(ValueError, match="positive finite bandwidth"):
+        window_test(KernelSpec(), x, x, 19, 0, "biased", bandwidth)
+    with pytest.raises(ValueError, match="positive finite bandwidth"):
+        mmd(KernelSpec(), EmbeddingMatrix.from_array(x), EmbeddingMatrix.from_array(x), bandwidth=bandwidth)
 
 
 def test_parameter_validation():
@@ -401,9 +407,9 @@ def test_parameter_validation():
 
 def test_even_k_median_averages_middles():
     x, y = _windows(8, 3, 2)
-    _, result = window_test(RBF_FIXED, x, y, 10, 2, "biased")
-    s = np.sort(result.stats)
-    assert result.median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
+    _, stats, median, _ = window_test(RBF_FIXED, x, y, 10, 2, "biased")
+    s = np.sort(stats)
+    assert median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
 
 
 def test_derived_streams_are_stable_and_distinct():
