@@ -207,9 +207,8 @@ def cmd_extract(args) -> int:
     if args.which != "both" and not args.out:
         raise ValueError(f"--which {args.which} needs --out")
     outs = {"reference": args.out_ref, "target": args.out_target} if args.which == "both" else {args.which: args.out}
-    sides = _load_sides(args)
-    report = load_report(args.report)
-    pair = DatasetPair(*sides)
+    report = load_report(args.report)  # before the inputs: a bad report costs no parse
+    pair = DatasetPair(*_load_sides(args))
     for which, path in outs.items():
         save_embeddings(extract_cause_samples(pair, report, which), path, args.out_format)
     _write_text(None, _json({

@@ -13,21 +13,21 @@ and holds a few MB whatever the input.
 
 The filter: the rows c, centred on a coordinate-wise median (so that a few far
 rows move no other row) and scaled by a power of two to squared norms of at
-most 1, go largest norm first. One matrix product of ``[-2c_i, 1, |c_i|^2]``
-with ``[c_j, |c_j|^2, 1]`` approximates the squared distance of each pair
-i < j to within ``C u max((2|c_i|)^2, 4 tiny)`` of the exact one (``C = 4(d + 4)
-+ 8``). In units of ``u (|c_i| + |c_j|)^2``, in any summation order with or
-without FMA (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
-section 3.1), the length-(d + 2) dot product errs by d + 2, the row norms by
-d, the centring by 2, and the in-order sum of squares and its square root by
-d + 4; the rest of C covers the rounding of thresholds. That holds in float64
-(``u = 2**-53``) and in float32 (``u = 2**-24``, ``tiny = 2**-126``), where
-rounding the rows and norms adds two units and the float64 terms next to
-none; ``tiny`` is at least float64's in the unscaled rows, on whose subnormal
-grid ``pdist`` rounds. A block's product runs in float32 where its bound is a
-small share of the bracket's width, else (a far cluster) in float64. So a far
-outlier widens only its own pairs' bounds. BLAS decides only which pairs are
-measured exactly, never the value.
+most 1, go largest norm first. One float64 matrix product of
+``[-2c_i, 1, |c_i|^2]`` with ``[c_j, |c_j|^2, 1]`` gives each pair i < j a
+value v within ``B_i = C u max((2|c_i|)^2, 4 tiny)`` of ``pdist``'s squared
+distance (``C = 4(d + 4) + 8``, ``u = 2**-53``). In units of
+``u (|c_i| + |c_j|)^2``, in any summation order with or without FMA (Higham
+2002, *Accuracy and Stability of Numerical Algorithms*, section 3.1), the
+length-(d + 2) dot product errs by d + 2, the row norms by d, the centring by
+2, and the in-order sum of squares and its square root by d + 4. ``tiny`` is
+float64's smallest normal number, in the scaled rows and in the unscaled
+ones, on whose subnormal grid ``pdist`` rounds. The rest of C covers the
+rounding of a kept pair's bounds ``v -/+ B``: |v| is at most
+``(|c_i| + |c_j|)^2 + B``, so each rounds by about one unit. A row block
+takes its first (largest) bound for all its rows, and holds only rows whose
+bound is at least half of it, so a far outlier widens only its own pairs'
+bounds. BLAS decides only which pairs are measured exactly, never the value.
 
 Distances are summed in numpy in ``cdist``'s order, to its bits
 (:func:`_squared_distances`); only the one-``pdist`` median of small inputs
@@ -128,10 +128,11 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     values is returned, bit for bit ``np.partition(pdist(x), k)[k]`` up to
     ``EXACT_PAIRS`` pairs. Inputs with more than ``BLOCK_DISTANCES`` pairs
     keep only the pairs near the median (:func:`_blockwise_order_statistic`),
-    whose float32 or float64 approximations decide only which pairs are
-    measured. Inputs with more than ``EXACT_PAIRS`` pairs take the lower
-    median of a fixed sample of ``MEDIAN_SAMPLE_PAIRS`` pairs, to ``pdist``'s
-    bits for those pairs, with no BLAS: 2 MB of distances for any input.
+    whose float64 BLAS approximations, within a bound that holds in any
+    summation order, decide only which pairs are measured. Inputs with more
+    than ``EXACT_PAIRS`` pairs take the lower median of a fixed sample of
+    ``MEDIAN_SAMPLE_PAIRS`` pairs, to ``pdist``'s bits for those pairs, with
+    no BLAS: 2 MB of distances for any input.
     Raises :class:`DegenerateInputError` when fewer than two rows are given
     or the median is zero; callers should fall back to a fixed bandwidth.
     Raises :class:`ValidationError` on non-finite values, and on blockwise
@@ -191,29 +192,19 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
     norms = np.einsum("ij,ij->i", c, c)
     order = np.argsort(norms, kind="stable")[::-1]
     rows = np.column_stack([c[order], norms[order], np.ones(n)])  # [c, |c|^2, 1]
-    narrow = rows.astype(np.float32)
     del c
-    # C u (2|c_i|)^2 in float32 and float64, floored for the product's
-    # underflow and for pdist's on the unscaled rows
-    bound32, bound64 = ((4 * (d + 4) + 8) * u * 4.0 * np.maximum(rows[:, d], max(tiny, 4.0**e * 2.0**-1022))
-                        for u, tiny in ((2.0**-24, 2.0**-126), (2.0**-53, 2.0**-1022)))
+    # C u (2|c_i|)^2, floored for the product's underflow and for pdist's on
+    # the unscaled rows
+    bound = (4 * (d + 4) + 8) * 2.0**-53 * 4.0 * np.maximum(rows[:, d], max(2.0**-1022, 4.0**e * 2.0**-1022))
     # the bracket is only a guess
     sample = _pair_distances(xt, *_sample_pairs(n, SAMPLE_PAIRS), np.empty(SAMPLE_PAIRS)) * 4.0**e
     lo, hi = _quantile_bracket(sample, share, margin)
     while True:
-        # float32 from the first row whose bound is under 1/256 of the bracket:
-        # float64 keeps a far cluster from keeping every pair, for memory, not
-        # speed (scan-dense's and scan-wide's pools take no float64 row)
-        wide = np.count_nonzero(bound32 > (hi - lo) / 256)
-        bound = np.concatenate([bound64[:wide], bound32[wide:]])
-        # a kept value's bounds in a block: the block's first bound, a little
-        # wider, so that float32's rounding of it and of the sums is covered too
-        widths = (bound * (1 + 2**-10)).astype(np.float32) + np.float32(2**-140)
-        below, blocks = _count_and_keep(rows, narrow, lo, hi, bound, wide)
+        below, blocks = _count_and_keep(rows, lo, hi, bound)
         if below <= k < below + sum(v.size for _, _, v in blocks):
-            lower, upper = (float(w) for w in _near_window(blocks, k - below, widths))
+            lower, upper = _near_window(blocks, k - below, bound)
             if lo <= lower and upper <= hi:
-                return _near_order_statistic(xt, order, blocks, k - below, lower, upper, widths)
+                return _near_order_statistic(xt, order, blocks, k - below, lower, upper, bound)
             lo, hi = min(lo, 2 * lower - upper), max(hi, 2 * upper - lower)
             continue
         margin *= 4
@@ -224,15 +215,13 @@ def _blockwise_order_statistic(x: np.ndarray, k: int) -> float:
             lo, hi = np.nextafter(hi, np.inf), (wide_hi if wide_hi > hi else np.inf)
 
 
-def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, bound: np.ndarray, wide: int):
+def _count_and_keep(rows: np.ndarray, lo: float, hi: float, bound: np.ndarray):
     """One pass over the pairs i < j, one row block at a time.
 
     Each block holds at most ``BLOCK_DISTANCES`` approximations p (unless one
-    row has more), and BLAS threads its product. Blocks from row ``wide`` on
-    take their products from ``narrow``, the rows in float32. Returns the
-    count of p + bound below ``lo`` and, per block, its first row, the int32
-    offsets of the pairs whose p -/+ bound meets [lo, hi] and their p in
-    float32.
+    row has more), and BLAS threads its product. Returns the count of
+    p + bound below ``lo`` and, per block, its first row, the int32 offsets
+    of the pairs whose p -/+ bound meets [lo, hi] and their p.
     """
     n = rows.shape[0]
     below, blocks, a = 0, [], 0
@@ -241,43 +230,35 @@ def _count_and_keep(rows: np.ndarray, narrow: np.ndarray, lo: float, hi: float, 
         # block is spent on the masked triangle, and only rows whose bound
         # is at least half the first's, so that an outlier widens no other
         b = min(n - 1, a + max(1, min(BLOCK_DISTANCES // (n - a), (n - a) // 8)))
-        if a < wide:  # float64 and float32 rows share no block
-            b = min(b, wide)
         b = a + max(1, np.count_nonzero(bound[a:b] >= bound[a] / 2))
-        r = rows if a < wide else narrow
         # [-2c_i, 1, |c_i|^2] . [c_j, |c_j|^2, 1] = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
-        p = np.matmul(np.column_stack([-2 * r[a:b, :-2], r[a:b, :-3:-1]]), r[a:].T)
+        p = np.matmul(np.column_stack([-2 * rows[a:b, :-2], rows[a:b, :-3:-1]]), rows[a:].T)
         p[:, : b - a][np.tri(b - a, dtype=bool)] = np.nan  # pairs j <= i
-        # the block's largest bound, rounded outwards to p's precision
-        floor, ceil = np.nextafter(np.array([lo - bound[a], hi + bound[a]], r.dtype), r.dtype.type([-np.inf, np.inf]))
+        # the block's largest bound, rounded outwards
+        floor, ceil = np.nextafter([lo - bound[a], hi + bound[a]], [-np.inf, np.inf])
         kept = np.flatnonzero((p >= floor) & (p <= ceil))
         below += np.count_nonzero(p < floor)
-        blocks.append((a, kept.astype(np.int32), p.ravel()[kept].astype(np.float32)))
+        blocks.append((a, kept.astype(np.int32), p.ravel()[kept]))
         del p, kept  # before the next block's product
         a = b
     return below, blocks
 
 
-def _slack(values: np.ndarray, width: np.float32) -> np.ndarray:
-    """How far the scaled squared distances of kept pairs may lie from their float32 values."""
-    return np.abs(values) * np.float32(2**-20) + width
-
-
-def _near_window(blocks, rank: int, widths: np.ndarray) -> list:
-    """The rank-th smallest lower bound of the kept pairs, and their rank-th smallest upper bound, scaled."""
-    bounds = np.empty(sum(v.size for _, _, v in blocks), np.float32)
+def _near_window(blocks, rank: int, bound: np.ndarray) -> list:
+    """The rank-th smallest v - width of the kept values v, and their rank-th smallest v + width, scaled."""
+    bounds = np.empty(sum(v.size for _, _, v in blocks))
     window = []
     for sign in (-1, 1):
         at = 0
         for a, _, v in blocks:
-            bounds[at : at + v.size] = v + sign * _slack(v, widths[a])
+            np.add(v, sign * bound[a], out=bounds[at : at + v.size])
             at += v.size
         bounds.partition(rank)
-        window.append(bounds[rank])
+        window.append(float(bounds[rank]))
     return window
 
 
-def _near_order_statistic(xt: np.ndarray, order: np.ndarray, blocks, rank: int, lower, upper, widths) -> float:
+def _near_order_statistic(xt: np.ndarray, order: np.ndarray, blocks, rank: int, lower, upper, bound) -> float:
     """The rank-th smallest exact distance of ``blocks``' kept pairs, measuring those whose bounds meet [lower, upper].
 
     ``xt`` is the rows' transpose; the measured pairs fill one vector.
@@ -285,9 +266,8 @@ def _near_order_statistic(xt: np.ndarray, order: np.ndarray, blocks, rank: int, 
     n = xt.shape[1]
     near = []
     for a, kept, v in blocks:
-        slack = _slack(v, widths[a])
-        rank -= np.count_nonzero(v + slack < lower)
-        near.append((a, kept[(v - slack <= upper) & (v + slack >= lower)]))
+        rank -= np.count_nonzero(v + bound[a] < lower)
+        near.append((a, kept[(v - bound[a] <= upper) & (v + bound[a] >= lower)]))
     exact = np.empty(sum(offsets.size for _, offsets in near))  # squared
     at = 0
     for a, offsets in near:

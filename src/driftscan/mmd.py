@@ -20,6 +20,11 @@ from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 
 ESTIMATORS = ("biased", "unbiased")
 
+#: float64 numbers (2 GB) one window test, or one :func:`mmd`, may hold at
+#: its peak. Larger requests are refused before any kernel work, the same
+#: way on every machine: the machine's memory is not read.
+WINDOW_NUMBERS = 1 << 28
+
 
 def mmd_value(squared: float) -> float:
     """MMD from MMD^2: sqrt(max(0, squared)), so a negative unbiased estimate reads 0.
@@ -39,6 +44,10 @@ def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> N
         raise ValidationError(
             f"{estimator} estimator needs >= {minimum} rows per sample, got {q1.rows} and {q2.rows}"
         )
+    numbers = (q1.rows + q2.rows) ** 2  # both within Grams, the cross block and its transposed copy
+    if numbers > WINDOW_NUMBERS:
+        raise ValidationError(f"MMD of {q1.rows} and {q2.rows} rows needs about {numbers * 8 / 2**30:.1f} GB of "
+                              f"Grams, over the {WINDOW_NUMBERS * 8 / 2**30:.0f} GB it may hold")
 
 
 def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimator: str):

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import kernels
 from .embeddings import ValidationError
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
-from .mmd import ESTIMATORS, mmd_sq_from_gram
+from .mmd import ESTIMATORS, WINDOW_NUMBERS, mmd_sq_from_gram
 from .rng import derive_rng
 
 #: purpose tag for the null's streams; window w draws its whole (k, 2 * rows)
@@ -45,10 +45,6 @@ BOOTSTRAP_TAG = "bootstrap"
 #: (base_seed, BOOTSTRAP_TAG, w, i).
 RNG_SCHEME = "window-permutation"
 
-#: float64 numbers (2 GB) one window test may hold at its peak. Settings
-#: whose windows would need more are refused before any window runs, the
-#: same way on every machine: the machine's memory is not read.
-WINDOW_NUMBERS = 1 << 28
 #: a window test's peak over its pool Gram, measured (VmHWM) at w = 1024:
 #: the Gram plus the observed statistic's one contiguous copied block
 GRAM_PEAK_RATIO = 1.25

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -157,6 +158,18 @@ def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, c
         captured = capsys.readouterr()
         assert captured.err == f"error: {report}: not a valid drift report: {message}\n"
         assert captured.out == ""
+
+
+def test_extract_reads_the_report_before_the_inputs(tmp_path, monkeypatch, capsys):
+    # the inputs do not exist, so an error naming the report shows that it
+    # was read first: a bad report costs no parse of the inputs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep.json").write_text("not json")
+    assert main(["extract", "--ref", "a.csv", "--target", "b.csv", "--report", "rep.json",
+                 "--out", "cause.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rep.json: not a valid drift report: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("span", [[500, 531], [0, 31], ["a", "b"]])
@@ -454,6 +467,18 @@ def test_dimension_mismatch_exits_two(tmp_path, capsys):
     save_embeddings(EmbeddingMatrix.from_array([[1.0]]), b, "csv")
     assert main(["mmd", "--ref", str(a), "--target", str(b)]) == 2
     assert "dims" in capsys.readouterr().err
+
+
+def test_mmd_over_the_memory_limit_exits_two(pair_files, monkeypatch, capsys):
+    # the row counts come from the data, so a data error (exit 2), with the
+    # limit patched small so that no large array is built: 40 + 40 rows
+    # need 6400 Gram entries
+    monkeypatch.setattr(importlib.import_module("driftscan.mmd"), "WINDOW_NUMBERS", 6399)
+    ref, target = pair_files
+    assert main(["mmd", "--ref", ref, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: MMD of 40 and 40 rows needs ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_window_too_large_exits_two(pair_files, capsys):

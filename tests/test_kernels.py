@@ -191,7 +191,7 @@ def _count_passes(monkeypatch) -> list:
     real = kernels._count_and_keep
 
     def counted(*args):
-        passes.append(args[2:4])  # lo, hi
+        passes.append(args[1:3])  # lo, hi
         return real(*args)
 
     monkeypatch.setattr(kernels, "_count_and_keep", counted)
@@ -297,16 +297,16 @@ def _outlier_rows(n, rng):
 
 
 def _far_cluster_rows(n, rng):
-    # a fifth of the rows 1e7 away: the approximations near the median err
-    # far more than float32 rounds, and only delta keeps them apart
+    # a fifth of the rows 1e7 away: their bounds dwarf the distances near
+    # the median, and only the exact sums keep those apart
     x = rng.standard_normal((n, 4))
     x[: n // 5, 0] += 1e7
     return x
 
 
 def _near_cluster_rows(n, rng):
-    # a fifth of the rows 1e4 away: their blocks' float32 bounds would reach
-    # across the bracket, so their products run in float64
+    # a fifth of the rows 1e4 away: their blocks' bounds are wider than the
+    # other rows', and must stay their own
     x = rng.standard_normal((n, 4))
     x[: n // 5, 0] += 1e4
     return x
@@ -314,9 +314,8 @@ def _near_cluster_rows(n, rng):
 
 def _three_point_rows(n, rng):
     # rows within 1e-6 of three points: the origin, and two 100 from it and 1
-    # apart. The median lies among the distances of about 1, which float32
-    # rounds by far more than they spread, while the bracket reaches those
-    # of 100, wide enough for float32 products
+    # apart. The median lies among the distances of about 1, while the
+    # bracket reaches those of 100
     points = np.array([[0.0, 0.0, 0.0, 0.0], [100.0, 0.0, 0.0, 0.0], [100.0, 1.0, 0.0, 0.0]])
     return points[rng.choice(3, size=n, p=[0.6, 0.2, 0.2])] + 1e-6 * rng.standard_normal((n, 4))
 
@@ -324,6 +323,15 @@ def _three_point_rows(n, rng):
 def _subnormal_square_rows(n, rng):
     # squares below float64's smallest normal number
     return rng.standard_normal((n, 4)) * 1e-160
+
+
+def _two_far_cluster_rows(n, rng):
+    # two halves 2e8 apart on axis 0: every row is 1e8 from the centre, and
+    # the median is among the cross distances, which differ by about 1e-8
+    # of their size, so the kept values must keep them apart
+    x = rng.standard_normal((n, 4))
+    x[:, 0] += np.where(np.arange(n) < n // 2, -1e8, 1e8)
+    return x
 
 
 def _huge_rows(n, rng):
@@ -474,7 +482,7 @@ def test_blockwise_median_runs_on_the_calling_thread(monkeypatch):
 
 
 #: 2100 seeded rows (2.2M pairs), a fifth of them 1e4 away, so that the
-#: pass has float32 blocks and float64 ones
+#: pass has blocks of wide bounds and blocks of narrow ones
 _BLAS_ROWS = """
 import numpy as np
 x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
@@ -490,9 +498,9 @@ print(repr(kernels.median_heuristic_bandwidth(x)))
 
 
 def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
-    # BLAS picks its own summation order for each thread count and
-    # precision; it may move the approximations, never the answer. The
-    # sampled median takes no BLAS product at all
+    # BLAS picks its own summation order for each thread count; it may
+    # move the approximations, never the answer. The pass's products are all
+    # float64, and the sampled median takes no BLAS product at all
     rows = {}
     exec(_BLAS_ROWS, rows)
     x = rows["x"]
@@ -501,7 +509,7 @@ def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
     real = np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b: dtypes.add(a.dtype) or real(a, b))
     median_heuristic_bandwidth(x)
-    assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert dtypes == {np.dtype(np.float64)}
     knobs = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {key: value for key, value in os.environ.items() if key not in knobs}
     env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
@@ -531,18 +539,19 @@ kernels.median_heuristic_bandwidth(x[:100])  # lazy imports
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
 def test_blockwise_median_holds_each_kept_pair_once():
     # 16000 rows keep about 7.7M of their 128M pairs (2 * BRACKET_MARGIN of
-    # them): 8 bytes each, and 4 more for the partition of their bounds, plus
-    # 30 MB for the interpreter's and BLAS's own. Measured at 105 MB on a
-    # 2-core box; kept distances held twice, as float64, would take 132 MB
+    # them): an 8-byte value and a 4-byte offset each, and 8 bytes more for
+    # the partition of their bounds, plus 30 MB for the interpreter's and
+    # BLAS's own. Measured at 146 MB on a 2-core box; a second float64 copy
+    # of the kept values would take about 205 MB
     pairs = 16000 * 15999 // 2
     setup = _PEAK_SETUP.format(rows="kernels.EXACT_PAIRS = 1 << 27  # keeps these 128M pairs exact\n"
                                     "x = np.random.default_rng(27).standard_normal((16000, 2))")
     rise_mb = peak_rise_mb(setup, "kernels.median_heuristic_bandwidth(x)")
-    assert rise_mb < 12 * 2 * kernels.BRACKET_MARGIN * pairs / 2**20 + 30, f"peak {rise_mb:.1f} MB"
+    assert rise_mb < 20 * 2 * kernels.BRACKET_MARGIN * pairs / 2**20 + 30, f"peak {rise_mb:.1f} MB"
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
-@pytest.mark.parametrize("far", [1e8, 1e12])
+@pytest.mark.parametrize("far", [1e8, 1e12, 1e30])
 def test_blockwise_median_beside_a_far_outlier_holds_less_than_its_distances(far):
     # one far row, whose error bound dwarfs the median, must widen only its
     # own pairs' bounds, or every pair is held near the median. Measured at
@@ -563,7 +572,7 @@ def test_sampled_median_beside_a_1e30_row_holds_a_few_mb():
     assert rise_mb < 64, f"peak {rise_mb:.1f} MB"
 
 
-@pytest.mark.parametrize("far", [1e8, 1e10, 1e12])
+@pytest.mark.parametrize("far", [1e8, 1e10, 1e12, 1e30])
 def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(far, monkeypatch):
     # at the default block size, the outlier's block must not widen the
     # bounds of the rows that share it, or they all reach the median; nor
@@ -577,12 +586,14 @@ def test_blockwise_median_beside_a_far_outlier_measures_few_pairs(far, monkeypat
 
 
 @pytest.mark.parametrize("make, most", [pytest.param(_near_cluster_rows, 1000, id="_near_cluster_rows"),
+                                        pytest.param(_two_far_cluster_rows, 1000, id="_two_far_cluster_rows"),
                                         pytest.param(_subnormal_square_rows, 80_000, id="_subnormal_square_rows")])
 def test_blockwise_median_measures_few_pairs(make, most, monkeypatch):
-    # a cluster whose float32 bounds reach across the bracket must take
-    # float64's, or nearly every pair reaches the median. Rows whose squares
-    # are float64-subnormal measure the pairs within pdist's underflow floor
-    # of it: 57,405 of 4.5M, against 114,689 with bounds twice as wide
+    # a cluster's wide bounds, or kept values rounded coarser than the
+    # distances near the median differ, make nearly every pair reach it.
+    # Rows whose squares are float64-subnormal measure the pairs within
+    # pdist's underflow floor of it: 57,343 of 4.5M, against 114,498 with
+    # bounds twice as wide
     x = make(3001, np.random.default_rng(30))
     measured = _measured_pairs(monkeypatch)
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)

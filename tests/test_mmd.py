@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,24 @@ def test_dimension_mismatch_rejected():
     b = EmbeddingMatrix.from_array([[1.0]])
     with pytest.raises(ValidationError, match="dimension"):
         mmd(RBF_FIXED, a, b, "biased")
+
+
+def test_samples_over_the_memory_limit_are_refused_before_any_kernel_work(monkeypatch):
+    # 6 and 5 rows need (6 + 5)**2 = 121 Gram entries: both within blocks,
+    # the cross block and its transposed copy. The limit is patched small,
+    # so that no large array is built
+    module = importlib.import_module("driftscan.mmd")  # the package's ``mmd`` is the function
+    rng = np.random.default_rng(10)
+    q1, q2 = random_matrix(rng, 6, 2), random_matrix(rng, 5, 2)
+    monkeypatch.setattr(module, "WINDOW_NUMBERS", 121)
+    assert mmd(RBF_FIXED, q1, q2, "biased")[0] > 0.0  # at the limit
+    monkeypatch.setattr(module, "WINDOW_NUMBERS", 120)
+    calls = []
+    monkeypatch.setattr(module, "resolve_bandwidth", lambda *a: calls.append(a))
+    monkeypatch.setattr(module, "kernel_matrix", lambda *a: calls.append(a))
+    with pytest.raises(ValidationError, match="MMD of 6 and 5 rows"):
+        mmd(KernelSpec("rbf", "median"), q1, q2, "biased")
+    assert calls == []
 
 
 def test_unknown_estimator_rejected():
