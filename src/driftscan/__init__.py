@@ -2,7 +2,7 @@
 
 Compare a reference set of embedding vectors against a target set with a
 kernel two-sample statistic computed over sliding windows, calibrate each
-window against a permutation null distribution, and extract the window of
+window against sign flips of its row pairs, and extract the window of
 samples responsible for the largest drift.
 """
 

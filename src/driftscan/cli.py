@@ -84,7 +84,7 @@ def _add_kernel_flags(p):
 
 def _add_scan_flags(p):
     p.add_argument("--window", type=int, default=32, help="samples per compared window (default: 32)")
-    p.add_argument("--bootstraps", type=int, default=50, help="null permutations per window (default: 50)")
+    p.add_argument("--bootstraps", type=int, default=50, help="null sign flips per window (default: 50)")
     p.add_argument("--stride", type=int, default=1, help="window step (default: 1)")
     p.add_argument("--alpha", type=float, default=0.05, help="flagging threshold (default: 0.05)")
     _add_kernel_flags(p)
@@ -128,15 +128,15 @@ def _write_text(path: str | None, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _warn_if_unflaggable(bootstraps: int, alpha: float, what: str) -> None:
+def _warn_if_unflaggable(bootstraps: int, window: int, alpha: float, what: str) -> None:
     # the smallest p-value is 1/(k + 1); above alpha nothing can reach the threshold
     if bootstraps >= 1 and 1.0 / (bootstraps + 1) > alpha:
-        print(
-            f"warning: with --bootstraps {bootstraps} no p-value falls below "
-            f"1/{bootstraps + 1} > --alpha {alpha}, so no {what} can be flagged; "
-            f"use --bootstraps >= {math.ceil(1.0 / alpha) - 1}",
-            file=sys.stderr,
-        )
+        print(f"warning: with --bootstraps {bootstraps} no p-value falls below 1/{bootstraps + 1} > --alpha {alpha}, "
+              f"so no {what} can be flagged; use --bootstraps >= {math.ceil(1.0 / alpha) - 1}", file=sys.stderr)
+    # a window of w rows has 2^(w - 1) flip values, and a flip ties the observed one with chance 2^(1 - w)
+    if window >= 1 and window - 1 < math.log2(1.0 / alpha):
+        print(f"warning: a --window {window} null has 2^{window - 1} distinct values, so a {what} rarely flags at "
+              f"--alpha {alpha}; use --window >= {math.ceil(math.log2(1.0 / alpha)) + 1}", file=sys.stderr)
 
 
 def _json_safe(value: float):
@@ -169,7 +169,7 @@ def cmd_scan(args) -> int:
         BatchConfig(args.batch_size, shuffle=True, seed=derive_seed(args.seed, f"batch-{side}"))
         for side in ("ref", "target")
     ]
-    _warn_if_unflaggable(config.bootstraps, config.alpha, "window")
+    _warn_if_unflaggable(config.bootstraps, config.window, config.alpha, "window")
     sides = _load_sides(args)
     if batches:
         sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
@@ -226,6 +226,7 @@ def _mixture(args, fraction: float = 0.5) -> ClassMixtureSpec:
 
 def cmd_simulate_ratio(args) -> int:
     scan = _scan_config(args)
+    _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
     rows = ratio_drift_study(_mixture(args), args.fractions, scan, batch_size=args.batch_size)
     _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()),
                                     ["fraction", "summary_score"], rows))
@@ -239,9 +240,8 @@ def cmd_simulate_mixture(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    check_alpha(args.alpha)  # before the warning, which divides by it
+    check_alpha(args.alpha)  # before any trial: the rate is taken at alpha
     spec = _kernel_spec(args)
-    _warn_if_unflaggable(args.bootstraps, args.alpha, "trial")
     p_values = null_calibration(
         trials=args.trials,
         n=args.n,
@@ -252,6 +252,8 @@ def cmd_calibrate(args) -> int:
         kernel=spec,
         estimator=args.estimator,
     )
+    # after the trials, so settings that fail print only their error
+    _warn_if_unflaggable(args.bootstraps, args.window, args.alpha, "trial")
     rejections = int((p_values <= args.alpha).sum())
     _write_text(args.out, _json({
         "config": _echo("calibrate", args, kernel=asdict(spec)),
@@ -264,6 +266,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_correlate(args) -> int:
     scan = _scan_config(args)
+    _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
     series, corr_bce, corr_auc = correlation_study(_mixture(args), args.profile, scan, args.batch_size)
     config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:

@@ -56,9 +56,8 @@ def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimato
     Shared by :func:`mmd` and the window test, which passes views of its
     windows' pool Grams with a leading window axis. Each block is summed as
     a contiguous copy, one at a time, so each window gets :func:`mmd`'s
-    bits. The permutation null evaluates the same sums as
-    quadratic forms over sign vectors
-    (:func:`~driftscan.resample.null_stats_from_gram`). The cross term sums
+    bits. The flip null moves this value by quadratic forms over sign
+    vectors (:func:`~driftscan.resample.window_test`). The cross term sums
     the block in both orientations (the transpose materialized so the
     summation order is its own row-major order, which numpy would otherwise
     bypass) so that swapping the two samples is bit-exact.

@@ -2,12 +2,13 @@
 
 A scan slides a window of ``window`` trailing rows over both sides of a
 :class:`~driftscan.embeddings.DatasetPair` in lockstep. For each window
-position it computes the observed MMD^2 between the two windows, draws a
-permutation null from their pooled rows, and records the per-window
+position it computes the observed MMD^2 between the two windows, calibrates
+it against sign flips of their row pairs, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
 locates the window with the largest statistic, whose row ranges are the
 drift-cause candidates for both sides. Runs of overlapping windows share a
-pool Gram and use every CPU (:func:`~driftscan.resample.scan_window_tests`).
+pool Gram, and every window reads its flips from one sign matrix per scan
+(:func:`~driftscan.resample.scan_window_tests`).
 
 Index convention: ``t_index`` is 1-based and names the last sample in a
 window, so the first window has ``t_index == window`` and covers samples
@@ -72,7 +73,7 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class WindowResult:
-    """One window position: the observed statistic and its permutation null's median and p-value.
+    """One window position: the observed statistic and its flip null's median and p-value.
 
     The fields are the report's window keys, in order.
     """
@@ -122,8 +123,8 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
     Scans t = window, window + stride, ... up to M = min(rows); both sides
     are truncated to M when their lengths differ (recorded in the report).
     The bandwidth is resolved once by :func:`shared_bandwidth`. Window t
-    gets the bits of one :func:`~driftscan.resample.window_test` on its rows,
-    drawing from the stream (seed, "bootstrap", t), so reports are
+    takes its flips from columns [t - window, t) of the scan's one sign
+    matrix (:func:`~driftscan.resample.flip_signs`), so reports are
     byte-identical across runs and for any number of CPUs.
     """
     ref, targ = pair.reference, pair.target

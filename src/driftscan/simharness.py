@@ -273,7 +273,7 @@ def null_calibration(
     Each trial draws fresh n-row reference and target sets from one standard
     Gaussian, chooses the bandwidth as a scan would (over their concatenation,
     or per window under ``median-window``), and tests the first ``window``
-    rows of each side against the permutation null; the share of p-values at
+    rows of each side against the flip null; the share of p-values at
     or below alpha is the test's false-positive rate at alpha. The trials run
     on a thread pool (``pdist``, the partition and the data draws release the
     GIL); each draws from its own streams, so the p-values are the same bits

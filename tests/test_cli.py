@@ -88,7 +88,7 @@ def test_scan_stdout_when_no_out(pair_files, capsys):
                  "--bootstraps", "5", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["bootstraps"] == 5
-    assert payload["config"]["rng_scheme"] == "window-permutation"
+    assert payload["config"]["rng_scheme"] == "lockstep-flip"
 
 
 def test_scan_with_batching(pair_files, tmp_path):
@@ -136,6 +136,26 @@ def test_extract_both_sides(pair_files, tmp_path):
     start, end = rep["cause_target"]
     expected = load_embeddings(target).values[start - 1 : end]
     np.testing.assert_array_equal(cause.values, expected)
+
+
+@pytest.mark.parametrize("scheme", ["window-permutation", None])
+def test_extract_reads_reports_of_the_earlier_nulls(pair_files, tmp_path, scheme):
+    # reports written under the permutation null, or before the config named
+    # its scheme, differ only in null fields, which extract does not read
+    ref, target = pair_files
+    report = tmp_path / "rep.json"
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "8",
+                 "--bootstraps", "19", "--seed", "2", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    if scheme is None:
+        del payload["config"]["rng_scheme"]
+    else:
+        payload["config"]["rng_scheme"] = scheme
+    report.write_text(json.dumps(payload))
+    out = tmp_path / "cause.csv"
+    assert main(["extract", "--ref", ref, "--target", target, "--report", str(report), "--out", str(out)]) == 0
+    start, end = payload["cause_target"]
+    np.testing.assert_array_equal(load_embeddings(out).values, load_embeddings(target).values[start - 1:end])
 
 
 def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, capsys):
@@ -258,6 +278,35 @@ def test_scan_warns_when_no_window_can_flag(pair_files, tmp_path, capsys, bootst
     assert captured.out == out.read_text()
 
 
+def coarse_warning(window, what):
+    """The warning for windows whose flip null has under 1/alpha values, at --alpha 0.05."""
+    return (f"warning: a --window {window} null has 2^{window - 1} distinct values, so a {what} rarely flags "
+            f"at --alpha 0.05; use --window >= 6\n")
+
+
+#: the warning for --bootstraps 5 at --alpha 0.05
+FEW_FLIPS_WARNING = ("warning: with --bootstraps 5 no p-value falls below 1/6 > --alpha 0.05, so no window "
+                     "can be flagged; use --bootstraps >= 19\n")
+
+
+@pytest.mark.parametrize("window, warns", [(2, True), (5, True), (6, False), (32, False)])
+@pytest.mark.parametrize("command", ["scan", "calibrate", "simulate ratio-drift", "correlate"])
+def test_coarse_flip_nulls_warn(pair_files, capsys, command, window, warns):
+    # a window of w rows has 2^(w - 1) flip values, and a flip ties the
+    # observed one with chance 2^(1 - w): at w <= 5 that is over alpha = 0.05
+    ref, target = pair_files
+    argv = {
+        "scan": ["scan", "--ref", ref, "--target", target],
+        "calibrate": ["calibrate", "--trials", "2", "--n", "32", "--dims", "3"],
+        "simulate ratio-drift": ["simulate", "ratio-drift", "--n", "2048", "--dims", "3", "--fractions", "0.5",
+                                 "--batch-size", "32"],
+        "correlate": ["correlate", "--profile", "0,1", "--n", "2048", "--dims", "3", "--batch-size", "32"],
+    }[command]
+    assert main([*argv, "--window", str(window), "--bootstraps", "19"]) == 0
+    what = "trial" if command == "calibrate" else "window"
+    assert capsys.readouterr().err == (coarse_warning(window, what) if warns else "")
+
+
 def test_calibrate_warns_when_no_trial_can_reject(capsys):
     assert main(["calibrate", "--trials", "4", "--n", "24", "--dims", "2",
                  "--window", "8", "--bootstraps", "9", "--alpha", "0.05"]) == 0
@@ -293,10 +342,11 @@ def test_blocks_too_small_for_the_settings_exit_one(capsys):
 
 
 def test_calibrate_runs_one_row_windows_with_the_biased_estimator(capsys):
-    # the null compares blocks as large as a window, so one row per window is enough
+    # a one-row window runs, though its one pair has a single flip value, so it never flags
     assert main(["calibrate", "--window", "1", "--trials", "3", "--n", "16", "--bootstraps", "19"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == ""
+    assert captured.err == coarse_warning(1, "trial")
+    assert json.loads(captured.out)["rejections"] == 0
     payload = json.loads(captured.out)
     assert payload["trials"] == 3
     assert payload["config"]["window"] == 1
@@ -415,7 +465,9 @@ def test_correlate_at_zero_separation_gives_null(capsys):
                  "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"])
     assert code == 0
     captured = capsys.readouterr()
-    assert captured.err == "warning: pearson undefined for zero-variance input\n" * 2
+    # the scan's settings warn first, then the library's undefined correlations
+    assert captured.err == (FEW_FLIPS_WARNING + coarse_warning(4, "window")
+                            + "warning: pearson undefined for zero-variance input\n" * 2)
     payload = json.loads(captured.out)
     assert payload["pearson_drift_bce"] is None
     assert payload["pearson_drift_auc"] is None
@@ -424,7 +476,8 @@ def test_correlate_at_zero_separation_gives_null(capsys):
 def test_library_warning_prints_as_one_line(capsys):
     assert main(["correlate", "--profile", "1,1", "--n", "256", "--dims", "3",
                  "--batch-size", "32", "--window", "4", "--bootstraps", "5", "--seed", "2"]) == 0
-    assert capsys.readouterr().err == "warning: degenerate drift profile: correlations are undefined\n"
+    assert capsys.readouterr().err == (FEW_FLIPS_WARNING + coarse_warning(4, "window")
+                                       + "warning: degenerate drift profile: correlations are undefined\n")
 
 
 def test_unknown_flag_exits_one(pair_files):
@@ -441,7 +494,7 @@ def test_unknown_flag_exits_one(pair_files):
     ["calibrate"],
 ], ids=lambda argv: argv[0] if argv[0] != "simulate" else "ratio-drift")
 def test_split_is_an_unknown_flag(argv, capsys):
-    # the null has one form, a permutation of the pooled rows; --split no longer chooses its blocks
+    # the null has one form, flips of the row pairs; --split no longer chooses its blocks
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--split", "paired"])
     assert exc.value.code == 1
@@ -611,10 +664,10 @@ LARGE_NULL_MB = 32
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for the child's own peak RSS")
 def test_large_null_scan_memory_stays_within_the_budget(tmp_path):
-    # at stride 1 and w = 32 a window's null (its permuted signs and their
-    # product with the Gram, 2000 x 64 numbers each, beside the tiled signs)
-    # outweighs its 64 x 64 Gram about 90-fold, so the budget must count it:
-    # runs of 32 such windows would hold about 100 MB a thread
+    # at stride 1 and w = 32 a window's null (its flips and their product
+    # with H, 2000 x 32 numbers each) outweighs its 64 x 64 Gram about
+    # 30-fold, so the budget must count it: runs of 32 such windows would
+    # hold about 33 MB
     (tmp_path / "tiny").mkdir()
     (tmp_path / "null").mkdir()
     base_mb = _peak_rss_mb(tmp_path / "tiny", 40, 8)

@@ -15,41 +15,39 @@ A refactor that keeps the outputs must keep these hashes. For the scan, two pins
 ``VARIANT_PINS`` hashes the JSON and CSV of the same scan under each
 other kernel, estimator and bandwidth policy. ``STRIDE_PINS`` hashes
 the default scan and every variant at strides 1 and 8 as well, where runs of
-16 and of 2 overlapping windows share one pool Gram; they were taken while
-every window still built its own. Every scan pin must also hold with the
-windows on 1, 2 and 3 threads. ``BLOCKWISE_PINS``
+16 and of 2 overlapping windows share one pool Gram. Every scan pin must
+also hold with runs of 1, 3 and up to 32 windows, and in a child process
+whose BLAS runs one thread. ``BLOCKWISE_PINS``
 hashes a scan whose pool is large enough for the median bandwidth to be
 taken one row block at a time, so ``bandwidth_used`` from that pass is
-pinned to the byte. Both were taken before that pass ran on threads.
+pinned to the byte.
 ``NULL_PINS`` hashes the null statistics of single window tests, and
-``SPAN_NULL_PINS`` a run of overlapping windows on stacked Grams, at shapes
-where a BLAS product of the signs and the Gram may add its terms in another
-order than einsum: one permutation (a matrix-vector product) and a pool
-over 256 rows. They were taken while that product always ran through
-einsum. ``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
+``SPAN_NULL_PINS`` a run of overlapping windows on stacked H blocks, at
+shapes where a BLAS product of the signs and H may add its terms in another
+order than einsum: one flip (a matrix-vector product) and windows of 129
+and 160 rows. They were taken with that product forced through einsum.
+``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
 projection of each of those scans, and ``DATA_ROW_PINS`` the data rows of
 ``simulate ratio-drift`` and ``correlate``, which hold only observed
 statistics. They were taken before the null moved from the bootstrap to
-permutations, and show that that change left the observed side untouched.
+permutations, and show that neither that change nor the move to flips
+touched the observed side.
 
-The permutation null moved, once, every scan pin (``SCAN_*_SHA256``,
-``VARIANT_PINS``, ``STRIDE_PINS``, ``BLOCKWISE_PINS``), every calibrate pin
-and the ``simulate-ratio-drift`` and ``correlate`` entries of
-``COMMAND_PINS``: the per-window ``boot_median``, ``p_value`` and
-``flagged``, ``boot_median_mean``, the trials' p-values, and the config
-echo (``rng_scheme``; no ``split_policy`` or ``split``). The pins of the
-``--split literal`` scans went with the flag. The notes on when each pin
-was taken describe the bootstrap pins that these replaced.
+The lockstep sign-flip null moved, once, every scan pin
+(``SCAN_*_SHA256``, ``VARIANT_PINS``, ``STRIDE_PINS``, ``BLOCKWISE_PINS``),
+``NULL_PINS``, ``SPAN_NULL_PINS`` and every calibrate p-value pin: the
+per-window ``boot_median``, ``p_value`` and ``flagged``,
+``boot_median_mean``, the trials' p-values and the config echo's
+``rng_scheme``. The calibrate JSON pins moved where the rejection count
+did. ``COMMAND_PINS`` did not move: its studies print only observed
+statistics, and ``extract`` reads only the cause.
 
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments
-but ``alpha``, since the JSON carries only the rejection count. Both were
-taken before the observed statistic and the null of a trial moved onto one
-pool Gram matrix.
+but ``alpha``, since the JSON carries only the rejection count.
 The p-value pins must also hold with the trials on 1, 2 and 3 threads.
 ``CALIBRATE_MEDIAN_WINDOW_PINS`` pins ``--bandwidth median-window`` the same
-way; it was taken when that policy first chose each trial's bandwidth per
-window, as a scan does, instead of over the trial's 2n pooled rows.
+way, a test of each trial's window at the median distance of its own rows.
 
 ``COMMAND_PINS`` hashes the stdout and every written file of one command of
 each other subcommand: ``mmd``, ``batch``, ``extract`` (each side and both),
@@ -67,68 +65,74 @@ platform whose ``exp`` rounds differently in the last bit moves them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftscan import kernels
+import driftscan
+from driftscan import kernels, resample
 from driftscan.cli import main
 from driftscan.kernels import KernelSpec
 from driftscan.resample import scan_window_tests, window_test
 from driftscan.simharness import null_calibration
+from test_resample import runs_of
 
-SCAN_JSON_SHA256 = "800437c0fa5123ab8a93000a5c95fdcd66ca604a10dd520ac5f5832a3b898e71"
-SCAN_CSV_SHA256 = "896dd4faccc1a8c3c2bb7867a22a54af44730e9bfb1e8af0c9f060e143e2af29"
+SCAN_JSON_SHA256 = "ef97a691d777252b4eb68c8ed5c97b5c0ea15c4e58a3d5b82c0fd6fe47dafa11"
+SCAN_CSV_SHA256 = "6cc3ca5e317682c71c03ba4545ebcf0cf8d75f47da89db6ca58248d8191c8696"
 OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
 
 #: extra scan flags -> (sha256 of the JSON, sha256 of the CSV)
 VARIANT_PINS = {
     ("--kernel", "linear"): (
-        "efcdbbd33ce6c70b2dc4dac07ecc974117c88d4f03c49b5c7ba1f826f0d8b90a",
-        "ba3ed40efd3aaab063676162db1d18b8dccbe1969f8b13939f3c61be7b2bcef0",
+        "e7c784be3a97abc9f064c067e86c6f7af38dd37457ab9b6c927d2d0deb22c3ee",
+        "e3ddaf05c439d15508830725ada44a50ab09a01ce6f42ccc37dedd8789468dba",
     ),
     ("--estimator", "unbiased"): (
-        "257242530c10e0eccb69301ce66c242b36a9bc9feda2991a61a12ea5069b35a7",
-        "67a7e1c5e0cf876bbf471f1d45ae7677be02809cc7f4119a32096d84850050fd",
+        "6e94c8b41ba464ff04ebd7508ac6861f7b8479e3cb8e2a132ca55df5ebc13fd8",
+        "40c3688e2b336ebf1d4afae08830243b0068642066f2b53dca95e035a09efe5d",
     ),
     ("--bandwidth", "median-window"): (
-        "e765dcf8dbd33f3e7afa3eb3ac850244c777d5d6fab170582fc4fb2df439c0a1",
-        "685a9297c1665dce958041fda483a9e85adf2d44c7aefff0e5e08c75cbc884c0",
+        "8f59ff47b9d7f6791faebf07c6585617bdf479ddf99c35e329a7af344e12e258",
+        "46ddd53ec41723576e8a3375bfac1fb8ef68e950e2daa2d9257d6930475d2012",
     ),
 }
 #: (stride, extra scan flags) -> (sha256 of the JSON, sha256 of the CSV)
 STRIDE_PINS = {
     (1, ()): (
-        "4aa0b66dc227cc8473b9c50fa7e2515f16935575171561bfca3020ed1c03c93b",
-        "d1eb3998b0b732ffe0e0146cc3e6a3a469968c5c626a696285fa39dd7a0cb5fa",
+        "f7cf754be53c6a0b45a74764a877037c6acbbf127304bcefd1e626e089c22e63",
+        "99b76c996876685520c4a47695002eed7830b01f05b7fd49d0dc7ef9a85b7f91",
     ),
     (1, ("--bandwidth", "median-window")): (
-        "c91786d546a81fcbaa9554c85150fdc42224848b795092fe6e5566ea7a48bc8c",
-        "110b62ed7b520db6d178c2179a994f8fcdbd84749497d131349f7d64b75715df",
+        "1b9ce7615a4642579121ecf161eea20ea82bcaafbc6d4f26036b07f444c9c96c",
+        "a9b27eb1b69fa63b551ec2a394c9899b13228c76cc871f766128c75cb472cce3",
     ),
     (1, ("--estimator", "unbiased")): (
-        "b631e3fa96ab09041b3a1482c531e0bfdffea3cbd721f6c909904d4c658092f4",
-        "e73e5ec7d56dbea273b963f82005d2f5b6eeb990e92d20017c3bb91b41e3c66d",
+        "cf5b0fe0a959d6f618ab74ea351d3535791f5d37021eead471c151e70a4575bf",
+        "fef3f19192737a6a2b2805b34aaf5ba62f0eeabfaff6558032ee53baf3bd89d3",
     ),
     (1, ("--kernel", "linear")): (
-        "80254ae95b85f3f854ab7f3341cfb65119c1ba034cbdae4e649d50f6f857d8dd",
-        "5bc1a3ebc6d6792474aa58f7c98d93a29ec64bf5d6f01ba0ccb8b26e3ff740e9",
+        "3822acfe78e515abcf607345f02f33240b5426c3c0873927a5641d8276c80c9c",
+        "ce0e0b67e63d36a1028a114f1991f1166b2e07fd641e4529b571625aaea0bef6",
     ),
     (8, ()): (
-        "ae0f60a84b402104df8b2685cec089bae99a657030ed80793282ba2318e7ce43",
-        "e92b956478c30920d1d0572db5f9412edff68140a8dc09bda44ca5bb8761bbfe",
+        "db656c4871c63643e9ddb038bdd8187bee76f603da96e37ff0da7282586b7213",
+        "3ca26cf3f48c28046d2df636709111a12c2021bc7cbe124d577c40269c26b92a",
     ),
     (8, ("--bandwidth", "median-window")): (
-        "c752f0f2fdd9914bdb8e600f7fae6de241c9abffa53eb27c2b071b7873452cde",
-        "6f4624d5f66ef5ad19a772b5ab845b7002e0dcca15423aed6b3aef07bcb59463",
+        "9d0cb5e805e28c53e25f8b1805157a64e92e3ce385c702d9646905e1ff48d8e8",
+        "23239f5c2fa17dc1db24f756b8779e7c97170316b7f33a2261ce936185aafc95",
     ),
     (8, ("--estimator", "unbiased")): (
-        "b23b391e88793f8bc723704a1ee45f076f4917c625114b77ea7a6e2d70517912",
-        "17b0349f5bc37ef3ac44599f3c5de1c3e3a9fc64809234ee321fd52f3cfa3b3f",
+        "1d4b2f0e629ead0a7b3c734188e7271f03d175f3ab78325eb43e823cea55ca48",
+        "00fc2e54eb63a6e71f0ebf18e966f73435ed91a4fdc657c173a76df09042216d",
     ),
     (8, ("--kernel", "linear")): (
-        "d9845cf19e1f817c76d7fbeacd396a64e86e42cea6000b318e4b060bbc395db4",
-        "aa8db19d9da27f7cc148425203b98a2cc68c987e364c6ab02305a446c7785aca",
+        "e6a2eb3c390129aa8203518bab73c9d56474cc8365df2c64d96936a6239b81d3",
+        "be96960c6e2da6299a76353517e73684ce2a88767ee97bc424cea07e1a8690cc",
     ),
 }
 #: (stride, extra scan flags) -> sha256 of the report's :func:`observed_projection`.
@@ -157,24 +161,24 @@ SCAN_PINS = {
 #: 2 x 1100 pooled rows make 2418450 pairs, over BLOCK_DISTANCES (2**21)
 BLOCKWISE_ROWS = 1100
 BLOCKWISE_PINS = (
-    "d86a374fba81b1296d04394cedd98d1f80ee7f0a5a58acfe5d6b8b4733bf7d71",
-    "177f82f411b8dcb1383feb6306e999b2041ab8013aef40192607ed224f4a9ef7",
+    "c5f214e2f3113bc00b264ebf9323260d43b5459ead59d1ef110fc2cbfd9d2b26",
+    "415af6e162f5c8f1ae8f4b9b3f67f059e9329c9cf63997266e4b343975db25d8",
 )
 BLOCKWISE_OBSERVED_SHA256 = "070ae36210ef4f04deb0264f20925ef6643f4fc296d85cca8c8527d9b031a6e3"
 
 #: (width, bootstraps) -> sha256 of :func:`window_test`'s null statistics on :func:`_null_inputs`
 NULL_PINS = {
-    (32, 1): "95f8978b0dbd4ccbf1b916b82e6fa6dac6ba5a1dfc48ded09e306fa91e9b9ca7",
-    (32, 2): "cb282ac1315b2a34e820b616bc440a189ed6a16fa252bf5bca2d8802be2fe4a8",
-    (129, 50): "0dc07eca5ccd07af1367c5abc4bc858cd2ff6ed294513893a2e2d79a9e3a97e4",
-    (160, 19): "57c044ae1402fe6e3dffb96345c910c935d4c6f5f14974e66433b9249157ab6c",
+    (32, 1): "93efdfecbfa69d0719905ca7615e97c94d6a5a3d11c24fa9b27b0cc394c7b19a",
+    (32, 2): "b191729a19c19a97ef43df99806b2ebda6a5835f788ae7f24f029df8bba01cc6",
+    (129, 50): "a7fb560c903bb2d8e37ad7166dcec7dbb56ac96e606683006ce975cfcc0e2f7a",
+    (160, 19): "676c30ddf572bf11c6a79e7cfc7a41c13d84a8615280e198d3e3ab48cc342e33",
 }
 #: bootstraps -> sha256 of :func:`scan_window_tests`' observed MMD^2, medians and
 #: p-values, 11 windows of 160 rows at stride 4 over 200 rows of :func:`_null_inputs`,
 #: at the fixed bandwidth ``SPAN_BANDWIDTH``
 SPAN_NULL_PINS = {
-    1: "aa48fb3de4a79bfee95a86695308e36bb5e9c0f655c8b0aebff22161763e392f",
-    19: "f499438c268394bd154c354469bf726af89a423a6ef5922c769fc74ed5b5fc67",
+    1: "144cab52359a69e515d076566368c9f4c9ea0c1342829b6d7fc5ea38791db4ea",
+    19: "11436ab4de8f49dc1565e266e1b1951161b80904cbcb41fa304604f44a5687bf",
 }
 SPAN_BANDWIDTH = 2.0
 
@@ -182,19 +186,19 @@ SPAN_BANDWIDTH = 2.0
 CALIBRATE_PINS = {
     ("rbf", "biased"): (
         "819b8342ed28517b30b5f1aa1966c3f8a7d8d5f957c1b0b2664c219b524b8ddd",
-        "0406cd81b7e0f98a7fb4a4574a382129f97bbb39f8a7e008f262ef0c55c662dc",
+        "41d38b2273b22d476a8242561a4eed94c9e7d5a9fe317de2e40bafce522054dd",
     ),
     ("linear", "unbiased"): (
-        "a787fef64b632e10a0d273932de5c38005b777a2797b600532784ca1a618caba",
-        "f35f3f892e4881ee49e4504c07d1786039c8235311fee20b288fec44239e4f35",
+        "a85841a46990e99cc60b46e3aa46f240ee4da0f1a31cf60df9ce0645cbf31adc",
+        "77ca39ed1b17d3101fa7b92febe4d4686b3022e2af147d32fa649c52ae2ae5b4",
     ),
 }
 #: (sha256 of the JSON, sha256 of the p-values) of the same commands under
 #: ``--bandwidth median-window``, which tests each trial's window at the
 #: median distance of its own 2 * window pooled rows
 CALIBRATE_MEDIAN_WINDOW_PINS = (
-    "90addabadc962957b53c471bcd84977bc0185a07f249595283c640794f4c58fc",
-    "7604eed1573d3c015ac42b99cc795617fcb70553763d31514cd1698a9c447a67",
+    "13d9bc915d3bb13fddd1347cbe8f300552ac2aebfccc44dc99e27ab74283e00c",
+    "a4b8bdeb18ecd2143bab1033fcd77a770983064333242369a32489f4dd1367a0",
 )
 #: alpha 0.5 makes the rejection count move with the p-values
 CALIBRATE_ARGS = {"trials": 12, "n": 48, "dims": 3, "window": 8, "bootstraps": 19, "alpha": 0.5, "seed": 5}
@@ -376,21 +380,65 @@ def test_scan_variants_match_golden_hashes(golden_inputs, flags):
     assert (_sha256(report), _sha256(series)) == VARIANT_PINS[flags]
 
 
-def _scan_by_workers(monkeypatch, work, *flags: str, stride: int) -> list:
-    # the scan's windows on 1, 2 and 3 worker threads; each schedule must give the same bytes
+#: windows a run holds in the run-size checks; 32 is more than any golden scan allows
+RUN_SIZES = (1, 3, 32)
+
+
+def _scan_by_run_size(monkeypatch, work, *flags: str, stride: int) -> list:
+    # the golden scan (w = 16, k = 19) in runs of 1, 3 and 32 windows; each must give the same bytes
+    grams = []
+    real = resample.kernel_matrix
+    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(1) or real(*args))
     hashes = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    for windows in RUN_SIZES:
+        runs_of(monkeypatch, windows, 16, 19)
+        grams.clear()
         hashes.append(tuple(map(_sha256, _scan(work, *flags, stride=stride))))
+        report = json.loads((work / "report.json").read_bytes())
+        size = 1 if "median-window" in flags else max(1, min(windows, 16 // stride))
+        assert len(grams) == -(-len(report["windows"]) // size)  # the runs held that many windows
     return hashes
+
+
+_ONE_BLAS_THREAD = """
+import hashlib, json, os, sys
+from driftscan.cli import main
+os.chdir(sys.argv[1])
+hashes = []
+for stride, flags in json.loads(sys.argv[2]):
+    assert main(["scan", "--ref", "ref.csv", "--target", "target.csv", "--window", "16", "--bootstraps", "19",
+                 "--stride", str(stride), "--seed", "5", *flags, "--out", "blas.json", "--csv-out", "blas.csv"]) == 0
+    hashes.append([hashlib.sha256(open(name, "rb").read()).hexdigest() for name in ("blas.json", "blas.csv")])
+print(json.dumps(hashes))
+"""
+
+
+@pytest.fixture(scope="module")
+def one_blas_thread_hashes(golden_inputs):
+    """(stride, flags) -> the hashes of every golden scan in a child whose BLAS runs one thread.
+
+    The null's product goes through BLAS where the process's probe finds
+    einsum's bits, and BLAS picks its sum order by its thread count: the
+    bytes must not move with it.
+    """
+    keys = sorted(SCAN_PINS)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(driftscan.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _ONE_BLAS_THREAD, str(golden_inputs), json.dumps(keys)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {key: tuple(pins) for key, pins in zip(keys, json.loads(proc.stdout))}
 
 
 @pytest.mark.parametrize("stride, flags", sorted(SCAN_PINS),
                          ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
-def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, monkeypatch, stride, flags):
-    hashes = _scan_by_workers(monkeypatch, golden_inputs, *flags, stride=stride)
+def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, one_blas_thread_hashes, monkeypatch, stride,
+                                                        flags):
+    # the scan's only workers are BLAS threads; runs of more or fewer windows must not move a byte either
+    hashes = _scan_by_run_size(monkeypatch, golden_inputs, *flags, stride=stride)
     assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
-    assert hashes == [SCAN_PINS[stride, flags]] * 3
+    assert hashes == [SCAN_PINS[stride, flags]] * len(RUN_SIZES)
+    assert one_blas_thread_hashes[stride, flags] == SCAN_PINS[stride, flags]
 
 
 def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
@@ -398,10 +446,10 @@ def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
     calls = []
     real = kernels._blockwise_order_statistic
     monkeypatch.setattr(kernels, "_blockwise_order_statistic", lambda x, k: calls.append(k) or real(x, k))
-    hashes = _scan_by_workers(monkeypatch, tmp_path, stride=512)
+    hashes = _scan_by_run_size(monkeypatch, tmp_path, stride=512)
     assert _observed_sha256(tmp_path / "report.json") == BLOCKWISE_OBSERVED_SHA256
-    assert hashes == [BLOCKWISE_PINS] * 3
-    assert len(calls) == 3  # each run's pooled median went through the row blocks
+    assert hashes == [BLOCKWISE_PINS] * len(RUN_SIZES)
+    assert len(calls) == len(RUN_SIZES)  # each scan's pooled median went through the row blocks
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_PINS))
@@ -468,7 +516,7 @@ def test_window_nulls_match_golden_hashes(width, k):
 @pytest.mark.parametrize("k", sorted(SPAN_NULL_PINS))
 def test_stacked_window_nulls_match_golden_hashes(monkeypatch, k):
     x, y = _null_inputs(200, 160)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    for windows in RUN_SIZES:
+        runs_of(monkeypatch, windows, 160, k)
         columns = scan_window_tests(KernelSpec("rbf", SPAN_BANDWIDTH), x, y, 160, 4, k, 7, "biased", SPAN_BANDWIDTH)
         assert _sha256(np.array(columns).tobytes()) == SPAN_NULL_PINS[k]

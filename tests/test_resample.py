@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from driftscan import kernels, resample
 from driftscan.embeddings import EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from driftscan.mmd import mmd, mmd_sq_from_gram
-from driftscan.resample import BOOTSTRAP_TAG, null_stats_from_gram, scan_window_tests, window_test
+from driftscan.resample import scan_window_tests, window_test
 from driftscan.rng import check_seed, derive_rng, derive_seed
 from peak_rss import HAS_PROC_STATUS, peak_rise_mb
 
@@ -33,51 +33,80 @@ def test_degenerate_pool_gives_zero_stats_and_p_one():
     assert np.all(stats == 0.0)
 
 
-def permutation_signs(seed, window, k, rows):
-    """Window ``window``'s k permutations of 2 * rows pooled rows, as the window test draws them."""
-    return derive_rng(seed, BOOTSTRAP_TAG, window).permuted(np.tile(np.repeat([1.0, -1.0], rows), (k, 1)), axis=1)
+def flips(seed, k, rows):
+    """The k x rows sign matrix a window test of ``rows`` rows draws for ``seed``."""
+    return resample.flip_signs(seed, k, rows)(0, rows)
 
 
-def gathered_null_stats(gram, signs, estimator):
-    """Reference: gather each permutation's Gram blocks and reduce them one permutation at a time."""
+def one_window_null(spec, bandwidth, x, y, signs, estimator):
+    """The k null statistics, observed MMD^2 and p-value of one window tested with the flips ``signs``."""
+    stats, observed, _, p_value = resample._span_tests(spec, x, y, x.shape[0], 1, 1, signs, estimator, bandwidth)
+    return stats[0], observed[0], p_value[0]
+
+
+def swapped_null_stats(spec, bandwidth, x, y, signs, estimator):
+    """Reference: mmd() of the windows with the pairs swapped where the sign is -1, one flip at a time."""
     stats = []
     for row in signs:
-        b1, b2 = np.flatnonzero(row > 0), np.flatnonzero(row < 0)
-        stats.append(mmd_sq_from_gram(
-            gram[np.ix_(b1, b1)], gram[np.ix_(b2, b2)], gram[np.ix_(b1, b2)], estimator
-        ))
+        swap = row < 0
+        xs, ys = x.copy(), y.copy()
+        xs[swap], ys[swap] = y[swap], x[swap]
+        stats.append(mmd(spec, EmbeddingMatrix.from_array(xs), EmbeddingMatrix.from_array(ys), estimator,
+                         bandwidth=bandwidth)[0])
     return np.array(stats)
+
+
+def _float32_windows(seed, rows, dims, shift=0.5):
+    """Two windows of float32 values in float64, which mmd() reads without rounding."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, rows, dims)).astype(np.float32)
+    return x.astype(np.float64), (y + np.float32(shift)).astype(np.float64)
 
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
 def test_quadratic_form_matches_gathered_blocks(family, estimator):
-    half = 12
-    pool = np.random.default_rng(11).standard_normal((2 * half, 4))
-    gram = kernel_matrix(KernelSpec(family), 1.5, pool, pool)
-    signs = permutation_signs(11, 0, 60, half)
-    assert np.all(signs.sum(axis=1) == 0)  # two blocks of half rows each
-    fast = null_stats_from_gram(gram, signs, estimator)
-    slow = gathered_null_stats(gram, signs, estimator)
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+    # each flip statistic is mmd() on the windows with the flipped pairs swapped
+    spec = KernelSpec(family)
+    for width in (2, 3, 7):
+        x, y = _float32_windows(11 + width, width, 4)
+        bandwidth = resolve_bandwidth(spec, x, y)
+        signs = flips(11, 60, width)
+        stats, observed, _ = one_window_null(spec, bandwidth, x, y, signs, estimator)
+        slow = swapped_null_stats(spec, bandwidth, x, y, signs, estimator)
+        assert observed == mmd(spec, EmbeddingMatrix.from_array(x), EmbeddingMatrix.from_array(y), estimator,
+                               bandwidth=bandwidth)[0]
+        if estimator == "biased":
+            slow = np.maximum(slow, 0.0)
+        assert np.max(np.abs(stats - slow)) <= 1e-12 * np.max(np.abs(slow)), width
 
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
 @pytest.mark.parametrize("half", [2, 7])
 def test_unpermuted_signs_give_the_observed_statistic(family, estimator, half):
-    # the draw that keeps each row on its own side is the observed split, in
-    # either orientation; 2 rows is the least the unbiased estimator takes
+    # the flip that swaps no pair, and the one that swaps every pair, give the
+    # observed statistic to the bit; 2 rows is the least the unbiased estimator takes
     rng = np.random.default_rng(17)
     x, y = (EmbeddingMatrix.from_array(rng.standard_normal((half, 3)) + shift) for shift in (0.0, 0.5))
     spec = KernelSpec(family)
-    pool = np.vstack([x.as_float64(), y.as_float64()])
-    bandwidth = resolve_bandwidth(spec, pool)
+    bandwidth = resolve_bandwidth(spec, x.as_float64(), y.as_float64())
     observed = mmd(spec, x, y, estimator, bandwidth=bandwidth)[0]
-    split = np.repeat([1.0, -1.0], half)
-    stats = null_stats_from_gram(kernel_matrix(spec, bandwidth, pool, pool), np.stack([split, -split]), estimator)
-    assert stats[0] == stats[1]
-    assert abs(stats[0] - observed) <= 1e-12 * abs(observed)
+    ones = np.ones(half)
+    stats, _, p_value = one_window_null(spec, bandwidth, x.as_float64(), y.as_float64(), np.stack([ones, -ones]),
+                                        estimator)
+    assert stats.tolist() == [observed, observed] and p_value == 1.0
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+@pytest.mark.parametrize("width", [2, 3, 7])
+def test_identical_windows_give_every_flip_the_observed_value(family, estimator, width):
+    # H = Kxx + Kyy - Kxy - Kxy' is exactly 0, so no flip moves the statistic
+    x, _ = _float32_windows(19, width, 3)
+    spec = KernelSpec(family)
+    observed_sq, stats, median, p_value = window_test(spec, x, x, 50, 2, estimator, resolve_bandwidth(spec, x, x))
+    assert np.all(stats == observed_sq) and median == observed_sq and p_value == 1.0
 
 
 _TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3))).as_float64()
@@ -85,10 +114,10 @@ _FAR = ([9.658225059509277, 53.671287536621094, 26.380176544189453],
         [11.147784233093262, 44.63081359863281, 21.859966278076172])
 _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
 
-#: name -> (kernel, pool, seed). Identical windows pool into each row twice,
-#: so the observed statistic is 0. The two far rows (far in bandwidth units)
-#: are each repeated; without the clamp some of their draws round to about
-#: -6e-39, and an observed 0 would get p < 1.
+#: name -> (kernel, the two windows stacked, seed). Identical windows give
+#: an observed statistic of 0. The two far rows (far in bandwidth units) are
+#: each repeated, so many flips land on exactly 0, where the biased
+#: statistic's clamp would act on any rounding below it.
 DUPLICATED_POOLS = {
     "identical-windows-rbf": (RBF_FIXED, np.vstack([_TWIN, _TWIN]), 4),
     "identical-windows-linear": (KernelSpec("linear"), np.vstack([_TWIN, _TWIN]), 4),
@@ -99,19 +128,37 @@ DUPLICATED_POOLS = {
 @pytest.mark.parametrize("name", sorted(DUPLICATED_POOLS))
 def test_biased_null_on_duplicated_rows_is_nonnegative_with_p_one(name):
     spec, pool, seed = DUPLICATED_POOLS[name]
-    gram = kernel_matrix(spec, resolve_bandwidth(spec, pool), pool, pool)
-    # p = (1 + #{stats >= 0}) / (k + 1) is 1 for an observed 0 exactly when no stat is negative
-    assert np.all(null_stats_from_gram(gram, permutation_signs(seed, 0, 200, 8), "biased") >= 0.0)
+    x, y = pool[:8], pool[8:]
+    stats, observed, p_value = one_window_null(spec, resolve_bandwidth(spec, pool), x, y, flips(seed, 200, 8),
+                                               "biased")
+    assert np.all(stats >= 0.0)
+    if name.startswith("identical"):
+        assert observed == 0.0 and p_value == 1.0
 
 
 def test_shared_gram_gives_the_same_null():
-    rng = np.random.default_rng(13)
-    x, y = (EmbeddingMatrix.from_array(rng.standard_normal((8, 3))) for _ in range(2))
-    observed_sq, stats, _, _ = window_test(RBF_FIXED, x.values, y.values, 30, 6, "biased")
-    pool = np.vstack([x.as_float64(), y.as_float64()])
-    own = null_stats_from_gram(kernel_matrix(RBF_FIXED, 1.0, pool, pool), permutation_signs(6, 0, 30, 8), "biased")
-    np.testing.assert_array_equal(stats, own)
-    assert (observed_sq, 1.0) == mmd(RBF_FIXED, x, y, "biased")
+    # the first window of a run, on the run's pool Gram and the scan's first
+    # columns of S, gets the bits of a window test alone
+    x, y = (side.astype(np.float32) for side in _windows(13, 10, 3))
+    observed_sq, stats, _, _ = window_test(RBF_FIXED, x[:8], y[:8], 30, 6, "biased", 1.0)
+    run, observed, _, _ = resample._span_tests(RBF_FIXED, x, y, 8, 1, 3, resample.flip_signs(6, 30, 10)(0, 10),
+                                               "biased", 1.0)
+    np.testing.assert_array_equal(run[0], stats)
+    assert observed[0] == observed_sq
+    assert (observed_sq, 1.0) == mmd(RBF_FIXED, EmbeddingMatrix.from_array(x[:8]),
+                                     EmbeddingMatrix.from_array(y[:8]), "biased")
+
+
+def test_sign_columns_do_not_depend_on_the_rows_or_the_blocks_held(monkeypatch):
+    # block c of S is a (FLIP_COLUMNS, k) draw from (seed, "scan-flip", c), cut at the scan's rows
+    monkeypatch.setattr(resample, "FLIP_COLUMNS", 7)
+    blocks = [derive_rng(3, "scan-flip", c).integers(0, 2, (7, 5), dtype=np.int8).T for c in range(5)]
+    whole = 1.0 - 2.0 * np.concatenate(blocks, axis=1)
+    for rows in (20, 35):
+        signs = resample.flip_signs(3, 5, rows)
+        for start, stop in ((0, 4), (2, 9), (5, 20), (6, 13), (0, 20)):  # out of order, and across blocks
+            np.testing.assert_array_equal(signs(start, stop), whole[:, start:stop])
+    assert set(np.unique(whole)) == {-1.0, 1.0}
 
 
 @pytest.fixture
@@ -122,29 +169,32 @@ def fresh_probe():
     resample._matmul_keeps_bits.cache_clear()
 
 
-def _einsum_null_stats(monkeypatch, gram, signs, estimator):
-    """Reference: the null with its sign product through einsum, whatever the probe says."""
+def _run_nulls(x, y, width, k, count, seed=5):
+    """The null statistics of ``count`` stride-1 windows tested as one run."""
+    signs = resample.flip_signs(seed, k, x.shape[0])(0, x.shape[0])
+    return resample._span_tests(RBF_FIXED, x, y, width, 1, count, signs, "biased", 1.0)[0]
+
+
+def _einsum_run_nulls(monkeypatch, *args):
+    """Reference: :func:`_run_nulls` with the sign product through einsum, whatever the probe says."""
     with monkeypatch.context() as m:
         m.setattr(resample, "_matmul_keeps_bits", lambda k, width: False)
-        return null_stats_from_gram(gram, signs, estimator)
-
-
-def _stacked_pools(width, windows=3):
-    pools = np.random.default_rng(width).standard_normal((windows, 2 * width, 4))
-    return np.stack([kernel_matrix(RBF_FIXED, 1.0, pool, pool) for pool in pools])
+        return _run_nulls(*args)
 
 
 @pytest.mark.parametrize("width", [1, 2, 32, 128, 129])
 @pytest.mark.parametrize("k", [1, 2, 3, 50, 199])
 def test_null_has_the_bits_of_einsum_at_every_shape(monkeypatch, width, k):
-    # one permutation is a matrix-vector product, and 129 rows a side pool over
-    # 256 rows; a BLAS product of either may add in another order than einsum
-    grams = _stacked_pools(width)
-    signs = np.stack([permutation_signs(5, t, k, width) for t in range(len(grams))])
-    stacked = null_stats_from_gram(grams, signs, "biased")
-    assert stacked.tobytes() == _einsum_null_stats(monkeypatch, grams, signs, "biased").tobytes()
-    for gram, own, stats in zip(grams, signs, stacked):
-        assert null_stats_from_gram(gram, own, "biased").tobytes() == stats.tobytes()
+    # one flip is a matrix-vector product, and 129 rows make a GEMM of several
+    # panels; a BLAS product of either may add in another order than einsum
+    x, y = _windows(width, width + 2, 4)
+    stacked = _run_nulls(x, y, width, k, 3)
+    assert stacked.tobytes() == _einsum_run_nulls(monkeypatch, x, y, width, k, 3).tobytes()
+    signs = resample.flip_signs(5, k, width + 2)(0, width + 2)
+    for j, stats in enumerate(stacked):
+        own = resample._span_tests(RBF_FIXED, x[j:j + width], y[j:j + width], width, 1, 1,
+                                   signs[:, j:j + width], "biased", 1.0)[0][0]
+        assert own.tobytes() == stats.tobytes()
 
 
 def _spy_on_matmul(monkeypatch, product):
@@ -156,13 +206,12 @@ def _spy_on_matmul(monkeypatch, product):
 
 @pytest.mark.parametrize("keeps_bits", [False, True])
 def test_the_probe_picks_the_product(monkeypatch, keeps_bits):
-    grams = _stacked_pools(8)
-    signs = np.stack([permutation_signs(5, t, 4, 8) for t in range(len(grams))])
-    want = _einsum_null_stats(monkeypatch, grams, signs, "biased")
+    x, y = _windows(8, 10, 4)
+    want = _einsum_run_nulls(monkeypatch, x, y, 8, 4, 3)
     monkeypatch.setattr(resample, "_matmul_keeps_bits", lambda k, width: keeps_bits)
     calls = _spy_on_matmul(monkeypatch, resample._einsum_product)  # einsum's bits on any BLAS
-    assert null_stats_from_gram(grams, signs, "biased").tobytes() == want.tobytes()
-    assert calls == ([signs.shape] if keeps_bits else [])
+    assert _run_nulls(x, y, 8, 4, 3).tobytes() == want.tobytes()
+    assert calls == ([(3, 4, 8)] if keeps_bits else [])
 
 
 def test_a_probe_of_one_shape_does_not_serve_another(monkeypatch, fresh_probe):
@@ -173,11 +222,10 @@ def test_a_probe_of_one_shape_does_not_serve_another(monkeypatch, fresh_probe):
         return np.nextafter(exact, np.inf) if a.shape[-2] == 1 else exact
 
     calls = _spy_on_matmul(monkeypatch, product)
-    grams = _stacked_pools(32, windows=1)
+    x, y = _windows(32, 32, 4)
     for k in (50, 1):
-        signs = permutation_signs(5, 0, k, 32)[None]
-        want = _einsum_null_stats(monkeypatch, grams, signs, "biased")
-        assert null_stats_from_gram(grams, signs, "biased").tobytes() == want.tobytes()
+        want = _einsum_run_nulls(monkeypatch, x, y, 32, k, 1)
+        assert _run_nulls(x, y, 32, k, 1).tobytes() == want.tobytes()
     assert resample._matmul_keeps_bits(50, 32) and not resample._matmul_keeps_bits(1, 32)
     assert [shape[-2] for shape in calls] == [50, 50, 1]  # probe and null at k = 50, the probe alone at k = 1
 
@@ -203,14 +251,16 @@ SCAN_WIDTH = 8
 
 
 def _window_test_loop(spec, x, y, stride, k, seed, estimator, bandwidth):
-    """Reference: one window_test per window."""
+    """Reference: one window at a time, window t with columns [t - SCAN_WIDTH, t) of the scan's S."""
+    signs = resample.flip_signs(seed, k, x.shape[0])(0, x.shape[0])
     columns = ([], [], [])
     for t in range(SCAN_WIDTH, x.shape[0] + 1, stride):
         rows = slice(t - SCAN_WIDTH, t)
-        observed_sq, _, median, p_value = window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth,
-                                                      window_index=t)
+        stats, observed_sq, median, p_value = resample._span_tests(spec, x[rows], y[rows], SCAN_WIDTH, 1, 1,
+                                                                  signs[:, rows], estimator, bandwidth)
+        assert observed_sq[0] == window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth)[0]
         for column, value in zip(columns, (observed_sq, median, p_value)):
-            column.append(value)
+            column.append(float(value[0]))
     return columns
 
 
@@ -231,7 +281,7 @@ def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
                                   RBF_FIXED], ids=["median", "median-window", "linear", "fixed"])
 def test_scan_window_tests_refuse_an_unresolved_global_median(spec):
     # a run would take the median of its own rows, so the bits would depend
-    # on how many windows a run holds, that is on the CPU count
+    # on how many windows a run holds
     x, y = _windows(26, 200, 3)
     if spec == KernelSpec("rbf", "median"):
         with pytest.raises(ValueError, match="global median"):
@@ -240,39 +290,37 @@ def test_scan_window_tests_refuse_an_unresolved_global_median(spec):
         assert len(scan_window_tests(spec, x, y, 160, 4, 19, 7, "biased", None)[0]) == 11
 
 
-@pytest.mark.parametrize("budget_windows, workers", [(1, 1), (3, 2), (5, 3)])
-def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, workers):
-    # a run's budget is BLOCK_DISTANCES // workers numbers. A window holds
-    # its Gram and 3k(2w) null numbers, a run's span Gram under 4 window
-    # Grams: with room for those and budget_windows windows a worker, runs
-    # of stride-1 windows hold budget_windows windows, not SCAN_WIDTH
-    gram = 4 * SCAN_WIDTH**2
-    window = gram + 3 * 9 * 2 * SCAN_WIDTH  # k = 9: tiled signs, their permutation, its product with the Gram
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", workers * (4 * gram + budget_windows * window))
+def runs_of(monkeypatch, windows, width, k):
+    """Make :func:`scan_window_tests` take runs of ``windows`` windows (at most ``width // stride``).
+
+    A window counts 4w^2 numbers for its Gram blocks and 2kw for its flips
+    and their product; a run's pool Gram, H and signs take 5 windows' worth.
+    """
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", (5 + windows) * (4 * width * width + 2 * k * width))
+
+
+@pytest.mark.parametrize("budget_windows, stride", [(1, 1), (3, 2), (5, 3)])
+def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, stride):
+    # with room for budget_windows windows, runs hold that many, not width // stride
+    width = 24
+    runs_of(monkeypatch, budget_windows, width, 9)
     rng = np.random.default_rng(22)
-    x, y = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+    x, y = rng.standard_normal((60, 2)), rng.standard_normal((60, 2))
     grams = []
     real = resample.kernel_matrix
     monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(args[2].shape[0]) or real(*args))
     for estimator in ("biased", "unbiased"):
         grams.clear()
-        got = scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 6, estimator, 1.0)
-        # 33 windows in runs of budget_windows; a run of n windows pools 2 * (SCAN_WIDTH + n - 1) rows
-        assert grams.count(2 * (SCAN_WIDTH + budget_windows - 1)) == 33 // budget_windows
-        assert got == _window_test_loop(RBF_FIXED, x, y, 1, 9, 6, estimator, 1.0)
-
-
-@pytest.mark.parametrize("stride, threaded", [(1, True), (SCAN_WIDTH, False), (2 * SCAN_WIDTH, False)])
-def test_only_runs_of_several_windows_go_to_threads(monkeypatch, stride, threaded):
-    # windows that share no Gram are tested in order on the calling thread
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
-    threads = set()
-    real = resample.kernel_matrix
-    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: threads.add(threading.get_ident()) or real(*args))
-    x, y = _windows(23, 40, 2)
-    scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, stride, 9, 6, "biased", 1.0)
-    assert (threads != {threading.get_ident()}) == threaded
+        got = scan_window_tests(RBF_FIXED, x, y, width, stride, 9, 6, estimator, 1.0)
+        # a run of n windows pools 2 * (width + (n - 1) * stride) rows
+        windows = len(range(width, 61, stride))
+        assert grams.count(2 * (width + (budget_windows - 1) * stride)) == windows // budget_windows
+        signs = resample.flip_signs(6, 9, 60)(0, 60)
+        for i, t in enumerate(range(width, 61, stride)):
+            rows = slice(t - width, t)
+            _, observed, median, p_value = resample._span_tests(RBF_FIXED, x[rows], y[rows], width, 1, 1,
+                                                                signs[:, rows], estimator, 1.0)
+            assert (got[0][i], got[1][i], got[2][i]) == (observed[0], median[0], p_value[0])
 
 
 def _windows(seed, rows, dims):
@@ -280,35 +328,54 @@ def _windows(seed, rows, dims):
     return rng.standard_normal((rows, dims)), rng.standard_normal((rows, dims))
 
 
-def _spy_on_grams(monkeypatch):
-    """Lists that collect the kernel matrices window tests build and the Grams they give the null."""
+def _own_h(x, y):
+    """H = Kxx + Kyy - Kxy - Kxy' of one window, from its own kernel matrices."""
+    kxy = kernel_matrix(RBF_FIXED, 1.0, x, y)
+    return kernel_matrix(RBF_FIXED, 1.0, x, x) + kernel_matrix(RBF_FIXED, 1.0, y, y) - (kxy + kxy.T)
+
+
+def _spy_on_nulls(monkeypatch):
+    """Weak references to the kernel matrices window tests build, and the H stacks given to the null at that time."""
     built, given = [], []
-    kernel, null = resample.kernel_matrix, resample.null_stats_from_gram
-    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: built.append(kernel(*args)) or built[-1])
-    monkeypatch.setattr(resample, "null_stats_from_gram", lambda gram, *args: given.append(gram) or null(gram, *args))
+    kernel, forms = resample.kernel_matrix, resample._quadratic_forms
+
+    def spy_forms(signs, h, product):
+        given.append((h.copy(), [ref() is not None for ref in built]))
+        return forms(signs, h, product)
+
+    def spy_kernel(*args):
+        gram = kernel(*args)
+        built.append(weakref.ref(gram))
+        return gram
+
+    monkeypatch.setattr(resample, "kernel_matrix", spy_kernel)
+    monkeypatch.setattr(resample, "_quadratic_forms", spy_forms)
     return built, given
 
 
-def test_one_window_gives_the_null_a_view_of_its_kernel_matrix(monkeypatch):
-    # a copy would push the window's peak past the GRAM_PEAK_RATIO that check_window_settings budgets for
-    built, given = _spy_on_grams(monkeypatch)
+def test_one_window_frees_its_gram_before_the_null(monkeypatch):
+    # the null's arrays come after the Gram is gone, so check_window_settings
+    # may count the Gram's peak and the null's arrays apart
+    built, given = _spy_on_nulls(monkeypatch)
     x, y = _windows(24, SCAN_WIDTH, 3)
     window_test(RBF_FIXED, x, y, 9, 0, "biased", 1.0)
-    assert len(built) == len(given) == 1
-    assert given[0].shape == (1, 2 * SCAN_WIDTH, 2 * SCAN_WIDTH)
-    assert np.shares_memory(given[0], built[0])
+    assert len(built) == 1 and len(given) == 2  # the flips, then the flip that swaps no pair
+    for h, alive in given:
+        assert alive == [False]
+        assert h.shape == (1, SCAN_WIDTH, SCAN_WIDTH)
+        np.testing.assert_allclose(h[0], _own_h(x, y), rtol=0, atol=1e-15)
 
 
 def test_a_run_of_windows_gives_the_null_one_contiguous_copy_of_their_grams(monkeypatch):
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)  # runs in order
-    built, given = _spy_on_grams(monkeypatch)
+    # each window's H block of the run's H, copied out once for the run
+    built, given = _spy_on_nulls(monkeypatch)
     x, y = _windows(25, 20, 3)
     scan_window_tests(RBF_FIXED, x, y, SCAN_WIDTH, 1, 9, 0, "biased", 1.0)
-    assert [grams.shape[0] for grams in given] == [SCAN_WIDTH, 20 - 2 * SCAN_WIDTH + 1]
-    assert all(grams.flags.c_contiguous for grams in given)
-    pools = [np.concatenate([x[t - SCAN_WIDTH:t], y[t - SCAN_WIDTH:t]]) for t in range(SCAN_WIDTH, 21)]
-    own = [kernel_matrix(RBF_FIXED, 1.0, pool, pool) for pool in pools]
-    np.testing.assert_array_equal(np.concatenate(given), own)
+    stacks = [h for h, _ in given[::2]]
+    assert [h.shape[0] for h in stacks] == [SCAN_WIDTH, 20 - 2 * SCAN_WIDTH + 1]
+    assert all(alive == [False] * len(alive) for _, alive in given)
+    own = [_own_h(x[t - SCAN_WIDTH:t], y[t - SCAN_WIDTH:t]) for t in range(SCAN_WIDTH, 21)]
+    np.testing.assert_allclose(np.concatenate(stacks), own, rtol=0, atol=1e-15)
 
 
 def test_fixed_seed_reproduces_stats_bitwise():
@@ -323,9 +390,11 @@ def test_fixed_seed_reproduces_stats_bitwise():
 
 def test_p_value_bounds_and_monotonicity():
     # one window against shifted copies of itself: the observed statistic grows
-    # with the shift, and the draws (same seed, same sizes) stay the same
+    # with the shift, and the flips (same seed, same sizes) stay the same
     x, _ = _windows(2, 6, 2)
     k = 40
+    signs = flips(3, k, 6)
+    ties = np.count_nonzero(np.all(signs == 1.0, axis=1) | np.all(signs == -1.0, axis=1))
     ps = []
     for shift in (0.0, 0.1, 0.3, 1.0, 100.0):
         observed_sq, stats, _, p_value = window_test(RBF_FIXED, x, x + shift, k, 3, "biased")
@@ -333,24 +402,23 @@ def test_p_value_bounds_and_monotonicity():
         assert 1.0 / (k + 1) <= p_value <= 1.0
         ps.append(p_value)
     assert all(a >= b for a, b in zip(ps, ps[1:]))
-    assert ps[0] == 1.0  # identical windows: every stat reaches the observed 0
-    assert ps[-1] == 1.0 / (k + 1)  # add-one smoothing floor
+    assert ps[0] == 1.0  # identical windows: every flip gives the observed 0
+    # far apart, every flip but the two that swap no pair or every pair falls
+    # below the observed value, and those two tie it to the bit; at w = 6 a
+    # draw is one of them with chance 2/64
+    assert ties > 0
+    assert ps[-1] == (1 + ties) / (k + 1)
 
 
 def test_label_swap_invariance_on_canonicalized_pool():
-    # the null depends on the pool alone, so with the pool rows canonicalized
-    # (sorted lexicographically) the stats do not depend on which sample was
-    # called reference; the observed statistic is symmetric bit for bit
+    # H is the same bits with the sides swapped, so the null is too, and the
+    # observed statistic is symmetric bit for bit
     q1, q2 = _windows(4, 6, 2)
     q2 = q2 + 1.0
-
-    def canonical(a, b):
-        t = np.vstack([a, b])
-        t = t[np.lexsort(t.T[::-1])]
-        return window_test(RBF_FIXED, t[:6], t[6:], 30, 5, "biased")[1]
-
-    np.testing.assert_array_equal(np.sort(canonical(q1, q2)), np.sort(canonical(q2, q1)))
-    assert window_test(RBF_FIXED, q1, q2, 30, 5, "biased")[0] == window_test(RBF_FIXED, q2, q1, 30, 5, "biased")[0]
+    a_sq, a_stats, _, a_p = window_test(RBF_FIXED, q1, q2, 30, 5, "biased")
+    b_sq, b_stats, _, b_p = window_test(RBF_FIXED, q2, q1, 30, 5, "biased")
+    assert (a_sq, a_p) == (b_sq, b_p)
+    np.testing.assert_array_equal(a_stats, b_stats)
 
 
 def test_one_row_windows_have_a_null():
@@ -364,6 +432,33 @@ def test_check_window_settings_refuses_windows_past_window_numbers():
     resample.check_window_settings(4096, 50, "biased")
     with pytest.raises(ValueError, match="8192 rows with 50 bootstraps need about 2.5 GB"):
         resample.check_window_settings(8192, 50, "biased")
+
+
+def test_check_window_settings_counts_the_flips_at_the_boundary():
+    # at w = 32 one window test counts 1.25 x its 64 x 64 Gram, 2 x 32 float64
+    # numbers a flip (its signs and their product with H) and one 4096-column
+    # int8 block of S, 512 numbers a flip: 5120 + 576 k against 2**28
+    assert 5120 + 576 * 466024 <= resample.WINDOW_NUMBERS < 5120 + 576 * 466025
+    resample.check_window_settings(32, 466024, "biased")
+    with pytest.raises(ValueError, match="32 rows with 466025 bootstraps need about 2.0 GB"):
+        resample.check_window_settings(32, 466025, "biased")
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
+def test_scan_sign_memory_does_not_grow_with_rows():
+    # 40000 rows with k = 2000 make an S of 76 MB as int8, 610 MB as float64;
+    # the scan holds one 4096-column int8 block (7.8 MB) and one run's
+    # float64 columns (2000 x 8, 0.12 MB) at a time, beside its 5000 results
+    setup = """
+import numpy as np
+from driftscan.kernels import KernelSpec
+from driftscan.resample import scan_window_tests
+x, y = np.random.default_rng(0).standard_normal((2, 40000, 2))
+scan_window_tests(KernelSpec("rbf", 1.0), x[:16], y[:16], 8, 8, 2000, 0, "biased", 1.0)  # lazy imports
+"""
+    rise_mb = peak_rise_mb(setup, 'scan_window_tests(KernelSpec("rbf", 1.0), x, y, 8, 8, 2000, 0, "biased", 1.0)')
+    block_mb = 2000 * resample.FLIP_COLUMNS / 2**20
+    assert rise_mb < 2 * block_mb, f"peak {rise_mb:.1f} MB over a {block_mb:.1f} MB block of signs"
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")

@@ -154,6 +154,7 @@ OLDER_CONFIGS = {
     "without-rng-scheme": {},  # written before the entry existed
     "bootstrap": {"rng_scheme": "window-stream", "split_policy": "literal_quarter"},  # before the permutation null
     "bootstrap-paired": {"rng_scheme": "window-stream", "split_policy": "paired_halves"},  # the old default split
+    "permutation": {"rng_scheme": "window-permutation"},  # before the lockstep flips
 }
 
 
