@@ -11,7 +11,6 @@ alone.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -22,8 +21,8 @@ from .kernels import KernelSpec
 from .mmd import mmd, mmd_value
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
-from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_dict,
-                   table_csv, windows_to_csv)
+from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, indented_json, load_report,
+                   report_to_dict, table_csv, windows_to_csv)
 from .simharness import (ClassMixtureSpec, MetricSeries, correlation_study, generate_mixture, null_calibration,
                          ratio_drift_study)
 
@@ -113,7 +112,7 @@ def _echo(command: str, args, **resolved) -> dict:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return indented_json(payload) + "\n"
 
 
 def _write_text(path: str | None, text: str) -> None:

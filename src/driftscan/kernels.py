@@ -52,8 +52,8 @@ MEDIAN_PER_WINDOW = "median-window"
 
 #: numbers held at once: inputs with at most this many pairs take one
 #: ``pdist`` for the median heuristic, larger ones go through row blocks
-#: this big; it also caps the Grams and nulls of a scan's window threads
-#: (``resample``) and the distances of ``calibrate``'s trials in flight
+#: this big; half of it caps the blocks of a scan's windows (``resample``),
+#: and it caps the distances of ``calibrate``'s trials in flight
 BLOCK_DISTANCES = 1 << 21
 #: the most distances a step of a sum holds
 SEEN_DISTANCES = 1 << 18
@@ -101,23 +101,29 @@ class KernelSpec:
         return self.needs_bandwidth and self.bandwidth == MEDIAN_PER_WINDOW
 
 
-def kernel_matrix(spec: KernelSpec, bandwidth: float | None, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel Gram matrix between row sets ``x`` (n, d) and ``y`` (m, d).
+def kernel_matrix(spec: KernelSpec, bandwidth, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel Gram matrices between row sets ``x`` (..., n, d) and ``y`` (..., m, d).
 
-    Inputs are float64 arrays. The linear kernel deliberately avoids BLAS
-    matmul so results are bit-identical regardless of thread count.
+    Inputs are float64 arrays with the same leading axes, which stack Grams;
+    ``bandwidth`` is a float or an array over those axes (shape (..., 1, 1)).
+    Each entry has the bits of its own 2-D Gram. The linear kernel
+    deliberately avoids BLAS matmul so results are bit-identical regardless
+    of thread count.
     """
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     if spec.family == "linear":
-        return np.einsum("id,jd->ij", x, y, optimize=False)
-    if bandwidth is None or not (math.isfinite(bandwidth) and bandwidth > 0):
+        return np.einsum("...id,...jd->...ij", x, y, optimize=False)
+    scale = np.asarray(bandwidth, dtype=np.float64)  # None reads NaN
+    if not ((scale > 0).all() and np.isfinite(scale).all()):
         raise ValueError(f"rbf kernel needs a positive finite bandwidth, got {bandwidth!r}")
-    sq, xt, yt = np.empty((x.shape[0], y.shape[0])), x.T[:, :, None], np.ascontiguousarray(y.T)
-    step = max(1, SEEN_DISTANCES // max(1, y.shape[0]))  # rows a step: one small temporary
-    for r in range(0, x.shape[0], step):  # x's columns down, y's across
-        _squared_distances(zip(xt[:, r : r + step], yt), sq[r : r + step])
-    np.divide(sq, -2.0 * bandwidth * bandwidth, out=sq)  # in place: the same bits as a new array
+    sq = np.empty((*x.shape[:-1], y.shape[-2]))
+    columns_first = (x.ndim - 1, *range(x.ndim - 1))
+    xt, yt = x.transpose(columns_first)[..., None], np.ascontiguousarray(y.transpose(columns_first))[..., None, :]
+    step = max(1, SEEN_DISTANCES // max(1, sq[..., 0, :].size))  # rows a step: one small temporary
+    for r in range(0, x.shape[-2], step):  # x's columns down, y's across
+        _squared_distances(zip(xt[..., r : r + step, :], yt), sq[..., r : r + step, :])
+    np.divide(sq, -2.0 * scale * scale, out=sq)  # in place: the same bits as a new array
     return np.exp(sq, out=sq)
 
 

@@ -54,7 +54,7 @@ def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimato
     """Reduce precomputed Gram blocks to MMD^2.
 
     Shared by :func:`mmd` and the window test, which passes views of its
-    windows' pool Grams with a leading window axis. Each block is summed as
+    runs' Grams with leading run and window axes. Each block is summed as
     a contiguous copy, one at a time, so each window gets :func:`mmd`'s
     bits. The flip null moves this value by quadratic forms over sign
     vectors (:func:`~driftscan.resample.window_test`). The cross term sums

@@ -19,7 +19,11 @@ any thread count.
 
 A scan draws one (k, rows) sign matrix S, in column blocks from the streams
 (seed, "scan-flip", block), and the window ending at row t reads columns
-[t - w, t); :func:`window_test` is the one-window case, columns [0, w).
+[t - w, t); :func:`window_test` is the one-window case, columns [0, w). A
+scan tests its windows in blocks: runs of overlapping windows share Kxx, Kxy
+and Kyy over the union of their rows, and a block stacks runs along a
+leading axis, so that each step of the test is one numpy call for all of a
+block's windows.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ FLIP_COLUMNS = 4096
 #: (base_seed, "bootstrap", t)), "window-stream" (a bootstrap) or nothing.
 RNG_SCHEME = "lockstep-flip"
 
-#: a window test's peak over its pool Gram, measured (VmHWM) at w = 1024:
-#: the Gram plus one w x w block, the observed statistic's copy and then H
+#: a window test's peak over 4 w^2 numbers. Measured (VmHWM) at w = 1024 it
+#: is 1.0: its three w x w Grams and one more w x w array (the observed
+#: statistic's copy, Kxy + Kyx, then H). It was 1.25 when a test held one
+#: 2w x 2w pool Gram, and is kept so that the settings refused do not move
 GRAM_PEAK_RATIO = 1.25
 
 
@@ -54,8 +60,8 @@ def check_window_settings(rows: int, bootstraps: int, estimator: str) -> None:
     """Check the settings of window tests on windows of ``rows`` rows.
 
     ValueError for settings that cannot run, among them windows whose one
-    test would peak above ``WINDOW_NUMBERS``: its Gram and one block, then
-    the float64 signs and their product with H, beside one int8 block of S.
+    test would peak above ``WINDOW_NUMBERS``: its Grams, then the float64
+    signs and their product with H, beside one int8 block of S.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
@@ -125,37 +131,56 @@ def _quadratic_forms(signs: np.ndarray, h: np.ndarray, product) -> np.ndarray:
     return np.einsum("...im,...im->...i", product(signs, h), signs)
 
 
-def _span_tests(spec, x, y, width, stride, count, signs, estimator, bandwidth):
-    """Window tests of x[j * stride:][:width] against y[j * stride:][:width] for each j < ``count``.
+def median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=-1)``, to its bits, without the ``numpy.ma`` import it makes on first use.
 
-    The windows take their Gram blocks from one pool Gram over all rows of
-    ``x`` and ``y``, with the bits of their own, and window j its flips from
-    columns [j * stride, j * stride + width) of ``signs``, a (k, rows) array.
-    ``bandwidth`` None resolves it over the pool, which is then one window.
-    Returns, per window, the k null statistics, the observed MMD^2, their
-    median and p-value.
+    The middle value, or the mean of the two middles for an even count, each
+    summed from 0.0 as np.mean does (so -0.0 reads 0.0); NaN where a row
+    holds one.
     """
-    span, k = x.shape[0], signs.shape[0]
-    product = np.matmul if _matmul_keeps_bits(k, width) else _einsum_product  # probed before the Gram is held
-    if bandwidth is None:
-        bandwidth = resolve_bandwidth(spec, x, y)
-    pool = np.concatenate([x, y], dtype=np.float64)
-    gram = kernel_matrix(spec, bandwidth, pool, pool)
+    k = values.shape[-1]
+    part = np.partition(values, [(k - 1) // 2, k // 2], axis=-1)
+    middle = 0.0 + part[..., k // 2] if k % 2 else (0.0 + part[..., k // 2 - 1] + part[..., k // 2]) / 2.0
+    return np.where(np.isnan(values).any(axis=-1), np.nan, middle)
 
-    # every window's Gram in one strided view of the span's, as (window, side, row, side, column)
-    r, c = gram.strides
-    grams = as_strided(gram, (count, 2, width, 2, width), (stride * (r + c), span * r, r, span * c, c),
-                       writeable=False)
-    observed = mmd_sq_from_gram(grams[:, 0, :, 0], grams[:, 1, :, 1], grams[:, 0, :, 1], estimator)
-    gram[:span, span:] += gram[span:, :span]  # Kxy + Kxy' in place, so H is one new array and swap-symmetric
-    h = gram[:span, :span] + gram[span:, span:]
-    h -= gram[:span, span:]
-    del grams, gram, pool
-    # each window's block of H and columns of the signs, copied once for a run of windows
-    r, c = h.strides
-    h = np.ascontiguousarray(as_strided(h, (count, width, width), (stride * (r + c), r, c), writeable=False))
+
+def _block_tests(spec, x, y, width, stride, runs, run, signs, estimator, bandwidth):
+    """Window tests of x[i * stride:][:width] against y[i * stride:][:width] for each i < ``runs * run``.
+
+    Window i = r * run + j is window j of run r, whose rows [r * run * stride,
+    r * run * stride + span) hold its ``run`` windows (span = width + (run - 1)
+    * stride). Each run takes Kxx, Kxy and Kyy over its rows, stacked along a
+    leading run axis, and every window its Gram blocks from them, with the bits
+    of their own; Kyx is Kxy's transpose, to the bit. Window i takes its flips
+    from columns [i * stride, i * stride + width) of ``signs``, a (k, columns)
+    array. ``bandwidth`` None resolves one per run over its rows. Returns, per
+    window, the k null statistics, the observed MMD^2, their median and p-value.
+    """
+    k, span = signs.shape[0], width + (run - 1) * stride
+    product = np.matmul if _matmul_keeps_bits(k, width) else _einsum_product  # probed before the Grams are held
+    rows = np.array([x, x, y, y], dtype=np.float64)
+    s, r, c = rows.strides
+    rows = as_strided(rows, (4, runs, span, x.shape[1]), (s, run * stride * r, r, c), writeable=False)
+    if bandwidth is None and spec.needs_bandwidth:
+        bandwidth = np.array([resolve_bandwidth(spec, a, b) for a, b in zip(rows[0], rows[2])])[:, None, None]
+    grams = kernel_matrix(spec, bandwidth, rows[:3], rows[1:])  # Kxx, Kxy, Kyy
+    del rows
+
+    # every window's Gram blocks as strided views of its run's, as (Gram, run, window, row, column)
+    g, r, c = grams.strides[1:]
+    windows = (3, runs, run, width, width)
+    kxx, kxy, kyy = as_strided(grams, windows, (grams.strides[0], g, stride * (r + c), r, c), writeable=False)
+    observed = mmd_sq_from_gram(kxx, kyy, kxy, estimator).reshape(-1)
+    cross = grams[1] + np.swapaxes(grams[1], -2, -1)  # Kxy + Kyx, so H is swap-symmetric
+    h = grams[0]
+    h += grams[2]
+    h -= cross
+    del kxx, kxy, kyy, cross
+    # each window's block of H and columns of the signs, copied once for the block
+    h = as_strided(h, windows[1:], (g, stride * (r + c), r, c), writeable=False).copy().reshape(-1, width, width)
+    del grams
     r, c = signs.strides
-    signs = np.ascontiguousarray(as_strided(signs, (count, k, width), (stride * c, r, c), writeable=False))
+    signs = np.ascontiguousarray(as_strided(signs, (runs * run, k, width), (stride * c, r, c), writeable=False))
     ones = np.ones((1, width))
     offset = _quadratic_forms(signs, h, product) - _quadratic_forms(ones, h, _einsum_product)
     b = 1.0 / (width * width)
@@ -163,7 +188,7 @@ def _span_tests(spec, x, y, width, stride, count, signs, estimator, bandwidth):
     if estimator == "biased":
         np.maximum(stats, 0.0, out=stats)
     p_value = (1.0 + np.count_nonzero(stats >= observed[:, None], axis=-1)) / (k + 1.0)
-    return stats, observed, np.median(stats, axis=-1), p_value
+    return stats, observed, median(stats), p_value
 
 
 def window_test(spec: KernelSpec, x: np.ndarray, y: np.ndarray, k: int, seed: int, estimator: str,
@@ -175,22 +200,43 @@ def window_test(spec: KernelSpec, x: np.ndarray, y: np.ndarray, k: int, seed: in
     middles for even k), and the add-one-smoothed tail probability
     (1 + #{stats >= observed_sq}) / (k + 1), never zero.
 
-    ``x`` and ``y`` are (rows, dims) arrays, pooled and computed in float64.
-    The pool's Gram matrix is built once: the observed statistic comes from
-    its contiguous blocks (bit-identical to :func:`~driftscan.mmd.mmd`), the
+    ``x`` and ``y`` are (rows, dims) arrays, computed in float64. Kxx, Kxy
+    and Kyy are built once: the observed statistic comes from them
+    (bit-identical to :func:`~driftscan.mmd.mmd`), the
     flips from columns [0, rows) of the sign matrix S of :func:`flip_signs`
     for ``seed``, as for a scan's first window. ``bandwidth`` is resolved
-    over the pool when None (per window); :func:`check_window_settings`
-    checks the settings. It is the one-window case of
-    :func:`scan_window_tests`.
+    over both windows' rows when None (per window);
+    :func:`check_window_settings` checks the settings. It is a block of one
+    one-window run of :func:`scan_window_tests`.
     """
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
     rows = x.shape[0]
     check_window_settings(rows, k, estimator)
-    stats, observed, median, p_value = _span_tests(
-        spec, x, y, rows, 1, 1, flip_signs(seed, k, rows)(0, rows), estimator, bandwidth)
-    return float(observed[0]), stats[0], float(median[0]), float(p_value[0])
+    stats, observed, middle, p_value = _block_tests(
+        spec, x, y, rows, 1, 1, 1, flip_signs(seed, k, rows)(0, rows), estimator, bandwidth)
+    return float(observed[0]), stats[0], float(middle[0]), float(p_value[0])
+
+
+def _block_shape(per_window: bool, width: int, stride: int, k: int, rows: int, dims: int) -> tuple[int, int]:
+    """Windows a run and runs a block for a scan of ``rows`` x ``dims`` sides.
+
+    A block, with the int8 block of S held beside it, keeps to half of
+    ``BLOCK_DISTANCES``: larger blocks were measured slower, their arrays
+    out of the CPU's caches. It counts, per window, its Gram blocks or H,
+    its float64 columns of S, its flips and their product with H; per run,
+    its three Grams and one more, and its rows. A run holds the windows that
+    overlap its first, fewer if they do not fit, and one under a per-window
+    bandwidth; a block holds at least one run.
+    """
+    budget = kernels.BLOCK_DISTANCES // 2 - k * min(FLIP_COLUMNS, rows) // 8
+    window = width * width + 2 * k * width + k * min(stride, width)
+
+    def held(span):
+        return 4 * span * span + 8 * dims * span
+
+    run = 1 if per_window else max(1, min(width // stride, (budget - held(2 * width)) // window))
+    return run, max(1, budget // (held(width + (run - 1) * stride) + run * window))
 
 
 def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int, stride: int, k: int, seed: int,
@@ -199,23 +245,31 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
 
     Returns the observed MMD^2, null medians and p-values as float lists.
     Window t takes its flips from columns [t - width, t) of one sign matrix
-    S for ``seed`` (:func:`flip_signs`). Runs of up to ``width // stride``
-    overlapping windows share one pool Gram (under ``median-window`` a run
-    is one window) and are reduced along a leading window axis, with the
-    bits of one window at a time; a run holds about ``BLOCK_DISTANCES``
-    numbers, or one window. ``bandwidth`` None under the global median is a
-    ValueError: each run would take its own.
+    S for ``seed`` (:func:`flip_signs`). Consecutive windows form runs of up
+    to ``width // stride``, whose Grams cover the union of their rows (under
+    ``median-window`` a run is one window), and consecutive runs of equal
+    length are tested together in blocks (:func:`_block_tests`) along a
+    leading axis, with the bits of one window at a time; a last, shorter run
+    is a block of its own. :func:`_block_shape` sizes them to the memory
+    budget. ``bandwidth`` None under the global median is a ValueError: each
+    run would take its own.
     """
     if bandwidth is None and spec.needs_bandwidth and spec.bandwidth == kernels.MEDIAN_GLOBAL:
         raise ValueError("the global median bandwidth must be resolved over the whole scan and passed in")
     check_window_settings(width, k, estimator)
-    ends = range(width, x.shape[0] + 1, stride)
-    # per window its Gram blocks, flips and their product with H; a run spans
-    # under 2 * width rows, so its pool Gram, H and signs hold under 5 windows' numbers
-    window = 4 * width * width + 2 * k * width
-    size = 1 if spec.per_window_bandwidth else max(1, min(width // stride, kernels.BLOCK_DISTANCES // window - 5))
+    count = len(range(width, x.shape[0] + 1, stride))
+    run, per_block = _block_shape(spec.per_window_bandwidth, width, stride, k, *x.shape)
+    full = count // run
+    blocks = [(min(per_block, full - first), run) for first in range(0, full, per_block)]
+    if count % run:
+        blocks.append((1, count % run))
     signs = flip_signs(seed, k, x.shape[0])
-    parts = [_span_tests(spec, x[t[0] - width:t[-1]], y[t[0] - width:t[-1]], width, stride, len(t),
-                         signs(t[0] - width, t[-1]), estimator, bandwidth)[1:]
-             for t in (ends[i:i + size] for i in range(0, len(ends), size))]
-    return tuple(np.concatenate(column).tolist() for column in zip(*parts))
+    columns, first = ([], [], []), 0
+    for runs, length in blocks:
+        rows = slice(first * stride, (first + runs * length - 1) * stride + width)
+        tests = _block_tests(spec, x[rows], y[rows], width, stride, runs, length, signs(rows.start, rows.stop),
+                             estimator, bandwidth)
+        for column, values in zip(columns, tests[1:]):
+            column.extend(values.tolist())  # Python floats: no small arrays pinned in the heap between blocks
+        first += runs * length
+    return columns

@@ -6,9 +6,12 @@ position it computes the observed MMD^2 between the two windows, calibrates
 it against sign flips of their row pairs, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
 locates the window with the largest statistic, whose row ranges are the
-drift-cause candidates for both sides. Runs of overlapping windows share a
-pool Gram, and every window reads its flips from one sign matrix per scan
-(:func:`~driftscan.resample.scan_window_tests`).
+drift-cause candidates for both sides. Runs of overlapping windows share
+their Grams, blocks of runs are tested along a leading axis, and every
+window reads its flips from one sign matrix per scan
+(:func:`~driftscan.resample.scan_window_tests`). Reports are written
+through json's C encoder (:func:`indented_json`), with the bytes of
+``json.dumps(..., indent=2)``.
 
 Index convention: ``t_index`` is 1-based and names the last sample in a
 window, so the first window has ``t_index == window`` and covers samples
@@ -18,6 +21,7 @@ same 1-based inclusive convention.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,7 +31,7 @@ import numpy as np
 from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
 from .kernels import KernelSpec, resolve_bandwidth
 from .mmd import mmd_value
-from .resample import RNG_SCHEME, check_window_settings, scan_window_tests
+from .resample import RNG_SCHEME, check_window_settings, median, scan_window_tests
 from .rng import check_seed
 
 
@@ -141,8 +145,8 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
         config.seed, config.estimator, bandwidth)
     windows = [
-        WindowResult(t, t - width + 1, sq, mmd_value(sq), median, p, p <= config.alpha)
-        for t, sq, median, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
+        WindowResult(t, t - width + 1, sq, mmd_value(sq), middle, p, p <= config.alpha)
+        for t, sq, middle, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
     ]
     argmax_pos = int(np.argmax(observed_sq))  # first occurrence on ties
     peak = windows[argmax_pos]
@@ -156,7 +160,7 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         truncated=ref.rows != targ.rows,
         windows=windows,
         summary_score=float(np.mean(observed_sq)),
-        summary_median=float(np.median(observed_sq)),
+        summary_median=float(median(np.array(observed_sq))),
         boot_median_mean=float(np.mean(boot_medians)),
         argmax_index=peak.t_index,
         cause_reference=cause,
@@ -215,8 +219,58 @@ def report_from_dict(d: dict) -> DriftReport:
     })
 
 
+#: JSON's scalars: a container of only these is encoded in one call to json's C encoder
+_SCALARS = (str, int, float, type(None))
+
+
+def _flat(value) -> bool:
+    """Whether ``value`` is a non-empty dict, list or tuple of JSON scalars."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return False
+    return all(isinstance(item, _SCALARS) for item in (value.values() if isinstance(value, dict) else value))
+
+
+@functools.cache
+def _flat_encoder(pad: str):
+    """json's C encoder with each item of a container of scalars on a line of its own after ``pad``."""
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode
+
+
+def indented_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``'s text, with containers of scalars encoded by json's C encoder.
+
+    That encoder serves only ``indent=None``; with the item separator ``,``
+    followed by a newline and the item's indentation, it writes a flat
+    container's lines as the indenting encoder does, which leaves only the
+    brackets' lines to add. A list of flat containers, such as a report's
+    windows, is one call too. ``pad`` is a newline and the indentation of
+    ``value``'s own line.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    if _flat(value):
+        text = _flat_encoder(inner)(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if not isinstance(value, dict) and all(map(_flat, value)):
+        # no scalar's text ends in a bracket, so a closing bracket and the
+        # separator after it end an item; each item's brackets get lines of their own
+        deeper = inner + "  "
+        text = _flat_encoder(deeper)(value)
+        brackets = {"{}" if isinstance(item, dict) else "[]" for item in value}
+        for _, close in brackets:
+            for open_, _ in brackets:
+                text = text.replace(close + "," + deeper + open_, inner + close + "," + inner + open_ + deeper)
+        return text[0] + inner + text[1] + deeper + text[2:-2] + inner + text[-2] + pad + text[-1]
+    if isinstance(value, dict):
+        # json.dumps's text of each key, which may be a number, a bool or None
+        lines = (json.dumps({key: None})[1:-7] + ": " + indented_json(item, inner) for key, item in value.items())
+        return "{" + inner + ("," + inner).join(lines) + pad + "}"
+    return "[" + inner + ("," + inner).join(indented_json(item, inner) for item in value) + pad + "]"
+
+
 def report_to_json(report: DriftReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return indented_json(report_to_dict(report)) + "\n"
 
 
 def save_report(report: DriftReport, path) -> None:
@@ -246,7 +300,7 @@ def table_csv(config: dict, header: list[str], rows) -> str:
 
 
 def windows_to_csv(report: DriftReport) -> str:
-    """Flat window series for plotting, with the config echoed as a comment."""
-    header = ["t_index", "observed_sq", "boot_median", "p_value"]
-    rows = ([getattr(w, name) for name in header] for w in report.windows)
-    return table_csv(_config_echo(report.config), header, rows)
+    """Flat window series for plotting, with the config echoed as a comment; a :func:`table_csv`."""
+    head = table_csv(_config_echo(report.config), ["t_index", "observed_sq", "boot_median", "p_value"], ())
+    return head + "".join(["%d,%r,%r,%r\n" % (w.t_index, w.observed_sq, w.boot_median, w.p_value)
+                           for w in report.windows])

@@ -559,12 +559,13 @@ def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats and scipy.spatial are slow to import; only correlate needs
     # the one and only the median bandwidth of a small pool (one pdist) the
     # other, so start-up (--help included) must pay for neither; nor for
-    # concurrent.futures, which only the distance passes and calibrate use
-    modules = ("scipy.stats", "scipy.spatial", "concurrent.futures")
+    # concurrent.futures, which only the distance passes and calibrate use;
+    # nor for numpy.ma and numpy.random, which numpy imports on first use
+    modules = ("scipy.stats", "scipy.spatial", "concurrent.futures", "numpy.ma", "numpy.random")
     code = f"import sys, driftscan.cli; print(*(m in sys.modules for m in {modules!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False False False False"
 
 
 #: runs the CLI on its arguments, then prints whether scipy.spatial was imported
@@ -591,6 +592,22 @@ def test_scan_past_the_one_pdist_pool_leaves_scipy_spatial_out(tmp_path):
         proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-1] == "False", f"{2 * rows} pooled rows"
+
+
+def test_scan_leaves_numpy_ma_out(tmp_path):
+    # np.median imports numpy.ma on first use, which takes longer than a
+    # small scan's windows; the scan's medians come from a partition. The
+    # bandwidth is fixed: a small pool's median takes one pdist, and
+    # scipy.spatial imports numpy.ma itself
+    argv = [sys.executable, "-c", SPATIAL_WRAPPER.replace("scipy.spatial", "numpy.ma"), "scan", "--ref", "ref.emb",
+            "--target", "target.emb", "--window", "8", "--bootstraps", "19", "--bandwidth", "1.5",
+            "--out", "report.json", "--csv-out", "series.csv"]
+    rng = np.random.default_rng(34)
+    for side in ("ref", "target"):
+        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((40, 3))), tmp_path / f"{side}.emb")
+    proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
 
 
 #: peak RSS allowed to a scan whose pooled median bandwidth spans 16000 rows.

@@ -15,9 +15,10 @@ A refactor that keeps the outputs must keep these hashes. For the scan, two pins
 ``VARIANT_PINS`` hashes the JSON and CSV of the same scan under each
 other kernel, estimator and bandwidth policy. ``STRIDE_PINS`` hashes
 the default scan and every variant at strides 1 and 8 as well, where runs of
-16 and of 2 overlapping windows share one pool Gram. Every scan pin must
-also hold with runs of 1, 3 and up to 32 windows, and in a child process
-whose BLAS runs one thread. ``BLOCKWISE_PINS``
+16 and of 2 overlapping windows share their Grams. Every scan pin must
+also hold with blocks of one window, of a few 3-window runs and of every
+full run (``BLOCK_SHAPES``), and in a child process whose BLAS runs one
+thread. ``BLOCKWISE_PINS``
 hashes a scan whose pool is large enough for the median bandwidth to be
 taken one row block at a time, so ``bandwidth_used`` from that pass is
 pinned to the byte.
@@ -79,7 +80,7 @@ from driftscan.cli import main
 from driftscan.kernels import KernelSpec
 from driftscan.resample import scan_window_tests, window_test
 from driftscan.simharness import null_calibration
-from test_resample import runs_of
+from test_resample import blocks_of
 
 SCAN_JSON_SHA256 = "ef97a691d777252b4eb68c8ed5c97b5c0ea15c4e58a3d5b82c0fd6fe47dafa11"
 SCAN_CSV_SHA256 = "6cc3ca5e317682c71c03ba4545ebcf0cf8d75f47da89db6ca58248d8191c8696"
@@ -380,23 +381,26 @@ def test_scan_variants_match_golden_hashes(golden_inputs, flags):
     assert (_sha256(report), _sha256(series)) == VARIANT_PINS[flags]
 
 
-#: windows a run holds in the run-size checks; 32 is more than any golden scan allows
-RUN_SIZES = (1, 3, 32)
+#: (windows a run, runs a block) in the block-shape checks: one window a
+#: block, a few runs a block, and all runs in one block (32 windows is more
+#: than any golden run may hold, so the run holds width // stride)
+BLOCK_SHAPES = ((1, 1), (3, 4), (32, 32))
 
 
-def _scan_by_run_size(monkeypatch, work, *flags: str, stride: int) -> list:
-    # the golden scan (w = 16, k = 19) in runs of 1, 3 and 32 windows; each must give the same bytes
+def _scan_by_block_shape(monkeypatch, work, *flags: str, stride: int) -> list:
+    # the golden scan (w = 16, k = 19) in each block shape; each must give the same bytes
     grams = []
     real = resample.kernel_matrix
     monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(1) or real(*args))
     hashes = []
-    for windows in RUN_SIZES:
-        runs_of(monkeypatch, windows, 16, 19)
+    for windows, runs in BLOCK_SHAPES:
+        blocks_of(monkeypatch, windows, runs)
         grams.clear()
         hashes.append(tuple(map(_sha256, _scan(work, *flags, stride=stride))))
-        report = json.loads((work / "report.json").read_bytes())
-        size = 1 if "median-window" in flags else max(1, min(windows, 16 // stride))
-        assert len(grams) == -(-len(report["windows"]) // size)  # the runs held that many windows
+        count = len(json.loads((work / "report.json").read_bytes())["windows"])
+        run = 1 if "median-window" in flags else max(1, min(windows, 16 // stride))
+        # one Gram build a block: the full runs, then a shorter last run of its own
+        assert len(grams) == -(-(count // run) // runs) + (count % run > 0)
     return hashes
 
 
@@ -434,10 +438,10 @@ def one_blas_thread_hashes(golden_inputs):
                          ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
 def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, one_blas_thread_hashes, monkeypatch, stride,
                                                         flags):
-    # the scan's only workers are BLAS threads; runs of more or fewer windows must not move a byte either
-    hashes = _scan_by_run_size(monkeypatch, golden_inputs, *flags, stride=stride)
+    # the scan's only workers are BLAS threads; blocks of more or fewer windows must not move a byte either
+    hashes = _scan_by_block_shape(monkeypatch, golden_inputs, *flags, stride=stride)
     assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
-    assert hashes == [SCAN_PINS[stride, flags]] * len(RUN_SIZES)
+    assert hashes == [SCAN_PINS[stride, flags]] * len(BLOCK_SHAPES)
     assert one_blas_thread_hashes[stride, flags] == SCAN_PINS[stride, flags]
 
 
@@ -446,10 +450,10 @@ def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
     calls = []
     real = kernels._blockwise_order_statistic
     monkeypatch.setattr(kernels, "_blockwise_order_statistic", lambda x, k: calls.append(k) or real(x, k))
-    hashes = _scan_by_run_size(monkeypatch, tmp_path, stride=512)
+    hashes = _scan_by_block_shape(monkeypatch, tmp_path, stride=512)
     assert _observed_sha256(tmp_path / "report.json") == BLOCKWISE_OBSERVED_SHA256
-    assert hashes == [BLOCKWISE_PINS] * len(RUN_SIZES)
-    assert len(calls) == len(RUN_SIZES)  # each scan's pooled median went through the row blocks
+    assert hashes == [BLOCKWISE_PINS] * len(BLOCK_SHAPES)
+    assert len(calls) == len(BLOCK_SHAPES)  # each scan's pooled median went through the row blocks
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_PINS))
@@ -516,7 +520,7 @@ def test_window_nulls_match_golden_hashes(width, k):
 @pytest.mark.parametrize("k", sorted(SPAN_NULL_PINS))
 def test_stacked_window_nulls_match_golden_hashes(monkeypatch, k):
     x, y = _null_inputs(200, 160)
-    for windows in RUN_SIZES:
-        runs_of(monkeypatch, windows, 160, k)
+    for windows, runs in BLOCK_SHAPES:
+        blocks_of(monkeypatch, windows, runs)
         columns = scan_window_tests(KernelSpec("rbf", SPAN_BANDWIDTH), x, y, 160, 4, k, 7, "biased", SPAN_BANDWIDTH)
         assert _sha256(np.array(columns).tobytes()) == SPAN_NULL_PINS[k]

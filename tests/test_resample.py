@@ -40,7 +40,7 @@ def flips(seed, k, rows):
 
 def one_window_null(spec, bandwidth, x, y, signs, estimator):
     """The k null statistics, observed MMD^2 and p-value of one window tested with the flips ``signs``."""
-    stats, observed, _, p_value = resample._span_tests(spec, x, y, x.shape[0], 1, 1, signs, estimator, bandwidth)
+    stats, observed, _, p_value = resample._block_tests(spec, x, y, x.shape[0], 1, 1, 1, signs, estimator, bandwidth)
     return stats[0], observed[0], p_value[0]
 
 
@@ -141,8 +141,8 @@ def test_shared_gram_gives_the_same_null():
     # columns of S, gets the bits of a window test alone
     x, y = (side.astype(np.float32) for side in _windows(13, 10, 3))
     observed_sq, stats, _, _ = window_test(RBF_FIXED, x[:8], y[:8], 30, 6, "biased", 1.0)
-    run, observed, _, _ = resample._span_tests(RBF_FIXED, x, y, 8, 1, 3, resample.flip_signs(6, 30, 10)(0, 10),
-                                               "biased", 1.0)
+    run, observed, _, _ = resample._block_tests(RBF_FIXED, x, y, 8, 1, 1, 3, resample.flip_signs(6, 30, 10)(0, 10),
+                                                "biased", 1.0)
     np.testing.assert_array_equal(run[0], stats)
     assert observed[0] == observed_sq
     assert (observed_sq, 1.0) == mmd(RBF_FIXED, EmbeddingMatrix.from_array(x[:8]),
@@ -172,7 +172,7 @@ def fresh_probe():
 def _run_nulls(x, y, width, k, count, seed=5):
     """The null statistics of ``count`` stride-1 windows tested as one run."""
     signs = resample.flip_signs(seed, k, x.shape[0])(0, x.shape[0])
-    return resample._span_tests(RBF_FIXED, x, y, width, 1, count, signs, "biased", 1.0)[0]
+    return resample._block_tests(RBF_FIXED, x, y, width, 1, 1, count, signs, "biased", 1.0)[0]
 
 
 def _einsum_run_nulls(monkeypatch, *args):
@@ -192,8 +192,8 @@ def test_null_has_the_bits_of_einsum_at_every_shape(monkeypatch, width, k):
     assert stacked.tobytes() == _einsum_run_nulls(monkeypatch, x, y, width, k, 3).tobytes()
     signs = resample.flip_signs(5, k, width + 2)(0, width + 2)
     for j, stats in enumerate(stacked):
-        own = resample._span_tests(RBF_FIXED, x[j:j + width], y[j:j + width], width, 1, 1,
-                                   signs[:, j:j + width], "biased", 1.0)[0][0]
+        own = resample._block_tests(RBF_FIXED, x[j:j + width], y[j:j + width], width, 1, 1, 1,
+                                    signs[:, j:j + width], "biased", 1.0)[0][0]
         assert own.tobytes() == stats.tobytes()
 
 
@@ -250,27 +250,30 @@ SCAN_CASES = {
 SCAN_WIDTH = 8
 
 
-def _window_test_loop(spec, x, y, stride, k, seed, estimator, bandwidth):
-    """Reference: one window at a time, window t with columns [t - SCAN_WIDTH, t) of the scan's S."""
+def _window_test_loop(spec, x, y, stride, k, seed, estimator, bandwidth, width=SCAN_WIDTH):
+    """Reference: one window at a time, window t with columns [t - width, t) of the scan's S."""
     signs = resample.flip_signs(seed, k, x.shape[0])(0, x.shape[0])
     columns = ([], [], [])
-    for t in range(SCAN_WIDTH, x.shape[0] + 1, stride):
-        rows = slice(t - SCAN_WIDTH, t)
-        stats, observed_sq, median, p_value = resample._span_tests(spec, x[rows], y[rows], SCAN_WIDTH, 1, 1,
-                                                                  signs[:, rows], estimator, bandwidth)
+    for t in range(width, x.shape[0] + 1, stride):
+        rows = slice(t - width, t)
+        stats, observed_sq, median, p_value = resample._block_tests(spec, x[rows], y[rows], width, 1, 1, 1,
+                                                                   signs[:, rows], estimator, bandwidth)
         assert observed_sq[0] == window_test(spec, x[rows], y[rows], k, seed, estimator, bandwidth)[0]
         for column, value in zip(columns, (observed_sq, median, p_value)):
             column.append(float(value[0]))
     return columns
 
 
-@pytest.mark.parametrize("stride", [1, 3, SCAN_WIDTH, 2 * SCAN_WIDTH])
+def _scan_inputs(rows=45):
+    rng = np.random.default_rng(21)
+    return rng.standard_normal((rows, 3)).astype(np.float32), (rng.standard_normal((rows, 3)) + 0.3).astype(np.float32)
+
+
+@pytest.mark.parametrize("stride", [1, 3, SCAN_WIDTH, SCAN_WIDTH + 1, 2 * SCAN_WIDTH])
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_window_tests_equal_a_loop_of_window_test(name, stride):
     spec, bandwidth, estimator = SCAN_CASES[name]
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal((45, 3)).astype(np.float32)
-    y = (rng.standard_normal((45, 3)) + 0.3).astype(np.float32)
+    x, y = _scan_inputs()
     got = scan_window_tests(spec, x, y, SCAN_WIDTH, stride, 13, 4, estimator, bandwidth)
     want = _window_test_loop(spec, x, y, stride, 13, 4, estimator, bandwidth)
     assert all(type(v) is float for column in got for v in column)  # reports print each float's repr
@@ -290,37 +293,90 @@ def test_scan_window_tests_refuse_an_unresolved_global_median(spec):
         assert len(scan_window_tests(spec, x, y, 160, 4, 19, 7, "biased", None)[0]) == 11
 
 
-def runs_of(monkeypatch, windows, width, k):
-    """Make :func:`scan_window_tests` take runs of ``windows`` windows (at most ``width // stride``).
+def blocks_of(monkeypatch, windows, runs):
+    """Make :func:`scan_window_tests` take blocks of ``runs`` runs of ``windows`` windows.
 
-    A window counts 4w^2 numbers for its Gram blocks and 2kw for its flips
-    and their product; a run's pool Gram, H and signs take 5 windows' worth.
+    A run holds at most ``width // stride`` windows, and one under a
+    per-window bandwidth, as the budget would allow.
     """
-    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", (5 + windows) * (4 * width * width + 2 * k * width))
+    def shape(per_window, width, stride, *_):
+        return 1 if per_window else max(1, min(windows, width // stride)), runs
+
+    monkeypatch.setattr(resample, "_block_shape", shape)
+
+
+def spy_on_blocks(monkeypatch):
+    """A list of the (runs, windows a run) of each block :func:`scan_window_tests` tests."""
+    blocks = []
+    real = resample._block_tests
+    monkeypatch.setattr(resample, "_block_tests", lambda *args: blocks.append(args[5:7]) or real(*args))
+    return blocks
+
+
+#: (windows a run, runs a block): one window a block, one run a block, and
+#: many runs a block; 45 rows leave a ragged last run at strides 1 and 3
+BLOCK_SHAPES = ((1, 1), (3, 1), (8, 4), (2, 32))
+
+
+@pytest.mark.parametrize("stride", [1, 3, SCAN_WIDTH, SCAN_WIDTH + 1, 2 * SCAN_WIDTH])
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_blocks_of_any_shape_equal_a_loop_of_window_test(monkeypatch, name, stride):
+    # runs of windows stacked along a leading axis keep each window's bits,
+    # whatever a block and its runs hold
+    spec, bandwidth, estimator = SCAN_CASES[name]
+    x, y = _scan_inputs()
+    want = _window_test_loop(spec, x, y, stride, 13, 4, estimator, bandwidth)
+    blocks = spy_on_blocks(monkeypatch)
+    count = len(want[0])
+    for windows, runs in BLOCK_SHAPES:
+        blocks_of(monkeypatch, windows, runs)
+        blocks.clear()
+        assert scan_window_tests(spec, x, y, SCAN_WIDTH, stride, 13, 4, estimator, bandwidth) == want
+        run = 1 if spec.per_window_bandwidth else max(1, min(windows, SCAN_WIDTH // stride))
+        full = [(min(runs, count // run - first), run) for first in range(0, count // run, runs)]
+        assert blocks == full + ([(1, count % run)] if count % run else [])
+
+
+def _budget(width, stride, k, rows, dims, windows):
+    """A ``BLOCK_DISTANCES`` whose budget fits runs of ``windows`` windows and not of one more.
+
+    A block keeps to half of it beside S's int8 block, and counts 4 span^2
+    + 8 dims span numbers a run and w^2 + 2kw + k min(stride, w) a window.
+    """
+    window = width * width + 2 * k * width + k * min(stride, width)
+    return 2 * (k * rows // 8 + 4 * (2 * width) ** 2 + 8 * dims * 2 * width + windows * window)
 
 
 @pytest.mark.parametrize("budget_windows, stride", [(1, 1), (3, 2), (5, 3)])
 def test_scan_window_tests_equal_the_loop_when_the_budget_cuts_the_runs(monkeypatch, budget_windows, stride):
     # with room for budget_windows windows, runs hold that many, not width // stride
     width = 24
-    runs_of(monkeypatch, budget_windows, width, 9)
+    monkeypatch.setattr(kernels, "BLOCK_DISTANCES", _budget(width, stride, 9, 60, 2, budget_windows))
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal((60, 2)), rng.standard_normal((60, 2))
-    grams = []
-    real = resample.kernel_matrix
-    monkeypatch.setattr(resample, "kernel_matrix", lambda *args: grams.append(args[2].shape[0]) or real(*args))
+    blocks = spy_on_blocks(monkeypatch)
     for estimator in ("biased", "unbiased"):
-        grams.clear()
+        blocks.clear()
         got = scan_window_tests(RBF_FIXED, x, y, width, stride, 9, 6, estimator, 1.0)
-        # a run of n windows pools 2 * (width + (n - 1) * stride) rows
-        windows = len(range(width, 61, stride))
-        assert grams.count(2 * (width + (budget_windows - 1) * stride)) == windows // budget_windows
-        signs = resample.flip_signs(6, 9, 60)(0, 60)
-        for i, t in enumerate(range(width, 61, stride)):
-            rows = slice(t - width, t)
-            _, observed, median, p_value = resample._span_tests(RBF_FIXED, x[rows], y[rows], width, 1, 1,
-                                                                signs[:, rows], estimator, 1.0)
-            assert (got[0][i], got[1][i], got[2][i]) == (observed[0], median[0], p_value[0])
+        windows, rest = divmod(len(range(width, 61, stride)), budget_windows)
+        assert [run for runs, run in blocks for _ in range(runs)] == [budget_windows] * windows + [rest] * (rest > 0)
+        assert got == _window_test_loop(RBF_FIXED, x, y, stride, 9, 6, estimator, 1.0, width)
+
+
+@pytest.mark.parametrize("width, stride, k, rows, dims", [(32, 1, 50, 2000, 8), (32, 64, 50, 6000, 64),
+                                                          (8, 8, 2000, 40000, 2), (512, 1, 50, 600, 8),
+                                                          (32, 1, 2000, 95, 8), (16, 3, 19, 200, 4)])
+def test_a_block_keeps_to_half_the_budget(width, stride, k, rows, dims):
+    # the numbers a block counts, with S's int8 block, stay within half of
+    # BLOCK_DISTANCES unless one window alone is over; a run holds the windows
+    # that overlap its first, or one under a per-window bandwidth
+    run, runs = resample._block_shape(False, width, stride, k, rows, dims)
+    span = width + (run - 1) * stride
+    numbers = k * min(resample.FLIP_COLUMNS, rows) // 8 + runs * (
+        4 * span * span + 8 * dims * span + run * (width * width + 2 * k * width + k * min(stride, width)))
+    assert 1 <= run <= max(1, width // stride) and runs >= 1
+    assert numbers <= kernels.BLOCK_DISTANCES // 2 or (run, runs) == (1, 1)
+    assert resample._block_shape(True, width, stride, k, rows, dims)[0] == 1
 
 
 def _windows(seed, rows, dims):
@@ -505,6 +561,19 @@ def test_even_k_median_averages_middles():
     _, stats, median, _ = window_test(RBF_FIXED, x, y, 10, 2, "biased")
     s = np.sort(stats)
     assert median == pytest.approx((s[4] + s[5]) / 2.0, rel=0, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 199])
+def test_median_has_the_bits_of_np_median(k):
+    # rows with ties, signed zeros, infinities and a NaN, whose median is NaN
+    rng = np.random.default_rng(k)
+    values = rng.choice([0.0, -0.0, 1e-300, 0.5, 0.5 + 2**-53, 3.0, np.inf, -np.inf], (40, k))
+    values[:20] = rng.standard_normal((20, k)) * 10.0 ** rng.integers(-300, 300, (20, 1))
+    values[7, k // 2] = np.nan
+    values[8] = -0.0
+    with np.errstate(invalid="ignore"):  # the mean of -inf and inf
+        assert resample.median(values).tobytes() == np.median(values, axis=-1).tobytes()
+    assert resample.median(values[0]).tobytes() == np.median(values[0]).tobytes()
 
 
 def test_derived_streams_are_stable_and_distinct():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftscan import kernels
 from driftscan.embeddings import DatasetPair, EmbeddingMatrix, ValidationError
@@ -12,6 +14,7 @@ from driftscan.scan import (
     ScanConfig,
     drift_scan,
     extract_cause_samples,
+    indented_json,
     load_report,
     report_from_dict,
     report_to_dict,
@@ -204,6 +207,25 @@ def test_report_schema_fields():
     assert set(w) == {"t_index", "start_index", "observed_sq", "observed", "boot_median", "p_value", "flagged"}
     assert d["config"]["seed"] == FAST.seed
     assert d["config"]["alpha"] == FAST.alpha
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                 | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, "é ☃ \"\\\n\t\x00"]))
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+#: containers of scalars, which a list of them writes in one call
+_FLAT = st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4) | st.lists(_JSON_SCALARS, min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda children: st.lists(children, max_size=4) | st.tuples(children)
+                    | st.dictionaries(_JSON_KEYS, children, max_size=4), max_leaves=30)
+       | st.lists(_FLAT, min_size=1, max_size=5))
+@example({"windows": [{}, [], {"a": [float("nan"), -0.0, 5e-324]}], "é\n": {"x": None, "y": True}, "z": []})
+@example([[1, [2.5, float("inf")], {"k": -float("inf")}], {}, [], "\u2603\"\\"])
+@example([{"a": "},\n      {", "b": 1}, ["]", "[,"], (None, True), {"": -0.0}])
+def test_indented_json_writes_the_bytes_of_json_dumps(value):
+    # containers of scalars go through json's C encoder; every byte must be the indenting encoder's
+    assert indented_json(value) == json.dumps(value, indent=2)
 
 
 def test_windows_csv_has_config_and_header():
