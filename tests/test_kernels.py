@@ -456,19 +456,44 @@ def test_blockwise_median_with_tiny_blocks_and_misses(seed, monkeypatch):
 
 
 def test_blockwise_products_hold_at_most_the_distance_budget(monkeypatch):
-    # each block's matrix product holds at most BLOCK_DISTANCES approximations
+    # each block's products fill one array of at most BLOCK_DISTANCES
+    # approximations; every product writes a tile of it, whose base is
+    # that array
     sizes = []
     real = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda a, b: sizes.append(a.shape[0] * b.shape[1]) or real(a, b))
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: sizes.append(kwargs["out"].base.size) or real(*args, **kwargs))
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 6000)
     x = np.random.default_rng(25).standard_normal((400, 3))
     assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
     assert 6000 - 400 < max(sizes) <= 6000
 
 
+@pytest.mark.parametrize("shape", [(4000, 8), (2100, 300)])
+def test_blockwise_products_run_on_one_blas_thread(shape, monkeypatch):
+    # OpenBLAS threads a GEMM whose m n k passes 65536 times its
+    # GEMM_MULTITHREAD_THRESHOLD, 4 by default, and numpy issues one GEMM a
+    # slice of a stacked product. scan-dense pools 4000 rows of 8 columns;
+    # with 300 columns one row's product, 302 x 2100, passes it alone
+    products = []
+    real = np.matmul
+
+    def spy(a, b, **kwargs):
+        products.append((*a.shape[-2:], b.shape[-1], a.ndim))  # m, k, n of each slice
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    x = np.random.default_rng(32).standard_normal(shape)
+    assert median_heuristic_bandwidth(x) == _pdist_lower_median(x)
+    mnk = [m * k * n for m, k, n, _ in products]
+    assert 65536 * 2 < max(mnk) <= 65536 * 4
+    # stacked tiles, and a block whose rows leave a remainder to the last product
+    assert {ndim for m, *_, ndim in products if m} == {2, 3}
+
+
 def test_blockwise_median_runs_on_the_calling_thread(monkeypatch):
-    # BLAS threads each block's product; the pass starts no thread pool of
-    # its own, whose threads would compete with BLAS's
+    # the pass tiles its products so that BLAS runs each on the calling
+    # thread (about 0.075 s at CPU equal to wall on scan-dense's pool), and it
+    # starts no thread pool of its own
     import concurrent.futures
 
     pools = []
@@ -481,16 +506,20 @@ def test_blockwise_median_runs_on_the_calling_thread(monkeypatch):
     assert pools == []
 
 
-#: 2100 seeded rows (2.2M pairs), a fifth of them 1e4 away, so that the
-#: pass has blocks of wide bounds and blocks of narrow ones
+#: 2100 seeded rows (2.2M pairs) of ``dims`` columns, a fifth of them 1e4
+#: away, so that the pass has blocks of wide bounds and blocks of narrow ones
 _BLAS_ROWS = """
 import numpy as np
-x = np.random.default_rng(26).standard_normal((2100, 16)) + 100.0
+x = np.random.default_rng(26).standard_normal((2100, {dims})) + 100.0
 x[:420, 0] += 1e4
 """
-#: a child that prints their blockwise median, then their sampled one
+#: a child that prints their blockwise median from tiled products, then
+#: from one product a block, which BLAS threads where it may, then their
+#: sampled one
 _BLAS_CHILD = _BLAS_ROWS + """
 from driftscan import kernels
+print(repr(kernels.median_heuristic_bandwidth(x)))
+kernels.ONE_THREAD_PRODUCT = 1 << 62
 print(repr(kernels.median_heuristic_bandwidth(x)))
 kernels.EXACT_PAIRS = 1 << 16
 print(repr(kernels.median_heuristic_bandwidth(x)))
@@ -498,28 +527,33 @@ print(repr(kernels.median_heuristic_bandwidth(x)))
 
 
 def test_blockwise_median_is_the_same_bits_for_any_blas_threads(monkeypatch):
-    # BLAS picks its own summation order for each thread count; it may
-    # move the approximations, never the answer. The pass's products are all
-    # float64, and the sampled median takes no BLAS product at all
-    rows = {}
-    exec(_BLAS_ROWS, rows)
-    x = rows["x"]
-    assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.BLOCK_DISTANCES
+    # BLAS picks its own summation order for each thread count and product
+    # shape; it may move the approximations, never the answer. The pass's
+    # products are all float64, and the sampled median takes no BLAS
+    # product at all. Untiled, a block's product is threaded; with 300
+    # columns even one row's, 302 x 2100, is past what OpenBLAS runs on one
+    # thread
     dtypes = set()
     real = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda a, b: dtypes.add(a.dtype) or real(a, b))
-    median_heuristic_bandwidth(x)
-    assert dtypes == {np.dtype(np.float64)}
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: dtypes.add(args[0].dtype) or real(*args, **kwargs))
     knobs = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {key: value for key, value in os.environ.items() if key not in knobs}
     env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
-    printed = []
-    for threads in ({}, dict.fromkeys(knobs, "1")):
-        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env={**env, **threads},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        printed.append(proc.stdout.split())
-    assert printed == [[repr(_pdist_lower_median(x)), repr(_sampled_median_by_hand(x))]] * 2
+    for dims in (16, 300):
+        rows = {}
+        exec(_BLAS_ROWS.format(dims=dims), rows)
+        x = rows["x"]
+        assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.BLOCK_DISTANCES
+        median_heuristic_bandwidth(x)
+        assert dtypes == {np.dtype(np.float64)}
+        printed = []
+        for threads in ({}, dict.fromkeys(knobs, "1")):
+            proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD.format(dims=dims)], env={**env, **threads},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout.split())
+        exact = repr(_pdist_lower_median(x))
+        assert printed == [[exact, exact, repr(_sampled_median_by_hand(x))]] * 2
 
 
 #: a child's setup for a median of ``x``: one BLAS thread, so that its
