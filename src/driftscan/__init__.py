@@ -23,7 +23,6 @@ from .resample import window_test
 from .scan import (
     DriftReport,
     ScanConfig,
-    WindowResult,
     drift_scan,
     extract_cause_samples,
     load_report,
@@ -58,7 +57,6 @@ __all__ = [
     "MetricSeries",
     "ScanConfig",
     "ValidationError",
-    "WindowResult",
     "auc",
     "batch_means",
     "bce",

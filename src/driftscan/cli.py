@@ -2,10 +2,10 @@
 
 Subcommands: mmd, scan, batch, extract, simulate (ratio-drift | mixture),
 calibrate, correlate. Exit codes: 0 success, 1 usage error, 2 data or
-validation error. Diagnostics go to stderr; data goes to files named by
-flags or to stdout. Every output embeds the fully resolved configuration,
-defaults and seed included, so runs can be reproduced from their outputs
-alone.
+validation error, or not enough memory. Diagnostics go to stderr; data
+goes to files named by flags or to stdout. Every output embeds the fully
+resolved configuration, defaults and seed included, so runs can be
+reproduced from their outputs alone.
 """
 
 from __future__ import annotations
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except DataError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"error: not enough memory: {exc}", file=sys.stderr)
             return 2
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ imports ``scipy.spatial``, which is slower to import than most scans run.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,13 +330,6 @@ def _pair_distances(xt: np.ndarray, i: np.ndarray, j: np.ndarray, out: np.ndarra
         at = slice(s, s + SEEN_DISTANCES)
         _squared_distances(((c.take(i[at]), c.take(j[at])) for c in xt), out[at])
     return out
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _quantile_bracket(sample: np.ndarray, share: float, margin: float) -> tuple[float, float]:

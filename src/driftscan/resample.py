@@ -257,6 +257,7 @@ def scan_window_tests(spec: KernelSpec, x: np.ndarray, y: np.ndarray, width: int
     if bandwidth is None and spec.needs_bandwidth and spec.bandwidth == kernels.MEDIAN_GLOBAL:
         raise ValueError("the global median bandwidth must be resolved over the whole scan and passed in")
     check_window_settings(width, k, estimator)
+    stride = min(stride, x.shape[0])  # any stride past rows - width leaves one window; larger ones overflow views
     count = len(range(width, x.shape[0] + 1, stride))
     run, per_block = _block_shape(spec.per_window_bandwidth, width, stride, k, *x.shape)
     full = count // run

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -75,20 +76,8 @@ class ScanConfig:
         return cls(**{**_field_values(cls, d), "kernel": KernelSpec(**_field_values(KernelSpec, d["kernel"]))})
 
 
-@dataclass(frozen=True)
-class WindowResult:
-    """One window position: the observed statistic and its flip null's median and p-value.
-
-    The fields are the report's window keys, in order.
-    """
-
-    t_index: int
-    start_index: int
-    observed_sq: float
-    observed: float
-    boot_median: float
-    p_value: float
-    flagged: bool
+#: each window's keys in a report, in order: its rows, observed statistic, flip null's median and p-value
+WINDOW_KEYS = ("t_index", "start_index", "observed_sq", "observed", "boot_median", "p_value", "flagged")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +96,7 @@ class DriftReport:
     target_rows: int
     scanned_rows: int
     truncated: bool
-    windows: list[WindowResult]
+    windows: list[dict]  # report records keyed by WINDOW_KEYS, which report_to_dict shares
     summary_score: float
     summary_median: float
     boot_median_mean: float
@@ -145,12 +134,11 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
         config.seed, config.estimator, bandwidth)
     windows = [
-        WindowResult(t, t - width + 1, sq, mmd_value(sq), middle, p, p <= config.alpha)
+        dict(zip(WINDOW_KEYS, (t, t - width + 1, sq, mmd_value(sq), middle, p, p <= config.alpha)))
         for t, sq, middle, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
     ]
-    argmax_pos = int(np.argmax(observed_sq))  # first occurrence on ties
-    peak = windows[argmax_pos]
-    cause = (peak.start_index, peak.t_index)
+    peak = windows[int(np.argmax(observed_sq))]  # first occurrence on ties
+    cause = (peak["start_index"], peak["t_index"])
     return DriftReport(
         config=config,
         bandwidth_used=bandwidth,
@@ -162,7 +150,7 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         summary_score=float(np.mean(observed_sq)),
         summary_median=float(median(np.array(observed_sq))),
         boot_median_mean=float(np.mean(boot_medians)),
-        argmax_index=peak.t_index,
+        argmax_index=peak["t_index"],
         cause_reference=cause,
         cause_target=cause,
     )
@@ -190,11 +178,9 @@ def _config_echo(config: ScanConfig) -> dict:
 
 
 def report_to_dict(report: DriftReport) -> dict:
-    keys = [f.name for f in fields(WindowResult)]  # shallow: asdict would deep-copy each window
     return {
         **{f.name: getattr(report, f.name) for f in fields(report)},
         "config": _config_echo(report.config),
-        "windows": [{key: getattr(w, key) for key in keys} for w in report.windows],
         "cause_reference": list(report.cause_reference),
         "cause_target": list(report.cause_target),
     }
@@ -209,11 +195,12 @@ def _cause_range(span, rows) -> tuple[int, int]:
 
 
 def report_from_dict(d: dict) -> DriftReport:
-    """Rebuild a report parsed from JSON; keys that name no field are ignored."""
+    """Rebuild a report parsed from JSON; keys that name no field are ignored, and windows are kept as parsed."""
+    for w in d["windows"]:
+        itemgetter(*WINDOW_KEYS)(w)  # a KeyError names a key the window lacks
     return DriftReport(**{
         **_field_values(DriftReport, d),
         "config": ScanConfig.from_dict(d["config"]),
-        "windows": [WindowResult(**_field_values(WindowResult, w)) for w in d["windows"]],
         "cause_reference": _cause_range(d["cause_reference"], d["reference_rows"]),
         "cause_target": _cause_range(d["cause_target"], d["target_rows"]),
     })
@@ -301,6 +288,6 @@ def table_csv(config: dict, header: list[str], rows) -> str:
 
 def windows_to_csv(report: DriftReport) -> str:
     """Flat window series for plotting, with the config echoed as a comment; a :func:`table_csv`."""
-    head = table_csv(_config_echo(report.config), ["t_index", "observed_sq", "boot_median", "p_value"], ())
-    return head + "".join(["%d,%r,%r,%r\n" % (w.t_index, w.observed_sq, w.boot_median, w.p_value)
-                           for w in report.windows])
+    columns = ["t_index", "observed_sq", "boot_median", "p_value"]
+    rows = map(itemgetter(*columns), report.windows)
+    return table_csv(_config_echo(report.config), columns, ()) + "".join(["%d,%r,%r,%r\n" % row for row in rows])

@@ -20,8 +20,10 @@ calling the prep/scan modules directly; nothing here is text-specific.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +34,10 @@ from .prep import BatchConfig, batch_means
 from .resample import check_window_settings, window_test
 from .rng import derive_rng, derive_seed
 from .scan import ScanConfig, drift_scan, shared_bandwidth
+
+#: trials a calibration submits to its pool at a time; a pending trial holds
+#: about 2 KB, so submitting all of a million trials at once would hold 2 GB
+TRIAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,13 @@ def correlation_study(
     return series, pearson(drifts, [m.bce for m in series]), pearson(drifts, [m.auc for m in series])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def null_calibration(
     trials: int,
     n: int,
@@ -276,8 +289,8 @@ def null_calibration(
     rows of each side against the flip null; the share of p-values at
     or below alpha is the test's false-positive rate at alpha. The trials run
     on a thread pool (``pdist``, the partition and the data draws release the
-    GIL); each draws from its own streams, so the p-values are the same bits
-    for any number of CPUs.
+    GIL), ``TRIAL_CHUNK`` submitted at a time; each draws from its own
+    streams, so the p-values are the same bits for any number of CPUs.
     """
     for name, value in (("window", window), ("dims", dims), ("trials", trials)):
         if value < 1:
@@ -299,6 +312,8 @@ def null_calibration(
     # trials in flight hold at most BLOCK_DISTANCES distances, as one
     # blockwise pass does; a trial that needs that pass runs alone
     pairs = n * (2 * n - 1)
-    workers = min(kernels._usable_cpus(), trials, max(1, kernels.BLOCK_DISTANCES // pairs))
+    workers = min(_usable_cpus(), trials, max(1, kernels.BLOCK_DISTANCES // pairs))
     with ThreadPoolExecutor(workers) as pool:
-        return np.fromiter(pool.map(trial, range(trials)), dtype=np.float64, count=trials)
+        # a chunk is submitted once the p-values of the one before it are read
+        chunks = (pool.map(trial, range(trials)[first:first + TRIAL_CHUNK]) for first in range(0, trials, TRIAL_CHUNK))
+        return np.fromiter(chain.from_iterable(chunks), dtype=np.float64, count=trials)

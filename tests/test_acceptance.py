@@ -218,11 +218,11 @@ def test_c9_degenerate_safety(tmp_path):
     rng = np.random.default_rng(99)
     m = EmbeddingMatrix.from_array(rng.standard_normal((50, 4)))
     report = drift_scan(DatasetPair(m, m), ScanConfig(window=8, bootstraps=19, seed=1))
-    if not all(w.observed_sq == 0.0 for w in report.windows):
+    if not all(w["observed_sq"] == 0.0 for w in report.windows):
         problems.append("identical-input scan produced nonzero statistics")
-    if not all(w.p_value == 1.0 for w in report.windows):
+    if not all(w["p_value"] == 1.0 for w in report.windows):
         problems.append("identical-input scan produced p < 1")
-    if any(w.flagged for w in report.windows):
+    if any(w["flagged"] for w in report.windows):
         problems.append("identical-input scan flagged a window")
 
     empty = tmp_path / "empty.csv"

@@ -82,6 +82,38 @@ def test_scan_checks_its_flags_before_reading_the_inputs(flags, monkeypatch, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_scan_stride_past_the_rows_scans_the_first_window(pair_files, tmp_path):
+    # any stride past rows - window leaves one window; a stride whose byte
+    # offset overflows a C long must not reach the window views
+    ref, target = pair_files
+    outputs = []
+    for stride in (10**18, 40):
+        out, csv_out = tmp_path / f"{stride}.json", tmp_path / f"{stride}.csv"
+        assert main(["scan", "--ref", ref, "--target", target, "--window", "8", "--bootstraps", "19",
+                     "--stride", str(stride), "--out", str(out), "--csv-out", str(csv_out)]) == 0
+        report = json.loads(out.read_text())
+        outputs.append((report.pop("config"), report, csv_out.read_text().splitlines()[1:]))
+    (huge, *scanned), (rows, *expected) = outputs
+    assert scanned == expected and len(expected[0]["windows"]) == 1
+    assert {**huge, "stride": 40} == rows  # only the config echo differs
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--trials", "1", "--n", str(10**15)],
+    ["simulate", "mixture", "--n", str(10**15), "--dims", "1", "--out", "m.csv"],
+], ids=["calibrate", "simulate-mixture"])
+def test_allocation_past_the_address_space_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # 10**15 rows exceed any 64-bit address space, so numpy refuses the
+    # allocation whatever the overcommit setting
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not enough memory: Unable to allocate ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_scan_stdout_when_no_out(pair_files, capsys):
     ref, target = pair_files
     assert main(["scan", "--ref", ref, "--target", target, "--window", "8",

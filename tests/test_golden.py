@@ -75,7 +75,7 @@ import numpy as np
 import pytest
 
 import driftscan
-from driftscan import kernels, resample
+from driftscan import kernels, resample, simharness
 from driftscan.cli import main
 from driftscan.kernels import KernelSpec
 from driftscan.resample import scan_window_tests, window_test
@@ -486,7 +486,7 @@ def _p_values_by_workers(monkeypatch, **kwargs) -> list:
     # the trials on 1, 2 and 3 worker threads; each schedule must give the same bits
     hashes = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(simharness, "_usable_cpus", lambda: workers)
         hashes.append(_sha256(null_calibration(**NULL_CALIBRATION_ARGS, **kwargs).tobytes()))
     return hashes
 

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftscan import kernels
-from driftscan.embeddings import DatasetPair, EmbeddingMatrix, ValidationError
+from driftscan.embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
 from driftscan.kernels import KernelSpec
 from driftscan.mmd import mmd, mmd_value
 from driftscan.resample import RNG_SCHEME
 from driftscan.scan import (
+    WINDOW_KEYS,
     ScanConfig,
     drift_scan,
     extract_cause_samples,
@@ -41,9 +42,9 @@ def test_identical_inputs_all_zero_unflagged():
     report = drift_scan(DatasetPair(m, m), FAST)
     assert len(report.windows) == 33
     for w in report.windows:
-        assert w.observed_sq == 0.0
-        assert w.p_value == 1.0
-        assert not w.flagged
+        assert w["observed_sq"] == 0.0
+        assert w["p_value"] == 1.0
+        assert not w["flagged"]
     assert report.summary_score == 0.0
     assert report.summary_median == 0.0
     assert report.boot_median_mean >= 0.0
@@ -58,9 +59,9 @@ def test_series_length_and_indices_with_stride():
         expected = (50 - 8) // stride + 1
         assert len(report.windows) == expected
         for w in report.windows:
-            assert w.t_index - w.start_index + 1 == 8
-        assert report.windows[0].t_index == 8
-        assert report.windows[-1].t_index == 8 + stride * (expected - 1)
+            assert w["t_index"] - w["start_index"] + 1 == 8
+        assert report.windows[0]["t_index"] == 8
+        assert report.windows[-1]["t_index"] == 8 + stride * (expected - 1)
 
 
 def test_window_larger_than_data_rejected():
@@ -76,7 +77,7 @@ def test_truncation_to_shorter_side_recorded():
     report = drift_scan(DatasetPair(ref, target), FAST)
     assert report.scanned_rows == 40
     assert report.truncated
-    assert report.windows[-1].t_index == 40
+    assert report.windows[-1]["t_index"] == 40
 
 
 def test_drift_increases_summary_score():
@@ -99,7 +100,7 @@ def test_injected_drift_localized_single_seed():
     start, end = report.cause_target  # 1-based inclusive
     rows = set(range(start - 1, end))
     assert len(rows & set(range(60, 76))) >= beta // 2
-    flagged = [w for w in report.windows if w.flagged]
+    flagged = [w for w in report.windows if w["flagged"]]
     assert flagged  # a +8 sigma burst must trip the test somewhere
 
 
@@ -152,6 +153,17 @@ def test_report_json_roundtrip(tmp_path):
     assert report_to_dict(load_report(path)) == d
 
 
+def test_report_window_missing_a_key_does_not_load(tmp_path):
+    d = report_to_dict(drift_scan(gaussian_pair(seed=10), FAST))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(d))
+    assert load_report(path).windows == d["windows"]  # the parsed records, kept as they are
+    del d["windows"][3]["p_value"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(DataError, match="not a valid drift report: 'p_value'"):
+        load_report(path)
+
+
 #: config entries of reports from earlier versions, in place of today's rng_scheme
 OLDER_CONFIGS = {
     "without-rng-scheme": {},  # written before the entry existed
@@ -183,10 +195,10 @@ def test_observed_from_pool_gram_matches_mmd_bitwise(family, estimator):
     config = ScanConfig(window=120, bootstraps=5, stride=5, estimator=estimator, kernel=KernelSpec(family))
     report = drift_scan(pair, config)
     for w in report.windows:
-        rows = (w.t_index - config.window, w.t_index)
+        rows = (w["t_index"] - config.window, w["t_index"])
         squared, _ = mmd(config.kernel, pair.reference.take_rows(*rows), pair.target.take_rows(*rows),
                          estimator, bandwidth=report.bandwidth_used)
-        assert (w.observed_sq, w.observed) == (squared, mmd_value(squared))
+        assert (w["observed_sq"], w["observed"]) == (squared, mmd_value(squared))
 
 
 def test_report_schema_fields():
@@ -204,7 +216,8 @@ def test_report_schema_fields():
     ):
         assert key in d
     w = d["windows"][0]
-    assert set(w) == {"t_index", "start_index", "observed_sq", "observed", "boot_median", "p_value", "flagged"}
+    assert tuple(w) == WINDOW_KEYS == (
+        "t_index", "start_index", "observed_sq", "observed", "boot_median", "p_value", "flagged")
     assert d["config"]["seed"] == FAST.seed
     assert d["config"]["alpha"] == FAST.alpha
 
@@ -249,7 +262,7 @@ def test_per_window_bandwidth_policy_runs():
     config = ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("rbf", "median-window"), seed=0)
     report = drift_scan(pair, config)
     assert report.bandwidth_used is None  # no single global bandwidth
-    assert all(np.isfinite(w.observed_sq) for w in report.windows)
+    assert all(np.isfinite(w["observed_sq"]) for w in report.windows)
 
 
 def test_linear_kernel_scan_runs():

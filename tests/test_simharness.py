@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftscan import kernels
+from driftscan import kernels, simharness
 from driftscan.embeddings import EmbeddingMatrix
 from driftscan.kernels import KernelSpec
 from driftscan.resample import window_test
@@ -274,7 +274,7 @@ def test_calibration_trials_share_the_distance_budget(n, block, workers, monkeyp
     # over the budget takes the blockwise pass and runs alone
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_DISTANCES", block)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(simharness, "_usable_cpus", lambda: 64)
     sizes = _pool_sizes(monkeypatch)
     null_calibration(trials=6, n=n, dims=2, window=8, bootstraps=9, seed=0)
     assert sizes[0] == workers
@@ -282,3 +282,31 @@ def test_calibration_trials_share_the_distance_budget(n, block, workers, monkeyp
         assert sizes == [workers]
     else:  # then each trial's bandwidth takes a blockwise pass, which starts no pool
         assert sizes == [1]
+
+
+def test_calibration_submits_its_trials_in_bounded_chunks(monkeypatch):
+    # a spy on the pool counts the trials submitted ahead of the p-values
+    # read: a chunk at most, where a future for every trial would hold
+    # about 2 KB each; the chunks keep the p-values' bits
+    import concurrent.futures
+
+    args = {"trials": 10, "n": 16, "dims": 2, "window": 8, "bootstraps": 9, "seed": 0}
+    expected = null_calibration(**args)
+    counts = {"submitted": 0, "read": 0, "ahead": 0}
+    submit, result = concurrent.futures.ThreadPoolExecutor.submit, concurrent.futures.Future.result
+
+    def spy_submit(self, *args, **kwargs):
+        counts["submitted"] += 1
+        counts["ahead"] = max(counts["ahead"], counts["submitted"] - counts["read"])
+        return submit(self, *args, **kwargs)
+
+    def spy_result(self, *args, **kwargs):
+        counts["read"] += 1
+        return result(self, *args, **kwargs)
+
+    monkeypatch.setattr(simharness, "TRIAL_CHUNK", 3)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", spy_submit)
+    monkeypatch.setattr(concurrent.futures.Future, "result", spy_result)
+    p_values = null_calibration(**args)
+    assert counts == {"submitted": 10, "read": 10, "ahead": 3}
+    assert p_values.tobytes() == expected.tobytes()
