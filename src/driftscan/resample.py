@@ -12,10 +12,13 @@ statistic by c (s'Hs - 1'H1): c = 1/w^2 for the biased estimator and
 (a + b)/2 for the unbiased one, a = 1/(w(w-1)) and b = 1/w^2. Written as
 that offset, the null sums no flip-invariant constant: identical windows
 give H = 0 exactly, every flip the observed value and p = 1. All k
-quadratic forms come from one product of the (k, w) signs with H, through
-a BLAS GEMM (``np.matmul``) at shapes where a probe finds einsum's bits and
-through einsum elsewhere, so the bits are einsum's on any machine and for
-any thread count.
+quadratic forms come from one BLAS product (``np.matmul``) of the (k, w)
+signs with H, after each window's H is rounded onto the grid of multiples
+of q = 2^(E + ceil(log2 w) - 53), 2^E the least power of two above its max
+|H| and q at least 2^-1074. Every entry of S H is then a sum of w multiples
+of q whose partial sums stay within 2^53 q, exact in any order, so the bits
+do not depend on the BLAS kernel or its threads (Ozaki, Ogita, Oishi and
+Rump 2012; Demmel and Nguyen 2015).
 
 A scan draws one (k, rows) sign matrix S, in column blocks from the streams
 (seed, "scan-flip", block), and the window ending at row t reads columns
@@ -27,8 +30,6 @@ block's windows.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -105,30 +106,9 @@ def flip_signs(seed: int, k: int, rows: int):
     return signs
 
 
-#: the null's product of the signs and H by einsum, which adds each sum in order
-_einsum_product = functools.partial(np.einsum, "...in,...nm->...im", optimize=False)
-
-
-@functools.cache
-def _matmul_keeps_bits(k: int, width: int) -> bool:
-    """Whether ``np.matmul`` gives einsum's bits for k signs by a ``width`` x ``width`` H.
-
-    +-1 signs make every product exact, so only the order of the sum over
-    ``width`` terms sets the bits, and the BLAS kernel picks that order by
-    shape and thread count, not by data. A seeded pair of sign matrices on
-    an H with exponents from 2^-40 to 2^40 shows any change of it. The
-    answer holds for the process, whose BLAS keeps one thread count.
-    """
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((width, width))
-    np.ldexp(h, rng.integers(-40, 41, h.shape, dtype=np.int8), out=h)
-    signs = rng.choice([-1.0, 1.0], (2, k, width))
-    return np.array_equal(np.matmul(signs, h), _einsum_product(signs, h))
-
-
-def _quadratic_forms(signs: np.ndarray, h: np.ndarray, product) -> np.ndarray:
+def _quadratic_forms(signs: np.ndarray, h: np.ndarray) -> np.ndarray:
     """s'Hs for each row s of ``signs``; leading axes stack windows."""
-    return np.einsum("...im,...im->...i", product(signs, h), signs)
+    return np.einsum("...im,...im->...i", np.matmul(signs, h), signs)
 
 
 def median(values: np.ndarray) -> np.ndarray:
@@ -157,7 +137,6 @@ def _block_tests(spec, x, y, width, stride, runs, run, signs, estimator, bandwid
     window, the k null statistics, the observed MMD^2, their median and p-value.
     """
     k, span = signs.shape[0], width + (run - 1) * stride
-    product = np.matmul if _matmul_keeps_bits(k, width) else _einsum_product  # probed before the Grams are held
     rows = np.array([x, x, y, y], dtype=np.float64)
     s, r, c = rows.strides
     rows = as_strided(rows, (4, runs, span, x.shape[1]), (s, run * stride * r, r, c), writeable=False)
@@ -181,8 +160,14 @@ def _block_tests(spec, x, y, width, stride, runs, run, signs, estimator, bandwid
     del grams
     r, c = signs.strides
     signs = np.ascontiguousarray(as_strided(signs, (runs * run, k, width), (stride * c, r, c), writeable=False))
+    # each window's H onto its grid q, so that every sum in its products with the signs is exact
+    top = np.maximum(h.max(axis=(1, 2)), -h.min(axis=(1, 2)))
+    grid = np.maximum(np.frexp(top)[1] + (width - 1).bit_length() - 53, -1074)[:, None, None]
+    np.ldexp(h, -grid, out=h)
+    np.rint(h, out=h)
+    np.ldexp(h, grid, out=h)
     ones = np.ones((1, width))
-    offset = _quadratic_forms(signs, h, product) - _quadratic_forms(ones, h, _einsum_product)
+    offset = _quadratic_forms(signs, h) - _quadratic_forms(ones, h)
     b = 1.0 / (width * width)
     stats = observed[:, None] + (b if estimator == "biased" else (1.0 / (width * (width - 1)) + b) / 2) * offset
     if estimator == "biased":
@@ -206,11 +191,14 @@ def window_test(spec: KernelSpec, x: np.ndarray, y: np.ndarray, k: int, seed: in
     flips from columns [0, rows) of the sign matrix S of :func:`flip_signs`
     for ``seed``, as for a scan's first window. ``bandwidth`` is resolved
     over both windows' rows when None (per window);
-    :func:`check_window_settings` checks the settings. It is a block of one
+    :func:`check_window_settings` checks the settings, and a non-finite
+    value is a :class:`ValidationError`. It is a block of one
     one-window run of :func:`scan_window_tests`.
     """
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"windows must have the same rows and dims, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # a NaN statistic would rank as the most significant
+        raise ValidationError("window tests need finite values")
     rows = x.shape[0]
     check_window_settings(rows, k, estimator)
     stats, observed, middle, p_value = _block_tests(

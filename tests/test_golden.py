@@ -24,9 +24,11 @@ taken one row block at a time, so ``bandwidth_used`` from that pass is
 pinned to the byte.
 ``NULL_PINS`` hashes the null statistics of single window tests, and
 ``SPAN_NULL_PINS`` a run of overlapping windows on stacked H blocks, at
-shapes where a BLAS product of the signs and H may add its terms in another
-order than einsum: one flip (a matrix-vector product) and windows of 129
-and 160 rows. They were taken with that product forced through einsum.
+shapes where a BLAS product of the signs and H adds its terms in an order
+that depends on the shape and the thread count: one flip (a matrix-vector
+product), windows of 129 and 160 rows, and the 32-row windows of 50 and 199
+flips that the benchmark's scan and ``calibrate`` run. Each must also hold
+in the child process whose BLAS runs one thread.
 ``OBSERVED_PINS`` and ``BLOCKWISE_OBSERVED_SHA256`` hash the observed
 projection of each of those scans, and ``DATA_ROW_PINS`` the data rows of
 ``simulate ratio-drift`` and ``correlate``, which hold only observed
@@ -42,6 +44,12 @@ per-window ``boot_median``, ``p_value`` and ``flagged``,
 ``rng_scheme``. The calibrate JSON pins moved where the rejection count
 did. ``COMMAND_PINS`` did not move: its studies print only observed
 statistics, and ``extract`` reads only the cause.
+
+Rounding each window's H onto a grid before the sign product, so that the
+product is exact in any order, moved the scan pins, ``BLOCKWISE_PINS``,
+``NULL_PINS`` and ``SPAN_NULL_PINS`` once more: every null statistic and
+``boot_median`` by a few ulps. No observed byte moved, nor did any calibrate
+pin or ``COMMAND_PINS``.
 
 For ``calibrate``, ``CALIBRATE_PINS`` hashes the JSON of two commands, and
 the trials' p-values from :func:`null_calibration` with the same arguments
@@ -82,58 +90,58 @@ from driftscan.resample import scan_window_tests, window_test
 from driftscan.simharness import null_calibration
 from test_resample import blocks_of
 
-SCAN_JSON_SHA256 = "ef97a691d777252b4eb68c8ed5c97b5c0ea15c4e58a3d5b82c0fd6fe47dafa11"
-SCAN_CSV_SHA256 = "6cc3ca5e317682c71c03ba4545ebcf0cf8d75f47da89db6ca58248d8191c8696"
+SCAN_JSON_SHA256 = "01637011580d656fdd9345f8f14b0ce34bb454210572a82a9c2e6011c8aac580"
+SCAN_CSV_SHA256 = "ee3e50180bdbb82153a25cb9a8def3c94255bc1f49405f074b740a3b846be8a6"
 OBSERVED_SHA256 = "14fdcc96fb362188f6994adc2f61e489a7f9283d08fdd325559797cff8eaf910"
 
 #: extra scan flags -> (sha256 of the JSON, sha256 of the CSV)
 VARIANT_PINS = {
     ("--kernel", "linear"): (
-        "e7c784be3a97abc9f064c067e86c6f7af38dd37457ab9b6c927d2d0deb22c3ee",
-        "e3ddaf05c439d15508830725ada44a50ab09a01ce6f42ccc37dedd8789468dba",
+        "534c5995f4a34a56ffaa323ed7436fbe728353e1b2ad11f66dec1676a474a899",
+        "f4bdaa3c154630b529cf0ffd1f91a86461fdca68fef72be95478e47d93c0f610",
     ),
     ("--estimator", "unbiased"): (
-        "6e94c8b41ba464ff04ebd7508ac6861f7b8479e3cb8e2a132ca55df5ebc13fd8",
-        "40c3688e2b336ebf1d4afae08830243b0068642066f2b53dca95e035a09efe5d",
+        "b47d5f957e66f2adc6f8f56bbe3025b8ddc30f2a815bb567e13afc4cc24c4377",
+        "5ad1b7de46b2d98e4f26714333966b160b6ae7c760da8eee74c7e77f7818734f",
     ),
     ("--bandwidth", "median-window"): (
-        "8f59ff47b9d7f6791faebf07c6585617bdf479ddf99c35e329a7af344e12e258",
-        "46ddd53ec41723576e8a3375bfac1fb8ef68e950e2daa2d9257d6930475d2012",
+        "0a3826ce60247f11efabb93dd728ec53edfecc59b44e23cd7ad1531105112085",
+        "33711b87d8ff1b7895700ef6545a0e14b4f6dd6672ad5c9b68b175fd0221dd9c",
     ),
 }
 #: (stride, extra scan flags) -> (sha256 of the JSON, sha256 of the CSV)
 STRIDE_PINS = {
     (1, ()): (
-        "f7cf754be53c6a0b45a74764a877037c6acbbf127304bcefd1e626e089c22e63",
-        "99b76c996876685520c4a47695002eed7830b01f05b7fd49d0dc7ef9a85b7f91",
+        "6b568988b261468a8c19b966f9691b961248480679b558bad4f05f5b9cb42462",
+        "0dbbed15a7be62d4a687e254cb9381fc11574d68ba445341c84d6265861e0c67",
     ),
     (1, ("--bandwidth", "median-window")): (
-        "1b9ce7615a4642579121ecf161eea20ea82bcaafbc6d4f26036b07f444c9c96c",
-        "a9b27eb1b69fa63b551ec2a394c9899b13228c76cc871f766128c75cb472cce3",
+        "a368460cd1afeda087b269e9a5f719d1dbc2309b560f595ca95fb73632a97212",
+        "86d8ff04e50cc34d3404e89c938d2e53cc81793466338aca2fb21bee97bbcf95",
     ),
     (1, ("--estimator", "unbiased")): (
-        "cf5b0fe0a959d6f618ab74ea351d3535791f5d37021eead471c151e70a4575bf",
-        "fef3f19192737a6a2b2805b34aaf5ba62f0eeabfaff6558032ee53baf3bd89d3",
+        "d91ed827850bea916db35ddba9cd9b4bcf447e5cfb7e924f247a89f8c05567d0",
+        "337cc1856f24257c216fe09f82d60fb8dc6ba79f63a8d9ae337a1caae94d7ad6",
     ),
     (1, ("--kernel", "linear")): (
-        "3822acfe78e515abcf607345f02f33240b5426c3c0873927a5641d8276c80c9c",
-        "ce0e0b67e63d36a1028a114f1991f1166b2e07fd641e4529b571625aaea0bef6",
+        "2278876e434565ec88acd49e770294efd574d031f5bf9ba0d932439641becaaa",
+        "cf7f5d4a22c2e8b6c2f6d349ce42711aa109818f54ce1c889176fc99588bb7da",
     ),
     (8, ()): (
-        "db656c4871c63643e9ddb038bdd8187bee76f603da96e37ff0da7282586b7213",
-        "3ca26cf3f48c28046d2df636709111a12c2021bc7cbe124d577c40269c26b92a",
+        "99d40f1544eecfb6464274485ff7b2204cb273e2ef7567c861aec12e14a1069f",
+        "daa1ae0f9f4f7e5d8897d8418fb5d21cc83a7081d0bd0e3f33668aea0ee3dcf3",
     ),
     (8, ("--bandwidth", "median-window")): (
-        "9d0cb5e805e28c53e25f8b1805157a64e92e3ce385c702d9646905e1ff48d8e8",
-        "23239f5c2fa17dc1db24f756b8779e7c97170316b7f33a2261ce936185aafc95",
+        "a9e6107f9b1ab0e0fec6a5c2bbebb9f55df7eabe1552656566a5437e36938d0a",
+        "b240571ac9370650a2e16b72c9feb50dc31f2331e5082c72cc9d5e2537a4be2d",
     ),
     (8, ("--estimator", "unbiased")): (
-        "1d4b2f0e629ead0a7b3c734188e7271f03d175f3ab78325eb43e823cea55ca48",
-        "00fc2e54eb63a6e71f0ebf18e966f73435ed91a4fdc657c173a76df09042216d",
+        "66db44fee6ba3d5970e852100544c416695ac44428c916b4dcb0384fc0e4b2fd",
+        "ebd4c8d2f268977de4f8ea9383d8e5d350b8797af319883d562c10c746838fb2",
     ),
     (8, ("--kernel", "linear")): (
-        "e6a2eb3c390129aa8203518bab73c9d56474cc8365df2c64d96936a6239b81d3",
-        "be96960c6e2da6299a76353517e73684ce2a88767ee97bc424cea07e1a8690cc",
+        "e221501286174bb2e559689b58f34eb7bebf6666cf99959bab887a59f3fe7274",
+        "aa9cf8c1b92051d2558351ab85bef20ecda9010e1afaed1fe95007eacd951413",
     ),
 }
 #: (stride, extra scan flags) -> sha256 of the report's :func:`observed_projection`.
@@ -162,24 +170,26 @@ SCAN_PINS = {
 #: 2 x 1100 pooled rows make 2418450 pairs, over BLOCK_DISTANCES (2**21)
 BLOCKWISE_ROWS = 1100
 BLOCKWISE_PINS = (
-    "c5f214e2f3113bc00b264ebf9323260d43b5459ead59d1ef110fc2cbfd9d2b26",
-    "415af6e162f5c8f1ae8f4b9b3f67f059e9329c9cf63997266e4b343975db25d8",
+    "5dc4dff918cba74d78228eeafd6d6d359553983c5357cd7c8be67dec1d5fccd6",
+    "2a4ed39b55a6ed5634cce21828497209bb783a3fa0e4cc2dbe9c7670cff155a8",
 )
 BLOCKWISE_OBSERVED_SHA256 = "070ae36210ef4f04deb0264f20925ef6643f4fc296d85cca8c8527d9b031a6e3"
 
 #: (width, bootstraps) -> sha256 of :func:`window_test`'s null statistics on :func:`_null_inputs`
 NULL_PINS = {
-    (32, 1): "93efdfecbfa69d0719905ca7615e97c94d6a5a3d11c24fa9b27b0cc394c7b19a",
-    (32, 2): "b191729a19c19a97ef43df99806b2ebda6a5835f788ae7f24f029df8bba01cc6",
-    (129, 50): "a7fb560c903bb2d8e37ad7166dcec7dbb56ac96e606683006ce975cfcc0e2f7a",
-    (160, 19): "676c30ddf572bf11c6a79e7cfc7a41c13d84a8615280e198d3e3ab48cc342e33",
+    (32, 1): "5c38364dae5ae2d258f6c4fbf6b655867fe82130678b1cd8f73a0c4139e6a6dd",
+    (32, 2): "916e88bf31ec80264f191bfb1255805b13757092a95b90d47b1bd383522b6802",
+    (32, 50): "914bac93695c75ca255be6db1fe18f219b2fa371e414d5b24a55fd09ff8a7b3c",
+    (32, 199): "d37d31a6504e663074e0468d0ddcb31a091d8012d3abfc9c0a068fe5de311066",
+    (129, 50): "babf91bdc12340202771af5cbdc55601b48026333599a9eed10567891397d40b",
+    (160, 19): "79d78b0c7226f0f619d1e083f2fdda85257ea20249de00b77818d0d1137f4bb6",
 }
 #: bootstraps -> sha256 of :func:`scan_window_tests`' observed MMD^2, medians and
 #: p-values, 11 windows of 160 rows at stride 4 over 200 rows of :func:`_null_inputs`,
 #: at the fixed bandwidth ``SPAN_BANDWIDTH``
 SPAN_NULL_PINS = {
-    1: "144cab52359a69e515d076566368c9f4c9ea0c1342829b6d7fc5ea38791db4ea",
-    19: "11436ab4de8f49dc1565e266e1b1951161b80904cbcb41fa304604f44a5687bf",
+    1: "ae54e2e740ac02cc0a306ab82470904a92f47db9b904130d8a45aa1295ea798e",
+    19: "dd510a09a0df8c97651d8473328384285a6897673193e9371853627d3848e4c2",
 }
 SPAN_BANDWIDTH = 2.0
 
@@ -407,31 +417,39 @@ def _scan_by_block_shape(monkeypatch, work, *flags: str, stride: int) -> list:
 _ONE_BLAS_THREAD = """
 import hashlib, json, os, sys
 from driftscan.cli import main
+import test_golden as golden
 os.chdir(sys.argv[1])
 hashes = []
 for stride, flags in json.loads(sys.argv[2]):
     assert main(["scan", "--ref", "ref.csv", "--target", "target.csv", "--window", "16", "--bootstraps", "19",
                  "--stride", str(stride), "--seed", "5", *flags, "--out", "blas.json", "--csv-out", "blas.csv"]) == 0
     hashes.append([hashlib.sha256(open(name, "rb").read()).hexdigest() for name in ("blas.json", "blas.csv")])
-print(json.dumps(hashes))
+nulls = [golden.window_null_sha256(width, k) for width, k in sorted(golden.NULL_PINS)]
+spans = [golden.span_null_sha256(k) for k in sorted(golden.SPAN_NULL_PINS)]
+print(json.dumps([hashes, nulls, spans]))
 """
 
 
 @pytest.fixture(scope="module")
 def one_blas_thread_hashes(golden_inputs):
-    """(stride, flags) -> the hashes of every golden scan in a child whose BLAS runs one thread.
+    """The pinned hashes taken again in a child whose BLAS runs one thread.
 
-    The null's product goes through BLAS where the process's probe finds
-    einsum's bits, and BLAS picks its sum order by its thread count: the
-    bytes must not move with it.
+    A dict of three: "scans" maps (stride, flags) to the hashes of every
+    golden scan, "nulls" maps each key of ``NULL_PINS`` and "spans" each key
+    of ``SPAN_NULL_PINS`` to its hash. BLAS picks the sum order of the
+    null's sign product by its thread count, and the bytes must not move
+    with it.
     """
     keys = sorted(SCAN_PINS)
+    path = os.pathsep.join([str(Path(driftscan.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(driftscan.__file__).resolve().parents[1])}
+           "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", _ONE_BLAS_THREAD, str(golden_inputs), json.dumps(keys)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return {key: tuple(pins) for key, pins in zip(keys, json.loads(proc.stdout))}
+    scans, nulls, spans = json.loads(proc.stdout)
+    return {"scans": {key: tuple(pins) for key, pins in zip(keys, scans)},
+            "nulls": dict(zip(sorted(NULL_PINS), nulls)), "spans": dict(zip(sorted(SPAN_NULL_PINS), spans))}
 
 
 @pytest.mark.parametrize("stride, flags", sorted(SCAN_PINS),
@@ -442,7 +460,7 @@ def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, one_blas_
     hashes = _scan_by_block_shape(monkeypatch, golden_inputs, *flags, stride=stride)
     assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
     assert hashes == [SCAN_PINS[stride, flags]] * len(BLOCK_SHAPES)
-    assert one_blas_thread_hashes[stride, flags] == SCAN_PINS[stride, flags]
+    assert one_blas_thread_hashes["scans"][stride, flags] == SCAN_PINS[stride, flags]
 
 
 def test_blockwise_bandwidth_scan_matches_golden_hashes(tmp_path, monkeypatch):
@@ -511,16 +529,28 @@ def _null_inputs(rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.standard_normal((rows, 4)), rng.standard_normal((rows, 4)) + 0.25
 
 
-@pytest.mark.parametrize("width, k", sorted(NULL_PINS))
-def test_window_nulls_match_golden_hashes(width, k):
+def window_null_sha256(width: int, k: int) -> str:
+    """The hash that ``NULL_PINS`` pins at (width, k)."""
     _, stats, _, _ = window_test(KernelSpec(), *_null_inputs(width, width), k, 7, "biased")
-    assert _sha256(stats.tobytes()) == NULL_PINS[width, k]
+    return _sha256(stats.tobytes())
+
+
+def span_null_sha256(k: int) -> str:
+    """The hash that ``SPAN_NULL_PINS`` pins at k."""
+    x, y = _null_inputs(200, 160)
+    columns = scan_window_tests(KernelSpec("rbf", SPAN_BANDWIDTH), x, y, 160, 4, k, 7, "biased", SPAN_BANDWIDTH)
+    return _sha256(np.array(columns).tobytes())
+
+
+@pytest.mark.parametrize("width, k", sorted(NULL_PINS))
+def test_window_nulls_match_golden_hashes(one_blas_thread_hashes, width, k):
+    assert window_null_sha256(width, k) == NULL_PINS[width, k]
+    assert one_blas_thread_hashes["nulls"][width, k] == NULL_PINS[width, k]
 
 
 @pytest.mark.parametrize("k", sorted(SPAN_NULL_PINS))
-def test_stacked_window_nulls_match_golden_hashes(monkeypatch, k):
-    x, y = _null_inputs(200, 160)
+def test_stacked_window_nulls_match_golden_hashes(one_blas_thread_hashes, monkeypatch, k):
     for windows, runs in BLOCK_SHAPES:
         blocks_of(monkeypatch, windows, runs)
-        columns = scan_window_tests(KernelSpec("rbf", SPAN_BANDWIDTH), x, y, 160, 4, k, 7, "biased", SPAN_BANDWIDTH)
-        assert _sha256(np.array(columns).tobytes()) == SPAN_NULL_PINS[k]
+        assert span_null_sha256(k) == SPAN_NULL_PINS[k]
+    assert one_blas_thread_hashes["spans"][k] == SPAN_NULL_PINS[k]

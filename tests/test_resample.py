@@ -26,6 +26,16 @@ def test_window_test_rejects_mismatched_windows():
         window_test(RBF_FIXED, x, np.zeros((5, 2)), 5, 0, "biased")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_window_test_refuses_non_finite_values(bad, side):
+    # a NaN statistic counts no flip at or above it, which read as p = 1/(k + 1)
+    windows = list(_windows(3, 8, 2))
+    windows[side][5, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        window_test(RBF_FIXED, *windows, 19, 0, "biased")
+
+
 def test_degenerate_pool_gives_zero_stats_and_p_one():
     window = np.array([[2.0, -1.0]] * 4)
     observed_sq, stats, median, p_value = window_test(RBF_FIXED, window, window, 25, 9, "biased")
@@ -161,24 +171,23 @@ def test_sign_columns_do_not_depend_on_the_rows_or_the_blocks_held(monkeypatch):
     assert set(np.unique(whole)) == {-1.0, 1.0}
 
 
-@pytest.fixture
-def fresh_probe():
-    """An empty cache of :func:`resample._matmul_keeps_bits`, emptied again afterwards."""
-    resample._matmul_keeps_bits.cache_clear()
-    yield
-    resample._matmul_keeps_bits.cache_clear()
-
-
 def _run_nulls(x, y, width, k, count, seed=5):
     """The null statistics of ``count`` stride-1 windows tested as one run."""
     signs = resample.flip_signs(seed, k, x.shape[0])(0, x.shape[0])
     return resample._block_tests(RBF_FIXED, x, y, width, 1, 1, count, signs, "biased", 1.0)[0]
 
 
-def _einsum_run_nulls(monkeypatch, *args):
-    """Reference: :func:`_run_nulls` with the sign product through einsum, whatever the probe says."""
+#: the sign product by einsum, which adds each sum in order, and by einsum over the reversed sum axis
+IN_ORDER = {
+    "einsum": lambda a, b: np.einsum("...in,...nm->...im", a, b, optimize=False),
+    "reversed": lambda a, b: np.einsum("...in,...nm->...im", a[..., ::-1], b[..., ::-1, :], optimize=False),
+}
+
+
+def _run_nulls_by(monkeypatch, product, *args):
+    """:func:`_run_nulls` with ``product`` in place of ``np.matmul``."""
     with monkeypatch.context() as m:
-        m.setattr(resample, "_matmul_keeps_bits", lambda k, width: False)
+        m.setattr(np, "matmul", IN_ORDER[product])
         return _run_nulls(*args)
 
 
@@ -186,10 +195,11 @@ def _einsum_run_nulls(monkeypatch, *args):
 @pytest.mark.parametrize("k", [1, 2, 3, 50, 199])
 def test_null_has_the_bits_of_einsum_at_every_shape(monkeypatch, width, k):
     # one flip is a matrix-vector product, and 129 rows make a GEMM of several
-    # panels; a BLAS product of either may add in another order than einsum
+    # panels; a BLAS product of either may add in another order than einsum,
+    # which H on its grid makes give the same bits
     x, y = _windows(width, width + 2, 4)
     stacked = _run_nulls(x, y, width, k, 3)
-    assert stacked.tobytes() == _einsum_run_nulls(monkeypatch, x, y, width, k, 3).tobytes()
+    assert stacked.tobytes() == _run_nulls_by(monkeypatch, "einsum", x, y, width, k, 3).tobytes()
     signs = resample.flip_signs(5, k, width + 2)(0, width + 2)
     for j, stats in enumerate(stacked):
         own = resample._block_tests(RBF_FIXED, x[j:j + width], y[j:j + width], width, 1, 1, 1,
@@ -197,45 +207,36 @@ def test_null_has_the_bits_of_einsum_at_every_shape(monkeypatch, width, k):
         assert own.tobytes() == stats.tobytes()
 
 
-def _spy_on_matmul(monkeypatch, product):
-    """A list of the shapes of the left operands given to ``np.matmul``, which ``product`` then multiplies."""
-    calls = []
-    monkeypatch.setattr(np, "matmul", lambda a, b: calls.append(a.shape) or product(a, b))
-    return calls
+#: stand-ins for H: exponents from 2^-40 to 2^40, and every entry within a factor 2 of max |H|, whose sums
+#: of w entries fill the grid's exact range
+STAND_IN_H = {
+    "wide": lambda rng, shape: np.ldexp(rng.standard_normal(shape), rng.integers(-40, 41, shape)),
+    "top": lambda rng, shape: rng.uniform(0.5, 1.0, shape),
+}
 
 
-@pytest.mark.parametrize("keeps_bits", [False, True])
-def test_the_probe_picks_the_product(monkeypatch, keeps_bits):
-    x, y = _windows(8, 10, 4)
-    want = _einsum_run_nulls(monkeypatch, x, y, 8, 4, 3)
-    monkeypatch.setattr(resample, "_matmul_keeps_bits", lambda k, width: keeps_bits)
-    calls = _spy_on_matmul(monkeypatch, resample._einsum_product)  # einsum's bits on any BLAS
-    assert _run_nulls(x, y, 8, 4, 3).tobytes() == want.tobytes()
-    assert calls == ([(3, 4, 8)] if keeps_bits else [])
+def _stand_in_grams(h, seed):
+    """A stand-in for :func:`kernel_matrix` whose H is its Kxx, drawn by ``STAND_IN_H[h]``; Kxy and Kyy are 0."""
+    def grams(spec, bandwidth, a, b):
+        out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
+        out[0] = STAND_IN_H[h](np.random.default_rng(seed), out.shape[1:])
+        return out
+
+    return grams
 
 
-def test_a_probe_of_one_shape_does_not_serve_another(monkeypatch, fresh_probe):
-    # a product that has einsum's bits for k >= 2 and is one ulp off for k = 1:
-    # a probe keyed on the width alone would take it for k = 1 after k = 50
-    def product(a, b):
-        exact = resample._einsum_product(a, b)
-        return np.nextafter(exact, np.inf) if a.shape[-2] == 1 else exact
-
-    calls = _spy_on_matmul(monkeypatch, product)
-    x, y = _windows(32, 32, 4)
-    for k in (50, 1):
-        want = _einsum_run_nulls(monkeypatch, x, y, 32, k, 1)
-        assert _run_nulls(x, y, 32, k, 1).tobytes() == want.tobytes()
-    assert resample._matmul_keeps_bits(50, 32) and not resample._matmul_keeps_bits(1, 32)
-    assert [shape[-2] for shape in calls] == [50, 50, 1]  # probe and null at k = 50, the probe alone at k = 1
-
-
-def test_the_probe_waits_for_the_first_null():
-    # importing the CLI probes no shape, so start-up time does not include it
-    code = "import driftscan.cli, driftscan.resample as r; print(r._matmul_keeps_bits.cache_info().currsize)"
-    env = {**os.environ, "PYTHONPATH": str(Path(resample.__file__).resolve().parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True).stdout == "0\n"
+@pytest.mark.parametrize("width", [1, 2, 32, 128, 129])
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 199])
+@pytest.mark.parametrize("h", ["kernel", *STAND_IN_H])
+def test_null_does_not_depend_on_the_order_of_the_sign_product(monkeypatch, width, k, h):
+    # H on its grid makes every sum of the sign product exact, so matmul,
+    # einsum in order and einsum over the reversed sum give the same bits
+    x, y = _windows(width + 1, width + 2, 4)
+    if h in STAND_IN_H:
+        monkeypatch.setattr(resample, "kernel_matrix", _stand_in_grams(h, width * 1000 + k))
+    want = _run_nulls(x, y, width, k, 3)
+    for product in IN_ORDER:
+        assert _run_nulls_by(monkeypatch, product, x, y, width, k, 3).tobytes() == want.tobytes()
 
 
 #: name -> (kernel, bandwidth shared by the windows, estimator)
@@ -395,9 +396,9 @@ def _spy_on_nulls(monkeypatch):
     built, given = [], []
     kernel, forms = resample.kernel_matrix, resample._quadratic_forms
 
-    def spy_forms(signs, h, product):
+    def spy_forms(signs, h):
         given.append((h.copy(), [ref() is not None for ref in built]))
-        return forms(signs, h, product)
+        return forms(signs, h)
 
     def spy_kernel(*args):
         gram = kernel(*args)
