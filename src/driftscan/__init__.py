@@ -21,12 +21,10 @@ from .mmd import mmd
 from .prep import BatchConfig, batch_means, shuffle_rows
 from .resample import window_test
 from .scan import (
-    DriftReport,
     ScanConfig,
     drift_scan,
     extract_cause_samples,
     load_report,
-    report_to_dict,
     report_to_json,
     save_report,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "DataError",
     "DatasetPair",
     "DegenerateInputError",
-    "DriftReport",
     "EmbeddingMatrix",
     "FormatError",
     "KernelSpec",
@@ -71,7 +68,6 @@ __all__ = [
     "null_calibration",
     "pearson",
     "ratio_drift_study",
-    "report_to_dict",
     "report_to_json",
     "save_embeddings",
     "save_report",

@@ -21,8 +21,8 @@ from .kernels import KernelSpec
 from .mmd import mmd, mmd_value
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
-from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, indented_json, load_report,
-                   report_to_dict, table_csv, windows_to_csv)
+from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, indented_json, load_report, table_csv,
+                   windows_to_csv)
 from .simharness import (ClassMixtureSpec, MetricSeries, correlation_study, generate_mixture, null_calibration,
                          ratio_drift_study)
 
@@ -173,9 +173,8 @@ def cmd_scan(args) -> int:
     if batches:
         sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
     report = drift_scan(DatasetPair(*sides), config)
-    payload = report_to_dict(report)
-    payload["config"]["cli"] = _echo("scan", args)
-    _write_text(args.out, _json(payload))
+    # the CLI echo goes to the JSON's copy of the config, not to the CSV's
+    _write_text(args.out, _json({**report, "config": {**report["config"], "cli": _echo("scan", args)}}))
     if args.csv_out:
         _write_text(args.csv_out, windows_to_csv(report))
     return 0
@@ -212,9 +211,9 @@ def cmd_extract(args) -> int:
         save_embeddings(extract_cause_samples(pair, report, which), path, args.out_format)
     _write_text(None, _json({
         "config": _echo("extract", args),
-        "cause_reference": list(report.cause_reference),
-        "cause_target": list(report.cause_target),
-        "rows": report.cause_target[1] - report.cause_target[0] + 1,
+        "cause_reference": report["cause_reference"],
+        "cause_target": report["cause_target"],
+        "rows": report["cause_target"][1] - report["cause_target"][0] + 1,
     }))
     return 0
 

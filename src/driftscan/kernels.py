@@ -93,6 +93,8 @@ class KernelSpec:
         else:
             if isinstance(bw, bool) or not (isinstance(bw, (int, float)) and np.isfinite(bw) and bw > 0):
                 raise ValueError(f"fixed bandwidth must be a positive finite number, got {bw!r}")
+            if -2.0 * bw * bw == 0.0:  # the kernel's divisor: a zero distance would give 0/0
+                raise ValueError(f"fixed bandwidth {bw!r} is too small: -2 * bandwidth**2 rounds to zero")
 
     @property
     def needs_bandwidth(self) -> bool:
@@ -117,15 +119,17 @@ def kernel_matrix(spec: KernelSpec, bandwidth, x: np.ndarray, y: np.ndarray) -> 
     if spec.family == "linear":
         return np.einsum("...id,...jd->...ij", x, y, optimize=False)
     scale = np.asarray(bandwidth, dtype=np.float64)  # None reads NaN
-    if not ((scale > 0).all() and np.isfinite(scale).all()):
-        raise ValueError(f"rbf kernel needs a positive finite bandwidth, got {bandwidth!r}")
+    divisor = -2.0 * scale * scale
+    if not ((scale > 0).all() and np.isfinite(scale).all() and (divisor != 0.0).all()):
+        raise ValueError(f"rbf kernel needs a positive finite bandwidth whose -2 * bandwidth**2 is nonzero, "
+                         f"got {bandwidth!r}")
     sq = np.empty((*x.shape[:-1], y.shape[-2]))
     columns_first = (x.ndim - 1, *range(x.ndim - 1))
     xt, yt = x.transpose(columns_first)[..., None], np.ascontiguousarray(y.transpose(columns_first))[..., None, :]
     step = max(1, SEEN_DISTANCES // max(1, sq[..., 0, :].size))  # rows a step: one small temporary
     for r in range(0, x.shape[-2], step):  # x's columns down, y's across
         _squared_distances(zip(xt[..., r : r + step, :], yt), sq[..., r : r + step, :])
-    np.divide(sq, -2.0 * scale * scale, out=sq)  # in place: the same bits as a new array
+    np.divide(sq, divisor, out=sq)  # in place: the same bits as a new array
     return np.exp(sq, out=sq)
 
 

@@ -50,19 +50,12 @@ FLIP_COLUMNS = 4096
 #: (base_seed, "bootstrap", t)), "window-stream" (a bootstrap) or nothing.
 RNG_SCHEME = "lockstep-flip"
 
-#: a window test's peak over 4 w^2 numbers. Measured (VmHWM) at w = 1024 it
-#: is 1.0: its three w x w Grams and one more w x w array (the observed
-#: statistic's copy, Kxy + Kyx, then H). It was 1.25 when a test held one
-#: 2w x 2w pool Gram, and is kept so that the settings refused do not move
-GRAM_PEAK_RATIO = 1.25
-
-
 def check_window_settings(rows: int, bootstraps: int, estimator: str) -> None:
     """Check the settings of window tests on windows of ``rows`` rows.
 
     ValueError for settings that cannot run, among them windows whose one
-    test would peak above ``WINDOW_NUMBERS``: its Grams, then the float64
-    signs and their product with H, beside one int8 block of S.
+    test, a block of one window (:func:`_block_numbers`, without its rows),
+    would hold more than ``WINDOW_NUMBERS`` beside one int8 block of S.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
@@ -72,7 +65,7 @@ def check_window_settings(rows: int, bootstraps: int, estimator: str) -> None:
         raise ValueError(f"windows of {rows} rows leave empty blocks")
     if estimator == "unbiased" and rows < 2:
         raise ValueError("unbiased estimator needs blocks of >= 2 rows")
-    peak = GRAM_PEAK_RATIO * 4 * rows * rows + 2 * bootstraps * rows + bootstraps * FLIP_COLUMNS // 8
+    peak = sum(_block_numbers(rows, rows, bootstraps, rows)) + bootstraps * FLIP_COLUMNS // 8
     if peak > WINDOW_NUMBERS:
         raise ValueError(
             f"windows of {rows} rows with {bootstraps} bootstraps need about {peak * 8 / 2**30:.1f} GB, "
@@ -206,22 +199,30 @@ def window_test(spec: KernelSpec, x: np.ndarray, y: np.ndarray, k: int, seed: in
     return float(observed[0]), stats[0], float(middle[0]), float(p_value[0])
 
 
+def _block_numbers(width: int, stride: int, k: int, span: int) -> tuple[int, int]:
+    """The float64 numbers a block of window tests holds per window and per run of ``span`` rows, rows left out.
+
+    Per window: its Gram blocks or H, its float64 columns of S, its flips and their product with H. Per run: its
+    three Grams and Kxy + Kyx, the 4 w^2 of a one-window test's peak as measured (VmHWM) at w = 1024.
+    """
+    return width * width + 2 * k * width + k * min(stride, width), 4 * span * span
+
+
 def _block_shape(per_window: bool, width: int, stride: int, k: int, rows: int, dims: int) -> tuple[int, int]:
     """Windows a run and runs a block for a scan of ``rows`` x ``dims`` sides.
 
     A block, with the int8 block of S held beside it, keeps to half of
     ``BLOCK_DISTANCES``: larger blocks were measured slower, their arrays
-    out of the CPU's caches. It counts, per window, its Gram blocks or H,
-    its float64 columns of S, its flips and their product with H; per run,
-    its three Grams and one more, and its rows. A run holds the windows that
-    overlap its first, fewer if they do not fit, and one under a per-window
-    bandwidth; a block holds at least one run.
+    out of the CPU's caches. It counts :func:`_block_numbers` and each
+    run's rows. A run holds the windows that overlap its first, fewer if
+    they do not fit, and one under a per-window bandwidth; a block holds at
+    least one run.
     """
     budget = kernels.BLOCK_DISTANCES // 2 - k * min(FLIP_COLUMNS, rows) // 8
-    window = width * width + 2 * k * width + k * min(stride, width)
+    window = _block_numbers(width, stride, k, 0)[0]
 
     def held(span):
-        return 4 * span * span + 8 * dims * span
+        return _block_numbers(width, stride, k, span)[1] + 8 * dims * span
 
     run = 1 if per_window else max(1, min(width // stride, (budget - held(2 * width)) // window))
     return run, max(1, budget // (held(width + (run - 1) * stride) + run * window))

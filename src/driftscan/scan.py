@@ -6,7 +6,9 @@ position it computes the observed MMD^2 between the two windows, calibrates
 it against sign flips of their row pairs, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
 locates the window with the largest statistic, whose row ranges are the
-drift-cause candidates for both sides. Runs of overlapping windows share
+drift-cause candidates for both sides. A report is the dict its JSON
+encodes, keyed by ``REPORT_KEYS``; a loaded one is checked and kept as
+parsed (:func:`load_report`). Runs of overlapping windows share
 their Grams, blocks of runs are tested along a leading axis, and every
 window reads its flips from one sign matrix per scan
 (:func:`~driftscan.resample.scan_window_tests`). Reports are written
@@ -80,29 +82,11 @@ class ScanConfig:
 WINDOW_KEYS = ("t_index", "start_index", "observed_sq", "observed", "boot_median", "p_value", "flagged")
 
 
-@dataclass(frozen=True, eq=False)
-class DriftReport:
-    """Full scan output; the fields are the report's keys, in order.
-
-    ``summary_score`` and ``summary_median`` are the mean and median of the
-    observed MMD^2 series, the scan's drift estimate. ``boot_median_mean``
-    is the mean of the per-window null medians, kept for reference
-    as the center of the no-drift distribution at window scale.
-    """
-
-    config: ScanConfig
-    bandwidth_used: float | None
-    reference_rows: int
-    target_rows: int
-    scanned_rows: int
-    truncated: bool
-    windows: list[dict]  # report records keyed by WINDOW_KEYS, which report_to_dict shares
-    summary_score: float
-    summary_median: float
-    boot_median_mean: float
-    argmax_index: int
-    cause_reference: tuple[int, int]
-    cause_target: tuple[int, int]
+#: a report's keys, in order: the config echo, inputs, window records, the observed series' mean (the drift
+#: score) and median, the null medians' mean, and the [start, end] rows of the largest statistic's window
+REPORT_KEYS = ("config", "bandwidth_used", "reference_rows", "target_rows", "scanned_rows", "truncated", "windows",
+               "summary_score", "summary_median", "boot_median_mean", "argmax_index", "cause_reference",
+               "cause_target")
 
 
 def shared_bandwidth(spec: KernelSpec, reference: EmbeddingMatrix, target: EmbeddingMatrix) -> float | None:
@@ -110,8 +94,8 @@ def shared_bandwidth(spec: KernelSpec, reference: EmbeddingMatrix, target: Embed
     return None if spec.per_window_bandwidth else resolve_bandwidth(spec, reference.values, target.values)
 
 
-def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
-    """Run the sliding-window drift scan over ``pair``.
+def drift_scan(pair: DatasetPair, config: ScanConfig) -> dict:
+    """Run the sliding-window drift scan over ``pair``; the report, keyed by ``REPORT_KEYS``.
 
     Scans t = window, window + stride, ... up to M = min(rows); both sides
     are truncated to M when their lengths differ (recorded in the report).
@@ -138,72 +122,48 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> DriftReport:
         for t, sq, middle, p in zip(range(width, m_scan + 1, config.stride), observed_sq, boot_medians, p_values)
     ]
     peak = windows[int(np.argmax(observed_sq))]  # first occurrence on ties
-    cause = (peak["start_index"], peak["t_index"])
-    return DriftReport(
-        config=config,
-        bandwidth_used=bandwidth,
-        reference_rows=ref.rows,
-        target_rows=targ.rows,
-        scanned_rows=m_scan,
-        truncated=ref.rows != targ.rows,
-        windows=windows,
-        summary_score=float(np.mean(observed_sq)),
-        summary_median=float(median(np.array(observed_sq))),
-        boot_median_mean=float(np.mean(boot_medians)),
-        argmax_index=peak["t_index"],
-        cause_reference=cause,
-        cause_target=cause,
-    )
+    cause = [peak["start_index"], peak["t_index"]]
+    return dict(zip(REPORT_KEYS, (
+        {**config.to_dict(), "rng_scheme": RNG_SCHEME}, bandwidth, ref.rows, targ.rows, m_scan,
+        ref.rows != targ.rows, windows, float(np.mean(observed_sq)), float(median(np.array(observed_sq))),
+        float(np.mean(boot_medians)), peak["t_index"], cause, cause.copy())))
 
 
-def extract_cause_samples(pair: DatasetPair, report: DriftReport, which: str) -> EmbeddingMatrix:
+def extract_cause_samples(pair: DatasetPair, report: dict, which: str) -> EmbeddingMatrix:
     """Rows of the drift-cause window from one side, ``reference`` or ``target``.
 
     The pair must be the one the report was produced from.
     """
     if which not in ("reference", "target"):
         raise ValueError(f"which must be reference or target, got {which!r}")
-    if pair.reference.rows != report.reference_rows or pair.target.rows != report.target_rows:
+    if pair.reference.rows != report["reference_rows"] or pair.target.rows != report["target_rows"]:
         raise ValidationError(
             f"pair shape ({pair.reference.rows}, {pair.target.rows}) does not match report "
-            f"({report.reference_rows}, {report.target_rows})"
+            f"({report['reference_rows']}, {report['target_rows']})"
         )
-    matrix, (start, end) = ((pair.reference, report.cause_reference) if which == "reference"
-                            else (pair.target, report.cause_target))
-    return matrix.take_rows(start - 1, end)  # the range is 1-based inclusive
+    start, end = report["cause_" + which]
+    return getattr(pair, which).take_rows(start - 1, end)  # the range is 1-based inclusive
 
 
-def _config_echo(config: ScanConfig) -> dict:
-    return {**config.to_dict(), "rng_scheme": RNG_SCHEME}
-
-
-def report_to_dict(report: DriftReport) -> dict:
-    return {
-        **{f.name: getattr(report, f.name) for f in fields(report)},
-        "config": _config_echo(report.config),
-        "cause_reference": list(report.cause_reference),
-        "cause_target": list(report.cause_target),
-    }
-
-
-def _cause_range(span, rows) -> tuple[int, int]:
-    """A report's cause range: two ints with 1 <= start <= end <= ``rows``, else ValueError."""
+def _cause_range(span, rows) -> None:
+    """Check a report's cause range: two ints with 1 <= start <= end <= ``rows``, else ValueError."""
     start, end = span
     if type(start) is not int or type(end) is not int or not 1 <= start <= end <= rows:
         raise ValueError(f"cause range {span!r} is not within rows 1..{rows}")
-    return start, end
 
 
-def report_from_dict(d: dict) -> DriftReport:
-    """Rebuild a report parsed from JSON; keys that name no field are ignored, and windows are kept as parsed."""
+def report_from_dict(d: dict) -> dict:
+    """A report parsed from JSON, checked and kept as parsed, its own ``rng_scheme`` too.
+
+    KeyError for a missing report or window key, ValueError or TypeError for a bad config or cause range.
+    """
     for w in d["windows"]:
         itemgetter(*WINDOW_KEYS)(w)  # a KeyError names a key the window lacks
-    return DriftReport(**{
-        **_field_values(DriftReport, d),
-        "config": ScanConfig.from_dict(d["config"]),
-        "cause_reference": _cause_range(d["cause_reference"], d["reference_rows"]),
-        "cause_target": _cause_range(d["cause_target"], d["target_rows"]),
-    })
+    itemgetter(*REPORT_KEYS)(d)
+    ScanConfig.from_dict(d["config"])
+    _cause_range(d["cause_reference"], d["reference_rows"])
+    _cause_range(d["cause_target"], d["target_rows"])
+    return d
 
 
 #: JSON's scalars: a container of only these is encoded in one call to json's C encoder
@@ -256,18 +216,18 @@ def indented_json(value, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(indented_json(item, inner) for item in value) + pad + "]"
 
 
-def report_to_json(report: DriftReport) -> str:
-    return indented_json(report_to_dict(report)) + "\n"
+def report_to_json(report: dict) -> str:
+    return indented_json(report) + "\n"
 
 
-def save_report(report: DriftReport, path) -> None:
+def save_report(report: dict, path) -> None:
     try:
         Path(path).write_text(report_to_json(report), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def load_report(path) -> DriftReport:
+def load_report(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -286,8 +246,8 @@ def table_csv(config: dict, header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def windows_to_csv(report: DriftReport) -> str:
+def windows_to_csv(report: dict) -> str:
     """Flat window series for plotting, with the config echoed as a comment; a :func:`table_csv`."""
     columns = ["t_index", "observed_sq", "boot_median", "p_value"]
-    rows = map(itemgetter(*columns), report.windows)
-    return table_csv(_config_echo(report.config), columns, ()) + "".join(["%d,%r,%r,%r\n" % row for row in rows])
+    rows = map(itemgetter(*columns), report["windows"])
+    return table_csv(report["config"], columns, ()) + "".join(["%d,%r,%r,%r\n" % row for row in rows])

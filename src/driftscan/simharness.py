@@ -194,7 +194,7 @@ def ratio_drift_study(
         target = _batched(generate_mixture(target_spec), batch_size, derive_seed(base.seed, "ratio-target-batch", i))
         scan_i = replace(scan, seed=derive_seed(scan.seed, "ratio-scan", i))
         report = drift_scan(DatasetPair(ref, target), scan_i)
-        rows.append((target_spec.positive_fraction, report.summary_score))
+        rows.append((target_spec.positive_fraction, report["summary_score"]))
     return rows
 
 
@@ -251,7 +251,7 @@ def correlation_study(
         series.append(
             MetricSeries(
                 bucket_id=b,
-                drift=report.summary_score,
+                drift=report["summary_score"],
                 bce=bce(scores, labels),
                 auc=auc(scores, labels),
             )

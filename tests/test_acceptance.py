@@ -102,7 +102,7 @@ def test_c4_monotone_drift_response():
             DatasetPair(EmbeddingMatrix.from_array(ref), EmbeddingMatrix.from_array(target)),
             config,
         )
-        scores.append(report.summary_score)
+        scores.append(report["summary_score"])
     increasing = all(a < b for a, b in zip(scores, scores[1:]))
     record(4, "monotone drift response", increasing,
            "summary scores " + " < ".join(f"{s:.4f}" for s in scores))
@@ -154,7 +154,7 @@ def test_c7_localization():
             DatasetPair(EmbeddingMatrix.from_array(ref), EmbeddingMatrix.from_array(target)),
             ScanConfig(window=beta, bootstraps=50, seed=trial),
         )
-        start, end = report.cause_target  # 1-based inclusive
+        start, end = report["cause_target"]  # 1-based inclusive
         cause_rows = set(range(start - 1, end))
         drift_rows = set(range(100, 100 + beta))
         if len(cause_rows & drift_rows) >= beta / 2:
@@ -218,11 +218,11 @@ def test_c9_degenerate_safety(tmp_path):
     rng = np.random.default_rng(99)
     m = EmbeddingMatrix.from_array(rng.standard_normal((50, 4)))
     report = drift_scan(DatasetPair(m, m), ScanConfig(window=8, bootstraps=19, seed=1))
-    if not all(w["observed_sq"] == 0.0 for w in report.windows):
+    if not all(w["observed_sq"] == 0.0 for w in report["windows"]):
         problems.append("identical-input scan produced nonzero statistics")
-    if not all(w["p_value"] == 1.0 for w in report.windows):
+    if not all(w["p_value"] == 1.0 for w in report["windows"]):
         problems.append("identical-input scan produced p < 1")
-    if any(w["flagged"] for w in report.windows):
+    if any(w["flagged"] for w in report["windows"]):
         problems.append("identical-input scan flagged a window")
 
     empty = tmp_path / "empty.csv"
@@ -250,7 +250,7 @@ def test_c9_degenerate_safety(tmp_path):
         DatasetPair(constant, constant),
         ScanConfig(window=4, bootstraps=9, seed=0, kernel=KernelSpec("rbf", 1.0)),
     )
-    if fallback.summary_score != 0.0:
+    if fallback["summary_score"] != 0.0:
         problems.append("constant-data scan with fixed bandwidth not exactly zero")
 
     one_row = EmbeddingMatrix.from_array([[1.0]])

@@ -574,12 +574,14 @@ def test_window_too_large_exits_two(pair_files, capsys):
 
 
 def test_bad_bandwidth_value_exits_one(tmp_path, monkeypatch, capsys):
-    # the input files do not exist, so exit 1 (not 2) shows that no file was read
+    # the input files do not exist, so exit 1 (not 2) shows that no file was read; at
+    # 1e-200 the kernel's divisor -2 * bandwidth**2 rounds to -0.0, which once gave NaN
     monkeypatch.chdir(tmp_path)
-    for value in ("-3", "0", "nan", "inf", "foo"):
-        assert main(["mmd", "--ref", "a.csv", "--target", "b.csv", "--bandwidth", value]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    for command in ("mmd", "scan"):
+        for value in ("-3", "0", "nan", "inf", "foo", "1e-200"):
+            assert main([command, "--ref", "a.csv", "--target", "b.csv", "--bandwidth", value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _child_env():

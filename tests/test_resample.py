@@ -373,8 +373,8 @@ def test_a_block_keeps_to_half_the_budget(width, stride, k, rows, dims):
     # that overlap its first, or one under a per-window bandwidth
     run, runs = resample._block_shape(False, width, stride, k, rows, dims)
     span = width + (run - 1) * stride
-    numbers = k * min(resample.FLIP_COLUMNS, rows) // 8 + runs * (
-        4 * span * span + 8 * dims * span + run * (width * width + 2 * k * width + k * min(stride, width)))
+    window, held = resample._block_numbers(width, stride, k, span)
+    numbers = k * min(resample.FLIP_COLUMNS, rows) // 8 + runs * (held + 8 * dims * span + run * window)
     assert 1 <= run <= max(1, width // stride) and runs >= 1
     assert numbers <= kernels.BLOCK_DISTANCES // 2 or (run, runs) == (1, 1)
     assert resample._block_shape(True, width, stride, k, rows, dims)[0] == 1
@@ -492,13 +492,18 @@ def test_check_window_settings_refuses_windows_past_window_numbers():
 
 
 def test_check_window_settings_counts_the_flips_at_the_boundary():
-    # at w = 32 one window test counts 1.25 x its 64 x 64 Gram, 2 x 32 float64
-    # numbers a flip (its signs and their product with H) and one 4096-column
-    # int8 block of S, 512 numbers a flip: 5120 + 576 k against 2**28
-    assert 5120 + 576 * 466024 <= resample.WINDOW_NUMBERS < 5120 + 576 * 466025
-    resample.check_window_settings(32, 466024, "biased")
-    with pytest.raises(ValueError, match="32 rows with 466025 bootstraps need about 2.0 GB"):
-        resample.check_window_settings(32, 466025, "biased")
+    # at w = 32 one window test is a block of one window: its four 32 x 32
+    # Grams and H, 3 x 32 float64 numbers a flip (its columns of S, its signs
+    # and their product with H), and one 4096-column int8 block of S, 512
+    # numbers a flip: 5120 + 608 k against 2**28
+    def numbers(k):
+        return sum(resample._block_numbers(32, 32, k, 32)) + k * resample.FLIP_COLUMNS // 8
+
+    assert [numbers(k) for k in (0, 1)] == [5120, 5120 + 608]
+    assert numbers(441497) <= resample.WINDOW_NUMBERS < numbers(441498)
+    resample.check_window_settings(32, 441497, "biased")
+    with pytest.raises(ValueError, match="32 rows with 441498 bootstraps need about 2.0 GB"):
+        resample.check_window_settings(32, 441498, "biased")
 
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
@@ -520,8 +525,8 @@ scan_window_tests(KernelSpec("rbf", 1.0), x[:16], y[:16], 8, 8, 2000, 0, "biased
 
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
 def test_one_window_test_peaks_near_its_measured_gram_ratio():
-    # check_window_settings refuses settings by GRAM_PEAK_RATIO times the Gram; a window
-    # test that held more copies of its Gram would pass settings that cannot fit
+    # check_window_settings refuses settings by the numbers of a one-window block; a
+    # window test that held more copies of its Gram would pass settings that cannot fit
     setup = """
 import numpy as np
 from driftscan.kernels import KernelSpec
@@ -530,18 +535,27 @@ x, y = np.random.default_rng(0).standard_normal((2, 1024, 8))
 window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "biased", 1.0)  # lazy imports
 """
     rise_mb = peak_rise_mb(setup, 'window_test(KernelSpec("rbf", 1.0), x, y, 1, 0, "biased", 1.0)')
-    gram_mb = (2 * 1024) ** 2 * 8 / 2**20
-    assert rise_mb < (resample.GRAM_PEAK_RATIO + 0.25) * gram_mb, f"peak {rise_mb:.1f} MB over a {gram_mb:.0f} MB Gram"
+    block_mb = (sum(resample._block_numbers(1024, 1024, 1, 1024)) + resample.FLIP_COLUMNS // 8) * 8 / 2**20
+    assert rise_mb < block_mb, f"peak {rise_mb:.1f} MB over the {block_mb:.0f} MB that check_window_settings counts"
 
 
-@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 1e-200])
 def test_non_finite_bandwidth_is_refused(bandwidth):
-    # NaN once gave every null statistic NaN and a flagged p = 1/(k + 1); inf a constant kernel
+    # NaN once gave every null statistic NaN and a flagged p = 1/(k + 1); inf a constant kernel;
+    # 1e-200 a kernel divisor -2 * bandwidth**2 of -0.0, so 0/0 on each Gram's zero diagonal
     x = np.random.default_rng(3).standard_normal((16, 3))
     with pytest.raises(ValueError, match="positive finite bandwidth"):
         window_test(KernelSpec(), x, x, 19, 0, "biased", bandwidth)
     with pytest.raises(ValueError, match="positive finite bandwidth"):
         mmd(KernelSpec(), EmbeddingMatrix.from_array(x), EmbeddingMatrix.from_array(x), bandwidth=bandwidth)
+
+
+def test_the_smallest_accepted_bandwidths_give_finite_statistics():
+    # at 1.5e-162 the kernel's divisor -2 * bandwidth**2 is -4.9e-324, not -0.0
+    x, y = _windows(3, 16, 3)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # a nonzero distance over it is -inf, whose exp is 0
+        observed, stats, middle, p_value = window_test(KernelSpec("rbf", 1.5e-162), x, y, 19, 0, "biased")
+    assert np.isfinite([observed, middle, p_value, *stats]).all()
 
 
 def test_parameter_validation():

@@ -11,6 +11,7 @@ from driftscan.kernels import KernelSpec
 from driftscan.mmd import mmd, mmd_value
 from driftscan.resample import RNG_SCHEME
 from driftscan.scan import (
+    REPORT_KEYS,
     WINDOW_KEYS,
     ScanConfig,
     drift_scan,
@@ -18,7 +19,6 @@ from driftscan.scan import (
     indented_json,
     load_report,
     report_from_dict,
-    report_to_dict,
     report_to_json,
     save_report,
     windows_to_csv,
@@ -40,15 +40,15 @@ def test_identical_inputs_all_zero_unflagged():
     rng = np.random.default_rng(1)
     m = EmbeddingMatrix.from_array(rng.standard_normal((40, 4)))
     report = drift_scan(DatasetPair(m, m), FAST)
-    assert len(report.windows) == 33
-    for w in report.windows:
+    assert len(report["windows"]) == 33
+    for w in report["windows"]:
         assert w["observed_sq"] == 0.0
         assert w["p_value"] == 1.0
         assert not w["flagged"]
-    assert report.summary_score == 0.0
-    assert report.summary_median == 0.0
-    assert report.boot_median_mean >= 0.0
-    assert report.argmax_index == FAST.window  # all tied, first window wins
+    assert report["summary_score"] == 0.0
+    assert report["summary_median"] == 0.0
+    assert report["boot_median_mean"] >= 0.0
+    assert report["argmax_index"] == FAST.window  # all tied, first window wins
 
 
 def test_series_length_and_indices_with_stride():
@@ -57,11 +57,11 @@ def test_series_length_and_indices_with_stride():
         config = ScanConfig(window=8, bootstraps=5, stride=stride, seed=0)
         report = drift_scan(pair, config)
         expected = (50 - 8) // stride + 1
-        assert len(report.windows) == expected
-        for w in report.windows:
+        assert len(report["windows"]) == expected
+        for w in report["windows"]:
             assert w["t_index"] - w["start_index"] + 1 == 8
-        assert report.windows[0]["t_index"] == 8
-        assert report.windows[-1]["t_index"] == 8 + stride * (expected - 1)
+        assert report["windows"][0]["t_index"] == 8
+        assert report["windows"][-1]["t_index"] == 8 + stride * (expected - 1)
 
 
 def test_window_larger_than_data_rejected():
@@ -75,14 +75,14 @@ def test_truncation_to_shorter_side_recorded():
     ref = EmbeddingMatrix.from_array(rng.standard_normal((40, 2)))
     target = EmbeddingMatrix.from_array(rng.standard_normal((55, 2)))
     report = drift_scan(DatasetPair(ref, target), FAST)
-    assert report.scanned_rows == 40
-    assert report.truncated
-    assert report.windows[-1]["t_index"] == 40
+    assert report["scanned_rows"] == 40
+    assert report["truncated"]
+    assert report["windows"][-1]["t_index"] == 40
 
 
 def test_drift_increases_summary_score():
-    base = drift_scan(gaussian_pair(seed=5, shift=0.0), FAST).summary_score
-    shifted = drift_scan(gaussian_pair(seed=5, shift=2.0), FAST).summary_score
+    base = drift_scan(gaussian_pair(seed=5, shift=0.0), FAST)["summary_score"]
+    shifted = drift_scan(gaussian_pair(seed=5, shift=2.0), FAST)["summary_score"]
     assert shifted > base
 
 
@@ -97,18 +97,18 @@ def test_injected_drift_localized_single_seed():
         # p-values bottom out at 1/(bootstraps + 1), so flagging at 0.05 needs >= 19
         ScanConfig(window=beta, bootstraps=19, seed=1),
     )
-    start, end = report.cause_target  # 1-based inclusive
+    start, end = report["cause_target"]  # 1-based inclusive
     rows = set(range(start - 1, end))
     assert len(rows & set(range(60, 76))) >= beta // 2
-    flagged = [w for w in report.windows if w["flagged"]]
+    flagged = [w for w in report["windows"] if w["flagged"]]
     assert flagged  # a +8 sigma burst must trip the test somewhere
 
 
 def test_cause_ranges_span_window_and_agree():
     report = drift_scan(gaussian_pair(seed=7), FAST)
-    for span in (report.cause_reference, report.cause_target):
+    for span in (report["cause_reference"], report["cause_target"]):
         assert span[1] - span[0] + 1 == FAST.window
-        assert span[1] == report.argmax_index
+        assert span[1] == report["argmax_index"]
 
 
 def test_extract_cause_samples_shapes_and_boundary():
@@ -118,15 +118,15 @@ def test_extract_cause_samples_shapes_and_boundary():
     assert target_rows.rows == FAST.window and target_rows.dims == pair.target.dims
     ref_rows = extract_cause_samples(pair, report, "reference")
     assert ref_rows.rows == FAST.window
-    start, end = report.cause_target
+    start, end = report["cause_target"]
     np.testing.assert_array_equal(target_rows.values, pair.target.values[start - 1 : end])
-    start, end = report.cause_reference
+    start, end = report["cause_reference"]
     np.testing.assert_array_equal(ref_rows.values, pair.reference.values[start - 1 : end])
 
     # argmax at the first window maps to rows [0, window)
     m = EmbeddingMatrix.from_array(np.random.default_rng(3).standard_normal((20, 2)))
     tied = drift_scan(DatasetPair(m, m), FAST)
-    assert tied.argmax_index == FAST.window
+    assert tied["argmax_index"] == FAST.window
     first = extract_cause_samples(DatasetPair(m, m), tied, "reference")
     np.testing.assert_array_equal(first.values, m.values[0 : FAST.window])
 
@@ -144,20 +144,19 @@ def test_extract_rejects_mismatched_pair():
 
 def test_report_json_roundtrip(tmp_path):
     report = drift_scan(gaussian_pair(seed=10), FAST)
-    d = report_to_dict(report)
-    rebuilt = report_from_dict(json.loads(json.dumps(d)))
-    assert report_to_dict(rebuilt) == d
+    rebuilt = report_from_dict(json.loads(json.dumps(report)))
+    assert rebuilt == report
 
     path = tmp_path / "report.json"
     save_report(report, path)
-    assert report_to_dict(load_report(path)) == d
+    assert load_report(path) == report
 
 
 def test_report_window_missing_a_key_does_not_load(tmp_path):
-    d = report_to_dict(drift_scan(gaussian_pair(seed=10), FAST))
+    d = drift_scan(gaussian_pair(seed=10), FAST)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(d))
-    assert load_report(path).windows == d["windows"]  # the parsed records, kept as they are
+    assert load_report(path)["windows"] == d["windows"]  # the parsed records, kept as they are
     del d["windows"][3]["p_value"]
     path.write_text(json.dumps(d))
     with pytest.raises(DataError, match="not a valid drift report: 'p_value'"):
@@ -175,15 +174,17 @@ OLDER_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(OLDER_CONFIGS))
 def test_report_without_rng_scheme_still_loads(name, tmp_path):
-    d = report_to_dict(drift_scan(gaussian_pair(seed=11), FAST))
+    d = drift_scan(gaussian_pair(seed=11), FAST)
     assert d["config"]["rng_scheme"] == RNG_SCHEME
     del d["config"]["rng_scheme"]
     d["config"].update(OLDER_CONFIGS[name])
     path = tmp_path / "report.json"
     path.write_text(json.dumps(d))
     rebuilt = load_report(path)
-    assert rebuilt.config == FAST
-    assert report_to_dict(rebuilt)["config"]["rng_scheme"] == RNG_SCHEME
+    assert ScanConfig.from_dict(rebuilt["config"]) == FAST
+    # the loaded report keeps the file's own scheme, or its lack of one
+    assert rebuilt["config"].get("rng_scheme") == OLDER_CONFIGS[name].get("rng_scheme")
+    assert rebuilt == d
 
 
 @pytest.mark.parametrize("family", ["rbf", "linear"])
@@ -194,16 +195,16 @@ def test_observed_from_pool_gram_matches_mmd_bitwise(family, estimator):
     pair = gaussian_pair(seed=16, n=130, shift=0.5)
     config = ScanConfig(window=120, bootstraps=5, stride=5, estimator=estimator, kernel=KernelSpec(family))
     report = drift_scan(pair, config)
-    for w in report.windows:
+    for w in report["windows"]:
         rows = (w["t_index"] - config.window, w["t_index"])
         squared, _ = mmd(config.kernel, pair.reference.take_rows(*rows), pair.target.take_rows(*rows),
-                         estimator, bandwidth=report.bandwidth_used)
+                         estimator, bandwidth=report["bandwidth_used"])
         assert (w["observed_sq"], w["observed"]) == (squared, mmd_value(squared))
 
 
 def test_report_schema_fields():
-    report = drift_scan(gaussian_pair(seed=12), FAST)
-    d = report_to_dict(report)
+    d = drift_scan(gaussian_pair(seed=12), FAST)
+    assert tuple(d) == REPORT_KEYS
     for key in (
         "config",
         "bandwidth_used",
@@ -247,7 +248,7 @@ def test_windows_csv_has_config_and_header():
     lines = text.splitlines()
     assert lines[0].startswith("# config: ")
     assert lines[1] == "t_index,observed_sq,boot_median,p_value"
-    assert len(lines) == 2 + len(report.windows)
+    assert len(lines) == 2 + len(report["windows"])
 
 
 def test_scan_is_deterministic_byte_identical():
@@ -261,14 +262,14 @@ def test_per_window_bandwidth_policy_runs():
     pair = gaussian_pair(seed=15, n=24)
     config = ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("rbf", "median-window"), seed=0)
     report = drift_scan(pair, config)
-    assert report.bandwidth_used is None  # no single global bandwidth
-    assert all(np.isfinite(w["observed_sq"]) for w in report.windows)
+    assert report["bandwidth_used"] is None  # no single global bandwidth
+    assert all(np.isfinite(w["observed_sq"]) for w in report["windows"])
 
 
 def test_linear_kernel_scan_runs():
     pair = gaussian_pair(seed=16, n=24)
     report = drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("linear"), seed=0))
-    assert report.bandwidth_used is None
+    assert report["bandwidth_used"] is None
 
 
 @pytest.mark.parametrize("bandwidth, copies_both_sides", [("median", True), ("median-window", False), (1.5, False)])
