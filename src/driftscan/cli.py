@@ -16,12 +16,12 @@ import sys
 import warnings
 from dataclasses import asdict, astuple, fields
 
-from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings
+from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings, write_file
 from .kernels import KernelSpec
 from .mmd import mmd, mmd_value
 from .prep import BatchConfig, batch_means
 from .rng import derive_seed
-from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, indented_json, load_report, table_csv,
+from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_json, table_csv,
                    windows_to_csv)
 from .simharness import (ClassMixtureSpec, MetricSeries, correlation_study, generate_mixture, null_calibration,
                          ratio_drift_study)
@@ -111,20 +111,12 @@ def _echo(command: str, args, **resolved) -> dict:
     return {"command": command, **_from_args(_ECHO_KEYS[command], args, resolved)}
 
 
-def _json(payload: dict) -> str:
-    return indented_json(payload) + "\n"
-
-
 def _write_text(path: str | None, text: str) -> None:
     """Write ``text`` to the file at ``path``, or to stdout when ``path`` is None or empty."""
-    if not path:
+    if path:
+        write_file(path, text)
+    else:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _warn_if_unflaggable(bootstraps: int, window: int, alpha: float, what: str) -> None:
@@ -152,7 +144,7 @@ def cmd_mmd(args) -> int:
     spec = _kernel_spec(args)  # before the inputs are read, as in cmd_scan
     pair = DatasetPair(*_load_sides(args))
     squared, bandwidth = mmd(spec, pair.reference, pair.target, args.estimator)
-    _write_text(args.out, _json({
+    _write_text(args.out, report_to_json({
         "config": _echo("mmd", args, kernel=asdict(spec)),
         "squared": squared,
         "value": mmd_value(squared),
@@ -174,7 +166,7 @@ def cmd_scan(args) -> int:
         sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
     report = drift_scan(DatasetPair(*sides), config)
     # the CLI echo goes to the JSON's copy of the config, not to the CSV's
-    _write_text(args.out, _json({**report, "config": {**report["config"], "cli": _echo("scan", args)}}))
+    _write_text(args.out, report_to_json({**report, "config": {**report["config"], "cli": _echo("scan", args)}}))
     if args.csv_out:
         _write_text(args.csv_out, windows_to_csv(report))
     return 0
@@ -190,7 +182,7 @@ def cmd_batch(args) -> int:
     matrix = load_embeddings(args.input, args.format)
     reduced = batch_means(matrix, config)
     save_embeddings(reduced, args.out, args.out_format)
-    _write_text(None, _json({
+    _write_text(None, report_to_json({
         "config": _echo("batch", args, shuffle=config.shuffle, tail_policy=config.tail_policy),
         "input_rows": matrix.rows,
         "output_rows": reduced.rows,
@@ -209,7 +201,7 @@ def cmd_extract(args) -> int:
     pair = DatasetPair(*_load_sides(args))
     for which, path in outs.items():
         save_embeddings(extract_cause_samples(pair, report, which), path, args.out_format)
-    _write_text(None, _json({
+    _write_text(None, report_to_json({
         "config": _echo("extract", args),
         "cause_reference": report["cause_reference"],
         "cause_target": report["cause_target"],
@@ -233,7 +225,7 @@ def cmd_simulate_ratio(args) -> int:
 
 def cmd_simulate_mixture(args) -> int:
     save_embeddings(generate_mixture(_mixture(args, args.fraction)), args.out, args.out_format)
-    _write_text(None, _json({"config": _echo("simulate mixture", args)}))
+    _write_text(None, report_to_json({"config": _echo("simulate mixture", args)}))
     return 0
 
 
@@ -253,7 +245,7 @@ def cmd_calibrate(args) -> int:
     # after the trials, so settings that fail print only their error
     _warn_if_unflaggable(args.bootstraps, args.window, args.alpha, "trial")
     rejections = int((p_values <= args.alpha).sum())
-    _write_text(args.out, _json({
+    _write_text(args.out, report_to_json({
         "config": _echo("calibrate", args, kernel=asdict(spec)),
         "trials": args.trials,
         "rejections": rejections,
@@ -269,7 +261,7 @@ def cmd_correlate(args) -> int:
     config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:
         _write_text(args.out, table_csv(config, [f.name for f in fields(MetricSeries)], map(astuple, series)))
-    _write_text(None, _json({
+    _write_text(None, report_to_json({
         "config": config,
         "pearson_drift_bce": _json_safe(corr_bce),
         "pearson_drift_auc": _json_safe(corr_auc),

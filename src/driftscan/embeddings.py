@@ -272,16 +272,17 @@ def save_embeddings(m: EmbeddingMatrix, path, format: str = "binary") -> None:
     """
     if format not in ("csv", "binary"):
         raise ValueError(f"unknown format {format!r}")
-    p = Path(path)
+    if format == "binary":
+        data = _HEADER.pack(BINARY_MAGIC, m.rows, m.dims) + np.ascontiguousarray(m.values, dtype="<f4").tobytes()
+    else:
+        lines = [f"# dims={m.dims}"] if m.rows == 0 else []
+        data = "\n".join(lines + [",".join(map(_format_value, row)) for row in m.values]) + "\n"
+    write_file(Path(path), data)
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write ``data`` to the file at ``path``, text as UTF-8; DataError if it cannot be written."""
     try:
-        if format == "binary":
-            header = _HEADER.pack(BINARY_MAGIC, m.rows, m.dims)
-            payload = np.ascontiguousarray(m.values, dtype="<f4").tobytes()
-            p.write_bytes(header + payload)
-        else:
-            lines = [f"# dims={m.dims}"] if m.rows == 0 else []
-            for row in m.values:
-                lines.append(",".join(_format_value(v) for v in row))
-            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     except OSError as exc:
-        raise DataError(f"cannot write {p}: {exc.strerror or exc}") from exc
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -90,11 +90,10 @@ class KernelSpec:
         if isinstance(bw, str):
             if bw not in (MEDIAN_GLOBAL, MEDIAN_PER_WINDOW):
                 raise ValueError(f"unknown bandwidth policy {bw!r}")
+        elif isinstance(bw, bool) or not isinstance(bw, (int, float)):
+            raise ValueError(f"fixed bandwidth must be a positive finite number, got {bw!r}")
         else:
-            if isinstance(bw, bool) or not (isinstance(bw, (int, float)) and np.isfinite(bw) and bw > 0):
-                raise ValueError(f"fixed bandwidth must be a positive finite number, got {bw!r}")
-            if -2.0 * bw * bw == 0.0:  # the kernel's divisor: a zero distance would give 0/0
-                raise ValueError(f"fixed bandwidth {bw!r} is too small: -2 * bandwidth**2 rounds to zero")
+            _rbf_divisor(bw)
 
     @property
     def needs_bandwidth(self) -> bool:
@@ -103,6 +102,21 @@ class KernelSpec:
     @property
     def per_window_bandwidth(self) -> bool:
         return self.needs_bandwidth and self.bandwidth == MEDIAN_PER_WINDOW
+
+
+def _rbf_divisor(bandwidth) -> np.ndarray:
+    """The RBF kernel's divisor -2 * bandwidth**2 of a float or an array (None reads NaN).
+
+    ValueError unless each bandwidth is positive and its divisor finite and nonzero: -inf from about
+    9.5e153 would make every entry 1, and -0.0 below about 1e-162 would make a zero distance 0/0.
+    """
+    scale = np.asarray(bandwidth, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        divisor = -2.0 * scale * scale
+    if not ((scale > 0).all() and np.isfinite(divisor).all() and (divisor != 0.0).all()):
+        raise ValueError(f"expected a positive finite bandwidth whose kernel divisor -2 * bandwidth**2 is finite "
+                         f"and nonzero, got {bandwidth!r}")
+    return divisor
 
 
 def kernel_matrix(spec: KernelSpec, bandwidth, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -118,18 +132,15 @@ def kernel_matrix(spec: KernelSpec, bandwidth, x: np.ndarray, y: np.ndarray) -> 
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     if spec.family == "linear":
         return np.einsum("...id,...jd->...ij", x, y, optimize=False)
-    scale = np.asarray(bandwidth, dtype=np.float64)  # None reads NaN
-    divisor = -2.0 * scale * scale
-    if not ((scale > 0).all() and np.isfinite(scale).all() and (divisor != 0.0).all()):
-        raise ValueError(f"rbf kernel needs a positive finite bandwidth whose -2 * bandwidth**2 is nonzero, "
-                         f"got {bandwidth!r}")
+    divisor = _rbf_divisor(bandwidth)
     sq = np.empty((*x.shape[:-1], y.shape[-2]))
     columns_first = (x.ndim - 1, *range(x.ndim - 1))
     xt, yt = x.transpose(columns_first)[..., None], np.ascontiguousarray(y.transpose(columns_first))[..., None, :]
     step = max(1, SEEN_DISTANCES // max(1, sq[..., 0, :].size))  # rows a step: one small temporary
     for r in range(0, x.shape[-2], step):  # x's columns down, y's across
         _squared_distances(zip(xt[..., r : r + step, :], yt), sq[..., r : r + step, :])
-    np.divide(sq, divisor, out=sq)  # in place: the same bits as a new array
+    with np.errstate(over="ignore"):  # a distance over a tiny divisor is -inf, whose exp 0 is the kernel's value
+        np.divide(sq, divisor, out=sq)  # in place: the same bits as a new array
     return np.exp(sq, out=sq)
 
 

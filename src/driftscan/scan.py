@@ -11,9 +11,9 @@ encodes, keyed by ``REPORT_KEYS``; a loaded one is checked and kept as
 parsed (:func:`load_report`). Runs of overlapping windows share
 their Grams, blocks of runs are tested along a leading axis, and every
 window reads its flips from one sign matrix per scan
-(:func:`~driftscan.resample.scan_window_tests`). Reports are written
-through json's C encoder (:func:`indented_json`), with the bytes of
-``json.dumps(..., indent=2)``.
+(:func:`~driftscan.resample.scan_window_tests`). A report's text is
+``json.dumps(report, indent=2)``'s, with the window records encoded in one
+call to json's C encoder (:func:`report_to_json`).
 
 Index convention: ``t_index`` is 1-based and names the last sample in a
 window, so the first window has ``t_index == window`` and covers samples
@@ -23,7 +23,6 @@ same 1-based inclusive convention.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
+from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError, write_file
 from .kernels import KernelSpec, resolve_bandwidth
 from .mmd import mmd_value
 from .resample import RNG_SCHEME, check_window_settings, median, scan_window_tests
@@ -166,65 +165,30 @@ def report_from_dict(d: dict) -> dict:
     return d
 
 
-#: JSON's scalars: a container of only these is encoded in one call to json's C encoder
-_SCALARS = (str, int, float, type(None))
+#: the types of JSON's scalars: a window record of only these is encoded by json's C encoder
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _flat(value) -> bool:
-    """Whether ``value`` is a non-empty dict, list or tuple of JSON scalars."""
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return False
-    return all(isinstance(item, _SCALARS) for item in (value.values() if isinstance(value, dict) else value))
+def report_to_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` and a newline, with a report's window records in one C-encoder call.
 
-
-@functools.cache
-def _flat_encoder(pad: str):
-    """json's C encoder with each item of a container of scalars on a line of its own after ``pad``."""
-    return json.JSONEncoder(separators=("," + pad, ": ")).encode
-
-
-def indented_json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``'s text, with containers of scalars encoded by json's C encoder.
-
-    That encoder serves only ``indent=None``; with the item separator ``,``
-    followed by a newline and the item's indentation, it writes a flat
-    container's lines as the indenting encoder does, which leaves only the
-    brackets' lines to add. A list of flat containers, such as a report's
-    windows, is one call too. ``pad`` is a newline and the indentation of
-    ``value``'s own line.
+    json's indenting encoder is pure Python. A top-level ``windows`` list of non-empty dicts of scalars is
+    encoded with the item separator ``,`` and a newline and an entry's indentation, which writes each entry's
+    line as the indenting encoder does; no scalar's text holds a newline, so the records' brace lines go
+    where a closing brace meets that separator.
     """
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
-    inner = pad + "  "
-    if _flat(value):
-        text = _flat_encoder(inner)(value)
-        return text[0] + inner + text[1:-1] + pad + text[-1]
-    if not isinstance(value, dict) and all(map(_flat, value)):
-        # no scalar's text ends in a bracket, so a closing bracket and the
-        # separator after it end an item; each item's brackets get lines of their own
-        deeper = inner + "  "
-        text = _flat_encoder(deeper)(value)
-        brackets = {"{}" if isinstance(item, dict) else "[]" for item in value}
-        for _, close in brackets:
-            for open_, _ in brackets:
-                text = text.replace(close + "," + deeper + open_, inner + close + "," + inner + open_ + deeper)
-        return text[0] + inner + text[1] + deeper + text[2:-2] + inner + text[-2] + pad + text[-1]
-    if isinstance(value, dict):
-        # json.dumps's text of each key, which may be a number, a bool or None
-        lines = (json.dumps({key: None})[1:-7] + ": " + indented_json(item, inner) for key, item in value.items())
-        return "{" + inner + ("," + inner).join(lines) + pad + "}"
-    return "[" + inner + ("," + inner).join(indented_json(item, inner) for item in value) + pad + "]"
-
-
-def report_to_json(report: dict) -> str:
-    return indented_json(report) + "\n"
+    records = payload.get("windows")
+    if not (isinstance(records, list) and records and all(
+            isinstance(r, dict) and r and _SCALARS.issuperset(map(type, r.values())) for r in records)):
+        return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(records, separators=(",\n      ", ": "))
+    text = "[\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+    head, tail = json.dumps({**payload, "windows": None}, indent=2).split('\n  "windows": null', 1)
+    return head + '\n  "windows": ' + text + tail + "\n"
 
 
 def save_report(report: dict, path) -> None:
-    try:
-        Path(path).write_text(report_to_json(report), encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    write_file(path, report_to_json(report))
 
 
 def load_report(path) -> dict:
@@ -234,7 +198,7 @@ def load_report(path) -> dict:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return report_from_dict(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError and out-of-range configs are ValueErrors
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:  # a JSONDecodeError is a ValueError
         raise DataError(f"{path}: not a valid drift report: {exc}") from exc
 
 

@@ -199,6 +199,7 @@ def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, c
     for section, key, value, message in (
         ("config", "window", 1, "window must be >= 2, got 1"),
         ("kernel", "bandwidth", True, "fixed bandwidth must be a positive finite number, got True"),
+        ("kernel", "bandwidth", 10**400, "int too large to convert to float"),
     ):
         payload = json.loads(scanned)
         config = payload["config"]
@@ -575,13 +576,23 @@ def test_window_too_large_exits_two(pair_files, capsys):
 
 def test_bad_bandwidth_value_exits_one(tmp_path, monkeypatch, capsys):
     # the input files do not exist, so exit 1 (not 2) shows that no file was read; at
-    # 1e-200 the kernel's divisor -2 * bandwidth**2 rounds to -0.0, which once gave NaN
+    # 1e-200 the kernel's divisor -2 * bandwidth**2 rounds to -0.0, which once gave NaN,
+    # and at 1e160 it is -inf, which once gave MMD^2 0 for any inputs
     monkeypatch.chdir(tmp_path)
     for command in ("mmd", "scan"):
-        for value in ("-3", "0", "nan", "inf", "foo", "1e-200"):
+        for value in ("-3", "0", "nan", "inf", "foo", "1e-200", "1e160"):
             assert main([command, "--ref", "a.csv", "--target", "b.csv", "--bandwidth", value]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_the_smallest_accepted_bandwidth_prints_no_warning(pair_files, capsys):
+    # at 1.5e-162 each nonzero distance over the kernel's divisor overflows to -inf, whose exp 0 is exact
+    ref, target = pair_files
+    assert main(["mmd", "--ref", ref, "--target", target, "--bandwidth", "1.5e-162"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["squared"] > 0
 
 
 def _child_env():

@@ -124,6 +124,9 @@ def test_kernel_spec_validation():
     for bandwidth in (True, False):  # a bool is an int to isinstance, but no bandwidth
         with pytest.raises(ValueError, match="positive finite number"):
             KernelSpec("rbf", bandwidth)
+    for bandwidth in (1e-200, 1e160, 10**200):  # the divisor -2 * bandwidth**2 would be -0.0 or -inf
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            KernelSpec("rbf", bandwidth)
     KernelSpec("rbf", "median-window")  # valid
 
 

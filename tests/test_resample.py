@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -539,10 +540,11 @@ window_test(KernelSpec("rbf", 1.0), x[:8], y[:8], 1, 0, "biased", 1.0)  # lazy i
     assert rise_mb < block_mb, f"peak {rise_mb:.1f} MB over the {block_mb:.0f} MB that check_window_settings counts"
 
 
-@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 1e-200])
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 1e-200, 1e160])
 def test_non_finite_bandwidth_is_refused(bandwidth):
     # NaN once gave every null statistic NaN and a flagged p = 1/(k + 1); inf a constant kernel;
-    # 1e-200 a kernel divisor -2 * bandwidth**2 of -0.0, so 0/0 on each Gram's zero diagonal
+    # 1e-200 a kernel divisor -2 * bandwidth**2 of -0.0, so 0/0 on each Gram's zero diagonal;
+    # 1e160 a divisor of -inf, so a constant kernel and MMD^2 0 for any inputs
     x = np.random.default_rng(3).standard_normal((16, 3))
     with pytest.raises(ValueError, match="positive finite bandwidth"):
         window_test(KernelSpec(), x, x, 19, 0, "biased", bandwidth)
@@ -551,9 +553,11 @@ def test_non_finite_bandwidth_is_refused(bandwidth):
 
 
 def test_the_smallest_accepted_bandwidths_give_finite_statistics():
-    # at 1.5e-162 the kernel's divisor -2 * bandwidth**2 is -4.9e-324, not -0.0
+    # at 1.5e-162 the kernel's divisor -2 * bandwidth**2 is -4.9e-324, not -0.0; a nonzero distance
+    # over it is -inf, whose exp 0 is the kernel's value, so the overflow warns of nothing
     x, y = _windows(3, 16, 3)
-    with pytest.warns(RuntimeWarning, match="overflow"):  # a nonzero distance over it is -inf, whose exp is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         observed, stats, middle, p_value = window_test(KernelSpec("rbf", 1.5e-162), x, y, 19, 0, "biased")
     assert np.isfinite([observed, middle, p_value, *stats]).all()
 

@@ -16,7 +16,6 @@ from driftscan.scan import (
     ScanConfig,
     drift_scan,
     extract_cause_samples,
-    indented_json,
     load_report,
     report_from_dict,
     report_to_json,
@@ -224,22 +223,31 @@ def test_report_schema_fields():
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-                 | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, "é ☃ \"\\\n\t\x00"]))
+                 | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, "é ☃ \"\\\n\t\x00",
+                                    "},\n      {", "}"]))
 _JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-#: containers of scalars, which a list of them writes in one call
-_FLAT = st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4) | st.lists(_JSON_SCALARS, min_size=1)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda children: st.lists(children, max_size=4) | st.tuples(children)
+                            | st.dictionaries(_JSON_KEYS, children, max_size=4), max_leaves=30)
+#: window records of scalars take one call to json's C encoder; a list with any other item takes json.dumps
+_SCALAR_RECORDS = st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=7)
+_WINDOWS = st.lists(_SCALAR_RECORDS, min_size=1, max_size=5) | st.lists(_SCALAR_RECORDS | _JSON_VALUES, max_size=5)
+_ENTRIES = st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.recursive(_JSON_SCALARS, lambda children: st.lists(children, max_size=4) | st.tuples(children)
-                    | st.dictionaries(_JSON_KEYS, children, max_size=4), max_leaves=30)
-       | st.lists(_FLAT, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES | st.builds(lambda head, windows, tail: {**head, "windows": windows, **tail}, _ENTRIES, _WINDOWS,
+                            _ENTRIES))
 @example({"windows": [{}, [], {"a": [float("nan"), -0.0, 5e-324]}], "é\n": {"x": None, "y": True}, "z": []})
-@example([[1, [2.5, float("inf")], {"k": -float("inf")}], {}, [], "\u2603\"\\"])
-@example([{"a": "},\n      {", "b": 1}, ["]", "[,"], (None, True), {"": -0.0}])
-def test_indented_json_writes_the_bytes_of_json_dumps(value):
-    # containers of scalars go through json's C encoder; every byte must be the indenting encoder's
-    assert indented_json(value) == json.dumps(value, indent=2)
+@example({"windows": [[1, [2.5, float("inf")], {"k": -float("inf")}], {}, [], "\u2603\"\\"]})
+@example({"windows": [{"a": "},\n      {", "b": 1}, ["]", "[,"], (None, True), {"": -0.0}]})
+@example({"config": {"cli": {"command": "scan"}}, "windows": [{"a": "},\n      {", "b": 1}, {1: None, None: "}"}],
+          "cause": [1, 2]})
+@example({"windows": [{"t_index": 3, "flagged": False}], "windows_": {}})
+@example({"a": {"windows": [{"t_index": 3}]}, "windows": {"t_index": 3}})
+@example({"windows": 1})
+def test_report_to_json_writes_the_bytes_of_json_dumps(payload):
+    # a report's window records go through json's C encoder; every byte must be the indenting encoder's
+    assert report_to_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_windows_csv_has_config_and_header():
