@@ -30,7 +30,6 @@ from .scan import (
 )
 from .simharness import (
     ClassMixtureSpec,
-    MetricSeries,
     auc,
     bce,
     correlation_study,
@@ -51,7 +50,6 @@ __all__ = [
     "EmbeddingMatrix",
     "FormatError",
     "KernelSpec",
-    "MetricSeries",
     "ScanConfig",
     "ValidationError",
     "auc",

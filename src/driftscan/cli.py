@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 
 from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings, write_file
 from .kernels import KernelSpec
@@ -23,8 +24,8 @@ from .prep import BatchConfig, batch_means
 from .rng import derive_seed
 from .scan import (ScanConfig, check_alpha, drift_scan, extract_cause_samples, load_report, report_to_json, table_csv,
                    windows_to_csv)
-from .simharness import (ClassMixtureSpec, MetricSeries, correlation_study, generate_mixture, null_calibration,
-                         ratio_drift_study)
+from .simharness import (RATIO_COLUMNS, SERIES_COLUMNS, ClassMixtureSpec, correlation_study, generate_mixture,
+                         null_calibration, ratio_drift_study)
 
 #: each subcommand's config echo after its "command" key, in order; a key
 #: names an ``args`` attribute unless the command passes a resolved value
@@ -38,6 +39,9 @@ _ECHO_KEYS = {
     "calibrate": ("trials", "n", "dims", "window", "bootstraps", "alpha", "seed", "kernel", "estimator"),
     "correlate": ("profile", "n", "dims", "batch_size", "scale", "separation", "scan"),
 }
+
+#: the ``args`` attributes that name output files, which no two flags of a command may share
+_OUTPUT_FILES = ("out", "csv_out", "out_ref", "out_target")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +113,19 @@ def _scan_config(args) -> ScanConfig:
 def _echo(command: str, args, **resolved) -> dict:
     """The config echo of ``command``, keyed as in ``_ECHO_KEYS``."""
     return {"command": command, **_from_args(_ECHO_KEYS[command], args, resolved)}
+
+
+def _check_distinct_files(args) -> None:
+    """ValueError if an output flag names the file of another output or of an input."""
+    flags = {}
+    for name in ("ref", "target", "report", "input", *_OUTPUT_FILES):
+        path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+        real = path and os.path.realpath(path)
+        if not path or os.path.exists(real) and not os.path.isfile(real):
+            continue  # a device such as /dev/null loses nothing when written twice
+        if real in flags and name in _OUTPUT_FILES:
+            raise ValueError(f"{flag} names the same file as {flags[real]}: {path}")
+        flags.setdefault(real, flag)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -218,8 +235,7 @@ def cmd_simulate_ratio(args) -> int:
     scan = _scan_config(args)
     _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
     rows = ratio_drift_study(_mixture(args), args.fractions, scan, batch_size=args.batch_size)
-    _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()),
-                                    ["fraction", "summary_score"], rows))
+    _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()), RATIO_COLUMNS, rows))
     return 0
 
 
@@ -257,10 +273,10 @@ def cmd_calibrate(args) -> int:
 def cmd_correlate(args) -> int:
     scan = _scan_config(args)
     _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
-    series, corr_bce, corr_auc = correlation_study(_mixture(args), args.profile, scan, args.batch_size)
+    rows, corr_bce, corr_auc = correlation_study(_mixture(args), args.profile, scan, args.batch_size)
     config = _echo("correlate", args, scan=scan.to_dict())
     if args.out:
-        _write_text(args.out, table_csv(config, [f.name for f in fields(MetricSeries)], map(astuple, series)))
+        _write_text(args.out, table_csv(config, SERIES_COLUMNS, rows))
     _write_text(None, report_to_json({
         "config": config,
         "pearson_drift_bce": _json_safe(corr_bce),
@@ -373,6 +389,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            _check_distinct_files(args)  # before any file is read or written
             return args.func(args)
         except DataError as exc:
             print(f"error: {exc}", file=sys.stderr)

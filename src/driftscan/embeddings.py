@@ -256,7 +256,7 @@ def load_embeddings(path, format: str = "auto") -> EmbeddingMatrix:
     if format == "binary":
         return _parse_binary(blob, str(p))
     try:
-        text = blob.decode("utf-8")
+        text = blob.decode("utf-8-sig")  # a leading byte-order mark, as Excel writes, is dropped
     except UnicodeDecodeError as exc:
         raise FormatError(f"{p}: not valid UTF-8 text: {exc}") from exc
     return _parse_csv(text, str(p))

@@ -202,7 +202,7 @@ def load_report(path) -> dict:
         raise DataError(f"{path}: not a valid drift report: {exc}") from exc
 
 
-def table_csv(config: dict, header: list[str], rows) -> str:
+def table_csv(config: dict, header, rows) -> str:
     """A ``# config:`` comment line, a header and one line per row; floats as their repr."""
     lines = [f"# config: {json.dumps(config)}", ",".join(header)]
     for row in rows:

@@ -39,6 +39,10 @@ from .scan import ScanConfig, drift_scan, shared_bandwidth
 #: about 2 KB, so submitting all of a million trials at once would hold 2 GB
 TRIAL_CHUNK = 1024
 
+#: the columns of :func:`ratio_drift_study`'s rows and of :func:`correlation_study`'s buckets
+RATIO_COLUMNS = ("fraction", "summary_score")
+SERIES_COLUMNS = ("bucket_id", "drift", "bce", "auc")
+
 
 @dataclass(frozen=True)
 class ClassMixtureSpec:
@@ -79,16 +83,6 @@ class ClassMixtureSpec:
         half = self.separation * self.scale / 2.0
         toward_negative = 1.0 if self.separation >= 0 else -1.0
         return half - self.shift * self.scale * toward_negative, -half
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """Per-bucket drift score and scorer performance."""
-
-    bucket_id: int
-    drift: float
-    bce: float
-    auc: float
 
 
 def positive_count(n: int, fraction: float) -> int:
@@ -180,7 +174,7 @@ def ratio_drift_study(
 
     Each fraction gets its own derived generator and scan seeds, so the
     table is reproducible bit-identically per seed and independent of the
-    order in which fractions are evaluated. Rows are (fraction, score).
+    order of the fractions. Rows are tuples in ``RATIO_COLUMNS`` order.
     """
     targets = [replace(base, positive_fraction=float(f), seed=derive_seed(base.seed, "ratio-target", i))
                for i, f in enumerate(fractions)]  # a bad fraction fails before any mixture is drawn
@@ -213,7 +207,7 @@ def correlation_study(
     drift_profile,
     scan: ScanConfig,
     batch_size: int = 64,
-) -> tuple[list[MetricSeries], float, float]:
+) -> tuple[list[tuple[int, float, float, float]], float, float]:
     """Correlate per-bucket drift scores with a fixed scorer's BCE and AUC.
 
     The reference is ``base`` at a balanced fraction; bucket b, one per
@@ -221,10 +215,10 @@ def correlation_study(
     positive-class mean moves drift_profile[b] * scale toward the negative
     class. That drifts the bucket's inputs and degrades the scorer (the
     Bayes-optimal logistic score on axis 0 for the reference) together.
-    Returns (series, pearson(drift, bce), pearson(drift, auc)); the
-    correlations are NaN with a warning when the profile is degenerate
-    (fewer than 2 buckets or all magnitudes equal), or when the scorer is
-    constant because the separation is 0.
+    Returns (rows, pearson(drift, bce), pearson(drift, auc)), rows in
+    ``SERIES_COLUMNS`` order; the correlations are NaN with a warning when
+    the profile is degenerate (fewer than 2 buckets or all magnitudes
+    equal), or when the scorer is constant because the separation is 0.
     """
     profile = [float(v) for v in drift_profile]
     buckets = len(profile)
@@ -241,27 +235,20 @@ def correlation_study(
     half = base.separation * base.scale / 2.0
     weight = (half + half) / (base.scale * base.scale)
 
-    series = []
+    rows = []
     for b, bucket_spec in enumerate(bucket_specs):
         points, labels = generate_labeled_mixture(bucket_spec)
         bucket_batched = _batched(points, batch_size, derive_seed(seed, "corr-bucket-batch", b))
         scan_b = replace(scan, seed=derive_seed(scan.seed, "corr-scan", b))
         report = drift_scan(DatasetPair(ref_batched, bucket_batched), scan_b)
         scores = _stable_sigmoid(points.as_float64()[:, 0] * weight)
-        series.append(
-            MetricSeries(
-                bucket_id=b,
-                drift=report["summary_score"],
-                bce=bce(scores, labels),
-                auc=auc(scores, labels),
-            )
-        )
+        rows.append((b, report["summary_score"], bce(scores, labels), auc(scores, labels)))
 
     if buckets < 2 or all(v == profile[0] for v in profile):
         warnings.warn("degenerate drift profile: correlations are undefined", stacklevel=2)
-        return series, float("nan"), float("nan")
-    drifts = [m.drift for m in series]
-    return series, pearson(drifts, [m.bce for m in series]), pearson(drifts, [m.auc for m in series])
+        return rows, float("nan"), float("nan")
+    _, drifts, bces, aucs = zip(*rows)
+    return rows, pearson(drifts, bces), pearson(drifts, aucs)
 
 
 def _usable_cpus() -> int:

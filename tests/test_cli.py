@@ -513,6 +513,44 @@ def test_library_warning_prints_as_one_line(capsys):
                                        + "warning: degenerate drift profile: correlations are undefined\n")
 
 
+@pytest.fixture
+def study_files(tmp_path, monkeypatch):
+    """ref.csv, a 200-row prod.csv and a scan's report.json, in the working directory."""
+    rng = np.random.default_rng(4)
+    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((200, 3))), tmp_path / "ref.csv", "csv")
+    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((200, 3)) + 0.5), tmp_path / "prod.csv", "csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--ref", "ref.csv", "--target", "prod.csv", "--window", "32", "--bootstraps", "19",
+                 "--out", "report.json"]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--ref", "ref.csv", "--target", "prod.csv", "--out", "same.out", "--csv-out", "same.out"],
+     "--csv-out names the same file as --out: same.out"),
+    (["extract", "--ref", "ref.csv", "--target", "prod.csv", "--report", "report.json", "--which", "target",
+      "--out", "prod.csv"], "--out names the same file as --target: prod.csv"),
+    (["extract", "--ref", "ref.csv", "--target", "prod.csv", "--report", "report.json", "--which", "both",
+      "--out-ref", "x.csv", "--out-target", "x.csv"], "--out-target names the same file as --out-ref: x.csv"),
+    (["batch", "--input", "prod.csv", "--out", "prod.csv"], "--out names the same file as --input: prod.csv"),
+    (["batch", "--input", "prod.csv", "--out", "./prod.csv"], "--out names the same file as --input: ./prod.csv"),
+], ids=["scan-out-is-csv-out", "extract-out-is-target", "extract-out-ref-is-out-target", "batch-out-is-input",
+        "batch-out-is-input-by-another-name"])
+def test_an_output_on_another_file_of_the_command_exits_one(study_files, capsys, argv, message):
+    before = {p.name: p.read_bytes() for p in study_files.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert {p.name: p.read_bytes() for p in study_files.iterdir()} == before
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull), reason="no null device")
+def test_outputs_may_share_the_null_device(study_files):
+    assert main(["scan", "--ref", "ref.csv", "--target", "ref.csv", "--window", "32", "--bootstraps", "19",
+                 "--out", os.devnull, "--csv-out", os.devnull]) == 0
+
+
 def test_unknown_flag_exits_one(pair_files):
     ref, target = pair_files
     with pytest.raises(SystemExit) as exc:

@@ -99,6 +99,26 @@ def test_first_bad_field_of_a_row_sets_the_error(tmp_path, row, error, where):
         load_embeddings(p, "csv")
 
 
+def test_csv_with_a_byte_order_mark_loads_to_the_same_bits(tmp_path):
+    text = "# written by a spreadsheet\n1.5,-2\n0.1,3e-7\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_embeddings(marked).values.tobytes() == load_embeddings(plain).values.tobytes()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+def test_a_byte_order_mark_keeps_the_error_line_numbers(tmp_path, encoding):
+    p = tmp_path / "f.csv"
+    p.write_bytes("1,2\n3,abc\n".encode(encoding))
+    with pytest.raises(FormatError, match="line 2: column 1: cannot parse 'abc'"):
+        load_embeddings(p)
+    p.write_bytes("abc,2\n".encode(encoding))
+    with pytest.raises(FormatError, match="line 1: column 0: cannot parse 'abc'"):
+        load_embeddings(p)
+
+
 def test_csv_values_follow_python_float(tmp_path):
     # surrounding spaces, digit-group underscores and a negative zero
     p = tmp_path / "f.csv"

@@ -454,9 +454,9 @@ def one_blas_thread_hashes(golden_inputs):
 
 @pytest.mark.parametrize("stride, flags", sorted(SCAN_PINS),
                          ids=[f"stride{s}-" + ("=".join(f).lstrip("-") or "default") for s, f in sorted(SCAN_PINS)])
-def test_scan_outputs_do_not_depend_on_the_worker_count(golden_inputs, one_blas_thread_hashes, monkeypatch, stride,
-                                                        flags):
-    # the scan's only workers are BLAS threads; blocks of more or fewer windows must not move a byte either
+def test_block_shapes_and_one_blas_thread_keep_bytes(golden_inputs, one_blas_thread_hashes, monkeypatch, stride,
+                                                     flags):
+    # a scan in blocks of more or fewer windows, and on a BLAS of one thread, must not move a byte
     hashes = _scan_by_block_shape(monkeypatch, golden_inputs, *flags, stride=stride)
     assert _observed_sha256(golden_inputs / "report.json") == OBSERVED_PINS[stride, flags]
     assert hashes == [SCAN_PINS[stride, flags]] * len(BLOCK_SHAPES)

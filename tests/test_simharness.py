@@ -11,6 +11,7 @@ from driftscan.resample import window_test
 from driftscan.rng import derive_rng, derive_seed
 from driftscan.scan import ScanConfig
 from driftscan.simharness import (
+    SERIES_COLUMNS,
     ClassMixtureSpec,
     auc,
     bce,
@@ -172,19 +173,20 @@ def test_ratio_study_rejects_empty_fractions():
 
 
 def test_correlation_study_signs_on_monotone_profile():
-    series, corr_bce, corr_auc = correlation_study(
+    rows, corr_bce, corr_auc = correlation_study(
         ClassMixtureSpec(dims=4, n=1024, positive_fraction=0.5, seed=31), [0.0, 1.5, 3.0], FAST_SCAN, batch_size=32
     )
-    assert [m.bucket_id for m in series] == [0, 1, 2]
+    series = [dict(zip(SERIES_COLUMNS, row, strict=True)) for row in rows]
+    assert [m["bucket_id"] for m in series] == [0, 1, 2]
     assert corr_bce > 0.5
     assert corr_auc < -0.5
     for m in series:
-        assert 0.0 <= m.auc <= 1.0
-        assert m.bce >= 0.0
+        assert 0.0 <= m["auc"] <= 1.0
+        assert m["bce"] >= 0.0
     # the collapsing separation must actually hurt the scorer
-    assert series[-1].auc < series[0].auc
-    assert series[-1].bce > series[0].bce
-    assert series[-1].drift > series[0].drift
+    assert series[-1]["auc"] < series[0]["auc"]
+    assert series[-1]["bce"] > series[0]["bce"]
+    assert series[-1]["drift"] > series[0]["drift"]
 
 
 def test_correlation_study_degenerate_profile_is_nan():
