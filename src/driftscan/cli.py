@@ -97,6 +97,16 @@ def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
 
 
+def _add_study_flags(p, n: int, rows: str):
+    p.add_argument("--n", type=int, default=n, help=f"samples per {rows} (default: {n})")
+    p.add_argument("--dims", type=int, default=16)
+    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--separation", type=float, default=4.0, help="class-mean separation in units of scale (default: 4)")
+    p.add_argument("--batch-size", type=int, default=64)
+    _add_scan_flags(p)
+    _add_run_flags(p)
+
+
 def _kernel_spec(args) -> KernelSpec:
     return KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
 
@@ -120,12 +130,13 @@ def _check_distinct_files(args) -> None:
     flags = {}
     for name in ("ref", "target", "report", "input", *_OUTPUT_FILES):
         path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
-        real = path and os.path.realpath(path)
-        if not path or os.path.exists(real) and not os.path.isfile(real):
+        if not path or os.path.exists(path) and not os.path.isfile(path):
             continue  # a device such as /dev/null loses nothing when written twice
-        if real in flags and name in _OUTPUT_FILES:
-            raise ValueError(f"{flag} names the same file as {flags[real]}: {path}")
-        flags.setdefault(real, flag)
+        stat = os.path.isfile(path) and os.stat(path)  # a file that exists is known by its inode, hard links and all
+        key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
+        if key in flags and name in _OUTPUT_FILES:
+            raise ValueError(f"{flag} names the same file as {flags[key]}: {path}")
+        flags.setdefault(key, flag)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -330,16 +341,9 @@ def build_parser() -> _Parser:
     sim = p.add_subparsers(dest="study", required=True, metavar="STUDY")
 
     q = sim.add_parser("ratio-drift", help="drift score vs target class-ratio table")
-    q.add_argument("--n", type=int, default=5000, help="samples per side (default: 5000)")
-    q.add_argument("--dims", type=int, default=16)
     q.add_argument("--fractions", type=_float_list, default=[0.1, 0.3, 0.5, 0.7, 0.9],
                    metavar="F1,F2,...", help="target positive-class fractions")
-    q.add_argument("--scale", type=float, default=1.0)
-    q.add_argument("--separation", type=float, default=4.0,
-                   help="class-mean separation in units of scale (default: 4)")
-    q.add_argument("--batch-size", type=int, default=64)
-    _add_scan_flags(q)
-    _add_run_flags(q)
+    _add_study_flags(q, 5000, "side")
     q.add_argument("--out", metavar="PATH", help="table CSV destination (default: stdout)")
     q.set_defaults(func=cmd_simulate_ratio)
 
@@ -369,13 +373,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("correlate", help="drift vs scorer-performance correlation study")
     p.add_argument("--profile", type=_float_list, required=True, metavar="D1,D2,...",
                    help="per-bucket drift magnitudes")
-    p.add_argument("--n", type=int, default=4096, help="samples per bucket (default: 4096)")
-    p.add_argument("--dims", type=int, default=16)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--batch-size", type=int, default=64)
-    _add_scan_flags(p)
-    _add_run_flags(p)
+    _add_study_flags(p, 4096, "bucket")
     p.add_argument("--out", metavar="PATH", help="per-bucket CSV destination")
     p.set_defaults(func=cmd_correlate)
 

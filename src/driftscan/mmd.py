@@ -89,8 +89,9 @@ def mmd(
 
     When ``bandwidth`` is None it is resolved from ``spec``'s policy over the
     pooled rows of both samples; pass an explicit value to reuse a bandwidth
-    resolved elsewhere (e.g. once per scan). Deterministic and independent of
-    row order within each sample.
+    resolved elsewhere (e.g. once per scan). Deterministic; swapping the two
+    samples gives the same bits, and reordering a sample's rows the same
+    value up to rounding.
     """
     _check_inputs(q1, q2, estimator)
     x = q1.as_float64()

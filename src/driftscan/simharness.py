@@ -159,9 +159,25 @@ def pearson(x, y) -> float:
     return float(np.dot(xc, yc) / denom)
 
 
-def _batched(points: EmbeddingMatrix, batch_size: int, seed: int) -> EmbeddingMatrix:
-    """Means of ``batch_size``-row batches of ``points``, shuffled with ``seed``, a partial tail dropped."""
-    return batch_means(points, BatchConfig(batch_size=batch_size, shuffle=True, seed=seed))
+def _bucket_drifts(base: ClassMixtureSpec, changes, scan: ScanConfig, batch_size: int, study: str, side: str):
+    """Yield each bucket's spec, points, labels and drift ``summary_score`` against a balanced reference.
+
+    The reference is ``base`` at fraction 0.5 and bucket i is it with ``changes[i]``'s fields replaced, both
+    scanned as shuffled ``batch_size``-row means. Seeds come from the tags ``{study}-ref``, ``{study}-ref-batch``
+    and, by position, ``{study}-{side}``, ``{study}-{side}-batch`` and ``{study}-scan``.
+    """
+    ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, f"{study}-ref"))
+    specs = [replace(ref_spec, **change, seed=derive_seed(base.seed, f"{study}-{side}", i))
+             for i, change in enumerate(changes)]  # a bad spec fails before any mixture is drawn
+    if not specs:
+        raise ValueError(f"need at least one {side}")
+    ref_batch = BatchConfig(batch_size, seed=derive_seed(base.seed, f"{study}-ref-batch"))  # and so does a bad size
+    ref = batch_means(generate_mixture(ref_spec), ref_batch)
+    for i, spec in enumerate(specs):
+        points, labels = generate_labeled_mixture(spec)
+        target = batch_means(points, replace(ref_batch, seed=derive_seed(base.seed, f"{study}-{side}-batch", i)))
+        scan_i = replace(scan, seed=derive_seed(scan.seed, f"{study}-scan", i))
+        yield spec, points, labels, drift_scan(DatasetPair(ref, target), scan_i)["summary_score"]
 
 
 def ratio_drift_study(
@@ -172,24 +188,13 @@ def ratio_drift_study(
 ) -> list[tuple[float, float]]:
     """Drift score per target positive-class fraction, reference fixed at 0.5.
 
-    Each fraction gets its own derived generator and scan seeds, so the
-    table is reproducible bit-identically per seed and independent of the
-    order of the fractions. Rows are tuples in ``RATIO_COLUMNS`` order.
+    The table is reproducible bit-identically per seed. A row's seeds follow
+    its position, so a row depends on its position and its own fraction
+    only. Rows are tuples in ``RATIO_COLUMNS`` order.
     """
-    targets = [replace(base, positive_fraction=float(f), seed=derive_seed(base.seed, "ratio-target", i))
-               for i, f in enumerate(fractions)]  # a bad fraction fails before any mixture is drawn
-    if not targets:
-        raise ValueError("fractions must be nonempty")
-    BatchConfig(batch_size)  # and so does a bad size
-    ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, "ratio-ref"))
-    ref = _batched(generate_mixture(ref_spec), batch_size, derive_seed(base.seed, "ratio-ref-batch"))
-    rows = []
-    for i, target_spec in enumerate(targets):
-        target = _batched(generate_mixture(target_spec), batch_size, derive_seed(base.seed, "ratio-target-batch", i))
-        scan_i = replace(scan, seed=derive_seed(scan.seed, "ratio-scan", i))
-        report = drift_scan(DatasetPair(ref, target), scan_i)
-        rows.append((target_spec.positive_fraction, report["summary_score"]))
-    return rows
+    changes = [{"positive_fraction": float(f)} for f in fractions]
+    return [(spec.positive_fraction, drift)
+            for spec, _, _, drift in _bucket_drifts(base, changes, scan, batch_size, "ratio", "target")]
 
 
 def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -221,30 +226,16 @@ def correlation_study(
     equal), or when the scorer is constant because the separation is 0.
     """
     profile = [float(v) for v in drift_profile]
-    buckets = len(profile)
-    if buckets < 1:
-        raise ValueError("need at least one bucket")
-    BatchConfig(batch_size)  # a bad size fails before any mixture is drawn
-
-    seed = base.seed
-    ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(seed, "corr-ref"))
-    bucket_specs = [replace(ref_spec, shift=shift, seed=derive_seed(seed, "corr-bucket", b))
-                    for b, shift in enumerate(profile)]  # a bad shift fails before any mixture is drawn
-    ref_batched = _batched(generate_mixture(ref_spec), batch_size, derive_seed(seed, "corr-ref-batch"))
     # the reference's Bayes-optimal logistic weight on axis 0, (mu+ - mu-) / scale²
     half = base.separation * base.scale / 2.0
     weight = (half + half) / (base.scale * base.scale)
-
     rows = []
-    for b, bucket_spec in enumerate(bucket_specs):
-        points, labels = generate_labeled_mixture(bucket_spec)
-        bucket_batched = _batched(points, batch_size, derive_seed(seed, "corr-bucket-batch", b))
-        scan_b = replace(scan, seed=derive_seed(scan.seed, "corr-scan", b))
-        report = drift_scan(DatasetPair(ref_batched, bucket_batched), scan_b)
+    buckets = _bucket_drifts(base, [{"shift": shift} for shift in profile], scan, batch_size, "corr", "bucket")
+    for b, (_, points, labels, drift) in enumerate(buckets):
         scores = _stable_sigmoid(points.as_float64()[:, 0] * weight)
-        rows.append((b, report["summary_score"], bce(scores, labels), auc(scores, labels)))
+        rows.append((b, drift, bce(scores, labels), auc(scores, labels)))
 
-    if buckets < 2 or all(v == profile[0] for v in profile):
+    if len(profile) < 2 or all(v == profile[0] for v in profile):
         warnings.warn("degenerate drift profile: correlations are undefined", stacklevel=2)
         return rows, float("nan"), float("nan")
     _, drifts, bces, aucs = zip(*rows)

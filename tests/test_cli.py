@@ -545,6 +545,25 @@ def test_an_output_on_another_file_of_the_command_exits_one(study_files, capsys,
     assert {p.name: p.read_bytes() for p in study_files.iterdir()} == before
 
 
+@pytest.mark.parametrize("linked, argv, message", [
+    ("report.json", ["scan", "--ref", "ref.csv", "--target", "prod.csv", "--out", "report.json", "--csv-out", "link.csv"],
+     "--csv-out names the same file as --out: link.csv"),
+    ("prod.csv", ["batch", "--input", "prod.csv", "--batch-size", "4", "--out", "link.csv"],
+     "--out names the same file as --input: link.csv"),
+    ("prod.csv", ["extract", "--ref", "ref.csv", "--target", "prod.csv", "--report", "report.json",
+                  "--which", "target", "--out", "link.csv"], "--out names the same file as --target: link.csv"),
+], ids=["scan", "batch", "extract"])
+def test_an_output_hard_linked_to_another_file_of_the_command_exits_one(study_files, capsys, linked, argv, message):
+    # link.csv is a second name of the file, which a comparison of real paths does not see
+    os.link(linked, "link.csv")
+    before = {p.name: p.read_bytes() for p in study_files.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert {p.name: p.read_bytes() for p in study_files.iterdir()} == before
+
+
 @pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull), reason="no null device")
 def test_outputs_may_share_the_null_device(study_files):
     assert main(["scan", "--ref", "ref.csv", "--target", "ref.csv", "--window", "32", "--bootstraps", "19",

@@ -172,6 +172,17 @@ def test_ratio_study_rejects_empty_fractions():
         ratio_drift_study(base, [], FAST_SCAN)
 
 
+def test_a_study_row_depends_on_its_position_and_its_own_entry_only():
+    base = ClassMixtureSpec(dims=3, n=400, positive_fraction=0.5, seed=7)
+    scan = ScanConfig(window=8, bootstraps=5)
+    rows = ratio_drift_study(base, [0.1, 0.9], scan, batch_size=16)
+    assert ratio_drift_study(base, [0.1, 0.5], scan, batch_size=16)[0] == rows[0]
+    # a row's seeds follow its position, so the same fraction elsewhere scores otherwise
+    assert ratio_drift_study(base, [0.9, 0.1], scan, batch_size=16)[1] != rows[0]
+    buckets, _, _ = correlation_study(base, [0.0, 2.0], scan, batch_size=16)
+    assert correlation_study(base, [0.0, 1.0], scan, batch_size=16)[0][0] == buckets[0]
+
+
 def test_correlation_study_signs_on_monotone_profile():
     rows, corr_bce, corr_auc = correlation_study(
         ClassMixtureSpec(dims=4, n=1024, positive_fraction=0.5, seed=31), [0.0, 1.5, 3.0], FAST_SCAN, batch_size=32
