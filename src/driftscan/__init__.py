@@ -8,11 +8,10 @@ samples responsible for the largest drift.
 
 from .embeddings import (
     DataError,
-    DatasetPair,
     DegenerateInputError,
-    EmbeddingMatrix,
     FormatError,
     ValidationError,
+    as_embeddings,
     load_embeddings,
     save_embeddings,
 )
@@ -45,13 +44,12 @@ __all__ = [
     "BatchConfig",
     "ClassMixtureSpec",
     "DataError",
-    "DatasetPair",
     "DegenerateInputError",
-    "EmbeddingMatrix",
     "FormatError",
     "KernelSpec",
     "ScanConfig",
     "ValidationError",
+    "as_embeddings",
     "auc",
     "batch_means",
     "bce",

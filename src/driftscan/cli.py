@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-from .embeddings import DataError, DatasetPair, load_embeddings, save_embeddings, write_file
+from .embeddings import DataError, load_embeddings, save_embeddings, write_file
 from .kernels import KernelSpec
 from .mmd import mmd, mmd_value
 from .prep import BatchConfig, batch_means
@@ -170,8 +170,7 @@ def _load_sides(args) -> list:
 
 def cmd_mmd(args) -> int:
     spec = _kernel_spec(args)  # before the inputs are read, as in cmd_scan
-    pair = DatasetPair(*_load_sides(args))
-    squared, bandwidth = mmd(spec, pair.reference, pair.target, args.estimator)
+    squared, bandwidth = mmd(spec, *_load_sides(args), args.estimator)
     _write_text(args.out, report_to_json({
         "config": _echo("mmd", args, kernel=asdict(spec)),
         "squared": squared,
@@ -192,7 +191,7 @@ def cmd_scan(args) -> int:
     sides = _load_sides(args)
     if batches:
         sides = [batch_means(m, batch) for m, batch in zip(sides, batches)]
-    report = drift_scan(DatasetPair(*sides), config)
+    report = drift_scan(*sides, config)
     # the CLI echo goes to the JSON's copy of the config, not to the CSV's
     _write_text(args.out, report_to_json({**report, "config": {**report["config"], "cli": _echo("scan", args)}}))
     if args.csv_out:
@@ -212,9 +211,9 @@ def cmd_batch(args) -> int:
     save_embeddings(reduced, args.out, args.out_format)
     _write_text(None, report_to_json({
         "config": _echo("batch", args, shuffle=config.shuffle, tail_policy=config.tail_policy),
-        "input_rows": matrix.rows,
-        "output_rows": reduced.rows,
-        "dims": reduced.dims,
+        "input_rows": len(matrix),
+        "output_rows": len(reduced),
+        "dims": reduced.shape[1],
     }))
     return 0
 
@@ -226,9 +225,9 @@ def cmd_extract(args) -> int:
         raise ValueError(f"--which {args.which} needs --out")
     outs = {"reference": args.out_ref, "target": args.out_target} if args.which == "both" else {args.which: args.out}
     report = load_report(args.report)  # before the inputs: a bad report costs no parse
-    pair = DatasetPair(*_load_sides(args))
+    sides = _load_sides(args)
     for which, path in outs.items():
-        save_embeddings(extract_cause_samples(pair, report, which), path, args.out_format)
+        save_embeddings(extract_cause_samples(*sides, report, which), path, args.out_format)
     _write_text(None, report_to_json({
         "config": _echo("extract", args),
         "cause_reference": report["cause_reference"],

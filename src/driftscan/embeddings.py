@@ -1,7 +1,7 @@
-"""Embedding sample containers and file ingestion.
+"""Embedding sets and file ingestion.
 
-Every other module consumes embedding data through :class:`EmbeddingMatrix`,
-an immutable n x d matrix of float32 values (one row per sample). Statistics
+Every other module takes embedding data as a read-only (rows, dims) float32
+array, one row per sample, made by :func:`as_embeddings`. Statistics
 downstream are computed in float64; float32 is the storage precision, which
 matches both the binary file format and typical encoder output.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,88 +43,43 @@ class DegenerateInputError(DataError):
     """Input is too degenerate for the requested computation."""
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Immutable n x d matrix of embedding vectors, stored as float32.
+def _check_finite(arr: np.ndarray, what: str = "non-finite value", after: str = "") -> None:
+    """ValidationError naming 2-D ``arr``'s first non-finite entry as ``{what} at row r, column c{after}``."""
+    if not np.isfinite(arr).all():
+        r, c = np.argwhere(~np.isfinite(arr))[0]
+        raise ValidationError(f"{what} at row {r}, column {c}{after}")
 
-    ``values`` is a read-only (rows, dims) array. Use :meth:`from_array` to
-    construct from arbitrary array-likes with validation.
+
+def as_embeddings(data) -> np.ndarray:
+    """``data`` as a read-only (rows, dims) float32 array, the form every layer takes.
+
+    A read-only float32 array is returned as it is and a writeable one as a
+    read-only copy; any other input is read as float64 and cast to float32.
+    ValidationError unless it is 2-D with at least one column and every
+    value is finite and within float32's range.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = self.values
-        if not isinstance(v, np.ndarray) or v.ndim != 2:
-            raise ValidationError("embedding data must be a 2-D array")
-        if v.dtype != np.float32:
-            raise ValidationError(f"embedding storage dtype must be float32, got {v.dtype}")
-        if v.shape[1] < 1:
-            raise ValidationError("embedding dimensionality must be >= 1")
-        if not np.all(np.isfinite(v)):
-            r, c = np.argwhere(~np.isfinite(v))[0]
-            raise ValidationError(f"non-finite value at row {r}, column {c}")
-        if v.flags.writeable:
-            v = v.copy()
-            v.flags.writeable = False
-            object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_array(cls, data) -> "EmbeddingMatrix":
-        """Build a matrix from any 2-D array-like, casting to float32."""
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"expected a 2-D array, got {arr.ndim}-D")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
-            raise ValidationError(f"non-finite value at row {r}, column {c}")
+    arr = data if isinstance(data, np.ndarray) and data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValidationError(f"expected a 2-D array, got {arr.ndim}-D")
+    if arr.shape[1] < 1:
+        raise ValidationError("embedding dimensionality must be >= 1")
+    _check_finite(arr)
+    if arr.dtype != np.float32:
         with np.errstate(over="ignore"):
-            out = arr.astype(np.float32)
-        bad = np.argwhere(~np.isfinite(out))
-        if bad.size:  # finite in float64 but overflows float32
-            r, c = bad[0]
-            raise ValidationError(f"value at row {r}, column {c} exceeds float32 range")
-        out.flags.writeable = False
-        return cls(out)
-
-    @classmethod
-    def empty(cls, dims: int) -> "EmbeddingMatrix":
-        out = np.zeros((0, dims), dtype=np.float32)
-        out.flags.writeable = False
-        return cls(out)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-    def as_float64(self) -> np.ndarray:
-        """Computation-precision copy of the data."""
-        return self.values.astype(np.float64)
-
-    def take_rows(self, start: int, stop: int) -> "EmbeddingMatrix":
-        """Row slice [start, stop) as a new matrix."""
-        v = self.values[start:stop]
-        v.flags.writeable = False
-        return EmbeddingMatrix(v)
+            arr = arr.astype(np.float32)
+        _check_finite(arr, "value", " exceeds float32 range")  # finite in float64 but not in float32
+    elif arr.flags.writeable:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class DatasetPair:
-    """A (reference, target) pair of embedding sets with matching dims."""
-
-    reference: EmbeddingMatrix
-    target: EmbeddingMatrix
-
-    def __post_init__(self) -> None:
-        if self.reference.dims != self.target.dims:
-            raise ValidationError(
-                f"reference dims ({self.reference.dims}) != target dims ({self.target.dims})"
-            )
+def check_same_dims(reference: np.ndarray, target: np.ndarray) -> None:
+    """ValidationError unless the two embedding sets have the same number of columns."""
+    if reference.shape[1] != target.shape[1]:
+        raise ValidationError(
+            f"dimension mismatch: reference dims ({reference.shape[1]}) != target dims ({target.shape[1]})"
+        )
 
 
 def _format_value(v: np.float32) -> str:
@@ -147,10 +101,10 @@ def _declared_dims(line: str, path: str) -> int | None:
     return dims
 
 
-def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
+def _parse_csv(text: str, path: str) -> np.ndarray:
     # numpy's C reader parses the data lines in one call. Its float32
     # converter parses each field to a double as float() does, then casts,
-    # so it gives the bits of from_array. It refuses every field float()
+    # so it gives the bits of as_embeddings. It refuses every field float()
     # refuses, but strips the control character U+001F around a field,
     # which float() keeps. Such text, and every file numpy refuses or that
     # holds a non-finite value, goes to the strict walker, which alone
@@ -166,11 +120,11 @@ def _parse_csv(text: str, path: str) -> EmbeddingMatrix:
         else:
             if declared_dims in (None, values.shape[1]) and np.isfinite(values).all():
                 values.flags.writeable = False
-                return EmbeddingMatrix(values)
+                return values
     return _parse_csv_strict(text, path)
 
 
-def _parse_csv_strict(text: str, path: str) -> EmbeddingMatrix:
+def _parse_csv_strict(text: str, path: str) -> np.ndarray:
     # Row by row and field by field, with float(): the first bad field of
     # the first bad row sets the error, text that is not a number as a
     # FormatError, a non-finite number as a ValidationError.
@@ -211,11 +165,11 @@ def _parse_csv_strict(text: str, path: str) -> EmbeddingMatrix:
     if not rows:
         if declared_dims is None:
             raise FormatError(f"{path}: no data rows and no '# dims=<d>' header")
-        return EmbeddingMatrix.empty(declared_dims)
-    return EmbeddingMatrix.from_array(rows)
+        return as_embeddings(np.zeros((0, declared_dims)))
+    return as_embeddings(rows)
 
 
-def _parse_binary(blob: bytes, path: str) -> EmbeddingMatrix:
+def _parse_binary(blob: bytes, path: str) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise FormatError(f"{path}: truncated binary header ({len(blob)} bytes)")
     magic, n, d = _HEADER.unpack_from(blob)
@@ -230,15 +184,12 @@ def _parse_binary(blob: bytes, path: str) -> EmbeddingMatrix:
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)
     out = np.ascontiguousarray(data, dtype=np.float32)
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        r, c = bad[0]
-        raise ValidationError(f"{path}: non-finite value at row {r}, column {c}")
+    _check_finite(out, f"{path}: non-finite value")
     out.flags.writeable = False
-    return EmbeddingMatrix(out)
+    return out
 
 
-def load_embeddings(path, format: str = "auto") -> EmbeddingMatrix:
+def load_embeddings(path, format: str = "auto") -> np.ndarray:
     """Load an embedding matrix from ``path``.
 
     ``format`` is ``csv``, ``binary``, or ``auto`` (sniffs the binary magic,
@@ -262,8 +213,8 @@ def load_embeddings(path, format: str = "auto") -> EmbeddingMatrix:
     return _parse_csv(text, str(p))
 
 
-def save_embeddings(m: EmbeddingMatrix, path, format: str = "binary") -> None:
-    """Write ``m`` to ``path`` as ``csv`` or ``binary``.
+def save_embeddings(m, path, format: str = "binary") -> None:
+    """Write the embeddings ``m`` (:func:`as_embeddings`) to ``path`` as ``csv`` or ``binary``.
 
     The binary format round-trips bit-exactly. CSV rendering is lossless for
     float32 values (shortest decimal that uniquely identifies each value); a
@@ -272,11 +223,13 @@ def save_embeddings(m: EmbeddingMatrix, path, format: str = "binary") -> None:
     """
     if format not in ("csv", "binary"):
         raise ValueError(f"unknown format {format!r}")
+    m = as_embeddings(m)
+    rows, dims = m.shape
     if format == "binary":
-        data = _HEADER.pack(BINARY_MAGIC, m.rows, m.dims) + np.ascontiguousarray(m.values, dtype="<f4").tobytes()
+        data = _HEADER.pack(BINARY_MAGIC, rows, dims) + np.ascontiguousarray(m, dtype="<f4").tobytes()
     else:
-        lines = [f"# dims={m.dims}"] if m.rows == 0 else []
-        data = "\n".join(lines + [",".join(map(_format_value, row)) for row in m.values]) + "\n"
+        lines = [f"# dims={dims}"] if rows == 0 else []
+        data = "\n".join(lines + [",".join(map(_format_value, row)) for row in m]) + "\n"
     write_file(Path(path), data)
 
 

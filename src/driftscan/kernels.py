@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import DegenerateInputError, EmbeddingMatrix, ValidationError
+from .embeddings import DegenerateInputError, ValidationError
 
 FAMILIES = ("rbf", "linear")
 
@@ -144,7 +144,7 @@ def kernel_matrix(spec: KernelSpec, bandwidth, x: np.ndarray, y: np.ndarray) -> 
     return np.exp(sq, out=sq)
 
 
-def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
+def median_heuristic_bandwidth(samples: np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct row pairs i < j.
 
     Deterministic: for an even number of pairs the lower of the two middle
@@ -161,7 +161,7 @@ def median_heuristic_bandwidth(samples: EmbeddingMatrix | np.ndarray) -> float:
     Raises :class:`ValidationError` on non-finite values, and on blockwise
     inputs whose squared norms about that median overflow.
     """
-    x = samples.as_float64() if isinstance(samples, EmbeddingMatrix) else np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise DegenerateInputError(f"median heuristic needs >= 2 rows, got {n}")

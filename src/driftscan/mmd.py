@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, ValidationError
+from .embeddings import ValidationError, as_embeddings, check_same_dims
 from .kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 
 ESTIMATORS = ("biased", "unbiased")
@@ -34,19 +34,17 @@ def mmd_value(squared: float) -> float:
     return math.sqrt(max(0.0, squared))
 
 
-def _check_inputs(q1: EmbeddingMatrix, q2: EmbeddingMatrix, estimator: str) -> None:
+def _check_inputs(q1: np.ndarray, q2: np.ndarray, estimator: str) -> None:
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
-    if q1.dims != q2.dims:
-        raise ValidationError(f"dimension mismatch: {q1.dims} vs {q2.dims}")
+    check_same_dims(q1, q2)
+    n, m = len(q1), len(q2)
     minimum = 1 if estimator == "biased" else 2
-    if q1.rows < minimum or q2.rows < minimum:
-        raise ValidationError(
-            f"{estimator} estimator needs >= {minimum} rows per sample, got {q1.rows} and {q2.rows}"
-        )
-    numbers = (q1.rows + q2.rows) ** 2  # both within Grams, the cross block and its transposed copy
+    if n < minimum or m < minimum:
+        raise ValidationError(f"{estimator} estimator needs >= {minimum} rows per sample, got {n} and {m}")
+    numbers = (n + m) ** 2  # both within Grams, the cross block and its transposed copy
     if numbers > WINDOW_NUMBERS:
-        raise ValidationError(f"MMD of {q1.rows} and {q2.rows} rows needs about {numbers * 8 / 2**30:.1f} GB of "
+        raise ValidationError(f"MMD of {n} and {m} rows needs about {numbers * 8 / 2**30:.1f} GB of "
                               f"Grams, over the {WINDOW_NUMBERS * 8 / 2**30:.0f} GB it may hold")
 
 
@@ -80,22 +78,23 @@ def mmd_sq_from_gram(kxx: np.ndarray, kyy: np.ndarray, kxy: np.ndarray, estimato
 
 def mmd(
     spec: KernelSpec,
-    q1: EmbeddingMatrix,
-    q2: EmbeddingMatrix,
+    q1,
+    q2,
     estimator: str = "biased",
     bandwidth: float | None = None,
 ) -> tuple[float, float | None]:
     """MMD^2 between two samples, and the bandwidth it used (None for kernels that take none).
 
-    When ``bandwidth`` is None it is resolved from ``spec``'s policy over the
+    Each sample passes :func:`~driftscan.embeddings.as_embeddings`. When
+    ``bandwidth`` is None it is resolved from ``spec``'s policy over the
     pooled rows of both samples; pass an explicit value to reuse a bandwidth
     resolved elsewhere (e.g. once per scan). Deterministic; swapping the two
     samples gives the same bits, and reordering a sample's rows the same
     value up to rounding.
     """
+    q1, q2 = as_embeddings(q1), as_embeddings(q2)
     _check_inputs(q1, q2, estimator)
-    x = q1.as_float64()
-    y = q2.as_float64()
+    x, y = q1.astype(np.float64), q2.astype(np.float64)
     if bandwidth is None:
         bandwidth = resolve_bandwidth(spec, x, y)
     sq = float(mmd_sq_from_gram(

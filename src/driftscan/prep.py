@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import as_embeddings
 from .rng import check_seed, derive_rng
 
 TAIL_POLICIES = ("drop", "keep_partial")
@@ -34,38 +34,30 @@ class BatchConfig:
         check_seed(self.seed)
 
 
-def shuffle_rows(m: EmbeddingMatrix, seed: int) -> EmbeddingMatrix:
-    """Deterministic row permutation (Fisher-Yates over indices)."""
-    if m.rows == 0:
-        return m
-    perm = derive_rng(seed, "shuffle").permutation(m.rows)
-    out = m.values[perm]
+def shuffle_rows(m, seed: int) -> np.ndarray:
+    """Deterministic row permutation (Fisher-Yates over indices) of the embeddings ``m`` (:func:`as_embeddings`)."""
+    m = as_embeddings(m)
+    out = m[derive_rng(seed, "shuffle").permutation(len(m))]
     out.flags.writeable = False
-    return EmbeddingMatrix(out)
+    return out
 
 
-def batch_means(m: EmbeddingMatrix, config: BatchConfig) -> EmbeddingMatrix:
+def batch_means(m, config: BatchConfig) -> np.ndarray:
     """One mean vector per consecutive block of ``batch_size`` rows.
 
     With tail_policy "drop" a trailing partial block is discarded, so every
     output row averages exactly batch_size samples; "keep_partial" keeps the
-    shorter tail block. batch_size > rows with "drop" yields an empty matrix
+    shorter tail block. batch_size > rows with "drop" yields no rows
     and a warning, not an error.
     """
-    src = shuffle_rows(m, config.seed) if config.shuffle else m
-    x = src.as_float64()
+    src = shuffle_rows(m, config.seed) if config.shuffle else as_embeddings(m)
+    x = src.astype(np.float64)
     n = x.shape[0]
     full = n // config.batch_size
-    blocks = []
-    if full:
-        blocks.append(x[: full * config.batch_size].reshape(full, config.batch_size, -1).mean(axis=1))
+    blocks = [x[: full * config.batch_size].reshape(full, config.batch_size, x.shape[1]).mean(axis=1)]
     if config.tail_policy == "keep_partial" and n % config.batch_size:
         blocks.append(x[full * config.batch_size :].mean(axis=0, keepdims=True))
-    if not blocks:
-        if n > 0:
-            warnings.warn(
-                f"batch_size {config.batch_size} exceeds row count {n}; output is empty",
-                stacklevel=2,
-            )
-        return EmbeddingMatrix.empty(m.dims)
-    return EmbeddingMatrix.from_array(np.vstack(blocks))
+    out = as_embeddings(np.vstack(blocks))
+    if n > 0 and len(out) == 0:
+        warnings.warn(f"batch_size {config.batch_size} exceeds row count {n}; output is empty", stacklevel=2)
+    return out

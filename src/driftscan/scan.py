@@ -1,7 +1,7 @@
 """Sliding-window drift scan driver.
 
-A scan slides a window of ``window`` trailing rows over both sides of a
-:class:`~driftscan.embeddings.DatasetPair` in lockstep. For each window
+A scan slides a window of ``window`` trailing rows over a reference and a
+target embedding set in lockstep. For each window
 position it computes the observed MMD^2 between the two windows, calibrates
 it against sign flips of their row pairs, and records the per-window
 p-value. The report aggregates the observed series into the drift score and
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError, write_file
+from .embeddings import DataError, ValidationError, as_embeddings, check_same_dims, write_file
 from .kernels import KernelSpec, resolve_bandwidth
 from .mmd import mmd_value
 from .resample import RNG_SCHEME, check_window_settings, median, scan_window_tests
@@ -88,33 +88,36 @@ REPORT_KEYS = ("config", "bandwidth_used", "reference_rows", "target_rows", "sca
                "cause_target")
 
 
-def shared_bandwidth(spec: KernelSpec, reference: EmbeddingMatrix, target: EmbeddingMatrix) -> float | None:
+def shared_bandwidth(spec: KernelSpec, reference: np.ndarray, target: np.ndarray) -> float | None:
     """The bandwidth all windows share: None per window or for the linear kernel."""
-    return None if spec.per_window_bandwidth else resolve_bandwidth(spec, reference.values, target.values)
+    return None if spec.per_window_bandwidth else resolve_bandwidth(spec, reference, target)
 
 
-def drift_scan(pair: DatasetPair, config: ScanConfig) -> dict:
-    """Run the sliding-window drift scan over ``pair``; the report, keyed by ``REPORT_KEYS``.
+def drift_scan(reference, target, config: ScanConfig) -> dict:
+    """Run the sliding-window drift scan of ``target`` against ``reference``; the report, keyed by ``REPORT_KEYS``.
 
-    Scans t = window, window + stride, ... up to M = min(rows); both sides
-    are truncated to M when their lengths differ (recorded in the report).
+    Both sides pass :func:`~driftscan.embeddings.as_embeddings` and must
+    have the same dims. Scans t = window, window + stride, ... up to M =
+    min(rows); both sides are truncated to M when their lengths differ
+    (recorded in the report).
     The bandwidth is resolved once by :func:`shared_bandwidth`. Window t
     takes its flips from columns [t - window, t) of the scan's one sign
     matrix (:func:`~driftscan.resample.flip_signs`), so reports are
     byte-identical across runs and for any number of CPUs.
     """
-    ref, targ = pair.reference, pair.target
-    m_scan = min(ref.rows, targ.rows)
+    ref, targ = as_embeddings(reference), as_embeddings(target)
+    check_same_dims(ref, targ)
+    m_scan = min(len(ref), len(targ))
     if config.window > m_scan:
         raise ValidationError(
             f"window {config.window} larger than usable rows ({m_scan}); "
-            f"reference has {ref.rows}, target has {targ.rows}"
+            f"reference has {len(ref)}, target has {len(targ)}"
         )
 
     bandwidth = shared_bandwidth(config.kernel, ref, targ)
     width = config.window
     observed_sq, boot_medians, p_values = scan_window_tests(
-        config.kernel, ref.values[:m_scan], targ.values[:m_scan], width, config.stride, config.bootstraps,
+        config.kernel, ref[:m_scan], targ[:m_scan], width, config.stride, config.bootstraps,
         config.seed, config.estimator, bandwidth)
     windows = [
         dict(zip(WINDOW_KEYS, (t, t - width + 1, sq, mmd_value(sq), middle, p, p <= config.alpha)))
@@ -123,25 +126,27 @@ def drift_scan(pair: DatasetPair, config: ScanConfig) -> dict:
     peak = windows[int(np.argmax(observed_sq))]  # first occurrence on ties
     cause = [peak["start_index"], peak["t_index"]]
     return dict(zip(REPORT_KEYS, (
-        {**config.to_dict(), "rng_scheme": RNG_SCHEME}, bandwidth, ref.rows, targ.rows, m_scan,
-        ref.rows != targ.rows, windows, float(np.mean(observed_sq)), float(median(np.array(observed_sq))),
+        {**config.to_dict(), "rng_scheme": RNG_SCHEME}, bandwidth, len(ref), len(targ), m_scan,
+        len(ref) != len(targ), windows, float(np.mean(observed_sq)), float(median(np.array(observed_sq))),
         float(np.mean(boot_medians)), peak["t_index"], cause, cause.copy())))
 
 
-def extract_cause_samples(pair: DatasetPair, report: dict, which: str) -> EmbeddingMatrix:
+def extract_cause_samples(reference, target, report: dict, which: str) -> np.ndarray:
     """Rows of the drift-cause window from one side, ``reference`` or ``target``.
 
-    The pair must be the one the report was produced from.
+    The two sides must be the ones the report was produced from.
     """
     if which not in ("reference", "target"):
         raise ValueError(f"which must be reference or target, got {which!r}")
-    if pair.reference.rows != report["reference_rows"] or pair.target.rows != report["target_rows"]:
+    sides = {"reference": as_embeddings(reference), "target": as_embeddings(target)}
+    check_same_dims(*sides.values())
+    rows = tuple(len(side) for side in sides.values())
+    if rows != (report["reference_rows"], report["target_rows"]):
         raise ValidationError(
-            f"pair shape ({pair.reference.rows}, {pair.target.rows}) does not match report "
-            f"({report['reference_rows']}, {report['target_rows']})"
+            f"pair shape {rows} does not match report ({report['reference_rows']}, {report['target_rows']})"
         )
     start, end = report["cause_" + which]
-    return getattr(pair, which).take_rows(start - 1, end)  # the range is 1-based inclusive
+    return sides[which][start - 1:end]  # the range is 1-based inclusive
 
 
 def _cause_range(span, rows) -> None:

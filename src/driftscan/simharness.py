@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .embeddings import DatasetPair, EmbeddingMatrix
+from .embeddings import as_embeddings
 from .kernels import KernelSpec
 from .prep import BatchConfig, batch_means
 from .resample import check_window_settings, window_test
@@ -90,12 +90,10 @@ def positive_count(n: int, fraction: float) -> int:
     return int(math.floor(n * fraction + 0.5))
 
 
-def generate_labeled_mixture(spec: ClassMixtureSpec) -> tuple[EmbeddingMatrix, np.ndarray]:
-    """Draw the mixture and return (matrix, 0/1 labels), shuffled together."""
+def generate_labeled_mixture(spec: ClassMixtureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the mixture and return (embeddings, 0/1 labels), shuffled together."""
     n_pos = positive_count(spec.n, spec.positive_fraction)
     rng = derive_rng(spec.seed, "mixture")
-    if spec.n == 0:
-        return EmbeddingMatrix.empty(spec.dims), np.empty(0, dtype=np.int64)
     pos_mean, neg_mean = np.zeros(spec.dims), np.zeros(spec.dims)
     pos_mean[0], neg_mean[0] = spec.class_means()
     pos = rng.normal(loc=pos_mean, scale=spec.scale, size=(n_pos, spec.dims))
@@ -103,10 +101,10 @@ def generate_labeled_mixture(spec: ClassMixtureSpec) -> tuple[EmbeddingMatrix, n
     data = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(spec.n - n_pos, dtype=np.int64)])
     perm = rng.permutation(spec.n)
-    return EmbeddingMatrix.from_array(data[perm]), labels[perm]
+    return as_embeddings(data[perm]), labels[perm]
 
 
-def generate_mixture(spec: ClassMixtureSpec) -> EmbeddingMatrix:
+def generate_mixture(spec: ClassMixtureSpec) -> np.ndarray:
     return generate_labeled_mixture(spec)[0]
 
 
@@ -177,7 +175,7 @@ def _bucket_drifts(base: ClassMixtureSpec, changes, scan: ScanConfig, batch_size
         points, labels = generate_labeled_mixture(spec)
         target = batch_means(points, replace(ref_batch, seed=derive_seed(base.seed, f"{study}-{side}-batch", i)))
         scan_i = replace(scan, seed=derive_seed(scan.seed, f"{study}-scan", i))
-        yield spec, points, labels, drift_scan(DatasetPair(ref, target), scan_i)["summary_score"]
+        yield spec, points, labels, drift_scan(ref, target, scan_i)["summary_score"]
 
 
 def ratio_drift_study(
@@ -232,7 +230,7 @@ def correlation_study(
     rows = []
     buckets = _bucket_drifts(base, [{"shift": shift} for shift in profile], scan, batch_size, "corr", "bucket")
     for b, (_, points, labels, drift) in enumerate(buckets):
-        scores = _stable_sigmoid(points.as_float64()[:, 0] * weight)
+        scores = _stable_sigmoid(points[:, 0].astype(np.float64) * weight)
         rows.append((b, drift, bce(scores, labels), auc(scores, labels)))
 
     if len(profile) < 2 or all(v == profile[0] for v in profile):
@@ -280,10 +278,10 @@ def null_calibration(
 
     def trial(i: int) -> float:
         data_rng = derive_rng(seed, "calibration-data", i)
-        ref = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
-        target = EmbeddingMatrix.from_array(data_rng.standard_normal((n, dims)))
+        ref = as_embeddings(data_rng.standard_normal((n, dims)))
+        target = as_embeddings(data_rng.standard_normal((n, dims)))
         bandwidth = shared_bandwidth(kernel, ref, target)
-        *_, p_value = window_test(kernel, ref.values[:window], target.values[:window], bootstraps,
+        *_, p_value = window_test(kernel, ref[:window], target[:window], bootstraps,
                                   derive_seed(seed, "calibration-boot", i), estimator, bandwidth)
         return p_value
 

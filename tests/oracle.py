@@ -28,12 +28,12 @@ def kernel_value(spec: KernelSpec, bandwidth: float | None, x, y) -> float:
 def mmd_oracle(spec, q1, q2, estimator="biased", bandwidth=None) -> tuple[float, float | None]:
     """Brute-force MMD^2 and the bandwidth it used: explicit loops, one kernel_value call per pair."""
     _check_inputs(q1, q2, estimator)
-    x = q1.as_float64()
-    y = q2.as_float64()
+    x = q1.astype(np.float64)
+    y = q2.astype(np.float64)
     if bandwidth is None:
         bandwidth = resolve_bandwidth(spec, x, y)
-    n = q1.rows
-    m = q2.rows
+    n = q1.shape[0]
+    m = q2.shape[0]
 
     sum_xx = 0.0
     count_xx = 0

@@ -15,11 +15,10 @@ import numpy as np
 
 import driftscan
 from driftscan.embeddings import (
-    DatasetPair,
     DegenerateInputError,
-    EmbeddingMatrix,
     FormatError,
     ValidationError,
+    as_embeddings,
     load_embeddings,
     save_embeddings,
 )
@@ -47,8 +46,8 @@ def test_c1_oracle_equivalence():
         rows1 = int(rng.integers(2, 65))
         rows2 = int(rng.integers(2, 65))
         dims = int(rng.integers(1, 17))
-        q1 = EmbeddingMatrix.from_array(rng.standard_normal((rows1, dims)))
-        q2 = EmbeddingMatrix.from_array(rng.standard_normal((rows2, dims)))
+        q1 = as_embeddings(rng.standard_normal((rows1, dims)))
+        q2 = as_embeddings(rng.standard_normal((rows2, dims)))
         spec = kernels[i % 2]
         estimator = estimators[(i // 2) % 2]
         fast = mmd(spec, q1, q2, estimator)[0]
@@ -81,8 +80,8 @@ def test_c3_unbiasedness():
     spec = KernelSpec("rbf", 1.0)
     values = np.empty(500)
     for i in range(500):
-        q1 = EmbeddingMatrix.from_array(rng.standard_normal((16, 4)))
-        q2 = EmbeddingMatrix.from_array(rng.standard_normal((16, 4)))
+        q1 = as_embeddings(rng.standard_normal((16, 4)))
+        q2 = as_embeddings(rng.standard_normal((16, 4)))
         values[i] = mmd(spec, q1, q2, "unbiased")[0]
     mean = float(values.mean())
     se = float(values.std(ddof=1)) / np.sqrt(500)
@@ -99,7 +98,7 @@ def test_c4_monotone_drift_response():
         target = data_rng.standard_normal((2000, 8))
         target[:, 0] += shift  # mean shift of `shift` sigma along one axis
         report = drift_scan(
-            DatasetPair(EmbeddingMatrix.from_array(ref), EmbeddingMatrix.from_array(target)),
+            ref, target,
             config,
         )
         scores.append(report["summary_score"])
@@ -151,7 +150,7 @@ def test_c7_localization():
         replacement[:, 0] += 10.0  # +10 sigma burst
         target[100 : 100 + beta] = replacement
         report = drift_scan(
-            DatasetPair(EmbeddingMatrix.from_array(ref), EmbeddingMatrix.from_array(target)),
+            ref, target,
             ScanConfig(window=beta, bootstraps=50, seed=trial),
         )
         start, end = report["cause_target"]  # 1-based inclusive
@@ -182,8 +181,8 @@ def _run_cli(args, cwd):
 
 def test_c8_cli_determinism(tmp_path):
     rng = np.random.default_rng(88)
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((48, 4))), tmp_path / "ref.csv", "csv")
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((48, 4)) + 0.5),
+    save_embeddings(rng.standard_normal((48, 4)), tmp_path / "ref.csv", "csv")
+    save_embeddings(rng.standard_normal((48, 4)) + 0.5,
                     tmp_path / "target.csv", "csv")
 
     scan_args = ["scan", "--ref", "ref.csv", "--target", "target.csv",
@@ -216,8 +215,8 @@ def test_c9_degenerate_safety(tmp_path):
     problems = []
 
     rng = np.random.default_rng(99)
-    m = EmbeddingMatrix.from_array(rng.standard_normal((50, 4)))
-    report = drift_scan(DatasetPair(m, m), ScanConfig(window=8, bootstraps=19, seed=1))
+    m = as_embeddings(rng.standard_normal((50, 4)))
+    report = drift_scan(m, m, ScanConfig(window=8, bootstraps=19, seed=1))
     if not all(w["observed_sq"] == 0.0 for w in report["windows"]):
         problems.append("identical-input scan produced nonzero statistics")
     if not all(w["p_value"] == 1.0 for w in report["windows"]):
@@ -234,12 +233,12 @@ def test_c9_degenerate_safety(tmp_path):
         pass
 
     try:
-        drift_scan(DatasetPair(m, m), ScanConfig(window=64, bootstraps=5, seed=0))
+        drift_scan(m, m, ScanConfig(window=64, bootstraps=5, seed=0))
         problems.append("oversized window did not error")
     except ValidationError:
         pass
 
-    constant = EmbeddingMatrix.from_array([[1.0, 2.0]] * 20)
+    constant = as_embeddings([[1.0, 2.0]] * 20)
     try:
         median_heuristic_bandwidth(constant)
         problems.append("degenerate bandwidth did not error")
@@ -247,14 +246,14 @@ def test_c9_degenerate_safety(tmp_path):
         pass
     # fixed bandwidth is the documented fallback and must work
     fallback = drift_scan(
-        DatasetPair(constant, constant),
+        constant, constant,
         ScanConfig(window=4, bootstraps=9, seed=0, kernel=KernelSpec("rbf", 1.0)),
     )
     if fallback["summary_score"] != 0.0:
         problems.append("constant-data scan with fixed bandwidth not exactly zero")
 
-    one_row = EmbeddingMatrix.from_array([[1.0]])
-    two_rows = EmbeddingMatrix.from_array([[1.0], [2.0]])
+    one_row = as_embeddings([[1.0]])
+    two_rows = as_embeddings([[1.0], [2.0]])
     try:
         mmd(KernelSpec("rbf", 1.0), one_row, two_rows, "unbiased")
         problems.append("unbiased estimator accepted a 1-row sample")

@@ -11,7 +11,7 @@ import pytest
 import driftscan
 from driftscan import cli, kernels
 from driftscan.cli import main
-from driftscan.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from driftscan.embeddings import load_embeddings, save_embeddings
 
 
 @pytest.fixture
@@ -19,14 +19,14 @@ def pair_files(tmp_path):
     rng = np.random.default_rng(0)
     ref = tmp_path / "ref.csv"
     target = tmp_path / "target.csv"
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((40, 3))), ref, "csv")
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((40, 3)) + 1.0), target, "csv")
+    save_embeddings(rng.standard_normal((40, 3)), ref, "csv")
+    save_embeddings(rng.standard_normal((40, 3)) + 1.0, target, "csv")
     return str(ref), str(target)
 
 
 def test_mmd_identical_inputs_prints_zero(tmp_path, capsys):
     p = tmp_path / "a.csv"
-    save_embeddings(EmbeddingMatrix.from_array([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]]), p, "csv")
+    save_embeddings([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]], p, "csv")
     assert main(["mmd", "--ref", str(p), "--target", str(p), "--estimator", "biased"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["squared"]) < 1e-12
@@ -137,12 +137,12 @@ def test_scan_with_batching(pair_files, tmp_path):
 def test_batch_subcommand(tmp_path):
     src = tmp_path / "in.csv"
     out = tmp_path / "out.csv"
-    save_embeddings(EmbeddingMatrix.from_array(np.arange(12, dtype=float).reshape(6, 2)), src, "csv")
+    save_embeddings(np.arange(12, dtype=float).reshape(6, 2), src, "csv")
     assert main(["batch", "--input", str(src), "--batch-size", "2", "--no-shuffle",
                  "--out", str(out)]) == 0
     m = load_embeddings(out)
-    assert m.rows == 3 and m.dims == 2
-    np.testing.assert_allclose(m.values[0], [1.0, 2.0])
+    assert m.shape == (3, 2)
+    np.testing.assert_allclose(m[0], [1.0, 2.0])
 
 
 def test_extract_both_sides(pair_files, tmp_path):
@@ -154,8 +154,8 @@ def test_extract_both_sides(pair_files, tmp_path):
     out_target = tmp_path / "cause_target.csv"
     assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
                  "--which", "both", "--out-ref", str(out_ref), "--out-target", str(out_target)]) == 0
-    assert load_embeddings(out_ref).rows == 8
-    assert load_embeddings(out_target).rows == 8
+    assert load_embeddings(out_ref).shape[0] == 8
+    assert load_embeddings(out_target).shape[0] == 8
 
     # single side requires --out
     assert main(["extract", "--ref", ref, "--target", target, "--report", str(report),
@@ -166,8 +166,8 @@ def test_extract_both_sides(pair_files, tmp_path):
     cause = load_embeddings(single)
     rep = json.loads(report.read_text())
     start, end = rep["cause_target"]
-    expected = load_embeddings(target).values[start - 1 : end]
-    np.testing.assert_array_equal(cause.values, expected)
+    expected = load_embeddings(target)[start - 1 : end]
+    np.testing.assert_array_equal(cause, expected)
 
 
 @pytest.mark.parametrize("scheme", ["window-permutation", None])
@@ -187,7 +187,7 @@ def test_extract_reads_reports_of_the_earlier_nulls(pair_files, tmp_path, scheme
     out = tmp_path / "cause.csv"
     assert main(["extract", "--ref", ref, "--target", target, "--report", str(report), "--out", str(out)]) == 0
     start, end = payload["cause_target"]
-    np.testing.assert_array_equal(load_embeddings(out).values, load_embeddings(target).values[start - 1:end])
+    np.testing.assert_array_equal(load_embeddings(out), load_embeddings(target)[start - 1:end])
 
 
 def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, capsys):
@@ -253,7 +253,7 @@ def test_simulate_mixture_and_scan_roundtrip(tmp_path):
     assert main(["simulate", "mixture", "--n", "60", "--dims", "3", "--fraction", "0.4",
                  "--seed", "3", "--out", str(mix)]) == 0
     m = load_embeddings(mix)
-    assert m.rows == 60 and m.dims == 3
+    assert m.shape == (60, 3)
 
 
 def test_simulate_ratio_drift_table(tmp_path):
@@ -517,8 +517,8 @@ def test_library_warning_prints_as_one_line(capsys):
 def study_files(tmp_path, monkeypatch):
     """ref.csv, a 200-row prod.csv and a scan's report.json, in the working directory."""
     rng = np.random.default_rng(4)
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((200, 3))), tmp_path / "ref.csv", "csv")
-    save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((200, 3)) + 0.5), tmp_path / "prod.csv", "csv")
+    save_embeddings(rng.standard_normal((200, 3)), tmp_path / "ref.csv", "csv")
+    save_embeddings(rng.standard_normal((200, 3)) + 0.5, tmp_path / "prod.csv", "csv")
     monkeypatch.chdir(tmp_path)
     assert main(["scan", "--ref", "ref.csv", "--target", "prod.csv", "--window", "32", "--bootstraps", "19",
                  "--out", "report.json"]) == 0
@@ -606,10 +606,24 @@ def test_unreadable_file_exits_two(tmp_path, capsys):
 def test_dimension_mismatch_exits_two(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    save_embeddings(EmbeddingMatrix.from_array([[1.0, 2.0]]), a, "csv")
-    save_embeddings(EmbeddingMatrix.from_array([[1.0]]), b, "csv")
+    save_embeddings([[1.0, 2.0]], a, "csv")
+    save_embeddings([[1.0]], b, "csv")
     assert main(["mmd", "--ref", str(a), "--target", str(b)]) == 2
     assert "dims" in capsys.readouterr().err
+
+
+def test_extract_dimension_mismatch_exits_two_before_writing(pair_files, tmp_path, capsys):
+    ref, target = pair_files
+    report = tmp_path / "rep.json"
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "8", "--bootstraps", "5",
+                 "--out", str(report)]) == 0
+    narrow = tmp_path / "narrow.csv"
+    save_embeddings(np.zeros((40, 2)), narrow, "csv")  # the report's rows, one column short
+    outs = [tmp_path / "cause_ref.csv", tmp_path / "cause_target.csv"]
+    assert main(["extract", "--ref", ref, "--target", str(narrow), "--report", str(report), "--which", "both",
+                 "--out-ref", str(outs[0]), "--out-target", str(outs[1])]) == 2
+    assert "dims" in capsys.readouterr().err
+    assert not any(out.exists() for out in outs)
 
 
 def test_mmd_over_the_memory_limit_exits_two(pair_files, monkeypatch, capsys):
@@ -690,7 +704,7 @@ def test_scan_past_the_one_pdist_pool_leaves_scipy_spatial_out(tmp_path):
     rng = np.random.default_rng(33)
     for rows in (1100, 3000):
         for side in ("ref", "target"):
-            save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((rows, 8))), tmp_path / f"{side}.emb")
+            save_embeddings(rng.standard_normal((rows, 8)), tmp_path / f"{side}.emb")
         proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-1] == "False", f"{2 * rows} pooled rows"
@@ -706,7 +720,7 @@ def test_scan_leaves_numpy_ma_out(tmp_path):
             "--out", "report.json", "--csv-out", "series.csv"]
     rng = np.random.default_rng(34)
     for side in ("ref", "target"):
-        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((40, 3))), tmp_path / f"{side}.emb")
+        save_embeddings(rng.standard_normal((40, 3)), tmp_path / f"{side}.emb")
     proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "False"
@@ -735,7 +749,7 @@ sys.exit(code)
 def test_scan_memory_stays_bounded_on_a_large_pool(tmp_path):
     rng = np.random.default_rng(31)
     for side in ("ref", "target"):
-        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((8000, 8))), tmp_path / f"{side}.emb")
+        save_embeddings(rng.standard_normal((8000, 8)), tmp_path / f"{side}.emb")
     argv = [sys.executable, "-c", PEAK_RSS_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
             "--window", "32", "--bootstraps", "19", "--stride", "512", "--out", "report.json"]
     proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=300)
@@ -754,7 +768,7 @@ WIDE_WINDOW_GRAMS = 5
 def _peak_rss_mb(work: Path, rows: int, window: int, bootstraps: int = 50) -> float:
     rng = np.random.default_rng(32)
     for side in ("ref", "target"):
-        save_embeddings(EmbeddingMatrix.from_array(rng.standard_normal((rows, 8))), work / f"{side}.emb")
+        save_embeddings(rng.standard_normal((rows, 8)), work / f"{side}.emb")
     argv = [sys.executable, "-c", PEAK_RSS_WRAPPER, "scan", "--ref", "ref.emb", "--target", "target.emb",
             "--window", str(window), "--bootstraps", str(bootstraps), "--stride", "1", "--out", "report.json"]
     proc = subprocess.run(argv, cwd=work, env=_child_env(), capture_output=True, text=True, timeout=300)

@@ -9,15 +9,18 @@ from hypothesis.extra.numpy import arrays
 from driftscan import embeddings
 from driftscan.embeddings import (
     DataError,
-    DatasetPair,
-    EmbeddingMatrix,
     FormatError,
     ValidationError,
     _parse_csv,
     _parse_csv_strict,
+    as_embeddings,
+    check_same_dims,
     load_embeddings,
     save_embeddings,
 )
+from driftscan.kernels import KernelSpec
+from driftscan.mmd import mmd
+from driftscan.scan import ScanConfig, drift_scan, report_to_json
 from peak_rss import HAS_PROC_STATUS, peak_rise_mb
 
 finite_f32 = st.floats(
@@ -35,28 +38,28 @@ def test_csv_parse_example(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1.0,2.0\n3.0,4.0\n")
     m = load_embeddings(p, "csv")
-    assert m.rows == 2 and m.dims == 2
-    np.testing.assert_array_equal(m.values, np.array([[1, 2], [3, 4]], dtype=np.float32))
+    assert m.shape == (2, 2)
+    np.testing.assert_array_equal(m, np.array([[1, 2], [3, 4]], dtype=np.float32))
 
 
 def test_csv_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# a comment\n1,2\n\n# another\n3,4\n")
     m = load_embeddings(p, "auto")
-    assert m.rows == 2
+    assert m.shape[0] == 2
 
 
 def test_csv_zero_row_renders_bare_zeros(tmp_path):
     p = tmp_path / "z.csv"
-    save_embeddings(EmbeddingMatrix.from_array([[0.0, 0.0, 0.0]]), p, "csv")
+    save_embeddings([[0.0, 0.0, 0.0]], p, "csv")
     assert p.read_text() == "0,0,0\n"
 
 
 def test_empty_binary_roundtrip(tmp_path):
     p = tmp_path / "e.bin"
-    save_embeddings(EmbeddingMatrix.empty(5), p, "binary")
+    save_embeddings(np.zeros((0, 5)), p, "binary")
     m = load_embeddings(p, "auto")
-    assert m.rows == 0 and m.dims == 5
+    assert m.shape == (0, 5)
 
 
 def test_empty_csv_needs_dims_header(tmp_path):
@@ -66,7 +69,7 @@ def test_empty_csv_needs_dims_header(tmp_path):
         load_embeddings(p, "csv")
     p.write_text("# dims=3\n")
     m = load_embeddings(p, "csv")
-    assert m.rows == 0 and m.dims == 3
+    assert m.shape == (0, 3)
 
 
 def test_ragged_csv_names_line(tmp_path):
@@ -105,7 +108,7 @@ def test_csv_with_a_byte_order_mark_loads_to_the_same_bits(tmp_path):
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(text.encode("utf-8-sig"))
     assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
-    assert load_embeddings(marked).values.tobytes() == load_embeddings(plain).values.tobytes()
+    assert load_embeddings(marked).tobytes() == load_embeddings(plain).tobytes()
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
@@ -123,7 +126,7 @@ def test_csv_values_follow_python_float(tmp_path):
     # surrounding spaces, digit-group underscores and a negative zero
     p = tmp_path / "f.csv"
     p.write_text(" 2.5 ,1_0,-0\n")
-    v = load_embeddings(p, "csv").values
+    v = load_embeddings(p, "csv")
     assert v.tolist() == [[2.5, 10.0, 0.0]]
     assert np.signbit(v[0, 2])
 
@@ -157,7 +160,7 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_save_to_directory_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
-        save_embeddings(EmbeddingMatrix.from_array([[1.0]]), tmp_path, "csv")
+        save_embeddings([[1.0]], tmp_path, "csv")
 
 
 def test_binary_bad_magic(tmp_path):
@@ -169,7 +172,7 @@ def test_binary_bad_magic(tmp_path):
 
 def test_binary_truncated_payload(tmp_path):
     p = tmp_path / "t.bin"
-    save_embeddings(EmbeddingMatrix.from_array([[1.0, 2.0]]), p, "binary")
+    save_embeddings([[1.0, 2.0]], p, "binary")
     p.write_bytes(p.read_bytes()[:-2])
     with pytest.raises(FormatError, match="payload"):
         load_embeddings(p, "binary")
@@ -177,7 +180,7 @@ def test_binary_truncated_payload(tmp_path):
 
 def test_binary_nan_payload_names_position(tmp_path):
     p = tmp_path / "n.bin"
-    save_embeddings(EmbeddingMatrix.from_array([[1.0, 2.0]]), p, "binary")
+    save_embeddings([[1.0, 2.0]], p, "binary")
     blob = bytearray(p.read_bytes())
     blob[12:16] = np.float32("nan").tobytes()
     p.write_bytes(bytes(blob))
@@ -187,16 +190,16 @@ def test_binary_nan_payload_names_position(tmp_path):
 
 def test_auto_sniffs_binary(tmp_path):
     p = tmp_path / "m.dat"
-    src = EmbeddingMatrix.from_array([[1.5, -2.5]])
+    src = as_embeddings([[1.5, -2.5]])
     save_embeddings(src, p, "binary")
     m = load_embeddings(p, "auto")
-    np.testing.assert_array_equal(m.values, src.values)
+    np.testing.assert_array_equal(m, src)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_binary_roundtrip_bit_exact(values):
-    m = EmbeddingMatrix(np.ascontiguousarray(values))
+    m = as_embeddings(values)
     import tempfile, os
 
     fd, path = tempfile.mkstemp(suffix=".bin")
@@ -206,14 +209,14 @@ def test_binary_roundtrip_bit_exact(values):
         back = load_embeddings(path, "binary")
     finally:
         os.unlink(path)
-    assert back.values.dtype == m.values.dtype
-    np.testing.assert_array_equal(back.values, m.values)
+    assert back.dtype == m.dtype
+    np.testing.assert_array_equal(back, m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(min_rows=1))
 def test_csv_roundtrip_bit_exact(values):
-    m = EmbeddingMatrix(np.ascontiguousarray(values))
+    m = as_embeddings(values)
     import tempfile, os
 
     fd, path = tempfile.mkstemp(suffix=".csv")
@@ -223,41 +226,73 @@ def test_csv_roundtrip_bit_exact(values):
         back = load_embeddings(path, "csv")
     finally:
         os.unlink(path)
-    np.testing.assert_array_equal(back.values, m.values)
+    np.testing.assert_array_equal(back, m)
 
 
 def test_validation_rejects_non_finite_array():
     with pytest.raises(ValidationError, match="row 1, column 0"):
-        EmbeddingMatrix.from_array([[1.0], [float("inf")]])
+        as_embeddings([[1.0], [float("inf")]])
 
 
 def test_validation_rejects_float32_overflow():
     with pytest.raises(ValidationError, match="float32 range"):
-        EmbeddingMatrix.from_array([[1e300]])
+        as_embeddings([[1e300]])
 
 
 def test_values_are_immutable():
-    m = EmbeddingMatrix.from_array([[1.0, 2.0]])
+    m = as_embeddings([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        m.values[0, 0] = 5.0
+        m[0, 0] = 5.0
 
 
 def test_dims_must_be_positive():
     with pytest.raises(ValidationError):
-        EmbeddingMatrix(np.zeros((3, 0), dtype=np.float32))
+        as_embeddings(np.zeros((3, 0), dtype=np.float32))
 
 
-def test_dataset_pair_dims_must_match():
-    a = EmbeddingMatrix.from_array([[1.0, 2.0]])
-    b = EmbeddingMatrix.from_array([[1.0]])
+def test_mismatched_dims_are_refused():
+    a = as_embeddings([[1.0, 2.0]])
+    b = as_embeddings([[1.0]])
     with pytest.raises(ValidationError, match="dims"):
-        DatasetPair(a, b)
+        check_same_dims(a, b)
 
 
-def test_take_rows_slices():
-    m = EmbeddingMatrix.from_array([[0.0], [1.0], [2.0], [3.0]])
-    s = m.take_rows(1, 3)
-    np.testing.assert_array_equal(s.values, np.array([[1.0], [2.0]], dtype=np.float32))
+def test_one_dimensional_input_is_refused():
+    with pytest.raises(ValidationError, match="2-D"):
+        as_embeddings([1.0, 2.0])
+
+
+def test_read_only_float32_input_is_not_copied():
+    values = np.arange(6, dtype=np.float32).reshape(3, 2)
+    values.flags.writeable = False
+    assert np.shares_memory(as_embeddings(values), values)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_writeable_input_is_copied(dtype):
+    values = np.arange(6, dtype=dtype).reshape(3, 2)
+    out = as_embeddings(values)
+    assert out.dtype == np.float32 and not out.flags.writeable
+    assert not np.shares_memory(out, values)
+    values[0, 0] = 7.0
+    assert out[0, 0] == 0.0
+
+
+def test_float64_input_scans_as_its_float32_cast():
+    rng = np.random.default_rng(4)
+    ref, target = rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 0.5
+    config = ScanConfig(window=8, bootstraps=19, seed=2)
+    cast = drift_scan(ref.astype(np.float32), target.astype(np.float32), config)
+    assert report_to_json(drift_scan(ref, target, config)) == report_to_json(cast)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mmd_refuses_nan(dtype):
+    x = np.ones((4, 2), dtype=dtype)
+    y = x.copy()
+    y[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="row 2, column 1"):
+        mmd(KernelSpec("rbf", 1.0), x, y)
 
 
 def _shortest(v: float) -> str:
@@ -303,7 +338,7 @@ def _outcome(parse, text):
         m = parse(text, "f.csv")
     except DataError as exc:
         return type(exc), str(exc)
-    return m.values.shape, m.values.tobytes()
+    return m.shape, m.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,9 +363,9 @@ def test_valid_csv_never_reaches_the_strict_walker(tmp_path, monkeypatch):
     monkeypatch.setattr(embeddings, "_parse_csv_strict", refuse)
     p = tmp_path / "m.csv"
     p.write_text("1.5,-2\n3,4e-3\n")
-    assert load_embeddings(p, "csv").values.tolist() == [[1.5, -2.0], [3.0, np.float32(4e-3)]]
+    assert load_embeddings(p, "csv").tolist() == [[1.5, -2.0], [3.0, np.float32(4e-3)]]
     p.write_text("# dims=2\n# note\n 1 , 2 \r\n\n3,4\n")
-    assert load_embeddings(p, "csv").values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert load_embeddings(p, "csv").tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 #: a CSV load may peak this many times the file's size above the loading
@@ -342,7 +377,7 @@ CSV_LOAD_FILE_SIZES = 5
 @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs /proc/self/status for the child's own peak RSS")
 def test_csv_load_memory_stays_within_a_few_file_sizes(tmp_path):
     p = tmp_path / "m.csv"
-    save_embeddings(EmbeddingMatrix.from_array(np.random.default_rng(3).standard_normal((4000, 64))), p, "csv")
+    save_embeddings(np.random.default_rng(3).standard_normal((4000, 64)), p, "csv")
     rise_mb = peak_rise_mb("from driftscan.embeddings import load_embeddings", f"load_embeddings({str(p)!r}, 'csv')")
     file_mb = p.stat().st_size / 2**20
     assert rise_mb < CSV_LOAD_FILE_SIZES * file_mb, f"load peaked {rise_mb:.1f} MB above start for {file_mb:.1f} MB"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from driftscan import kernels
-from driftscan.embeddings import DegenerateInputError, EmbeddingMatrix, ValidationError
+from driftscan.embeddings import DegenerateInputError, ValidationError, as_embeddings
 from driftscan.kernels import (
     KernelSpec,
     kernel_matrix,
@@ -73,29 +73,29 @@ def test_linear_scales_in_first_argument(vals, a):
 
 def test_median_heuristic_three_points():
     # rows {0, 1, 3}: pairwise distances {1, 2, 3}, median 2
-    m = EmbeddingMatrix.from_array([[0.0], [1.0], [3.0]])
+    m = as_embeddings([[0.0], [1.0], [3.0]])
     assert median_heuristic_bandwidth(m) == 2.0
 
 
 def test_median_heuristic_duplicate_rows():
     # rows {5, 5, 9}: distances {0, 4, 4}, median 4
-    m = EmbeddingMatrix.from_array([[5.0], [5.0], [9.0]])
+    m = as_embeddings([[5.0], [5.0], [9.0]])
     assert median_heuristic_bandwidth(m) == 4.0
 
 
 def test_median_heuristic_even_count_takes_lower_middle():
     # rows {0, 1, 3, 7}: distances sorted [1, 2, 3, 4, 6, 7], lower middle 3
-    m = EmbeddingMatrix.from_array([[0.0], [1.0], [3.0], [7.0]])
+    m = as_embeddings([[0.0], [1.0], [3.0], [7.0]])
     assert median_heuristic_bandwidth(m) == 3.0
 
 
 def test_median_heuristic_single_row_degenerate():
     with pytest.raises(DegenerateInputError):
-        median_heuristic_bandwidth(EmbeddingMatrix.from_array([[1.0, 2.0]]))
+        median_heuristic_bandwidth(as_embeddings([[1.0, 2.0]]))
 
 
 def test_median_heuristic_identical_rows_degenerate():
-    m = EmbeddingMatrix.from_array([[1.0, 1.0]] * 4)
+    m = as_embeddings([[1.0, 1.0]] * 4)
     with pytest.raises(DegenerateInputError):
         median_heuristic_bandwidth(m)
 
@@ -282,7 +282,7 @@ def _drift_rows(n, rng):
 
 
 def _float32_rows(n, rng):
-    return EmbeddingMatrix.from_array(rng.standard_normal((n, 5)) * 1e3)
+    return as_embeddings(rng.standard_normal((n, 5)) * 1e3)
 
 
 def _offset_rows(n, rng):
@@ -375,7 +375,7 @@ def test_blockwise_median_is_exact(make, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_DISTANCES", 997)
     monkeypatch.setattr(kernels, "SAMPLE_PAIRS", 780)
     x = make(301, np.random.default_rng(22))
-    ref = _pdist_lower_median(x.values if isinstance(x, EmbeddingMatrix) else x)
+    ref = _pdist_lower_median(x)
     if make in (_tied_rows, _lattice_rows):  # the target rank sits inside a run of equal distances
         d = np.sort(pdist(x))
         k = (d.size - 1) // 2

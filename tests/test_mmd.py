@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from driftscan.embeddings import EmbeddingMatrix, ValidationError
+from driftscan.embeddings import ValidationError, as_embeddings
 from driftscan.kernels import KernelSpec, kernel_matrix
 from driftscan.mmd import mmd, mmd_sq_from_gram, mmd_value
 from oracle import mmd_oracle
@@ -13,7 +13,7 @@ LINEAR = KernelSpec("linear")
 
 
 def random_matrix(rng, rows, dims):
-    return EmbeddingMatrix.from_array(rng.standard_normal((rows, dims)))
+    return as_embeddings(rng.standard_normal((rows, dims)))
 
 
 def assert_close_to_oracle(fast, oracle):
@@ -31,8 +31,8 @@ def test_identical_samples_biased_is_exactly_zero():
 
 def test_linear_hand_example():
     # within q1: all k((0),(0)) = 0; within q2: all k((1),(1)) = 1; cross: 0
-    q1 = EmbeddingMatrix.from_array([[0.0], [0.0]])
-    q2 = EmbeddingMatrix.from_array([[1.0], [1.0]])
+    q1 = as_embeddings([[0.0], [0.0]])
+    q2 = as_embeddings([[1.0], [1.0]])
     for estimator in ("biased", "unbiased"):
         assert mmd(LINEAR, q1, q2, estimator) == (1.0, None)
     assert mmd_oracle(LINEAR, q1, q2, "biased") == (1.0, None)
@@ -73,7 +73,7 @@ def test_row_permutation_invariance():
     q2 = random_matrix(rng, 15, 4)
     base = mmd(RBF_FIXED, q1, q2, "biased")[0]
     perm = rng.permutation(12)
-    shuffled = EmbeddingMatrix(q1.values[perm])
+    shuffled = as_embeddings(q1[perm])
     assert mmd(RBF_FIXED, shuffled, q2, "biased")[0] == pytest.approx(base, rel=1e-12, abs=1e-15)
 
 
@@ -109,16 +109,16 @@ def test_value_is_sqrt_of_clamped_squared():
 
 
 def test_unbiased_needs_two_rows():
-    one = EmbeddingMatrix.from_array([[1.0]])
-    two = EmbeddingMatrix.from_array([[1.0], [2.0]])
+    one = as_embeddings([[1.0]])
+    two = as_embeddings([[1.0], [2.0]])
     with pytest.raises(ValidationError):
         mmd(RBF_FIXED, one, two, "unbiased")
     mmd(RBF_FIXED, one, two, "biased")  # fine
 
 
 def test_dimension_mismatch_rejected():
-    a = EmbeddingMatrix.from_array([[1.0, 2.0]])
-    b = EmbeddingMatrix.from_array([[1.0]])
+    a = as_embeddings([[1.0, 2.0]])
+    b = as_embeddings([[1.0]])
     with pytest.raises(ValidationError, match="dimension"):
         mmd(RBF_FIXED, a, b, "biased")
 
@@ -142,7 +142,7 @@ def test_samples_over_the_memory_limit_are_refused_before_any_kernel_work(monkey
 
 
 def test_unknown_estimator_rejected():
-    m = EmbeddingMatrix.from_array([[1.0], [2.0]])
+    m = as_embeddings([[1.0], [2.0]])
     with pytest.raises(ValueError, match="estimator"):
         mmd(RBF_FIXED, m, m, "vstat")
 
@@ -152,7 +152,7 @@ def test_pooled_gram_slices_match_direct_mmd():
     # agree with mmd() on the materialized rows
     rng = np.random.default_rng(11)
     pool = random_matrix(rng, 24, 5)
-    pool64 = pool.as_float64()
+    pool64 = pool.astype(np.float64)
     for spec, bw in ((RBF_FIXED, 1.0), (LINEAR, None)):
         gram = kernel_matrix(spec, bw, pool64, pool64)
         for estimator in ("biased", "unbiased"):
@@ -164,8 +164,8 @@ def test_pooled_gram_slices_match_direct_mmd():
                 )
                 direct = mmd(
                     spec,
-                    EmbeddingMatrix(pool.values[b1]),
-                    EmbeddingMatrix(pool.values[b2]),
+                    as_embeddings(pool[b1]),
+                    as_embeddings(pool[b2]),
                     estimator,
                     bandwidth=bw,
                 )[0]

@@ -42,5 +42,5 @@ def test_quick_start_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     start, end = report["cause_target"]
-    assert load_embeddings(tmp_path / "cause.csv").rows == end - start + 1
+    assert load_embeddings(tmp_path / "cause.csv").shape[0] == end - start + 1
     assert (tmp_path / "series.csv").read_text().startswith("# config: ")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftscan import kernels, resample
-from driftscan.embeddings import EmbeddingMatrix, ValidationError
+from driftscan.embeddings import ValidationError, as_embeddings
 from driftscan.kernels import KernelSpec, kernel_matrix, resolve_bandwidth
 from driftscan.mmd import mmd, mmd_sq_from_gram
 from driftscan.resample import scan_window_tests, window_test
@@ -62,7 +62,7 @@ def swapped_null_stats(spec, bandwidth, x, y, signs, estimator):
         swap = row < 0
         xs, ys = x.copy(), y.copy()
         xs[swap], ys[swap] = y[swap], x[swap]
-        stats.append(mmd(spec, EmbeddingMatrix.from_array(xs), EmbeddingMatrix.from_array(ys), estimator,
+        stats.append(mmd(spec, as_embeddings(xs), as_embeddings(ys), estimator,
                          bandwidth=bandwidth)[0])
     return np.array(stats)
 
@@ -85,7 +85,7 @@ def test_quadratic_form_matches_gathered_blocks(family, estimator):
         signs = flips(11, 60, width)
         stats, observed, _ = one_window_null(spec, bandwidth, x, y, signs, estimator)
         slow = swapped_null_stats(spec, bandwidth, x, y, signs, estimator)
-        assert observed == mmd(spec, EmbeddingMatrix.from_array(x), EmbeddingMatrix.from_array(y), estimator,
+        assert observed == mmd(spec, as_embeddings(x), as_embeddings(y), estimator,
                                bandwidth=bandwidth)[0]
         if estimator == "biased":
             slow = np.maximum(slow, 0.0)
@@ -99,13 +99,13 @@ def test_unpermuted_signs_give_the_observed_statistic(family, estimator, half):
     # the flip that swaps no pair, and the one that swaps every pair, give the
     # observed statistic to the bit; 2 rows is the least the unbiased estimator takes
     rng = np.random.default_rng(17)
-    x, y = (EmbeddingMatrix.from_array(rng.standard_normal((half, 3)) + shift) for shift in (0.0, 0.5))
+    x, y = (as_embeddings(rng.standard_normal((half, 3)) + shift) for shift in (0.0, 0.5))
     spec = KernelSpec(family)
-    bandwidth = resolve_bandwidth(spec, x.as_float64(), y.as_float64())
+    x64, y64 = x.astype(np.float64), y.astype(np.float64)
+    bandwidth = resolve_bandwidth(spec, x64, y64)
     observed = mmd(spec, x, y, estimator, bandwidth=bandwidth)[0]
     ones = np.ones(half)
-    stats, _, p_value = one_window_null(spec, bandwidth, x.as_float64(), y.as_float64(), np.stack([ones, -ones]),
-                                        estimator)
+    stats, _, p_value = one_window_null(spec, bandwidth, x64, y64, np.stack([ones, -ones]), estimator)
     assert stats.tolist() == [observed, observed] and p_value == 1.0
 
 
@@ -120,7 +120,7 @@ def test_identical_windows_give_every_flip_the_observed_value(family, estimator,
     assert np.all(stats == observed_sq) and median == observed_sq and p_value == 1.0
 
 
-_TWIN = EmbeddingMatrix.from_array(np.random.default_rng(12).standard_normal((8, 3))).as_float64()
+_TWIN = as_embeddings(np.random.default_rng(12).standard_normal((8, 3))).astype(np.float64)
 _FAR = ([9.658225059509277, 53.671287536621094, 26.380176544189453],
         [11.147784233093262, 44.63081359863281, 21.859966278076172])
 _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
@@ -132,7 +132,7 @@ _FAR_PICK = [0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1]
 DUPLICATED_POOLS = {
     "identical-windows-rbf": (RBF_FIXED, np.vstack([_TWIN, _TWIN]), 4),
     "identical-windows-linear": (KernelSpec("linear"), np.vstack([_TWIN, _TWIN]), 4),
-    "two-far-rows": (RBF_FIXED, EmbeddingMatrix.from_array([_FAR[i] for i in _FAR_PICK]).as_float64(), 56),
+    "two-far-rows": (RBF_FIXED, as_embeddings([_FAR[i] for i in _FAR_PICK]).astype(np.float64), 56),
 }
 
 
@@ -156,8 +156,8 @@ def test_shared_gram_gives_the_same_null():
                                                 "biased", 1.0)
     np.testing.assert_array_equal(run[0], stats)
     assert observed[0] == observed_sq
-    assert (observed_sq, 1.0) == mmd(RBF_FIXED, EmbeddingMatrix.from_array(x[:8]),
-                                     EmbeddingMatrix.from_array(y[:8]), "biased")
+    assert (observed_sq, 1.0) == mmd(RBF_FIXED, as_embeddings(x[:8]),
+                                     as_embeddings(y[:8]), "biased")
 
 
 def test_sign_columns_do_not_depend_on_the_rows_or_the_blocks_held(monkeypatch):
@@ -549,7 +549,7 @@ def test_non_finite_bandwidth_is_refused(bandwidth):
     with pytest.raises(ValueError, match="positive finite bandwidth"):
         window_test(KernelSpec(), x, x, 19, 0, "biased", bandwidth)
     with pytest.raises(ValueError, match="positive finite bandwidth"):
-        mmd(KernelSpec(), EmbeddingMatrix.from_array(x), EmbeddingMatrix.from_array(x), bandwidth=bandwidth)
+        mmd(KernelSpec(), as_embeddings(x), as_embeddings(x), bandwidth=bandwidth)
 
 
 def test_the_smallest_accepted_bandwidths_give_finite_statistics():

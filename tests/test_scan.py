@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftscan import kernels
-from driftscan.embeddings import DataError, DatasetPair, EmbeddingMatrix, ValidationError
+from driftscan import kernels, simharness
+from driftscan.embeddings import DataError, ValidationError, as_embeddings
 from driftscan.kernels import KernelSpec
 from driftscan.mmd import mmd, mmd_value
 from driftscan.resample import RNG_SCHEME
@@ -27,9 +27,9 @@ from driftscan.simharness import null_calibration
 
 def gaussian_pair(seed=0, n=64, dims=3, shift=0.0):
     rng = np.random.default_rng(seed)
-    ref = EmbeddingMatrix.from_array(rng.standard_normal((n, dims)))
-    target = EmbeddingMatrix.from_array(rng.standard_normal((n, dims)) + shift)
-    return DatasetPair(ref, target)
+    ref = as_embeddings(rng.standard_normal((n, dims)))
+    target = as_embeddings(rng.standard_normal((n, dims)) + shift)
+    return ref, target
 
 
 FAST = ScanConfig(window=8, bootstraps=20, seed=3)
@@ -37,8 +37,8 @@ FAST = ScanConfig(window=8, bootstraps=20, seed=3)
 
 def test_identical_inputs_all_zero_unflagged():
     rng = np.random.default_rng(1)
-    m = EmbeddingMatrix.from_array(rng.standard_normal((40, 4)))
-    report = drift_scan(DatasetPair(m, m), FAST)
+    m = as_embeddings(rng.standard_normal((40, 4)))
+    report = drift_scan(m, m, FAST)
     assert len(report["windows"]) == 33
     for w in report["windows"]:
         assert w["observed_sq"] == 0.0
@@ -54,7 +54,7 @@ def test_series_length_and_indices_with_stride():
     pair = gaussian_pair(n=50)
     for stride in (1, 3, 7):
         config = ScanConfig(window=8, bootstraps=5, stride=stride, seed=0)
-        report = drift_scan(pair, config)
+        report = drift_scan(*pair, config)
         expected = (50 - 8) // stride + 1
         assert len(report["windows"]) == expected
         for w in report["windows"]:
@@ -66,22 +66,22 @@ def test_series_length_and_indices_with_stride():
 def test_window_larger_than_data_rejected():
     pair = gaussian_pair(n=10)
     with pytest.raises(ValidationError, match="window"):
-        drift_scan(pair, ScanConfig(window=16, bootstraps=5))
+        drift_scan(*pair, ScanConfig(window=16, bootstraps=5))
 
 
 def test_truncation_to_shorter_side_recorded():
     rng = np.random.default_rng(2)
-    ref = EmbeddingMatrix.from_array(rng.standard_normal((40, 2)))
-    target = EmbeddingMatrix.from_array(rng.standard_normal((55, 2)))
-    report = drift_scan(DatasetPair(ref, target), FAST)
+    ref = as_embeddings(rng.standard_normal((40, 2)))
+    target = as_embeddings(rng.standard_normal((55, 2)))
+    report = drift_scan(ref, target, FAST)
     assert report["scanned_rows"] == 40
     assert report["truncated"]
     assert report["windows"][-1]["t_index"] == 40
 
 
 def test_drift_increases_summary_score():
-    base = drift_scan(gaussian_pair(seed=5, shift=0.0), FAST)["summary_score"]
-    shifted = drift_scan(gaussian_pair(seed=5, shift=2.0), FAST)["summary_score"]
+    base = drift_scan(*gaussian_pair(seed=5, shift=0.0), FAST)["summary_score"]
+    shifted = drift_scan(*gaussian_pair(seed=5, shift=2.0), FAST)["summary_score"]
     assert shifted > base
 
 
@@ -92,7 +92,7 @@ def test_injected_drift_localized_single_seed():
     target = rng.standard_normal((n, 4))
     target[60:76] += 8.0  # drift rows, 0-based [60, 76)
     report = drift_scan(
-        DatasetPair(EmbeddingMatrix.from_array(ref), EmbeddingMatrix.from_array(target)),
+        ref, target,
         # p-values bottom out at 1/(bootstraps + 1), so flagging at 0.05 needs >= 19
         ScanConfig(window=beta, bootstraps=19, seed=1),
     )
@@ -104,7 +104,7 @@ def test_injected_drift_localized_single_seed():
 
 
 def test_cause_ranges_span_window_and_agree():
-    report = drift_scan(gaussian_pair(seed=7), FAST)
+    report = drift_scan(*gaussian_pair(seed=7), FAST)
     for span in (report["cause_reference"], report["cause_target"]):
         assert span[1] - span[0] + 1 == FAST.window
         assert span[1] == report["argmax_index"]
@@ -112,37 +112,37 @@ def test_cause_ranges_span_window_and_agree():
 
 def test_extract_cause_samples_shapes_and_boundary():
     pair = gaussian_pair(seed=8, n=30)
-    report = drift_scan(pair, FAST)
-    target_rows = extract_cause_samples(pair, report, "target")
-    assert target_rows.rows == FAST.window and target_rows.dims == pair.target.dims
-    ref_rows = extract_cause_samples(pair, report, "reference")
-    assert ref_rows.rows == FAST.window
+    report = drift_scan(*pair, FAST)
+    target_rows = extract_cause_samples(*pair, report, "target")
+    assert target_rows.shape == (FAST.window, pair[1].shape[1])
+    ref_rows = extract_cause_samples(*pair, report, "reference")
+    assert ref_rows.shape[0] == FAST.window
     start, end = report["cause_target"]
-    np.testing.assert_array_equal(target_rows.values, pair.target.values[start - 1 : end])
+    np.testing.assert_array_equal(target_rows, pair[1][start - 1 : end])
     start, end = report["cause_reference"]
-    np.testing.assert_array_equal(ref_rows.values, pair.reference.values[start - 1 : end])
+    np.testing.assert_array_equal(ref_rows, pair[0][start - 1 : end])
 
     # argmax at the first window maps to rows [0, window)
-    m = EmbeddingMatrix.from_array(np.random.default_rng(3).standard_normal((20, 2)))
-    tied = drift_scan(DatasetPair(m, m), FAST)
+    m = as_embeddings(np.random.default_rng(3).standard_normal((20, 2)))
+    tied = drift_scan(m, m, FAST)
     assert tied["argmax_index"] == FAST.window
-    first = extract_cause_samples(DatasetPair(m, m), tied, "reference")
-    np.testing.assert_array_equal(first.values, m.values[0 : FAST.window])
+    first = extract_cause_samples(m, m, tied, "reference")
+    np.testing.assert_array_equal(first, m[0 : FAST.window])
 
 
 def test_extract_rejects_mismatched_pair():
     pair = gaussian_pair(seed=9, n=30)
-    report = drift_scan(pair, FAST)
+    report = drift_scan(*pair, FAST)
     other = gaussian_pair(seed=9, n=29)
     with pytest.raises(ValidationError, match="does not match"):
-        extract_cause_samples(other, report, "target")
+        extract_cause_samples(*other, report, "target")
     for which in ("everything", "both"):
         with pytest.raises(ValueError, match="which"):
-            extract_cause_samples(pair, report, which)
+            extract_cause_samples(*pair, report, which)
 
 
 def test_report_json_roundtrip(tmp_path):
-    report = drift_scan(gaussian_pair(seed=10), FAST)
+    report = drift_scan(*gaussian_pair(seed=10), FAST)
     rebuilt = report_from_dict(json.loads(json.dumps(report)))
     assert rebuilt == report
 
@@ -152,7 +152,7 @@ def test_report_json_roundtrip(tmp_path):
 
 
 def test_report_window_missing_a_key_does_not_load(tmp_path):
-    d = drift_scan(gaussian_pair(seed=10), FAST)
+    d = drift_scan(*gaussian_pair(seed=10), FAST)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(d))
     assert load_report(path)["windows"] == d["windows"]  # the parsed records, kept as they are
@@ -173,7 +173,7 @@ OLDER_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(OLDER_CONFIGS))
 def test_report_without_rng_scheme_still_loads(name, tmp_path):
-    d = drift_scan(gaussian_pair(seed=11), FAST)
+    d = drift_scan(*gaussian_pair(seed=11), FAST)
     assert d["config"]["rng_scheme"] == RNG_SCHEME
     del d["config"]["rng_scheme"]
     d["config"].update(OLDER_CONFIGS[name])
@@ -193,16 +193,16 @@ def test_observed_from_pool_gram_matches_mmd_bitwise(family, estimator):
     # contiguous one, so the blocks must be copied out to keep the bits
     pair = gaussian_pair(seed=16, n=130, shift=0.5)
     config = ScanConfig(window=120, bootstraps=5, stride=5, estimator=estimator, kernel=KernelSpec(family))
-    report = drift_scan(pair, config)
+    report = drift_scan(*pair, config)
     for w in report["windows"]:
         rows = (w["t_index"] - config.window, w["t_index"])
-        squared, _ = mmd(config.kernel, pair.reference.take_rows(*rows), pair.target.take_rows(*rows),
+        squared, _ = mmd(config.kernel, pair[0][slice(*rows)], pair[1][slice(*rows)],
                          estimator, bandwidth=report["bandwidth_used"])
         assert (w["observed_sq"], w["observed"]) == (squared, mmd_value(squared))
 
 
 def test_report_schema_fields():
-    d = drift_scan(gaussian_pair(seed=12), FAST)
+    d = drift_scan(*gaussian_pair(seed=12), FAST)
     assert tuple(d) == REPORT_KEYS
     for key in (
         "config",
@@ -251,7 +251,7 @@ def test_report_to_json_writes_the_bytes_of_json_dumps(payload):
 
 
 def test_windows_csv_has_config_and_header():
-    report = drift_scan(gaussian_pair(seed=13), FAST)
+    report = drift_scan(*gaussian_pair(seed=13), FAST)
     text = windows_to_csv(report)
     lines = text.splitlines()
     assert lines[0].startswith("# config: ")
@@ -261,22 +261,22 @@ def test_windows_csv_has_config_and_header():
 
 def test_scan_is_deterministic_byte_identical():
     pair = gaussian_pair(seed=14)
-    a = report_to_json(drift_scan(pair, FAST))
-    b = report_to_json(drift_scan(pair, FAST))
+    a = report_to_json(drift_scan(*pair, FAST))
+    b = report_to_json(drift_scan(*pair, FAST))
     assert a == b
 
 
 def test_per_window_bandwidth_policy_runs():
     pair = gaussian_pair(seed=15, n=24)
     config = ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("rbf", "median-window"), seed=0)
-    report = drift_scan(pair, config)
+    report = drift_scan(*pair, config)
     assert report["bandwidth_used"] is None  # no single global bandwidth
     assert all(np.isfinite(w["observed_sq"]) for w in report["windows"])
 
 
 def test_linear_kernel_scan_runs():
     pair = gaussian_pair(seed=16, n=24)
-    report = drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("linear"), seed=0))
+    report = drift_scan(*pair, ScanConfig(window=8, bootstraps=5, kernel=KernelSpec("linear"), seed=0))
     assert report["bandwidth_used"] is None
 
 
@@ -285,16 +285,26 @@ def test_linear_kernel_scan_runs():
 def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, bandwidth, copies_both_sides):
     # the shared bandwidth reads both sides' rows only for the global median;
     # the windows read slices of the stored rows, never a float64 copy of a side
-    pair = gaussian_pair(seed=17, n=40)
-    copied, pooled = [], []
-    real_copy = EmbeddingMatrix.as_float64
-    monkeypatch.setattr(EmbeddingMatrix, "as_float64", lambda m: copied.append(m.rows) or real_copy(m))
+    copied, pooled, sides = [], [], []
+
+    class Spy(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):  # records the rows of each float64 copy
+            if np.dtype(dtype) == np.float64:
+                copied.append(len(self))
+            return super().astype(dtype, *args, **kwargs)
+
+    def spied(data):  # read-only float32 embeddings of the spy's type, which as_embeddings keeps
+        sides.append(as_embeddings(data).view(Spy))
+        return sides[-1]
+
+    monkeypatch.setattr(simharness, "as_embeddings", spied)
     median = kernels.median_heuristic_bandwidth
     monkeypatch.setattr(kernels, "median_heuristic_bandwidth", lambda rows: pooled.append(len(rows)) or median(rows))
     spec = KernelSpec(family, bandwidth)
-    drift_scan(pair, ScanConfig(window=8, bootstraps=5, kernel=spec))
+    drift_scan(*map(spied, gaussian_pair(seed=17, n=40)), ScanConfig(window=8, bootstraps=5, kernel=spec))
     null_calibration(trials=2, n=40, dims=3, window=8, bootstraps=5, seed=1, kernel=spec)
-    assert copied == []
+    assert len(sides) == 6 and all(as_embeddings(side) is side for side in sides)  # the scan's, then each trial's
+    assert 40 not in copied
     assert set(pooled) <= {16, 80}  # a window's two sides or both full inputs
     # the scan, then each trial
     assert pooled.count(80) == (3 if copies_both_sides and spec.needs_bandwidth else 0)

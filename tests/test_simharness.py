@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftscan import kernels, simharness
-from driftscan.embeddings import EmbeddingMatrix
+from driftscan.embeddings import as_embeddings
 from driftscan.kernels import KernelSpec
 from driftscan.resample import window_test
 from driftscan.rng import derive_rng, derive_seed
@@ -28,7 +28,7 @@ from driftscan.simharness import (
 def _cluster_mean(spec: ClassMixtureSpec) -> tuple[np.ndarray, float]:
     # the mean of a one-class mixture; it lies within 4 standard errors of the class mean
     m = generate_mixture(spec)
-    return m.values.mean(axis=0), 4 * spec.scale / math.sqrt(spec.n)
+    return m.mean(axis=0), 4 * spec.scale / math.sqrt(spec.n)
 
 
 def test_pure_positive_mixture_clusters_at_positive_mean():
@@ -60,14 +60,14 @@ def test_shift_moves_the_positive_mean_toward_the_negative_mean(separation, shif
 def test_empty_mixture():
     spec = ClassMixtureSpec(dims=2, n=0, positive_fraction=0.5, seed=3)
     m, labels = generate_labeled_mixture(spec)
-    assert m.rows == 0 and labels.size == 0
+    assert m.shape[0] == 0 and labels.size == 0
 
 
 def test_mixture_deterministic_and_label_counts_exact():
     spec = ClassMixtureSpec(dims=4, n=101, positive_fraction=0.37, seed=9)
     m1, y1 = generate_labeled_mixture(spec)
     m2, y2 = generate_labeled_mixture(spec)
-    np.testing.assert_array_equal(m1.values, m2.values)
+    np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(y1, y2)
     assert int(y1.sum()) == positive_count(101, 0.37)
 
@@ -243,8 +243,8 @@ def test_null_calibration_median_window_runs_the_per_window_test():
     by_hand = []
     for i in range(args["trials"]):  # each trial's data and bootstrap seed, as null_calibration derives them
         data_rng = derive_rng(21, "calibration-data", i)
-        ref, target = (EmbeddingMatrix.from_array(data_rng.standard_normal((40, 3))) for _ in range(2))
-        *_, p_value = window_test(spec, ref.values[:8], target.values[:8], 19,
+        ref, target = (as_embeddings(data_rng.standard_normal((40, 3))) for _ in range(2))
+        *_, p_value = window_test(spec, ref[:8], target[:8], 19,
                                   derive_seed(21, "calibration-boot", i), "biased", bandwidth=None)
         by_hand.append(p_value)
     np.testing.assert_array_equal(p_values, by_hand)
