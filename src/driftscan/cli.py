@@ -245,7 +245,7 @@ def cmd_simulate_ratio(args) -> int:
     scan = _scan_config(args)
     _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
     rows = ratio_drift_study(_mixture(args), args.fractions, scan, batch_size=args.batch_size)
-    _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=scan.to_dict()), RATIO_COLUMNS, rows))
+    _write_text(args.out, table_csv(_echo("simulate ratio-drift", args, scan=asdict(scan)), RATIO_COLUMNS, rows))
     return 0
 
 
@@ -284,7 +284,7 @@ def cmd_correlate(args) -> int:
     scan = _scan_config(args)
     _warn_if_unflaggable(scan.bootstraps, scan.window, scan.alpha, "window")
     rows, corr_bce, corr_auc = correlation_study(_mixture(args), args.profile, scan, args.batch_size)
-    config = _echo("correlate", args, scan=scan.to_dict())
+    config = _echo("correlate", args, scan=asdict(scan))
     if args.out:
         _write_text(args.out, table_csv(config, SERIES_COLUMNS, rows))
     _write_text(None, report_to_json({

@@ -121,23 +121,18 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
             if declared_dims in (None, values.shape[1]) and np.isfinite(values).all():
                 values.flags.writeable = False
                 return values
-    return _parse_csv_strict(text, path)
+    return _parse_csv_strict(lines, declared_dims, path)
 
 
-def _parse_csv_strict(text: str, path: str) -> np.ndarray:
-    # Row by row and field by field, with float(): the first bad field of
-    # the first bad row sets the error, text that is not a number as a
-    # FormatError, a non-finite number as a ValidationError.
-    declared_dims = None
+def _parse_csv_strict(lines: list[str], declared_dims: int | None, path: str) -> np.ndarray:
+    # Row by row and field by field, with float(), over the stripped lines
+    # and line 1's declared dims: the first bad field of the first bad row
+    # sets the error, text that is not a number as a FormatError, a
+    # non-finite number as a ValidationError.
     rows: list[list[float]] = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if lineno == 1:
-                declared_dims = _declared_dims(line, path)
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
             continue
         fields = line.split(",")
         if width is None:

@@ -51,18 +51,18 @@ FLIP_COLUMNS = 4096
 RNG_SCHEME = "lockstep-flip"
 
 def check_window_settings(rows: int, bootstraps: int, estimator: str) -> None:
-    """Check the settings of window tests on windows of ``rows`` rows.
+    """Check the settings of window tests on windows of ``rows`` rows, the one rule of scan and calibrate.
 
-    ValueError for settings that cannot run, among them windows whose one
-    test, a block of one window (:func:`_block_numbers`, without its rows),
-    would hold more than ``WINDOW_NUMBERS`` beside one int8 block of S.
+    ValueError for settings that cannot run: no rows, one row under the unbiased estimator, and windows whose
+    one test, a block of one window (:func:`_block_numbers`, without its rows), would hold more than
+    ``WINDOW_NUMBERS`` beside one int8 block of S.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if bootstraps < 1:
         raise ValueError(f"bootstraps must be >= 1, got {bootstraps}")
     if rows < 1:
-        raise ValueError(f"windows of {rows} rows leave empty blocks")
+        raise ValueError(f"window must be >= 1, got {rows}")
     if estimator == "unbiased" and rows < 2:
         raise ValueError("unbiased estimator needs blocks of >= 2 rows")
     peak = sum(_block_numbers(rows, rows, bootstraps, rows)) + bootstraps * FLIP_COLUMNS // 8

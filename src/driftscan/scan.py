@@ -50,7 +50,7 @@ def _field_values(cls, d: dict) -> dict:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Resolved scan parameters; every field lands in the report's config echo."""
+    """Resolved scan parameters, windows checked by :func:`check_window_settings`; ``asdict`` is the config echo."""
 
     window: int = 32
     bootstraps: int = 50
@@ -61,16 +61,11 @@ class ScanConfig:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
         check_window_settings(self.window, self.bootstraps, self.estimator)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         check_alpha(self.alpha)
         check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanConfig":
@@ -126,7 +121,7 @@ def drift_scan(reference, target, config: ScanConfig) -> dict:
     peak = windows[int(np.argmax(observed_sq))]  # first occurrence on ties
     cause = [peak["start_index"], peak["t_index"]]
     return dict(zip(REPORT_KEYS, (
-        {**config.to_dict(), "rng_scheme": RNG_SCHEME}, bandwidth, len(ref), len(targ), m_scan,
+        {**asdict(config), "rng_scheme": RNG_SCHEME}, bandwidth, len(ref), len(targ), m_scan,
         len(ref) != len(targ), windows, float(np.mean(observed_sq)), float(median(np.array(observed_sq))),
         float(np.mean(boot_medians)), peak["t_index"], cause, cause.copy())))
 

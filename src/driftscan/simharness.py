@@ -161,8 +161,8 @@ def _bucket_drifts(base: ClassMixtureSpec, changes, scan: ScanConfig, batch_size
     """Yield each bucket's spec, points, labels and drift ``summary_score`` against a balanced reference.
 
     The reference is ``base`` at fraction 0.5 and bucket i is it with ``changes[i]``'s fields replaced, both
-    scanned as shuffled ``batch_size``-row means. Seeds come from the tags ``{study}-ref``, ``{study}-ref-batch``
-    and, by position, ``{study}-{side}``, ``{study}-{side}-batch`` and ``{study}-scan``.
+    scanned as shuffled ``batch_size``-row means with ``scan`` as given. Seeds come from the tags ``{study}-ref``,
+    ``{study}-ref-batch`` and, by position, ``{study}-{side}`` and ``{study}-{side}-batch``.
     """
     ref_spec = replace(base, positive_fraction=0.5, seed=derive_seed(base.seed, f"{study}-ref"))
     specs = [replace(ref_spec, **change, seed=derive_seed(base.seed, f"{study}-{side}", i))
@@ -174,8 +174,7 @@ def _bucket_drifts(base: ClassMixtureSpec, changes, scan: ScanConfig, batch_size
     for i, spec in enumerate(specs):
         points, labels = generate_labeled_mixture(spec)
         target = batch_means(points, replace(ref_batch, seed=derive_seed(base.seed, f"{study}-{side}-batch", i)))
-        scan_i = replace(scan, seed=derive_seed(scan.seed, f"{study}-scan", i))
-        yield spec, points, labels, drift_scan(ref, target, scan_i)["summary_score"]
+        yield spec, points, labels, drift_scan(ref, target, scan)["summary_score"]
 
 
 def ratio_drift_study(
@@ -262,18 +261,19 @@ def null_calibration(
     Each trial draws fresh n-row reference and target sets from one standard
     Gaussian, chooses the bandwidth as a scan would (over their concatenation,
     or per window under ``median-window``), and tests the first ``window``
-    rows of each side against the flip null; the share of p-values at
-    or below alpha is the test's false-positive rate at alpha. The trials run
-    on a thread pool (``pdist``, the partition and the data draws release the
-    GIL), ``TRIAL_CHUNK`` submitted at a time; each draws from its own
-    streams, so the p-values are the same bits for any number of CPUs.
+    rows of each side, any window a scan takes (:func:`check_window_settings`),
+    against the flip null; the share of p-values at or below alpha is the
+    test's false-positive rate at alpha. The trials run on a thread pool
+    (``pdist``, the partition and the data draws release the GIL),
+    ``TRIAL_CHUNK`` submitted at a time; each draws from its own streams, so
+    the p-values are the same bits for any number of CPUs.
     """
-    for name, value in (("window", window), ("dims", dims), ("trials", trials)):
+    for name, value in (("dims", dims), ("trials", trials)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    check_window_settings(window, bootstraps, estimator)
     if n < window:
         raise ValueError(f"n ({n}) must be >= window ({window})")
-    check_window_settings(window, bootstraps, estimator)  # a window may be 1 row here, unlike a scan's
     from concurrent.futures import ThreadPoolExecutor
 
     def trial(i: int) -> float:

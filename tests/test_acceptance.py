@@ -26,7 +26,8 @@ from driftscan.kernels import KernelSpec, median_heuristic_bandwidth
 from driftscan.mmd import mmd
 from driftscan.rng import derive_rng
 from driftscan.scan import ScanConfig, drift_scan
-from driftscan.simharness import ClassMixtureSpec, correlation_study, null_calibration, ratio_drift_study
+from driftscan.simharness import (ClassMixtureSpec, bce, correlation_study, generate_labeled_mixture,
+                                  null_calibration, ratio_drift_study)
 from oracle import mmd_oracle
 
 
@@ -261,3 +262,47 @@ def test_c9_degenerate_safety(tmp_path):
         pass
 
     record(9, "degenerate safety", not problems, "; ".join(problems) or "all degenerate cases handled")
+
+
+def _fit_logistic(x, y, weights, steps=25):
+    """Weighted logistic regression with an intercept by Newton's method; the coefficients, intercept first."""
+    design = np.hstack([np.ones((len(x), 1)), x.astype(np.float64)])
+    coef = np.zeros(design.shape[1])
+    for _ in range(steps):
+        p = 1.0 / (1.0 + np.exp(-design @ coef))
+        grad = design.T @ (weights * (p - y))
+        hess = (design * (weights * p * (1.0 - p))[:, None]).T @ design
+        coef -= np.linalg.solve(hess, grad)
+    return coef
+
+
+def _heldout_bce(ref_x, ref_y, added_x, added_y, test_x, test_y) -> float:
+    # the added rows weigh as much in total as the reference's
+    weights = np.concatenate([np.ones(len(ref_x)), np.full(len(added_x), len(ref_x) / max(len(added_x), 1))])
+    coef = _fit_logistic(np.vstack([ref_x, added_x]), np.concatenate([ref_y, added_y]), weights)
+    scores = 1.0 / (1.0 + np.exp(-(coef[0] + test_x.astype(np.float64) @ coef[1:])))
+    return bce(np.clip(scores, 1e-15, 1.0 - 1e-15), test_y)
+
+
+def test_c10_retraining_on_cause_rows():
+    # the abstract's last claim: retraining on the samples of the highest-drift
+    # window helps more than retraining on as many samples drawn at random
+    wins, results = 0, []
+    for s in range(10):
+        ref_x, ref_y = generate_labeled_mixture(ClassMixtureSpec(8, 2000, 0.5, 100 + s, separation=4.0))
+        target_x, target_y = generate_labeled_mixture(ClassMixtureSpec(8, 2000, 0.5, 200 + s, separation=4.0))
+        burst = ClassMixtureSpec(8, 256, 0.5, 300 + s, separation=4.0, shift=2.0)
+        target_x, target_y = target_x.copy(), target_y.copy()
+        target_x[896:1152], target_y[896:1152] = generate_labeled_mixture(burst)
+        report = drift_scan(ref_x, target_x, ScanConfig(window=128, bootstraps=50, stride=8, seed=s))
+        start, end = report["cause_target"]
+        cause = np.arange(start - 1, end)  # the range is 1-based inclusive
+        random_rows = derive_rng(s, "retrain").choice(len(target_x), size=len(cause), replace=False)
+        test_x, test_y = generate_labeled_mixture(ClassMixtureSpec(8, 4000, 0.5, 400 + s, separation=4.0, shift=2.0))
+        results.append([_heldout_bce(ref_x, ref_y, target_x[rows], target_y[rows], test_x, test_y)
+                        for rows in (cause[:0], cause, random_rows)])
+        wins += results[-1][1] < results[-1][2]
+    alone, on_cause, on_random = np.mean(results, axis=0)
+    record(10, "retraining on cause rows", wins >= 8,
+           f"cause rows win {wins}/10 seeds; mean held-out BCE {alone:.3f} reference alone, "
+           f"{on_cause:.3f} with the cause rows, {on_random:.3f} with random rows")

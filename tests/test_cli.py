@@ -1,3 +1,4 @@
+import errno
 import importlib
 import json
 import os
@@ -197,7 +198,7 @@ def test_extract_rejects_report_with_out_of_range_config(pair_files, tmp_path, c
                  "--bootstraps", "5", "--seed", "2", "--out", str(report)]) == 0
     scanned = report.read_text()
     for section, key, value, message in (
-        ("config", "window", 1, "window must be >= 2, got 1"),
+        ("config", "window", 0, "window must be >= 1, got 0"),
         ("kernel", "bandwidth", True, "fixed bandwidth must be a positive finite number, got True"),
         ("kernel", "bandwidth", 10**400, "int too large to convert to float"),
     ):
@@ -383,6 +384,25 @@ def test_calibrate_runs_one_row_windows_with_the_biased_estimator(capsys):
     payload = json.loads(captured.out)
     assert payload["trials"] == 3
     assert payload["config"]["window"] == 1
+
+
+def test_scan_runs_one_row_windows_and_extract_reads_the_report(pair_files, tmp_path, capsys):
+    # scan takes the windows calibrate takes: none of 0 rows, and a one-row
+    # window, whose one pair has a single flip value, so every p-value is 1
+    ref, target = pair_files
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: window must be >= 1, got 0\n")
+    report = tmp_path / "rep.json"
+    assert main(["scan", "--ref", ref, "--target", target, "--window", "1", "--bootstraps", "19",
+                 "--out", str(report)]) == 0
+    assert capsys.readouterr().err == coarse_warning(1, "window")
+    windows = json.loads(report.read_text())["windows"]
+    assert len(windows) == 40
+    assert all(w["p_value"] == 1.0 and not w["flagged"] for w in windows)
+    cause = tmp_path / "cause.csv"
+    assert main(["extract", "--ref", ref, "--target", target, "--report", str(report), "--out", str(cause)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_embeddings(cause).shape == (1, 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -601,6 +621,41 @@ def test_unreadable_file_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert main(["mmd", "--ref", missing, "--target", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"EMB1\x00\x00", "truncated binary header (6 bytes)"),
+    (b"EMB1" + bytes(8), "dims must be >= 1, got 0"),
+    (b"1,2\n\xff\n", "not valid UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+], ids=["short-binary-header", "zero-dims-binary-header", "csv-not-utf8"])
+def test_unparseable_input_file_exits_two(tmp_path, capsys, blob, message):
+    bad = tmp_path / "bad.emb"
+    bad.write_bytes(blob)
+    assert main(["mmd", "--ref", str(bad), "--target", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
+def test_unreadable_report_exits_two(pair_files, tmp_path, capsys):
+    ref, target = pair_files
+    missing = tmp_path / "missing.json"
+    assert main(["extract", "--ref", ref, "--target", target, "--report", str(missing),
+                 "--out", str(tmp_path / "cause.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {missing}: {os.strerror(errno.ENOENT)}\n")
+    assert not (tmp_path / "cause.csv").exists()
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ("a,b", "expected comma-separated numbers, got 'a,b'"),
+    (",", "expected at least one number"),
+])
+def test_fractions_that_are_not_a_list_of_numbers_exit_one(capsys, fractions, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "ratio-drift", "--fractions", fractions])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"driftscan simulate ratio-drift: error: argument --fractions: {message}"]
 
 
 def test_dimension_mismatch_exits_two(tmp_path, capsys):

@@ -11,6 +11,7 @@ from driftscan.embeddings import (
     DataError,
     FormatError,
     ValidationError,
+    _declared_dims,
     _parse_csv,
     _parse_csv_strict,
     as_embeddings,
@@ -156,6 +157,16 @@ def test_unparsable_token_names_position(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_embeddings(tmp_path / "nope.csv")
+
+
+def test_unknown_format_is_a_usage_error(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n")
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        load_embeddings(p, "xml")
+    with pytest.raises(ValueError, match="^unknown format 'auto'$"):
+        save_embeddings([[1.0]], p, "auto")
+    assert p.read_text() == "1,2\n"
 
 
 def test_save_to_directory_is_data_error(tmp_path):
@@ -351,13 +362,19 @@ def _outcome(parse, text):
 def test_csv_parse_matches_the_strict_walker(text):
     # numpy's reader must give the walker's float32 bits, or send the text
     # to the walker for its value or its error
-    assert _outcome(_parse_csv, text) == _outcome(_parse_csv_strict, text)
+    assert _outcome(_parse_csv, text) == _outcome(_strict_walk, text)
+
+
+def _strict_walk(text, path):
+    # the walker's input as _parse_csv prepares it: the stripped lines and line 1's declared dims
+    lines = [line.strip() for line in text.splitlines()]
+    return _parse_csv_strict(lines, _declared_dims(lines[0], path) if lines else None, path)
 
 
 def test_valid_csv_never_reaches_the_strict_walker(tmp_path, monkeypatch):
     # a numpy upgrade or a refactor that sent every file down the slow path
     # would pass every other test
-    def refuse(text, path):
+    def refuse(lines, declared_dims, path):
         raise AssertionError(f"{path} went to the strict walker")
 
     monkeypatch.setattr(embeddings, "_parse_csv_strict", refuse)

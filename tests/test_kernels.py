@@ -141,6 +141,13 @@ def test_kernel_matrix_matches_kernel_value():
                 assert km[i, j] == pytest.approx(kernel_value(spec, bw, x[i], y[j]), rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [RBF, LINEAR], ids=["rbf", "linear"])
+def test_kernel_matrix_refuses_sides_with_different_column_counts(spec):
+    # the distance loop pairs the sides' columns and would stop at the shorter side
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        kernel_matrix(spec, 1.0, np.zeros((4, 2)), np.zeros((5, 3)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 130), st.integers(-150, 150), st.integers(0, 300),
        st.booleans(), st.integers(0, 2**32 - 1))

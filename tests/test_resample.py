@@ -565,7 +565,7 @@ def test_the_smallest_accepted_bandwidths_give_finite_statistics():
 def test_parameter_validation():
     x = np.array([[1.0], [2.0]])
     y = np.array([[3.0], [4.0]])
-    with pytest.raises(ValueError, match="empty blocks"):
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
         window_test(RBF_FIXED, x[:0], y[:0], 5, 0, "biased")
     with pytest.raises(ValueError):
         window_test(RBF_FIXED, x, y, 0, 0, "biased")

@@ -10,6 +10,7 @@ from driftscan.embeddings import DataError, ValidationError, as_embeddings
 from driftscan.kernels import KernelSpec
 from driftscan.mmd import mmd, mmd_value
 from driftscan.resample import RNG_SCHEME
+from driftscan.rng import check_seed, derive_rng
 from driftscan.scan import (
     REPORT_KEYS,
     WINDOW_KEYS,
@@ -310,9 +311,18 @@ def test_only_the_global_median_copies_the_full_inputs(monkeypatch, family, band
     assert pooled.count(80) == (3 if copies_both_sides and spec.needs_bandwidth else 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+def test_seed_must_be_an_integer(seed):
+    for refuse in (check_seed, lambda s: derive_rng(s, "tag"), lambda s: ScanConfig(seed=s)):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            refuse(seed)
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(window=1)
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        ScanConfig(window=0)
+    with pytest.raises(ValueError, match="unbiased estimator needs blocks of >= 2 rows"):
+        ScanConfig(window=1, estimator="unbiased")
     with pytest.raises(ValueError):
         ScanConfig(bootstraps=0)
     with pytest.raises(ValueError):

@@ -86,6 +86,8 @@ def test_mixture_spec_validation():
         ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, scale=0.0)
     with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
         ClassMixtureSpec(dims=0, n=5, positive_fraction=0.5, seed=0)
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        ClassMixtureSpec(dims=2, n=-1, positive_fraction=0.5, seed=0)
     for name, value in (("scale", math.inf), ("separation", math.nan), ("shift", -math.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **{name: value})
@@ -94,6 +96,20 @@ def test_mixture_spec_validation():
                      {"separation": 1.7e308, "shift": -1.7e308}, {"scale": 1e39}, {"scale": 1e308, "separation": 1.0}):
         with pytest.raises(ValueError, match="class means overflow"):
             ClassMixtureSpec(dims=2, n=5, positive_fraction=0.5, seed=0, **extremes)
+
+
+@pytest.mark.parametrize("metric, scores, labels, message", [
+    (auc, [0.1, 0.9], [0, 1, 1], "scores and labels must be 1-D and the same length"),
+    (auc, [[0.1, 0.9]], [[0, 1]], "scores and labels must be 1-D and the same length"),
+    (auc, [0.1, 0.9], [0, 2], "labels must be 0 or 1"),
+    (bce, [0.1, 0.9], [1], "scores and labels must be 1-D and the same length"),
+    (bce, [], [], "bce needs at least one score"),
+    (pearson, [1.0, 2.0], [1.0, 2.0, 3.0], "inputs must be 1-D and the same length"),
+    (pearson, [[1.0, 2.0]], [[1.0, 2.0]], "inputs must be 1-D and the same length"),
+], ids=["auc-length", "auc-2d", "auc-labels", "bce-length", "bce-empty", "pearson-length", "pearson-2d"])
+def test_metrics_refuse_malformed_inputs(metric, scores, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        metric(scores, labels)
 
 
 def test_auc_perfect_separation():
